@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 
+from .hybrid import write_solution_text
 from .verify import make_case, manufactured_case, run_convergence
 
 _K_RANGE = {"quad": (0, 3), "triangle": (1, 3)}
@@ -153,18 +154,8 @@ def run(args, parser):
     print(f"wrote {md_path}")
 
     if args.dump_solution:
-        from .fespace import Spaces
-        from .hybrid import solve_hybrid, write_solution_text
-        from .mesh import build_structured_mesh
-        from .verify import data_quadrature_degree
-        row = table.rows[-1]
-        mesh = build_structured_mesh(row.n, kind)
-        spaces = Spaces(mesh, args.k, assembly_degree=args.quad_degree,
-                        fine_degree=data_quadrature_degree(case, args.k, row.n))
-        fields = solve_hybrid(spaces, case.nu, case.gamma,
-                              case.body_force, case.mass_source)
         sol_path = os.path.join(args.out_dir, prefix + "_solution.txt")
-        write_solution_text(sol_path, spaces, fields)
+        write_solution_text(sol_path, *table.finest)
         print(f"wrote {sol_path}")
     return 0
 

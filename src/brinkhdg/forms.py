@@ -9,6 +9,7 @@ over spatial components, q over quadrature points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,17 +184,26 @@ def project_velocity_div(spaces, c, func):
     return spaces.nodal_transform(c) @ alpha
 
 
+@lru_cache(maxsize=None)
+def _segment_rule(k, degree):
+    """Read-only (points, weights, degree-k basis values) on [0, 1]."""
+    rule = quadrature("segment", degree)
+    s = rule.points[:, 0].copy()
+    weights = np.array(rule.weights, dtype=float)
+    phi = SegmentBasis(k).tabulate(s)
+    for arr in (s, weights, phi):
+        arr.flags.writeable = False
+    return s, weights, phi
+
+
 def project_facet_tangent(mesh, facet, k, func, degree):
     """Facet moments of the tangential trace; coefficients of phi_j t_F."""
-    seg = SegmentBasis(k)
-    rule = quadrature("segment", degree)
-    s = rule.points[:, 0]
+    s, weights, phi = _segment_rule(k, degree)
     v0, v1 = mesh.facet_vertices[facet]
     p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
     x = p0 + s[:, None] * (p1 - p0)
     ut = func(x) @ mesh.facet_tangents[facet]
-    phi = seg.tabulate(s)
-    return np.einsum("jq,q,q->j", phi, ut, rule.weights)
+    return np.einsum("jq,q,q->j", phi, ut, weights)
 
 
 # -- velocity postprocessing ----------------------------------------------

@@ -2,9 +2,11 @@
 
 The mixed gradient-velocity-pressure system is condensed cell by cell
 onto facet unknowns: tangential and normal velocity traces on interior
-facets plus one pressure average per cell and a single mean multiplier.
-Cell solves are cached per geometry class; only data moments are
-evaluated per cell.
+facets plus one pressure average per cell.  That system is singular only
+along constant pressure averages, so the first cell's average is pinned
+to zero and the averages are shifted to zero area-weighted mean after
+the solve.  Cell solves are cached per geometry class; only data moments
+are evaluated per cell.
 
 `solve_direct` assembles the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
@@ -112,7 +114,7 @@ class SolutionFields:
     uhat_t: np.ndarray   # interior facet tangential trace coefficients
     uhat_n: np.ndarray   # interior facet normal trace coefficients
     pbar: np.ndarray     # (nc,) cell pressure averages
-    mean_mult: float
+    mean_mult: float     # mean-pressure multiplier, ~0 when int g = 0
     ustar: np.ndarray    # (nc, 2, n_post)
     n_global: int
     n_local: int
@@ -148,13 +150,14 @@ def _facet_columns(spaces):
 
 
 def _data_moments(spaces, c, f_func, g_func):
+    """Velocity moments of f, pressure moments of g, and the integral of |g|."""
     tab = spaces.tab(c, fine=True)
     x = spaces.vol_points(c, tab)
     fv = f_func(x)
     gv = g_func(x)
     fmom = np.einsum("mrq,qr,q->m", tab.v, fv, tab.wdet)
     gmom = np.einsum("iq,q,q->i", tab.q_vals, gv, tab.wdet)
-    return fmom, gmom
+    return fmom, gmom, float(np.abs(gv) @ tab.wdet)
 
 
 def _constant_pressure_value(spaces):
@@ -169,7 +172,11 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     """Solve via static condensation onto facet traces.
 
     Global unknowns: tangential trace block, normal trace block, cell
-    pressure averages, one multiplier pinning the global pressure mean.
+    pressure averages.  Cell 0's average is pinned to zero in place of
+    its (redundant) mass balance row; after the solve the averages are
+    shifted to zero area-weighted mean, which fixes the pressure in L2_0
+    and changes no other field.  Raises ValueError when the mass source
+    does not integrate to zero, since its mass balance cannot then hold.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -180,16 +187,18 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     cols, ntt = _facet_columns(spaces)
     q0v = _constant_pressure_value(spaces)
 
-    n_sys = 2 * ntt + nc + 1
+    n_sys = 2 * ntt + nc
     o_pbar = 2 * ntt
-    o_mult = n_sys - 1
     builder = SparseBuilder(n_sys, n_sys)
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, solvers[0].n))
+    areas = np.zeros(nc)
+    g_abs = 0.0
 
     for c in range(nc):
         ls = solvers[spaces.cell_class[c]]
-        fmom, gmom = _data_moments(spaces, c, f_func, g_func)
+        fmom, gmom, g_abs_c = _data_moments(spaces, c, f_func, g_func)
+        g_abs += g_abs_c
         xs = ls.solve_source(fmom, gmom)
         x_src[c] = xs
         o_u, o_p = ls.offsets[1], ls.offsets[2]
@@ -200,12 +209,10 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         builder.add_block(idx, idx, ls.energy[np.ix_(keep, keep)])
         np.add.at(rhs, idx, f_loc[keep])
 
-        area = spaces.amap(c).det * fam.ref_cell.measure
-        builder.add(np.array([o_pbar + c]), np.array([o_mult]),
-                    np.array([area]))
-        builder.add(np.array([o_mult]), np.array([o_pbar + c]),
-                    np.array([area]))
+        areas[c] = spaces.amap(c).det * fam.ref_cell.measure
         rhs[o_pbar + c] = -gmom[0] / q0v
+        if c == 0:
+            continue
         for lf in range(nfc):
             f = mesh.cell_facets[c, lf]
             col0 = cc[nfc * kk + lf * kk]
@@ -218,11 +225,30 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
             builder.add(np.array([col0]), np.array([o_pbar + c]),
                         np.array([val]))
 
+    # rhs[pbar] holds -int_c g.  The trace couplings of the pressure rows
+    # sum to zero over the cells, so the mass balances are solvable only
+    # when int g = 0; the scale is int |g| because the cell integrals
+    # alone can all be roundoff on symmetric meshes
+    total = abs(rhs[o_pbar:].sum())
+    if total > 1e-10 * g_abs:
+        name = getattr(g_func, "__qualname__", repr(g_func))
+        raise ValueError(
+            f"mass source {name} does not integrate to zero: |int g| = "
+            f"{total:.3e} against int |g| = {g_abs:.3e} (tolerance 1e-10 "
+            "relative); if it does analytically, raise the data "
+            "quadrature degree (fine_degree)")
+    # remove the quadrature-level remainder as a mean-pressure multiplier
+    # would, then pin cell 0's average in place of its redundant row
+    mean_mult = float(rhs[o_pbar:].sum() / areas.sum())
+    rhs[o_pbar:] -= mean_mult * areas
+    builder.add(np.array([o_pbar]), np.array([o_pbar]), np.array([1.0]))
+    rhs[o_pbar] = 0.0
+
     sol = sparse_solve(builder, rhs)
     uhat_t = sol[:ntt]
     uhat_n = sol[ntt:2 * ntt]
-    pbar = sol[o_pbar:o_mult]
-    mean_mult = float(sol[o_mult])
+    pbar = sol[o_pbar:]
+    pbar -= areas @ pbar / areas.sum()
 
     l = np.zeros((nc, 2, fam.n_g))
     u = np.zeros((nc, fam.n_v))
@@ -281,7 +307,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     for c in range(nc):
         blk = blocks_by_class[spaces.cell_class[c]]
         trans = spaces.nodal_transform(c)
-        fmom, gmom = _data_moments(spaces, c, f_func, g_func)
+        fmom, gmom, _ = _data_moments(spaces, c, f_func, g_func)
         rows_l = [np.arange(c * 2 * n_g + r * n_g, c * 2 * n_g + (r + 1) * n_g)
                   for r in range(2)]
         udofs = vd.cell_dofs[c]

@@ -348,13 +348,17 @@ _CSV_COLS = (("err_L", "err_l"), ("err_u", "err_u"), ("err_p", "err_p"),
 
 
 class ConvergenceTable:
-    """Per-level errors and pairwise observed orders."""
+    """Per-level errors and pairwise observed orders.
+
+    `finest` holds the (spaces, fields) of the last level solved.
+    """
 
     def __init__(self, label, cell_kind, k):
         self.label = label
         self.cell_kind = cell_kind
         self.k = k
         self.rows = []
+        self.finest = None
 
     def add_row(self, row):
         self.rows.append(row)
@@ -457,6 +461,7 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
             level=lev, n=n, n_ele=mesh.num_cells, n_global=fields.n_global,
             n_local=fields.n_local, report=report, seconds=seconds,
             oracle_discrepancy=disc))
+    table.finest = (spaces, fields)
     return table
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from brinkhdg import hybrid, verify
 from brinkhdg.cli import main
 
 CSV_HEADER = ("level,n_ele,n_global,n_local,"
@@ -124,15 +125,27 @@ def test_oracle_flag_reports_discrepancy(tmp_path, capsys):
     assert float(line[0].split(":")[1]) < 1e-9
 
 
-def test_prefix_and_solution_dump(tmp_path, capsys):
-    rc = main(tiny("--prefix", "run1", "--dump-solution",
-                   "--out-dir", str(tmp_path)))
+def test_prefix_and_solution_dump(tmp_path, capsys, monkeypatch):
+    calls = []
+    inner = hybrid.solve_hybrid
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].mesh.num_cells)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "solve_hybrid", counting)
+    monkeypatch.setattr(verify, "solve_hybrid", counting)
+    rc = main(["solve", "--test", "1", "--k", "1", "--levels", "2",
+               "--base-n", "2", "--prefix", "run1", "--dump-solution",
+               "--out-dir", str(tmp_path)])
     assert rc == 0
+    # one solve per level; the dump reuses the finest one
+    assert calls == [4, 16]
     capsys.readouterr()
     assert (tmp_path / "run1.csv").exists()
     assert (tmp_path / "run1.md").exists()
     text = (tmp_path / "run1_solution.txt").read_text()
-    assert text.startswith("cell_kind quad k 1 cells 4\n")
+    assert text.startswith("cell_kind quad k 1 cells 16\n")
 
 
 def test_module_entry_point():

@@ -10,8 +10,8 @@ from brinkhdg.hybrid import (build_local_solvers, compare_fields,
                              pressure_integral, solve_direct, solve_hybrid,
                              write_solution_text)
 from brinkhdg.linalg import SingularMatrixError
-from brinkhdg.mesh import QUAD, TRIANGLE, build_structured_mesh
-from brinkhdg.verify import error_norms, make_case
+from brinkhdg.mesh import QUAD, TRIANGLE, Mesh, build_structured_mesh
+from brinkhdg.verify import data_quadrature_degree, error_norms, make_case
 
 
 def zero_vec(x):
@@ -93,6 +93,53 @@ def test_pressure_mean_zero():
     for kind in (QUAD, TRIANGLE):
         spaces, fields = solve_case(kind, 4, 1, case)
         assert abs(pressure_integral(spaces, fields)) < 1e-12
+
+
+def perturbed_triangles(n, share, seed):
+    """Diagonal-split n-by-n mesh, interior vertices moved by up to share*h."""
+    base = build_structured_mesh(n, TRIANGLE)
+    vertices = base.vertices.copy()
+    interior = ((vertices > 0.0) & (vertices < 1.0)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-share / n, share / n,
+                                      size=(int(interior.sum()), 2))
+    return Mesh(vertices, base.cells, TRIANGLE)
+
+
+def test_hybrid_matches_direct_on_perturbed_mesh():
+    # weighted and unweighted pressure means differ only on non-uniform
+    # cells, so this checks the area-weighted shift after the pinned solve
+    case = make_case(1)
+    spaces = Spaces(perturbed_triangles(4, 0.2, seed=2016), 1,
+                    fine_degree=data_quadrature_degree(case, 1, 4))
+    assert len(spaces.class_rep) == spaces.mesh.num_cells
+    areas = np.array([spaces.tab(c).wdet.sum()
+                      for c in range(spaces.mesh.num_cells)])
+    assert np.ptp(areas) > 0.1 * areas.mean()
+    fields = solve_hybrid(spaces, case.nu, case.gamma,
+                          case.body_force, case.mass_source)
+    direct = solve_direct(spaces, case.nu, case.gamma,
+                          case.body_force, case.mass_source)
+    diffs = compare_fields(spaces, fields, direct)
+    assert max(diffs.values()) <= 1e-9, diffs
+    assert abs(pressure_integral(spaces, fields)) <= 1e-10
+
+
+def test_incompatible_mass_source_rejected():
+    def unit_source(x):
+        return np.ones(x.shape[0])
+
+    spaces = Spaces(build_structured_mesh(4, QUAD), 1)
+    with pytest.raises(ValueError, match="mass source .*unit_source.* "
+                       r"\|int g\| = 1\.000e\+00 against int \|g\| = 1\.000e\+00"):
+        solve_hybrid(spaces, 1.0, 1.0, zero_vec, unit_source)
+
+
+def test_mean_multiplier_vanishes_for_compatible_data():
+    case = make_case(1)
+    for kind in (QUAD, TRIANGLE):
+        spaces, fields = solve_case(kind, 4, 1, case)
+        assert abs(fields.mean_mult) <= 1e-12
 
 
 def test_normal_trace_equals_facet_unknown():
