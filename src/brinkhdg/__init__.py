@@ -13,8 +13,7 @@ cellwise velocity postprocessing.  Entry points:
 from .fespace import Spaces, element_family
 from .hybrid import solve_direct, solve_hybrid
 from .mesh import QUAD, TRIANGLE, Mesh, build_structured_mesh
-from .verify import (BrinkmanCase, ConvergenceTable, make_case,
-                     manufactured_case, run_convergence)
+from .verify import BrinkmanCase, ConvergenceTable, make_case, run_convergence
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "build_structured_mesh",
     "element_family",
     "make_case",
-    "manufactured_case",
     "run_convergence",
     "solve_direct",
     "solve_hybrid",

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .hybrid import write_solution_text
-from .verify import make_case, manufactured_case, run_convergence
+from .verify import BrinkmanCase, make_case, run_convergence
 
 _K_RANGE = {"quad": (0, 3), "triangle": (1, 3)}
 _KIND_OF_FLAG = {"quad": "quad", "tri": "triangle"}
@@ -61,28 +61,6 @@ def build_parser():
     return parser
 
 
-def _configure_threads():
-    val = os.environ.get("BRINKHDG_THREADS")
-    if val is None:
-        return None
-    try:
-        count = int(val)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(
-            f"brinkhdg: invalid BRINKHDG_THREADS value {val!r} "
-            "(expected a positive integer)")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("note: threadpoolctl not installed; BRINKHDG_THREADS ignored",
-              file=sys.stderr)
-        return None
-    threadpool_limits(limits=count)
-    return count
-
-
 def _resolve_case(args, parser):
     custom = [v is not None for v in (args.nu, args.m)]
     if args.test is not None:
@@ -97,9 +75,9 @@ def _resolve_case(args, parser):
         parser.error("--gamma must be positive")
     if args.m < 1:
         parser.error("--m must be a positive integer")
-    return manufactured_case(args.nu, args.gamma, args.m,
-                             label=f"nu={args.nu:g} gamma={args.gamma:g} "
-                                   f"m={args.m}")
+    return BrinkmanCase(args.nu, args.gamma, args.m,
+                        label=f"nu={args.nu:g} gamma={args.gamma:g} "
+                              f"m={args.m}")
 
 
 def run(args, parser):
@@ -115,9 +93,6 @@ def run(args, parser):
     if args.base_n is not None and args.base_n < 1:
         parser.error("--base-n must be >= 1")
 
-    threads = _configure_threads()
-    if threads:
-        print(f"thread limit: {threads}")
     case = _resolve_case(args, parser)
     if kind == "quad" and args.k == 0:
         print("note: k=0 on quadrilaterals is outside the benchmarked "

@@ -145,10 +145,8 @@ class DofMap:
     tag: str
     k: int
     total: int
-    entity: str
     cell_dofs: np.ndarray = None
     facet_dofs: np.ndarray = None
-    zero_mean: bool = False
 
 
 _FAMILY_CACHE = {}
@@ -164,38 +162,21 @@ def element_family(cell_kind, k):
 def build_dofmap(mesh, tag, k):
     """Dof map for a space tag.
 
-    Tags: G, V_div0, Q, Q_ring, Qbar, Qperp, Mt0, Mn0, Mpartial.  The (0)
-    facet spaces carry dofs on interior facets only; boundary rows are -1.
+    Tags: Mt0 (tangential facet traces) and V_div0 (divergence-conforming
+    velocities).  Both carry facet dofs on interior facets only; boundary
+    entries are -1.
     """
     fam = element_family(mesh.cell_kind, k)
     nc, nf = mesh.num_cells, mesh.num_facets
     kk = k + 1
     nif = len(mesh.interior_facets)
 
-    if tag in ("Mt0", "Mn0"):
+    if tag == "Mt0":
         fd = np.full((nf, kk), -1, dtype=int)
         ranks = mesh.interior_index
         mask = ranks >= 0
         fd[mask] = ranks[mask, None] * kk + np.arange(kk)
-        return DofMap(tag, k, nif * kk, "facet", facet_dofs=fd)
-    if tag == "Mpartial":
-        ndpc = fam.n_cell_facets * kk
-        cd = np.arange(nc * ndpc).reshape(nc, ndpc)
-        return DofMap(tag, k, nc * ndpc, "cell", cell_dofs=cd)
-    if tag == "G":
-        ndpc = 2 * fam.n_g
-        cd = np.arange(nc * ndpc).reshape(nc, ndpc)
-        return DofMap(tag, k, nc * ndpc, "cell", cell_dofs=cd)
-    if tag in ("Q", "Q_ring"):
-        cd = np.arange(nc * fam.n_q).reshape(nc, fam.n_q)
-        return DofMap(tag, k, nc * fam.n_q, "cell", cell_dofs=cd,
-                      zero_mean=(tag == "Q_ring"))
-    if tag == "Qbar":
-        return DofMap(tag, k, nc, "cell", cell_dofs=np.arange(nc).reshape(nc, 1))
-    if tag == "Qperp":
-        ndpc = fam.n_q - 1
-        cd = np.arange(nc * ndpc).reshape(nc, ndpc)
-        return DofMap(tag, k, nc * ndpc, "cell", cell_dofs=cd)
+        return DofMap(tag, k, nif * kk, facet_dofs=fd)
     if tag == "V_div0":
         nint = fam.n_v_interior
         cd = np.full((nc, fam.n_v), -1, dtype=int)
@@ -208,22 +189,8 @@ def build_dofmap(mesh, tag, k):
                     cd[c, lf * kk:(lf + 1) * kk] = rank * kk + np.arange(kk)
             base = facet_block + c * nint
             cd[c, fam.n_cell_facets * kk:] = base + np.arange(nint)
-        return DofMap(tag, k, facet_block + nc * nint, "cell", cell_dofs=cd)
+        return DofMap(tag, k, facet_block + nc * nint, cell_dofs=cd)
     raise ValueError(f"unknown space tag: {tag!r}")
-
-
-def tangent_facet_basis(mesh, facet, k):
-    """Tangential facet basis functions s -> phi_j(s) * t_F, j = 0..k."""
-    seg = SegmentBasis(k)
-    tangent = mesh.facet_tangents[facet].copy()
-
-    def make(j):
-        def fn(s):
-            s = np.atleast_1d(np.asarray(s, float))
-            return seg.tabulate(s)[j][:, None] * tangent
-        return fn
-
-    return [make(j) for j in range(k + 1)]
 
 
 class Spaces:

@@ -42,7 +42,6 @@ class FacetBlocks:
     tangent: np.ndarray
     that: np.ndarray     # (k+1, n_g)  facet poly vs gradient-row normal trace
     tlam: np.ndarray     # (n_v, k+1)  velocity normal trace vs facet poly
-    tvt: np.ndarray      # (n_v, k+1)  velocity tangential trace vs facet poly
     tgt: np.ndarray      # (n_g, n_v)  (G.n)(V.t) facet coupling
 
 
@@ -59,43 +58,12 @@ class ElementBlocks:
     mgam: np.ndarray     # (n_v, n_v)      gamma-weighted velocity mass
     bdiv: np.ndarray     # (n_v, n_q)      pressure vs velocity divergence
     tq: np.ndarray       # (n_v, n_q)      boundary pressure vs normal trace
-    mq: np.ndarray       # (n_q, n_q)
-    mv: np.ndarray       # (n_v, n_v)
     qint: np.ndarray     # (n_q,)          pressure basis integrals
     vint: np.ndarray     # (n_v, 2)        velocity component integrals
     kpp: np.ndarray      # (n_post, n_post) postprocessing stiffness
     pint: np.ndarray     # (n_post,)
     gp_cross: np.ndarray  # (n_g, n_post)  row basis vs postprocessing gradient
     facets: list
-
-    # public aliases matching the solver interface names
-    @property
-    def m_ll(self):
-        return self.mg
-
-    @property
-    def d_grad(self):
-        return self.grad
-
-    @property
-    def t_vol(self):
-        return self.tg
-
-    @property
-    def t_hat(self):
-        return [f.that for f in self.facets]
-
-    @property
-    def b_div(self):
-        return self.bdiv
-
-    @property
-    def m_gamma(self):
-        return self.mgam
-
-    @property
-    def c_div(self):
-        return self.divg
 
 
 def element_blocks(tab, nu, gamma):
@@ -107,8 +75,6 @@ def element_blocks(tab, nu, gamma):
     grad = np.einsum("acq,mrcq,q->ram", tab.g, tab.v_grad, w)
     mgam = np.einsum("mrq,rs,nsq,q->mn", tab.v, gamma, tab.v, w)
     bdiv = np.einsum("iq,mq,q->mi", tab.q_vals, tab.v_div, w)
-    mq = np.einsum("iq,jq,q->ij", tab.q_vals, tab.q_vals, w)
-    mv = np.einsum("mrq,nrq,q->mn", tab.v, tab.v, w)
     qint = np.einsum("iq,q->i", tab.q_vals, w)
     vint = np.einsum("mrq,q->mr", tab.v, w)
     kpp = np.einsum("icq,jcq,q->ij", tab.post_grad, tab.post_grad, w)
@@ -131,11 +97,10 @@ def element_blocks(tab, nu, gamma):
             sign=ft.sign, h=ft.h, normal=ft.normal, tangent=ft.tangent,
             that=np.einsum("jq,aq,q->ja", ft.phi, gn, ft.w),
             tlam=np.einsum("jq,mq,q->mj", ft.phi, vn, ft.w),
-            tvt=np.einsum("jq,mq,q->mj", ft.phi, vt, ft.w),
             tgt=np.einsum("aq,mq,q->am", gn, vt, ft.w)))
     return ElementBlocks(
         nu=float(nu), gamma=gamma, mg=mg, divg=divg, grad=grad, tg=tg,
-        mgam=mgam, bdiv=bdiv, tq=tq, mq=mq, mv=mv, qint=qint, vint=vint,
+        mgam=mgam, bdiv=bdiv, tq=tq, qint=qint, vint=vint,
         kpp=kpp, pint=pint, gp_cross=gp_cross, facets=facets)
 
 

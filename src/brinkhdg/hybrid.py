@@ -44,7 +44,6 @@ class LocalSolver:
         o_u = n_l
         o_p = o_u + n_v
         o_lam = o_p + n_p
-        self.sizes = (n_l, n_v, n_p, n_lam)
         self.n = n
         self.offsets = (0, o_u, o_p, o_lam)
         self.blocks = blocks
@@ -76,7 +75,6 @@ class LocalSolver:
                 lift_rhs[rows, ncols] += nu * fb.normal[r] * fb.that.T
             drows = slice(o_lam + lf * kk, o_lam + (lf + 1) * kk)
             lift_rhs[drows, ncols] = fb.sign * fb.h * np.eye(kk)
-        self.lift_rhs = lift_rhs
         self.lift = self.factor.solve(lift_rhs)
 
         # energy-weighted lift: rows of Z @ lift with Z the block Gram
@@ -133,28 +131,33 @@ def _facet_columns(spaces):
     normal dofs are offset by the tangential block size.
     """
     mesh = spaces.mesh
-    fam = spaces.family
-    kk = fam.n_facet
-    nfc = fam.n_cell_facets
     mt = spaces.dofmap("Mt0")
     ntt = mt.total
-    nc = mesh.num_cells
-    cols = np.full((nc, 2 * nfc * kk), -1, dtype=int)
-    for c in range(nc):
-        for lf in range(nfc):
-            fd = mt.facet_dofs[mesh.cell_facets[c, lf]]
-            cols[c, lf * kk:(lf + 1) * kk] = fd
-            cols[c, nfc * kk + lf * kk:nfc * kk + (lf + 1) * kk] = \
-                np.where(fd >= 0, fd + ntt, -1)
-    return cols, ntt
+    tang = mt.facet_dofs[mesh.cell_facets].reshape(mesh.num_cells, -1)
+    return np.hstack([tang, np.where(tang >= 0, tang + ntt, -1)]), ntt
+
+
+def _checked_values(func, x, shape, what):
+    """Values of a data callable at x; ValueError on a wrong shape or NaN/inf."""
+    vals = np.asarray(func(x), dtype=float)
+    name = getattr(func, "__qualname__", repr(func))
+    if vals.shape != shape:
+        raise ValueError(f"{what} {name} returned shape {vals.shape} at "
+                         f"{x.shape[0]} points; expected {shape}")
+    bad = vals[~np.isfinite(vals)]
+    if bad.size:
+        raise ValueError(f"{what} {name} returned the non-finite value "
+                         f"{bad[0]} at {bad.size} of {vals.size} entries")
+    return vals
 
 
 def _data_moments(spaces, c, f_func, g_func):
     """Velocity moments of f, pressure moments of g, and the integral of |g|."""
     tab = spaces.tab(c, fine=True)
     x = spaces.vol_points(c, tab)
-    fv = f_func(x)
-    gv = g_func(x)
+    nq = x.shape[0]
+    fv = _checked_values(f_func, x, (nq, 2), "body force")
+    gv = _checked_values(g_func, x, (nq,), "mass source")
     fmom = np.einsum("mrq,qr,q->m", tab.v, fv, tab.wdet)
     gmom = np.einsum("iq,q,q->i", tab.q_vals, gv, tab.wdet)
     return fmom, gmom, float(np.abs(gv) @ tab.wdet)
@@ -211,19 +214,17 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
 
         areas[c] = spaces.amap(c).det * fam.ref_cell.measure
         rhs[o_pbar + c] = -gmom[0] / q0v
-        if c == 0:
-            continue
-        for lf in range(nfc):
-            f = mesh.cell_facets[c, lf]
-            col0 = cc[nfc * kk + lf * kk]
-            if col0 < 0:
-                continue
-            sgn = float(mesh.cell_facet_signs[c, lf])
-            val = -sgn * float(mesh.facet_lengths[f])
-            builder.add(np.array([o_pbar + c]), np.array([col0]),
-                        np.array([val]))
-            builder.add(np.array([col0]), np.array([o_pbar + c]),
-                        np.array([val]))
+
+    # pressure rows couple to the first normal-trace dof of each interior
+    # facet; cell 0's row has no couplings, since its average is pinned
+    ncol = cols[1:, nfc * kk::kk]
+    inner = ncol >= 0
+    prow = np.broadcast_to(o_pbar + np.arange(1, nc)[:, None], ncol.shape)[inner]
+    pcol = ncol[inner]
+    pval = (-mesh.cell_facet_signs[1:]
+            * mesh.facet_lengths[mesh.cell_facets[1:]])[inner]
+    builder.add(np.concatenate([prow, pcol]), np.concatenate([pcol, prow]),
+                np.concatenate([pval, pval]))
 
     # rhs[pbar] holds -int_c g.  The trace couplings of the pressure rows
     # sum to zero over the cells, so the mass balances are solvable only
@@ -235,8 +236,9 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         raise ValueError(
             f"mass source {name} does not integrate to zero: |int g| = "
             f"{total:.3e} against int |g| = {g_abs:.3e} (tolerance 1e-10 "
-            "relative); if it does analytically, raise the data "
-            "quadrature degree (fine_degree)")
+            "relative); if it does analytically, resolve the data with "
+            "Spaces(mesh, k, fine_degree=verify.data_quadrature_degree("
+            "case, k, n))")
     # remove the quadrature-level remainder as a mean-pressure multiplier
     # would, then pin cell 0's average in place of its redundant row
     mean_mult = float(rhs[o_pbar:].sum() / areas.sum())

@@ -27,13 +27,10 @@ class DenseFactor:
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise ValueError(
+                f"expected a nonempty square matrix, got shape {a.shape}")
         self.shape = a.shape
-        n = a.shape[0]
-        if n == 0:
-            self._lu = None
-            return
         scale = float(np.abs(a).max())
         with warnings.catch_warnings():
             # the pivot check below reports singularity; keep LAPACK quiet
@@ -47,14 +44,7 @@ class DenseFactor:
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        if self._lu is None:
-            return np.zeros_like(b)
         return sla.lu_solve(self._lu, b, check_finite=False)
-
-
-def dense_solve(a, b):
-    """Solve a dense system; raises SingularMatrixError when near-singular."""
-    return DenseFactor(a).solve(b)
 
 
 class SparseBuilder:
@@ -102,34 +92,9 @@ class SparseBuilder:
         # sort by (row, col, value) so duplicate summation order does not
         # depend on insertion order
         order = np.lexsort((vals, cols, rows))
-        mat = sp.coo_matrix(
+        return sp.coo_matrix(
             (vals[order], (rows[order], cols[order])), shape=self.shape
         ).tocsc()
-        return SparseMatrix(mat)
-
-
-class SparseMatrix:
-    """Immutable CSC matrix with a factor-once solve interface."""
-
-    def __init__(self, csc):
-        self._mat = csc.tocsc()
-        self.shape = self._mat.shape
-
-    @property
-    def nnz(self):
-        return self._mat.nnz
-
-    def toarray(self):
-        return self._mat.toarray()
-
-    def matvec(self, x):
-        return self._mat @ x
-
-    def __matmul__(self, x):
-        return self._mat @ x
-
-    def factor(self):
-        return SparseFactor(self._mat)
 
 
 class SparseFactor:
@@ -160,8 +125,6 @@ class SparseFactor:
         return x
 
 
-def sparse_solve(matrix, b):
-    """Solve with a SparseMatrix (or SparseBuilder, finalized on the fly)."""
-    if isinstance(matrix, SparseBuilder):
-        matrix = matrix.finalize()
-    return matrix.factor().solve(b)
+def sparse_solve(builder, b):
+    """Finalize a SparseBuilder, factor it, and solve for one right-hand side."""
+    return SparseFactor(builder.finalize()).solve(b)

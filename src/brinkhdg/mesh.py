@@ -16,8 +16,6 @@ import numpy as np
 QUAD = "quad"
 TRIANGLE = "triangle"
 
-REF_MEASURE = {QUAD: 1.0, TRIANGLE: 0.5}
-
 _DEGENERATE_RTOL = 1e-12
 
 
@@ -35,14 +33,6 @@ class AffineMap:
 
     def pull_back(self, points):
         return (np.asarray(points, float) - self.offset) @ self.inverse_jacobian.T
-
-
-@dataclass(frozen=True)
-class FacetGeometry:
-    normal: np.ndarray
-    tangent: np.ndarray
-    length: float
-    midpoint: np.ndarray
 
 
 class Mesh:
@@ -161,21 +151,6 @@ class Mesh:
     def facets_per_cell(self):
         return self.cells.shape[1]
 
-    @property
-    def ref_measure(self):
-        return REF_MEASURE[self.cell_kind]
-
-    def cell_diameter(self, c):
-        pts = self.vertices[self.cells[c]]
-        n = pts.shape[0]
-        return max(
-            float(np.hypot(*(pts[i] - pts[j])))
-            for i in range(n) for j in range(i + 1, n)
-        )
-
-    def max_diameter(self):
-        return max(self.cell_diameter(c) for c in range(self.num_cells))
-
 
 def affine_map(mesh, c):
     """Affine map of cell c; raises ValueError on degenerate/non-affine cells."""
@@ -196,23 +171,6 @@ def affine_map(mesh, c):
     inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
     return AffineMap(offset=verts[0].copy(), jacobian=jac, det=det,
                      inverse_jacobian=inv)
-
-
-def facet_geometry(mesh, f):
-    return FacetGeometry(
-        normal=mesh.facet_normals[f].copy(),
-        tangent=mesh.facet_tangents[f].copy(),
-        length=float(mesh.facet_lengths[f]),
-        midpoint=mesh.facet_midpoints[f].copy(),
-    )
-
-
-def cell_area(mesh, c):
-    return affine_map(mesh, c).det * mesh.ref_measure
-
-
-def total_area(mesh):
-    return sum(cell_area(mesh, c) for c in range(mesh.num_cells))
 
 
 def build_structured_mesh(n, cell_kind=QUAD):
@@ -260,19 +218,3 @@ def locate_cell(mesh, point):
         return j * n + i
     xr, yr = x * n - i, y * n - j
     return 2 * (j * n + i) + (0 if yr <= xr else 1)
-
-
-def write_mesh_text(mesh, stream):
-    """Plain-text mesh dump: one record per line (vertices, cells, facets)."""
-    stream.write(f"mesh kind={mesh.cell_kind} vertices={mesh.num_vertices} "
-                 f"cells={mesh.num_cells} facets={mesh.num_facets}\n")
-    for i, (x, y) in enumerate(mesh.vertices):
-        stream.write(f"vertex {i} {x:.16e} {y:.16e}\n")
-    for c, verts in enumerate(mesh.cells):
-        stream.write(f"cell {c} " + " ".join(str(v) for v in verts) + "\n")
-    for f in range(mesh.num_facets):
-        v0, v1 = mesh.facet_vertices[f]
-        own, nbr = mesh.facet_cells[f]
-        nx, ny = mesh.facet_normals[f]
-        stream.write(f"facet {f} {v0} {v1} owner {own} neighbor {nbr} "
-                     f"normal {nx:.16e} {ny:.16e}\n")

@@ -179,10 +179,6 @@ def make_case(test_id):
     return BrinkmanCase(nu, gamma, m, label=f"test {test_id}")
 
 
-def manufactured_case(nu, gamma, m, label=None):
-    return BrinkmanCase(nu, gamma, m, label=label)
-
-
 @dataclass
 class ErrorReport:
     """Error measures of one solve; L2 unless noted."""
@@ -197,13 +193,6 @@ class ErrorReport:
     err_dl_facet: float  # (sum nu h_F |delta_L n|^2_F)^(1/2)
     theta: float        # solution-norm bound scale, informational
     gamma_max: float
-
-    def as_dict(self):
-        return dict(err_l=self.err_l, err_u=self.err_u, err_p=self.err_p,
-                    err_ustar=self.err_ustar, err_eu=self.err_eu,
-                    err_el=self.err_el, err_h1=self.err_h1,
-                    err_dl_facet=self.err_dl_facet, theta=self.theta,
-                    gamma_max=self.gamma_max)
 
 
 def error_norms(spaces, fields, case):

@@ -1,6 +1,5 @@
 """Command-line interface: argument handling and artifacts."""
 
-import importlib.util
 import subprocess
 import sys
 
@@ -12,7 +11,6 @@ from brinkhdg.cli import main
 CSV_HEADER = ("level,n_ele,n_global,n_local,"
               "err_L,ord_L,err_u,ord_u,err_p,ord_p,"
               "err_ustar,ord_ustar,err_eu,ord_eu")
-THREADS_NOTE = "note: threadpoolctl not installed; BRINKHDG_THREADS ignored"
 
 
 def tiny(*extra):
@@ -56,36 +54,6 @@ def test_force_k_bypasses_range(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert (tmp_path / "brinkhdg_quad_k4_test1.csv").exists()
-
-
-def test_thread_env_validation(monkeypatch, tmp_path):
-    monkeypatch.setenv("BRINKHDG_THREADS", "abc")
-    with pytest.raises(SystemExit, match="BRINKHDG_THREADS"):
-        main(tiny("--out-dir", str(tmp_path)))
-    monkeypatch.setenv("BRINKHDG_THREADS", "0")
-    with pytest.raises(SystemExit, match="BRINKHDG_THREADS"):
-        main(tiny("--out-dir", str(tmp_path)))
-    monkeypatch.setenv("BRINKHDG_THREADS", "2")
-    # A separate process, so that a BLAS limit set by threadpoolctl does
-    # not outlive this test.
-    proc = subprocess.run(
-        [sys.executable, "-m", "brinkhdg", *tiny("--out-dir", str(tmp_path))],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    if importlib.util.find_spec("threadpoolctl") is not None:
-        assert "thread limit: 2" in proc.stdout
-    else:
-        assert THREADS_NOTE in proc.stderr
-        assert "thread limit" not in proc.stdout
-
-
-def test_thread_env_without_threadpoolctl(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setenv("BRINKHDG_THREADS", "2")
-    assert main(tiny("--out-dir", str(tmp_path))) == 0
-    captured = capsys.readouterr()
-    assert THREADS_NOTE in captured.err
-    assert "thread limit" not in captured.out
 
 
 def test_custom_case_run(tmp_path, capsys):

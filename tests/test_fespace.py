@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
-                              normal_trace_jumps, tangent_facet_basis)
+                              normal_trace_jumps)
 from brinkhdg.mesh import QUAD, TRIANGLE, build_structured_mesh
 
 
@@ -50,20 +50,13 @@ def test_family_cached():
 def test_dofmap_counts_small_quad():
     mesh = build_structured_mesh(2, QUAD)  # 4 cells, 4 interior facets
     assert build_dofmap(mesh, "Mt0", 1).total == 8
-    assert build_dofmap(mesh, "Mn0", 1).total == 8
-    assert build_dofmap(mesh, "Qbar", 1).total == 4
-    assert build_dofmap(mesh, "Qperp", 1).total == 8
-    assert build_dofmap(mesh, "Q", 1).total == 12
-    assert build_dofmap(mesh, "G", 1).total == 64
     assert build_dofmap(mesh, "V_div0", 1).total == 8 + 4 * 2
-    assert build_dofmap(mesh, "Mpartial", 1).total == 32
 
 
 def test_dofmap_counts_small_triangle():
     mesh = build_structured_mesh(2, TRIANGLE)  # 8 cells, 8 interior facets
     assert build_dofmap(mesh, "Mt0", 1).total == 16
     assert build_dofmap(mesh, "V_div0", 1).total == 16 + 8 * 2
-    assert build_dofmap(mesh, "Qbar", 1).total == 8
 
 
 def test_facet_dofs_interior_only():
@@ -249,19 +242,6 @@ def test_facet_points_run_p0_to_p1():
         expect = p0 + ft.s[:, None] * (p1 - p0)
         assert np.allclose(x, expect)
         assert np.allclose(ft.w.sum(), ft.h)
-
-
-def test_tangent_facet_basis_values():
-    mesh = build_structured_mesh(2, TRIANGLE)
-    f = int(mesh.interior_facets[0])
-    fns = tangent_facet_basis(mesh, f, 1)
-    s = np.array([0.25, 0.75])
-    t = mesh.facet_tangents[f]
-    v0 = fns[0](s)
-    assert np.allclose(v0, t[None, :])  # constant mode is the unit tangent
-    v1 = fns[1](s)
-    ref = np.sqrt(3.0) * (2 * s - 1.0)
-    assert np.allclose(v1, ref[:, None] * t[None, :])
 
 
 def test_local_facet_lookup():

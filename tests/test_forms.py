@@ -76,7 +76,6 @@ def test_facet_blocks_dimensions():
     fb = blocks.facets[0]
     assert fb.that.shape == (3, fam.n_g)
     assert fb.tlam.shape == (fam.n_v, 3)
-    assert fb.tvt.shape == (fam.n_v, 3)
     assert fb.tgt.shape == (fam.n_g, fam.n_v)
 
 
@@ -91,17 +90,6 @@ def test_facet_sum_consistency():
         for r in range(2):
             rebuilt[r] += np.einsum("aq,mq,q->am", gn, ft.v[:, r], ft.w)
     assert np.abs(rebuilt - blocks.tg).max() < 1e-12
-
-
-def test_spec_alias_properties():
-    _, blocks = make_blocks(QUAD, 1)
-    assert blocks.m_ll is blocks.mg
-    assert blocks.d_grad is blocks.grad
-    assert blocks.t_vol is blocks.tg
-    assert blocks.b_div is blocks.bdiv
-    assert blocks.m_gamma is blocks.mgam
-    assert blocks.c_div is blocks.divg
-    assert len(blocks.t_hat) == 4
 
 
 def test_project_grad_reproduces_space_members():

@@ -131,8 +131,41 @@ def test_incompatible_mass_source_rejected():
 
     spaces = Spaces(build_structured_mesh(4, QUAD), 1)
     with pytest.raises(ValueError, match="mass source .*unit_source.* "
-                       r"\|int g\| = 1\.000e\+00 against int \|g\| = 1\.000e\+00"):
+                       r"\|int g\| = 1\.000e\+00 against int \|g\| = 1\.000e\+00"
+                       r".*fine_degree=verify\.data_quadrature_degree\(case, k, n\)"):
         solve_hybrid(spaces, 1.0, 1.0, zero_vec, unit_source)
+
+
+def test_bad_data_rejected():
+    case = make_case(1)
+
+    def nan_force(x):
+        # one NaN in the whole solve: the first point of the top-right cell
+        out = case.body_force(x)
+        hit = np.all(x > 0.75, axis=1)
+        if hit.any():
+            out[np.argmax(hit), 1] = np.nan
+        return out
+
+    def column_force(x):
+        return case.body_force(x)[:, :1]
+
+    def column_source(x):
+        return case.mass_source(x)[:, None]
+
+    spaces = Spaces(build_structured_mesh(4, QUAD), 1)
+    for f_func, g_func, message in (
+            (nan_force, case.mass_source,
+             r"body force .*nan_force returned the non-finite value nan "
+             r"at 1 of"),
+            (column_force, case.mass_source,
+             r"body force .*column_force returned shape \((\d+), 1\) at "
+             r"\1 points; expected \(\1, 2\)"),
+            (case.body_force, column_source,
+             r"mass source .*column_source returned shape \((\d+), 1\) at "
+             r"\1 points; expected \(\1,\)")):
+        with pytest.raises(ValueError, match=message):
+            solve_hybrid(spaces, case.nu, case.gamma, f_func, g_func)
 
 
 def test_mean_multiplier_vanishes_for_compatible_data():

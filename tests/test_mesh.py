@@ -1,13 +1,11 @@
 """Mesh construction, facet connectivity, and geometry queries."""
 
-import io
-
 import numpy as np
 import pytest
 
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map, build_structured_mesh,
-                           cell_area, facet_geometry, locate_cell, total_area,
-                           write_mesh_text)
+                           locate_cell)
+from brinkhdg.refelem import REFERENCE_CELLS, SIMPLEX, SQUARE
 
 
 def test_structured_counts():
@@ -105,11 +103,15 @@ def test_interior_index_round_trip():
 
 
 def test_affine_map_round_trip_and_area():
-    for kind, per_cell in ((QUAD, 1.0 / 9.0), (TRIANGLE, 1.0 / 18.0)):
+    for kind, ref, per_cell in ((QUAD, SQUARE, 1.0 / 9.0),
+                                (TRIANGLE, SIMPLEX, 1.0 / 18.0)):
         mesh = build_structured_mesh(3, kind)
-        assert total_area(mesh) == pytest.approx(1.0, rel=1e-14)
+        measure = REFERENCE_CELLS[ref].measure
+        areas = [affine_map(mesh, c).det * measure
+                 for c in range(mesh.num_cells)]
+        assert sum(areas) == pytest.approx(1.0, rel=1e-14)
         for c in range(mesh.num_cells):
-            assert cell_area(mesh, c) == pytest.approx(per_cell, rel=1e-14)
+            assert areas[c] == pytest.approx(per_cell, rel=1e-14)
             amap = affine_map(mesh, c)
             ref = np.array([[0.1, 0.2], [0.5, 0.25], [0.0, 0.0]])
             assert np.allclose(amap.pull_back(amap.apply(ref)), ref)
@@ -135,9 +137,8 @@ def test_facet_lengths():
 
 def test_facet_geometry_view():
     mesh = build_structured_mesh(2, QUAD)
-    geo = facet_geometry(mesh, 0)
-    assert geo.length == pytest.approx(0.5)
-    assert np.allclose(geo.midpoint,
+    assert mesh.facet_lengths[0] == pytest.approx(0.5)
+    assert np.allclose(mesh.facet_midpoints[0],
                        mesh.vertices[mesh.facet_vertices[0]].mean(axis=0))
 
 
@@ -178,16 +179,6 @@ def test_locate_cell():
                 assert ref.sum() <= 1 + 1e-12
     with pytest.raises(ValueError):
         locate_cell(build_structured_mesh(2, QUAD), (1.5, 0.0))
-
-
-def test_mesh_text_dump_deterministic():
-    mesh = build_structured_mesh(2, TRIANGLE)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_mesh_text(mesh, buf1)
-    write_mesh_text(build_structured_mesh(2, TRIANGLE), buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    first = buf1.getvalue().splitlines()[0]
-    assert first == "mesh kind=triangle vertices=9 cells=8 facets=16"
 
 
 def test_arrays_read_only():

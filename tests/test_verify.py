@@ -1,5 +1,7 @@
 """Manufactured cases, error norms, and the convergence harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,7 @@ from brinkhdg.refelem import quadrature
 from brinkhdg.verify import (BrinkmanCase, ConvergenceTable, ErrorReport,
                              LevelRow, data_quadrature_degree,
                              energy_identity_terms, error_norms, make_case,
-                             manufactured_case, run_convergence,
-                             stability_ratio)
+                             run_convergence, stability_ratio)
 
 PEAK = np.array([[0.25, 0.25]])  # sin(2 pi x) sin(2 pi y) = 1 here
 
@@ -46,7 +47,7 @@ def test_case_point_values():
 
 def test_pressure_has_zero_mean():
     for m in (1, 2, 3, 5):
-        case = manufactured_case(1.0, 1.0, m)
+        case = BrinkmanCase(1.0, 1.0, m)
         rule = quadrature("square", 40)
         total = np.dot(rule.weights, case.pressure(rule.points))
         assert abs(total) < 1e-10
@@ -77,9 +78,9 @@ def test_validation_rejects_corrupted_data():
 
 def test_case_parameter_validation():
     with pytest.raises(ValueError):
-        manufactured_case(0.0, 1.0, 2)
+        BrinkmanCase(0.0, 1.0, 2)
     with pytest.raises(ValueError):
-        manufactured_case(1.0, 1.0, 0)
+        BrinkmanCase(1.0, 1.0, 0)
 
 
 def test_solution_norm_bound_matches_quadrature():
@@ -103,7 +104,7 @@ def test_solution_norm_bound_matches_quadrature():
             deriv_sq_integral(a, j - a)
             for j in range(up_to + 1) for a in range(j + 1))
         for nu, gamma in ((1.0, 1.0), (1e-4, 1.0), (2.0, 0.5)):
-            case = manufactured_case(nu, gamma, 2)
+            case = BrinkmanCase(nu, gamma, 2)
             oracle = (np.sqrt(nu) * np.sqrt(norm_l_sq)
                       + np.sqrt(case.gamma_max) * np.sqrt(norm_u_sq))
             assert case.solution_norm_bound(k) == pytest.approx(oracle, rel=1e-10)
@@ -111,7 +112,7 @@ def test_solution_norm_bound_matches_quadrature():
 
 def test_gamma_max_for_matrix_coefficient():
     gamma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    case = manufactured_case(1.0, gamma, 2)
+    case = BrinkmanCase(1.0, gamma, 2)
     assert case.gamma_max == pytest.approx(np.linalg.eigvalsh(gamma)[-1])
 
 
@@ -169,7 +170,7 @@ def test_discrete_errors_vanish_on_projected_fields():
 
 def test_error_report_dict_keys():
     report = ErrorReport(*([1.0] * 10))
-    keys = set(report.as_dict())
+    keys = set(dataclasses.asdict(report))
     assert keys == {"err_l", "err_u", "err_p", "err_ustar", "err_eu",
                     "err_el", "err_h1", "err_dl_facet", "theta", "gamma_max"}
 
