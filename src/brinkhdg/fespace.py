@@ -8,7 +8,10 @@ cell map.
 Tabulations are cached per geometry class: cells sharing jacobian, the
 relative positions of their facets and the facet orientation signs reuse
 the same arrays.  On the structured meshes built here this collapses
-thousands of cells to a handful of classes.
+thousands of cells to a handful of classes.  `Spaces.class_blocks`
+hands out the cells of each class in blocks, and the point and
+tabulation lookups accept such an index array in place of one cell, so
+per-cell quantities can be formed a block at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .refelem import (REFERENCE_CELLS, SIMPLEX, SQUARE, SegmentBasis,
                       divergence_span_coeffs, make_basis, quadrature)
 
 _REF_OF_KIND = {QUAD: SQUARE, TRIANGLE: SIMPLEX}
+
+# most cells per block handed out by Spaces.class_blocks; bounds the
+# (cells, points, ...) arrays of the batched evaluations
+BLOCK_CELLS = 128
 
 
 @dataclass
@@ -221,6 +228,10 @@ class Spaces:
                 keys[key] = idx
                 self.class_rep.append(c)
             self.cell_class[c] = idx
+        order = np.argsort(self.cell_class, kind="stable")
+        counts = np.bincount(self.cell_class, minlength=len(self.class_rep))
+        self.class_cells = np.split(order, np.cumsum(counts)[:-1])
+        self._offsets = np.array([am.offset for am in self._amaps])
         self._tabs = {}
         self._nodal = {}
         self._dofmaps = {}
@@ -229,6 +240,22 @@ class Spaces:
 
     def amap(self, c):
         return self._amaps[c]
+
+    def class_blocks(self):
+        """Index arrays of at most BLOCK_CELLS cells, each of one class."""
+        for cells in self.class_cells:
+            for start in range(0, len(cells), BLOCK_CELLS):
+                yield cells[start:start + BLOCK_CELLS]
+
+    def _class_of(self, c):
+        """Geometry class of cell c, or of an index array of cells of one class."""
+        cls = self.cell_class[c]
+        if np.ndim(cls):
+            if cls.size == 0 or (cls != cls[0]).any():
+                raise ValueError("expected a nonempty set of cells of one "
+                                 "geometry class")
+            cls = cls[0]
+        return int(cls)
 
     def dofmap(self, tag):
         if tag not in self._dofmaps:
@@ -253,7 +280,7 @@ class Spaces:
 
     def tab(self, c, fine=False):
         degree = self.fine_degree if fine else self.assembly_degree
-        key = (int(self.cell_class[c]), degree)
+        key = (self._class_of(c), degree)
         if key not in self._tabs:
             self._tabs[key] = self._build_tab(self.class_rep[key[0]], degree)
         return self._tabs[key]
@@ -305,12 +332,15 @@ class Spaces:
             post_grad=pmb.grads, int_div=int_div, facets=facets)
 
     def vol_points(self, c, tab):
-        return self._amaps[c].offset + tab.ref_points @ tab.jacobian.T
+        """Volume points (q, 2) of cell c, or (C, q, 2) for an index array."""
+        return self._offsets[c][..., None, :] + tab.ref_points @ tab.jacobian.T
 
     def facet_points(self, c, tab, lf):
+        """Points (q, 2) on local facet lf of cell c, or (C, q, 2)."""
         ft = tab.facets[lf]
-        p0 = self._amaps[c].offset + ft.rel_p0
-        p1 = self._amaps[c].offset + ft.rel_p1
+        off = self._offsets[c][..., None, :]
+        p0 = off + ft.rel_p0
+        p1 = off + ft.rel_p1
         return p0 + ft.s[:, None] * (p1 - p0)
 
     def local_facet(self, c, f):
@@ -344,7 +374,7 @@ class Spaces:
 
     def nodal_transform(self, c):
         """T with field = sum_m (T @ alpha)_m V_m for nodal coefficients alpha."""
-        key = int(self.cell_class[c])
+        key = self._class_of(c)
         if key not in self._nodal:
             b = self.nodal_dof_matrix(self.class_rep[key])
             self._nodal[key] = np.linalg.solve(b, np.eye(b.shape[0]))

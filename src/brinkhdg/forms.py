@@ -105,16 +105,33 @@ def element_blocks(tab, nu, gamma):
 
 
 # -- projections ----------------------------------------------------------
+#
+# project_grad and project_velocity_div take one cell c, or an index
+# array of cells of one geometry class, and project_facet_tangent one
+# facet or an index array; the result then gains a leading axis.
+# Callables are evaluated once on all points of all the cells or facets.
+
+
+def values_at(func, x):
+    """func on points x of shape (..., 2); values of shape (..., *value)."""
+    flat = np.asarray(func(x.reshape(-1, 2)))
+    return flat.reshape(x.shape[:-1] + flat.shape[1:])
+
+
+def grad_coefficients(spaces, c, vals):
+    """Row-space L2 projection from values (..., q, 2, 2) at the fine points."""
+    tab = spaces.tab(c, fine=True)
+    mg = np.einsum("acq,bcq,q->ab", tab.g, tab.g, tab.wdet)
+    rhs = np.einsum("...qrc,acq,q->a...r", vals, tab.g, tab.wdet)
+    coef = np.linalg.solve(mg, rhs.reshape(mg.shape[0], -1))
+    return np.moveaxis(coef.reshape(rhs.shape), 0, -1)
 
 
 def project_grad(spaces, c, grad_func):
     """L2 projection of a 2x2 tensor field into the row space; (2, n_g)."""
     tab = spaces.tab(c, fine=True)
-    x = spaces.vol_points(c, tab)
-    vals = grad_func(x)
-    mg = np.einsum("acq,bcq,q->ab", tab.g, tab.g, tab.wdet)
-    rhs = np.einsum("qrc,acq,q->ra", vals, tab.g, tab.wdet)
-    return np.linalg.solve(mg, rhs.T).T
+    return grad_coefficients(
+        spaces, c, values_at(grad_func, spaces.vol_points(c, tab)))
 
 
 def project_pressure(spaces, c, func):
@@ -127,6 +144,27 @@ def project_pressure(spaces, c, func):
     return np.linalg.solve(mq, rhs)
 
 
+def velocity_div_coefficients(spaces, c, facet_vals, vol_vals):
+    """Divergence-conforming interpolant from point values; modal (..., n_v).
+
+    facet_vals[lf] holds the field at the fine points of local facet lf,
+    vol_vals at the fine volume points (unused when there are no interior
+    moments).
+    """
+    fam = spaces.family
+    tab = spaces.tab(c, fine=True)
+    kk = fam.n_facet
+    alpha = np.zeros(np.shape(c) + (fam.n_v,))
+    for lf, ft in enumerate(tab.facets):
+        un = facet_vals[lf] @ ft.normal
+        alpha[..., lf * kk:(lf + 1) * kk] = np.einsum(
+            "jq,...q,q->...j", ft.phi, un, ft.w)
+    if fam.n_int_scalar:
+        mom = np.einsum("...qr,iq,q->...ri", vol_vals, tab.int_div, tab.wdet)
+        alpha[..., fam.n_cell_facets * kk:] = mom.reshape(mom.shape[:-2] + (-1,))
+    return alpha @ spaces.nodal_transform(c).T
+
+
 def project_velocity_div(spaces, c, func):
     """Divergence-conforming interpolant of a vector field; modal (n_v,).
 
@@ -136,39 +174,35 @@ def project_velocity_div(spaces, c, func):
     """
     fam = spaces.family
     tab = spaces.tab(c, fine=True)
-    kk = fam.n_facet
-    alpha = np.zeros(fam.n_v)
-    for lf, ft in enumerate(tab.facets):
-        x = spaces.facet_points(c, tab, lf)
-        un = func(x) @ ft.normal
-        alpha[lf * kk:(lf + 1) * kk] = np.einsum("jq,q,q->j", ft.phi, un, ft.w)
-    if fam.n_int_scalar:
-        x = spaces.vol_points(c, tab)
-        mom = np.einsum("qr,iq,q->ri", func(x), tab.int_div, tab.wdet)
-        alpha[fam.n_cell_facets * kk:] = mom.ravel()
-    return spaces.nodal_transform(c) @ alpha
+    facet_vals = [values_at(func, spaces.facet_points(c, tab, lf))
+                  for lf in range(fam.n_cell_facets)]
+    vol_vals = (values_at(func, spaces.vol_points(c, tab))
+                if fam.n_int_scalar else None)
+    return velocity_div_coefficients(spaces, c, facet_vals, vol_vals)
 
 
 @lru_cache(maxsize=None)
 def _segment_rule(k, degree):
     """Read-only (points, weights, degree-k basis values) on [0, 1]."""
     rule = quadrature("segment", degree)
-    s = rule.points[:, 0].copy()
-    weights = np.array(rule.weights, dtype=float)
+    s = rule.points[:, 0]
     phi = SegmentBasis(k).tabulate(s)
-    for arr in (s, weights, phi):
-        arr.flags.writeable = False
-    return s, weights, phi
+    phi.flags.writeable = False
+    return s, rule.weights, phi
 
 
 def project_facet_tangent(mesh, facet, k, func, degree):
-    """Facet moments of the tangential trace; coefficients of phi_j t_F."""
+    """Facet moments of the tangential trace; coefficients of phi_j t_F.
+
+    facet may be one facet, (k+1,), or an index array, (..., k+1).
+    """
     s, weights, phi = _segment_rule(k, degree)
-    v0, v1 = mesh.facet_vertices[facet]
-    p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
+    ends = mesh.vertices[mesh.facet_vertices[facet]]
+    p0, p1 = ends[..., :1, :], ends[..., 1:, :]
     x = p0 + s[:, None] * (p1 - p0)
-    ut = func(x) @ mesh.facet_tangents[facet]
-    return np.einsum("jq,q,q->j", phi, ut, weights)
+    ut = np.einsum("...qr,...r->...q", values_at(func, x),
+                   mesh.facet_tangents[facet])
+    return np.einsum("jq,...q,q->...j", phi, ut, weights)
 
 
 # -- velocity postprocessing ----------------------------------------------

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import element_blocks, postprocess_factor, postprocess_velocity
+from .forms import (element_blocks, postprocess_factor, postprocess_velocity,
+                    values_at)
 from .linalg import DenseFactor, SparseBuilder, sparse_solve
 
 
@@ -367,11 +368,12 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
         dofs = sol[o_u_blk + rank * kk:o_u_blk + (rank + 1) * kk]
         uhat_n[rank * kk:(rank + 1) * kk] = dofs / mesh.facet_lengths[f]
 
+    post_factors = [postprocess_factor(blk) for blk in blocks_by_class]
     ustar = np.zeros((nc, 2, fam.n_post))
     for c in range(nc):
-        blk = blocks_by_class[spaces.cell_class[c]]
-        fac = postprocess_factor(blk)
-        ustar[c] = postprocess_velocity(blk, fac, l[c], u[c])
+        cls = spaces.cell_class[c]
+        ustar[c] = postprocess_velocity(blocks_by_class[cls], post_factors[cls],
+                                        l[c], u[c])
 
     return SolutionFields(
         k=spaces.k, cell_kind=mesh.cell_kind, l=l, u=u, p=p,
@@ -407,23 +409,23 @@ def compare_fields(spaces, fa, fb):
 def mass_balance_residual(spaces, fields, g_func):
     """Max cell residual of the divergence moments against the source."""
     worst = 0.0
-    for c in range(spaces.mesh.num_cells):
-        tab = spaces.tab(c, fine=True)
-        x = spaces.vol_points(c, tab)
-        gmom = np.einsum("iq,q,q->i", tab.q_vals, g_func(x), tab.wdet)
-        tab_a = spaces.tab(c)
+    for cells in spaces.class_blocks():
+        tab = spaces.tab(cells, fine=True)
+        gv = values_at(g_func, spaces.vol_points(cells, tab))
+        gmom = np.einsum("iq,eq,q->ei", tab.q_vals, gv, tab.wdet)
+        tab_a = spaces.tab(cells)
         bdiv = np.einsum("iq,mq,q->mi", tab_a.q_vals, tab_a.v_div, tab_a.wdet)
-        res = fields.u[c] @ bdiv - gmom
+        res = fields.u[cells] @ bdiv - gmom
         worst = max(worst, float(np.abs(res).max()))
     return worst
 
 
 def pressure_integral(spaces, fields):
     total = 0.0
-    for c in range(spaces.mesh.num_cells):
-        tab = spaces.tab(c)
+    for cells in spaces.class_cells:
+        tab = spaces.tab(cells)
         qint = np.einsum("iq,q->i", tab.q_vals, tab.wdet)
-        total += float(fields.p[c] @ qint)
+        total += float((fields.p[cells] @ qint).sum())
     return total
 
 

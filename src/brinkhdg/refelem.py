@@ -18,6 +18,7 @@ is dropped, which leaves 3 functions per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -46,27 +47,37 @@ def _gauss_segment(degree):
 
 
 def quadrature(domain, degree):
-    """Rule exact for polynomials of total degree <= degree on the domain."""
+    """Rule exact for polynomials of total degree <= degree on the domain.
+
+    Rules are cached per (domain, degree) and their arrays are read-only.
+    """
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
+    return _cached_rule(domain, degree)
+
+
+@lru_cache(maxsize=None)
+def _cached_rule(domain, degree):
     if domain == SEGMENT:
-        x, w = _gauss_segment(degree)
-        return QuadratureRule(domain, degree, x.reshape(-1, 1), w)
-    if domain == SQUARE:
+        x, weights = _gauss_segment(degree)
+        points = x.reshape(-1, 1)
+    elif domain == SQUARE:
         x, w = _gauss_segment(degree)
         X, Y = np.meshgrid(x, x, indexing="ij")
-        W = np.outer(w, w)
-        return QuadratureRule(domain, degree,
-                              np.column_stack([X.ravel(), Y.ravel()]), W.ravel())
-    if domain == SIMPLEX:
+        points = np.column_stack([X.ravel(), Y.ravel()])
+        weights = np.outer(w, w).ravel()
+    elif domain == SIMPLEX:
         # collapsed (Duffy) rule: x = a (1 - b), y = b, jacobian (1 - b)
         a, wa = _gauss_segment(degree)
         b, wb = _gauss_segment(degree + 1)
         A, B = np.meshgrid(a, b, indexing="ij")
-        W = np.outer(wa, wb) * (1.0 - B)
-        pts = np.column_stack([(A * (1.0 - B)).ravel(), B.ravel()])
-        return QuadratureRule(domain, degree, pts, W.ravel())
-    raise ValueError(f"unknown quadrature domain: {domain!r}")
+        points = np.column_stack([(A * (1.0 - B)).ravel(), B.ravel()])
+        weights = (np.outer(wa, wb) * (1.0 - B)).ravel()
+    else:
+        raise ValueError(f"unknown quadrature domain: {domain!r}")
+    for arr in (points, weights):
+        arr.flags.writeable = False
+    return QuadratureRule(domain, degree, points, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import Spaces
-from .forms import (as_gamma_matrix, project_facet_tangent, project_grad,
-                    project_velocity_div)
+from .forms import (as_gamma_matrix, grad_coefficients, project_facet_tangent,
+                    values_at, velocity_div_coefficients)
 from .hybrid import compare_fields, solve_direct, solve_hybrid
 from .mesh import build_structured_mesh
 
@@ -195,72 +195,106 @@ class ErrorReport:
     gamma_max: float
 
 
+@dataclass
+class _ErrorBlock:
+    """Exact-solution data and projected errors on a block of one class.
+
+    Arrays have a leading cells axis; the facet lists hold one array per
+    local facet, over that facet's fine points.
+    """
+
+    cells: np.ndarray
+    tab: object
+    x: np.ndarray           # (C, q, 2) fine volume points
+    u: np.ndarray           # (C, q, 2) exact velocity
+    grad: np.ndarray        # (C, q, 2, 2) exact velocity gradient
+    proj_u: np.ndarray      # (C, n_v) interpolant Pi_V u
+    du: np.ndarray          # (C, n_v) e_u = Pi_V u - u^h
+    dl: np.ndarray          # (C, 2, n_g) e_L = P_G grad u - L^h
+    facet_dl: list          # (C, qf, 2, 2) grad u - P_G grad u
+    facet_gap: list         # (C, qf) e_u . t - e_uhat
+
+
+def _error_blocks(spaces, fields, case):
+    """Yield an _ErrorBlock per block of cells of one geometry class.
+
+    The exact velocity and gradient are evaluated once per block on the
+    stacked volume and facet points, and the interpolants are formed from
+    those values.  The tangential moments of u come from one call over
+    all facets.
+    """
+    mesh = spaces.mesh
+    kk = spaces.family.n_facet
+    nfc = spaces.family.n_cell_facets
+    # per facet: moments of u . t minus the discrete trace (0 on the boundary)
+    dhat = project_facet_tangent(mesh, np.arange(mesh.num_facets), spaces.k,
+                                 case.velocity, spaces.fine_degree)
+    rank = mesh.interior_index
+    inner = rank >= 0
+    dhat[inner] -= fields.uhat_t.reshape(-1, kk)[rank[inner]]
+
+    for cells in spaces.class_blocks():
+        tab = spaces.tab(cells, fine=True)
+        x = spaces.vol_points(cells, tab)
+        xf = np.stack([spaces.facet_points(cells, tab, lf)
+                       for lf in range(nfc)])
+        u = values_at(case.velocity, x)
+        grad = values_at(case.velocity_gradient, x)
+        grad_f = values_at(case.velocity_gradient, xf)
+        proj_u = velocity_div_coefficients(
+            spaces, cells, values_at(case.velocity, xf), u)
+        proj_l = grad_coefficients(spaces, cells, grad)
+        du = proj_u - fields.u[cells]
+        facet_dl, facet_gap = [], []
+        for lf, ft in enumerate(tab.facets):
+            facet_dl.append(grad_f[lf] - np.einsum("era,acq->eqrc", proj_l, ft.g))
+            ehat = dhat[mesh.cell_facets[cells, lf]] @ ft.phi
+            eut = np.einsum("em,mcq,c->eq", du, ft.v, ft.tangent)
+            facet_gap.append(eut - ehat)
+        yield _ErrorBlock(cells=cells, tab=tab, x=x, u=u, grad=grad,
+                          proj_u=proj_u, du=du, dl=proj_l - fields.l[cells],
+                          facet_dl=facet_dl, facet_gap=facet_gap)
+
+
 def error_norms(spaces, fields, case):
     """All error measures for one solution; fine-rule integration."""
-    mesh = spaces.mesh
-    fam = spaces.family
-    k = spaces.k
-    kk = fam.n_facet
     nu = case.nu
     gamma = as_gamma_matrix(case.gamma)
-    mt = spaces.dofmap("Mt0")
 
     el2 = eu2 = ep2 = estar2 = eeu2 = eel2 = eh1 = edl2 = 0.0
-    proj_t_cache = {}
-    for c in range(mesh.num_cells):
-        tab = spaces.tab(c, fine=True)
-        x = spaces.vol_points(c, tab)
+    for blk in _error_blocks(spaces, fields, case):
+        cells, tab = blk.cells, blk.tab
         w = tab.wdet
 
-        lex = case.velocity_gradient(x)
-        lv = np.einsum("ra,acq->qrc", fields.l[c], tab.g)
-        el2 += float(np.einsum("qrc,q->", (lv - lex) ** 2, w))
+        lv = np.einsum("era,acq->eqrc", fields.l[cells], tab.g)
+        el2 += float(np.einsum("eqrc,q->", (lv - blk.grad) ** 2, w))
 
-        uex = case.velocity(x)
-        uv = np.einsum("m,mrq->qr", fields.u[c], tab.v)
-        eu2 += float(np.einsum("qr,q->", (uv - uex) ** 2, w))
+        uv = np.einsum("em,mrq->eqr", fields.u[cells], tab.v)
+        eu2 += float(np.einsum("eqr,q->", (uv - blk.u) ** 2, w))
 
-        pex = case.pressure(x)
-        pv = np.einsum("i,iq->q", fields.p[c], tab.q_vals)
-        ep2 += float(np.dot((pv - pex) ** 2, w))
+        pv = fields.p[cells] @ tab.q_vals
+        pex = values_at(case.pressure, blk.x)
+        ep2 += float(np.einsum("eq,q->", (pv - pex) ** 2, w))
 
-        sv = np.einsum("ri,iq->qr", fields.ustar[c], tab.post)
-        estar2 += float(np.einsum("qr,q->", (sv - uex) ** 2, w))
+        sv = np.einsum("eri,iq->eqr", fields.ustar[cells], tab.post)
+        estar2 += float(np.einsum("eqr,q->", (sv - blk.u) ** 2, w))
 
-        proj_u = project_velocity_div(spaces, c, case.velocity)
-        ducoef = proj_u - fields.u[c]
-        duv = np.einsum("m,mrq->qr", ducoef, tab.v)
-        eeu2 += float(np.einsum("qr,q->", duv ** 2, w))
+        duv = np.einsum("em,mrq->eqr", blk.du, tab.v)
+        eeu2 += float(np.einsum("eqr,q->", duv ** 2, w))
 
-        proj_l = project_grad(spaces, c, case.velocity_gradient)
-        dlcoef = proj_l - fields.l[c]
-        dlv = np.einsum("ra,acq->qrc", dlcoef, tab.g)
-        eel2 += float(np.einsum("qrc,q->", dlv ** 2, w))
+        dlv = np.einsum("era,acq->eqrc", blk.dl, tab.g)
+        eel2 += float(np.einsum("eqrc,q->", dlv ** 2, w))
 
-        dgrad = np.einsum("m,mrcq->qrc", ducoef, tab.v_grad)
-        eh1 += float(np.einsum("qrc,q->", dgrad ** 2, w))
+        dgrad = np.einsum("em,mrcq->eqrc", blk.du, tab.v_grad)
+        eh1 += float(np.einsum("eqrc,q->", dgrad ** 2, w))
 
-        for lf, ft in enumerate(tab.facets):
-            f = int(mesh.cell_facets[c, lf])
-            if f not in proj_t_cache:
-                proj_t_cache[f] = project_facet_tangent(
-                    mesh, f, k, case.velocity, spaces.fine_degree)
-            pcoef = proj_t_cache[f]
-            rank = mesh.interior_index[f]
-            hcoef = (fields.uhat_t[rank * kk:(rank + 1) * kk]
-                     if rank >= 0 else np.zeros(kk))
-            ehat = np.einsum("j,jq->q", pcoef - hcoef, ft.phi)
-            eut = np.einsum("m,mcq,c->q", ducoef, ft.v, ft.tangent)
-            eh1 += float(np.dot(ft.w, (eut - ehat) ** 2)) / ft.h
+        for ft, dl_f, gap in zip(tab.facets, blk.facet_dl, blk.facet_gap):
+            eh1 += float(np.einsum("eq,q->", gap ** 2, ft.w)) / ft.h
+            dln = np.einsum("eqrc,c->eqr", dl_f, ft.outward)
+            edl2 += nu * ft.h * float(np.einsum("eqr,q->", dln ** 2, ft.w))
 
-            xf = spaces.facet_points(c, tab, lf)
-            dl_f = case.velocity_gradient(xf) \
-                - np.einsum("ra,acq->qrc", proj_l, ft.g)
-            dln = np.einsum("qrc,c->qr", dl_f, ft.outward)
-            edl2 += nu * ft.h * float(np.einsum("qr,q->", dln ** 2, ft.w))
-
-    theta = case.solution_norm_bound(k) if hasattr(case, "solution_norm_bound") \
-        else float("nan")
+    theta = case.solution_norm_bound(spaces.k) \
+        if hasattr(case, "solution_norm_bound") else float("nan")
     gmax = float(np.linalg.eigvalsh(gamma)[-1])
     return ErrorReport(
         err_l=np.sqrt(el2), err_u=np.sqrt(eu2), err_p=np.sqrt(ep2),
@@ -278,45 +312,24 @@ def energy_identity_terms(spaces, fields, case):
     volume_term = -(gamma delta_u, e_u).
     The discretization satisfies energy = facet_term + volume_term.
     """
-    mesh = spaces.mesh
-    fam = spaces.family
-    k = spaces.k
-    kk = fam.n_facet
     nu = case.nu
     gamma = as_gamma_matrix(case.gamma)
 
     energy = facet_term = volume_term = 0.0
-    for c in range(mesh.num_cells):
-        tab = spaces.tab(c, fine=True)
-        x = spaces.vol_points(c, tab)
+    for blk in _error_blocks(spaces, fields, case):
+        tab = blk.tab
         w = tab.wdet
-        proj_u = project_velocity_div(spaces, c, case.velocity)
-        proj_l = project_grad(spaces, c, case.velocity_gradient)
-        ducoef = proj_u - fields.u[c]
-        dlcoef = proj_l - fields.l[c]
+        elv = np.einsum("era,acq->eqrc", blk.dl, tab.g)
+        euv = np.einsum("em,mrq->eqr", blk.du, tab.v)
+        energy += nu * float(np.einsum("eqrc,q->", elv ** 2, w))
+        energy += float(np.einsum("eqr,rs,eqs,q->", euv, gamma, euv, w))
 
-        elv = np.einsum("ra,acq->qrc", dlcoef, tab.g)
-        euv = np.einsum("m,mrq->qr", ducoef, tab.v)
-        energy += nu * float(np.einsum("qrc,q->", elv ** 2, w))
-        energy += float(np.einsum("qr,rs,qs,q->", euv, gamma, euv, w))
+        delta_u = blk.u - np.einsum("em,mrq->eqr", blk.proj_u, tab.v)
+        volume_term -= float(np.einsum("eqr,rs,eqs,q->", delta_u, gamma, euv, w))
 
-        delta_u = case.velocity(x) - np.einsum("m,mrq->qr", proj_u, tab.v)
-        volume_term -= float(np.einsum("qr,rs,qs,q->", delta_u, gamma, euv, w))
-
-        for lf, ft in enumerate(tab.facets):
-            f = int(mesh.cell_facets[c, lf])
-            rank = mesh.interior_index[f]
-            xf = spaces.facet_points(c, tab, lf)
-            dl_f = case.velocity_gradient(xf) \
-                - np.einsum("ra,acq->qrc", proj_l, ft.g)
-            dlnt = np.einsum("qrc,c,r->q", dl_f, ft.outward, ft.tangent)
-            pcoef = project_facet_tangent(mesh, f, k, case.velocity,
-                                          spaces.fine_degree)
-            hcoef = (fields.uhat_t[rank * kk:(rank + 1) * kk]
-                     if rank >= 0 else np.zeros(kk))
-            ehat = np.einsum("j,jq->q", pcoef - hcoef, ft.phi)
-            eut = np.einsum("m,mcq,c->q", ducoef, ft.v, ft.tangent)
-            facet_term += nu * float(np.dot(ft.w, dlnt * (eut - ehat)))
+        for ft, dl_f, gap in zip(tab.facets, blk.facet_dl, blk.facet_gap):
+            dlnt = np.einsum("eqrc,c,r->eq", dl_f, ft.outward, ft.tangent)
+            facet_term += nu * float(np.einsum("eq,eq,q->", dlnt, gap, ft.w))
     return energy, facet_term, volume_term
 
 

@@ -244,6 +244,39 @@ def test_facet_points_run_p0_to_p1():
         assert np.allclose(ft.w.sum(), ft.h)
 
 
+def test_class_cells_partition_cells():
+    spaces = Spaces(build_structured_mesh(4, TRIANGLE), 1)
+    assert len(spaces.class_cells) == len(spaces.class_rep)
+    for cls, cells in enumerate(spaces.class_cells):
+        assert (spaces.cell_class[cells] == cls).all()
+        assert (np.diff(cells) > 0).all()
+    every = np.sort(np.concatenate(spaces.class_cells))
+    assert (every == np.arange(spaces.mesh.num_cells)).all()
+
+
+def test_points_of_a_cell_array_stack_per_cell_points():
+    spaces = Spaces(build_structured_mesh(3, QUAD), 1)
+    cells = max(spaces.class_cells, key=len)
+    assert len(cells) > 1
+    tab = spaces.tab(cells, fine=True)
+    assert tab is spaces.tab(int(cells[0]), fine=True)
+    batch = spaces.vol_points(cells, tab)
+    assert batch.shape == (len(cells),) + tab.ref_points.shape
+    for i, c in enumerate(cells):
+        assert (batch[i] == spaces.vol_points(c, tab)).all()
+        for lf in range(len(tab.facets)):
+            assert (spaces.facet_points(cells, tab, lf)[i]
+                    == spaces.facet_points(c, tab, lf)).all()
+
+
+def test_cell_array_of_mixed_classes_rejected():
+    spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
+    with pytest.raises(ValueError, match="one geometry class"):
+        spaces.tab(np.array([0, 1]))
+    with pytest.raises(ValueError, match="one geometry class"):
+        spaces.nodal_transform(np.array([], dtype=int))
+
+
 def test_local_facet_lookup():
     mesh = build_structured_mesh(2, QUAD)
     spaces = Spaces(mesh, 1)

@@ -166,6 +166,37 @@ def test_interpolant_commutes_with_divergence():
             assert np.abs(lhs - rhs).max() < 1e-11
 
 
+def test_projections_of_a_cell_array_match_per_cell():
+    def field(x):
+        return np.stack([np.sin(3 * x[:, 0]) * x[:, 1], np.cos(x[:, 1])], axis=-1)
+
+    def grad_field(x):
+        out = np.empty((x.shape[0], 2, 2))
+        out[:, 0, 0] = 3 * np.cos(3 * x[:, 0]) * x[:, 1]
+        out[:, 0, 1] = np.sin(3 * x[:, 0])
+        out[:, 1, 0] = 0.0
+        out[:, 1, 1] = -np.sin(x[:, 1])
+        return out
+
+    for kind in (QUAD, TRIANGLE):
+        spaces = Spaces(build_structured_mesh(3, kind), 2)
+        cells = max(spaces.class_cells, key=len)
+        assert len(cells) > 1
+        u_all = project_velocity_div(spaces, cells, field)
+        l_all = project_grad(spaces, cells, grad_field)
+        for i, c in enumerate(cells):
+            u_one = project_velocity_div(spaces, c, field)
+            l_one = project_grad(spaces, c, grad_field)
+            assert np.abs(u_all[i] - u_one).max() < 1e-13 * np.abs(u_one).max()
+            assert np.abs(l_all[i] - l_one).max() < 1e-13 * np.abs(l_one).max()
+        mesh = spaces.mesh
+        t_all = project_facet_tangent(mesh, np.arange(mesh.num_facets), 2,
+                                      field, spaces.fine_degree)
+        for f in range(mesh.num_facets):
+            t_one = project_facet_tangent(mesh, f, 2, field, spaces.fine_degree)
+            assert np.abs(t_all[f] - t_one).max() < 1e-14
+
+
 def test_project_facet_tangent_unit_parameter():
     # coefficients live on the unit parameter: a constant tangential field
     # t_F projects to (1, 0, ..., 0) regardless of the facet length

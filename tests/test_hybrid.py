@@ -9,7 +9,7 @@ from brinkhdg.hybrid import (build_local_solvers, compare_fields,
                              evaluate_fields, mass_balance_residual,
                              pressure_integral, solve_direct, solve_hybrid,
                              write_solution_text)
-from brinkhdg.linalg import SingularMatrixError
+from brinkhdg.linalg import DenseFactor, SingularMatrixError
 from brinkhdg.mesh import QUAD, TRIANGLE, Mesh, build_structured_mesh
 from brinkhdg.verify import data_quadrature_degree, error_norms, make_case
 
@@ -123,6 +123,21 @@ def test_hybrid_matches_direct_on_perturbed_mesh():
     diffs = compare_fields(spaces, fields, direct)
     assert max(diffs.values()) <= 1e-9, diffs
     assert abs(pressure_integral(spaces, fields)) <= 1e-10
+
+
+def test_direct_factors_postprocessing_once_per_class(monkeypatch):
+    made = []
+    init = DenseFactor.__init__
+
+    def counting_init(self, a):
+        made.append(a.shape)
+        init(self, a)
+
+    monkeypatch.setattr(DenseFactor, "__init__", counting_init)
+    case = make_case(1)
+    spaces = Spaces(build_structured_mesh(8, QUAD), 1)
+    solve_direct(spaces, case.nu, case.gamma, case.body_force, case.mass_source)
+    assert len(made) == len(spaces.class_rep) < spaces.mesh.num_cells
 
 
 def test_incompatible_mass_source_rejected():

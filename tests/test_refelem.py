@@ -53,6 +53,15 @@ def test_quadrature_rejects_bad_args():
         quadrature("cube", 2)
 
 
+def test_quadrature_rules_cached_read_only():
+    for domain in ("segment", "square", "simplex"):
+        rule = quadrature(domain, 5)
+        assert quadrature(domain, 5) is rule
+        for arr in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 def test_reference_cells_geometry():
     for name, cell in REFERENCE_CELLS.items():
         for (i0, i1), normal in zip(cell.facets, cell.normals):

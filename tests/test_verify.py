@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from test_hybrid import perturbed_triangles
 
+from brinkhdg import fespace
 from brinkhdg.fespace import Spaces
 from brinkhdg.forms import (element_blocks, postprocess_factor,
                             postprocess_velocity, project_facet_tangent,
@@ -17,6 +19,9 @@ from brinkhdg.verify import (BrinkmanCase, ConvergenceTable, ErrorReport,
                              LevelRow, data_quadrature_degree,
                              energy_identity_terms, error_norms, make_case,
                              run_convergence, stability_ratio)
+
+ERROR_MEASURES = ("err_l", "err_u", "err_p", "err_ustar", "err_eu", "err_el",
+                  "err_h1", "err_dl_facet")
 
 PEAK = np.array([[0.25, 0.25]])  # sin(2 pi x) sin(2 pi y) = 1 here
 
@@ -173,6 +178,87 @@ def test_error_report_dict_keys():
     keys = set(dataclasses.asdict(report))
     assert keys == {"err_l", "err_u", "err_p", "err_ustar", "err_eu",
                     "err_el", "err_h1", "err_dl_facet", "theta", "gamma_max"}
+
+
+def error_norms_per_cell(spaces, fields, case):
+    """Reference for error_norms: the eight measures summed cell by cell."""
+    mesh = spaces.mesh
+    k = spaces.k
+    kk = spaces.family.n_facet
+    nu = case.nu
+    sums = dict.fromkeys(ERROR_MEASURES, 0.0)
+    for c in range(mesh.num_cells):
+        tab = spaces.tab(c, fine=True)
+        x = spaces.vol_points(c, tab)
+        w = tab.wdet
+
+        lv = np.einsum("ra,acq->qrc", fields.l[c], tab.g)
+        sums["err_l"] += np.einsum("qrc,q->", (lv - case.velocity_gradient(x)) ** 2, w)
+        uex = case.velocity(x)
+        uv = np.einsum("m,mrq->qr", fields.u[c], tab.v)
+        sums["err_u"] += np.einsum("qr,q->", (uv - uex) ** 2, w)
+        pv = np.einsum("i,iq->q", fields.p[c], tab.q_vals)
+        sums["err_p"] += np.dot((pv - case.pressure(x)) ** 2, w)
+        sv = np.einsum("ri,iq->qr", fields.ustar[c], tab.post)
+        sums["err_ustar"] += np.einsum("qr,q->", (sv - uex) ** 2, w)
+
+        proj_u = project_velocity_div(spaces, c, case.velocity)
+        ducoef = proj_u - fields.u[c]
+        duv = np.einsum("m,mrq->qr", ducoef, tab.v)
+        sums["err_eu"] += np.einsum("qr,q->", duv ** 2, w)
+        proj_l = project_grad(spaces, c, case.velocity_gradient)
+        dlv = np.einsum("ra,acq->qrc", proj_l - fields.l[c], tab.g)
+        sums["err_el"] += np.einsum("qrc,q->", dlv ** 2, w)
+        dgrad = np.einsum("m,mrcq->qrc", ducoef, tab.v_grad)
+        sums["err_h1"] += np.einsum("qrc,q->", dgrad ** 2, w)
+
+        for lf, ft in enumerate(tab.facets):
+            f = int(mesh.cell_facets[c, lf])
+            pcoef = project_facet_tangent(mesh, f, k, case.velocity,
+                                          spaces.fine_degree)
+            rank = mesh.interior_index[f]
+            hcoef = (fields.uhat_t[rank * kk:(rank + 1) * kk]
+                     if rank >= 0 else np.zeros(kk))
+            ehat = np.einsum("j,jq->q", pcoef - hcoef, ft.phi)
+            eut = np.einsum("m,mcq,c->q", ducoef, ft.v, ft.tangent)
+            sums["err_h1"] += np.dot(ft.w, (eut - ehat) ** 2) / ft.h
+
+            xf = spaces.facet_points(c, tab, lf)
+            dl_f = case.velocity_gradient(xf) \
+                - np.einsum("ra,acq->qrc", proj_l, ft.g)
+            dln = np.einsum("qrc,c->qr", dl_f, ft.outward)
+            sums["err_dl_facet"] += nu * ft.h * np.einsum("qr,q->", dln ** 2, ft.w)
+    return {key: np.sqrt(val) for key, val in sums.items()}
+
+
+def assert_matches_per_cell(spaces, case):
+    fields = solve_hybrid(spaces, case.nu, case.gamma,
+                          case.body_force, case.mass_source)
+    report = error_norms(spaces, fields, case)
+    want = error_norms_per_cell(spaces, fields, case)
+    for key in ERROR_MEASURES:
+        assert getattr(report, key) == pytest.approx(want[key], rel=1e-10), key
+
+
+def test_error_norms_match_per_cell_on_one_cell_classes():
+    case = make_case(1)
+    spaces = Spaces(perturbed_triangles(4, 0.2, seed=5), 2,
+                    fine_degree=data_quadrature_degree(case, 2, 4))
+    assert len(spaces.class_rep) == spaces.mesh.num_cells
+    assert_matches_per_cell(spaces, case)
+
+
+def test_error_norms_match_per_cell_across_blocks(monkeypatch):
+    monkeypatch.setattr(fespace, "BLOCK_CELLS", 3)
+    case = make_case(3)
+    spaces = Spaces(build_structured_mesh(8, QUAD), 1,
+                    fine_degree=data_quadrature_degree(case, 1, 8))
+    sizes = [len(cells) for cells in spaces.class_cells]
+    assert max(sizes) > fespace.BLOCK_CELLS
+    blocks = list(spaces.class_blocks())
+    assert max(len(b) for b in blocks) == fespace.BLOCK_CELLS
+    assert len(blocks) > len(sizes)
+    assert_matches_per_cell(spaces, case)
 
 
 def test_energy_identity_on_solve():
