@@ -5,13 +5,16 @@ Piola transform, which preserves facet normal-trace integrals; scalar
 bases (pressures, facet functions) map by composition with the inverse
 cell map.
 
-Tabulations are cached per geometry class: cells sharing jacobian, the
-relative positions of their facets and the facet orientation signs reuse
-the same arrays.  On the structured meshes built here this collapses
-thousands of cells to a handful of classes.  `Spaces.class_blocks`
-hands out the cells of each class in blocks, and the point and
-tabulation lookups accept such an index array in place of one cell, so
-per-cell quantities can be formed a block at a time.
+Reference bases are tabulated once per quadrature degree on the
+reference cell (`ElementFamily.reference_tab`); a geometry class only
+pushes those values forward with its jacobian.  Tabulations are cached
+per geometry class: cells sharing jacobian, the relative positions of
+their facets and the facet orientation signs reuse the same arrays.  On
+the structured meshes built here this collapses thousands of cells to a
+handful of classes.  `Spaces.class_blocks` hands out the cells of each
+class in blocks, and the point and tabulation lookups accept such an
+index array in place of one cell, so per-cell quantities can be formed
+a block at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import QUAD, TRIANGLE, affine_map
+from .mesh import QUAD, TRIANGLE, AffineMap, cell_geometry
 from .refelem import (REFERENCE_CELLS, SIMPLEX, SQUARE, SegmentBasis,
                       divergence_span_coeffs, make_basis, quadrature)
 
@@ -29,43 +32,6 @@ _REF_OF_KIND = {QUAD: SQUARE, TRIANGLE: SIMPLEX}
 # most cells per block handed out by Spaces.class_blocks; bounds the
 # (cells, points, ...) arrays of the batched evaluations
 BLOCK_CELLS = 128
-
-
-@dataclass
-class MappedBasis:
-    """Tabulated physical-element basis data at mapped points."""
-
-    values: np.ndarray
-    grads: np.ndarray
-    divs: np.ndarray
-    points: np.ndarray
-
-
-def piola_tabulate(amap, basis, ref_points):
-    """Contravariant Piola tabulation of a vector basis.
-
-    values[n, i, q] = (J v_ref)_i / det, grads[n, i, j, q] the physical
-    jacobian of function n, divs[n, q] = div_ref / det.
-    """
-    if not basis.is_vector:
-        raise ValueError("piola_tabulate expects a vector basis")
-    jac, inv, det = amap.jacobian, amap.inverse_jacobian, amap.det
-    vhat = basis.tabulate(ref_points)
-    values = np.einsum("rc,ncq->nrq", jac, vhat) / det
-    divs = basis.tabulate_div(ref_points) / det
-    ghat = basis.tabulate_grad(ref_points)
-    grads = np.einsum("ab,nbcq,cd->nadq", jac, ghat, inv) / det
-    return MappedBasis(values, grads, divs, amap.apply(ref_points))
-
-
-def compose_tabulate(amap, basis, ref_points):
-    """Tabulation of a scalar basis mapped by composition with the cell map."""
-    if basis.is_vector:
-        raise ValueError("compose_tabulate expects a scalar basis")
-    values = basis.tabulate(ref_points)
-    ghat = basis.tabulate_grad(ref_points)
-    grads = np.einsum("ba,nbq->naq", amap.inverse_jacobian, ghat)
-    return MappedBasis(values, grads, None, amap.apply(ref_points))
 
 
 class ElementFamily:
@@ -102,6 +68,67 @@ class ElementFamily:
                 "velocity dofs inconsistent: facet moments + interior moments "
                 f"give {self.n_cell_facets * self.n_facet + self.n_v_interior}, "
                 f"basis has {self.n_v}")
+        self._reference = {}
+
+    def reference_tab(self, degree):
+        """Reference-cell values at the rules of one degree, made on first use."""
+        ref = self._reference.get(degree)
+        if ref is None:
+            ref = self._reference[degree] = _tabulate_reference(self, degree)
+        return ref
+
+
+@dataclass(frozen=True)
+class ReferenceTab:
+    """Basis values on the reference cell, shared by every geometry class.
+
+    Values are taken at the points of the volume and segment rules of one
+    quadrature degree.  Facet arrays are indexed [local facet, direction]:
+    direction 0 runs the reference facet from its first vertex to its
+    second, direction 1 the other way.  All arrays are read-only.
+    """
+
+    g: np.ndarray           # (n_g, 2, q)
+    g_div: np.ndarray       # (n_g, q)
+    v: np.ndarray           # (n_v, 2, q)
+    v_grad: np.ndarray      # (n_v, 2, 2, q)
+    v_div: np.ndarray       # (n_v, q)
+    q_vals: np.ndarray      # (n_q, q)
+    post: np.ndarray        # (n_post, q)
+    post_grad: np.ndarray   # (n_post, 2, q)
+    int_div: np.ndarray     # (n_int_scalar, q)
+    phi: np.ndarray         # (k+1, qf) facet Legendre values
+    facet_g: np.ndarray     # (nfc, 2, n_g, 2, qf)
+    facet_v: np.ndarray     # (nfc, 2, n_v, 2, qf)
+    facet_q: np.ndarray     # (nfc, 2, n_q, qf)
+
+
+def _tabulate_reference(fam, degree):
+    pts = quadrature(fam.ref_cell.name, degree).points
+    s = quadrature("segment", degree).points[:, 0]
+    verts = fam.ref_cell.vertices
+    ends = np.array([[(verts[a], verts[b]), (verts[b], verts[a])]
+                     for a, b in fam.ref_cell.facets])   # (nfc, 2, 2 ends, 2)
+    p0, p1 = ends[:, :, None, 0], ends[:, :, None, 1]
+    fpts = p0 + s[:, None] * (p1 - p0)                  # (nfc, 2, qf, 2)
+
+    def on_facets(basis):
+        vals = basis.tabulate(fpts.reshape(-1, 2))
+        vals = vals.reshape(vals.shape[:-1] + fpts.shape[:-1])
+        return np.moveaxis(vals, (-3, -2), (0, 1))
+
+    g_div = fam.g_row.tabulate_div(pts)
+    ref = ReferenceTab(
+        g=fam.g_row.tabulate(pts), g_div=g_div,
+        v=fam.v.tabulate(pts), v_grad=fam.v.tabulate_grad(pts),
+        v_div=fam.v.tabulate_div(pts), q_vals=fam.q.tabulate(pts),
+        post=fam.post.tabulate(pts), post_grad=fam.post.tabulate_grad(pts),
+        int_div=fam.div_span @ g_div, phi=fam.seg.tabulate(s),
+        facet_g=on_facets(fam.g_row), facet_v=on_facets(fam.v),
+        facet_q=on_facets(fam.q))
+    for arr in vars(ref).values():
+        arr.flags.writeable = False
+    return ref
 
 
 @dataclass
@@ -186,16 +213,12 @@ def build_dofmap(mesh, tag, k):
         return DofMap(tag, k, nif * kk, facet_dofs=fd)
     if tag == "V_div0":
         nint = fam.n_v_interior
-        cd = np.full((nc, fam.n_v), -1, dtype=int)
         facet_block = nif * kk
-        for c in range(nc):
-            for lf in range(fam.n_cell_facets):
-                f = mesh.cell_facets[c, lf]
-                rank = mesh.interior_index[f]
-                if rank >= 0:
-                    cd[c, lf * kk:(lf + 1) * kk] = rank * kk + np.arange(kk)
-            base = facet_block + c * nint
-            cd[c, fam.n_cell_facets * kk:] = base + np.arange(nint)
+        ranks = mesh.interior_index[mesh.cell_facets][..., None]
+        facet_part = np.where(ranks >= 0, ranks * kk + np.arange(kk), -1)
+        interior_part = (facet_block + np.arange(nc)[:, None] * nint
+                         + np.arange(nint))
+        cd = np.hstack([facet_part.reshape(nc, -1), interior_part])
         return DofMap(tag, k, facet_block + nc * nint, cell_dofs=cd)
     raise ValueError(f"unknown space tag: {tag!r}")
 
@@ -216,22 +239,31 @@ class Spaces:
         self.assembly_degree = max(base_asm, assembly_degree or 0)
         self.fine_degree = max(2 * k + 6, self.assembly_degree, fine_degree or 0)
 
-        self._amaps = [affine_map(mesh, c) for c in range(mesh.num_cells)]
-        keys = {}
-        self.cell_class = np.empty(mesh.num_cells, dtype=int)
-        self.class_rep = []
-        for c in range(mesh.num_cells):
-            key = self._geometry_key(c)
-            idx = keys.get(key)
-            if idx is None:
-                idx = len(self.class_rep)
-                keys[key] = idx
-                self.class_rep.append(c)
-            self.cell_class[c] = idx
-        order = np.argsort(self.cell_class, kind="stable")
+        self.offsets, self.jacobians, self.dets, self.inverse_jacobians = (
+            cell_geometry(mesh))
+        for arr in (self.offsets, self.jacobians, self.dets,
+                    self.inverse_jacobians):
+            arr.flags.writeable = False
+        # a class shares the jacobian, the facet signs and the facet
+        # endpoints relative to the cell origin; classes are numbered in
+        # order of first appearance
+        nc = mesh.num_cells
+        ends = mesh.vertices[mesh.facet_vertices[mesh.cell_facets]]
+        keys = np.concatenate([
+            np.round(self.jacobians, 12).reshape(nc, -1),
+            mesh.cell_facet_signs,
+            np.round(ends - self.offsets[:, None, None], 12).reshape(nc, -1)],
+            axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.cell_class = rank[inverse.ravel()]
+        self.class_rep = first[order].tolist()
+        cells = np.argsort(self.cell_class, kind="stable")
         counts = np.bincount(self.cell_class, minlength=len(self.class_rep))
-        self.class_cells = np.split(order, np.cumsum(counts)[:-1])
-        self._offsets = np.array([am.offset for am in self._amaps])
+        self.class_cells = np.split(cells, np.cumsum(counts)[:-1])
         self._tabs = {}
         self._nodal = {}
         self._dofmaps = {}
@@ -239,7 +271,9 @@ class Spaces:
     # -- lookups --------------------------------------------------------
 
     def amap(self, c):
-        return self._amaps[c]
+        return AffineMap(offset=self.offsets[c], jacobian=self.jacobians[c],
+                         det=float(self.dets[c]),
+                         inverse_jacobian=self.inverse_jacobians[c])
 
     def class_blocks(self):
         """Index arrays of at most BLOCK_CELLS cells, each of one class."""
@@ -262,20 +296,6 @@ class Spaces:
             self._dofmaps[tag] = build_dofmap(self.mesh, tag, self.k)
         return self._dofmaps[tag]
 
-    def _geometry_key(self, c):
-        am = self._amaps[c]
-        off = am.offset
-        mesh = self.mesh
-        parts = [np.round(am.jacobian, 12).tobytes()]
-        for lf in range(self.family.n_cell_facets):
-            f = mesh.cell_facets[c, lf]
-            sgn = int(mesh.cell_facet_signs[c, lf])
-            v0, v1 = mesh.facet_vertices[f]
-            parts.append(bytes([sgn + 2]))
-            parts.append(np.round(mesh.vertices[v0] - off, 12).tobytes())
-            parts.append(np.round(mesh.vertices[v1] - off, 12).tobytes())
-        return b"".join(parts)
-
     # -- tabulation -------------------------------------------------------
 
     def tab(self, c, fine=False):
@@ -286,59 +306,58 @@ class Spaces:
         return self._tabs[key]
 
     def _build_tab(self, rep, degree):
-        fam = self.family
-        am = self._amaps[rep]
-        mesh = self.mesh
-        vol = quadrature(fam.ref_cell.name, degree)
-        wdet = vol.weights * am.det
-        gmb = piola_tabulate(am, fam.g_row, vol.points)
-        vmb = piola_tabulate(am, fam.v, vol.points)
-        qmb = compose_tabulate(am, fam.q, vol.points)
-        pmb = compose_tabulate(am, fam.post, vol.points)
-        if fam.n_int_scalar:
-            int_div = fam.div_span @ fam.g_row.tabulate_div(vol.points)
-        else:
-            int_div = np.zeros((0, vol.points.shape[0]))
+        """Push the reference values forward with the class jacobian.
 
+        Vector bases map by the contravariant Piola transform, scalar
+        bases by composition.  On each local facet the reference values
+        are taken in the direction of the stored facet, which runs from
+        its lower-numbered vertex to the higher one.
+        """
+        fam = self.family
+        ref = fam.reference_tab(degree)
+        vol = quadrature(fam.ref_cell.name, degree)
         seg = quadrature("segment", degree)
-        s = seg.points[:, 0]
+        mesh = self.mesh
+        jac, inv = self.jacobians[rep], self.inverse_jacobians[rep]
+        det = float(self.dets[rep])
+        off = self.offsets[rep]
+
+        def piola(vhat):
+            return np.einsum("rc,ncq->nrq", jac, vhat) / det
+
         facets = []
-        for lf in range(fam.n_cell_facets):
+        loop = mesh.cells[rep]
+        for lf, (a, b) in enumerate(fam.ref_cell.facets):
             f = mesh.cell_facets[rep, lf]
+            back = int(loop[a] > loop[b])
             sgn = int(mesh.cell_facet_signs[rep, lf])
             v0, v1 = mesh.facet_vertices[f]
-            p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
             h = float(mesh.facet_lengths[f])
-            x = p0 + s[:, None] * (p1 - p0)
-            xref = am.pull_back(x)
-            gvals = np.einsum("rc,ncq->nrq", am.jacobian,
-                              fam.g_row.tabulate(xref)) / am.det
-            vvals = np.einsum("rc,ncq->nrq", am.jacobian,
-                              fam.v.tabulate(xref)) / am.det
-            qvals = fam.q.tabulate(xref)
             normal = mesh.facet_normals[f].copy()
             facets.append(FacetTab(
                 sign=sgn, h=h, normal=normal, outward=sgn * normal,
                 tangent=mesh.facet_tangents[f].copy(),
-                rel_p0=p0 - am.offset, rel_p1=p1 - am.offset,
-                s=s.copy(), w=seg.weights * h, phi=fam.seg.tabulate(s),
-                g=gvals, v=vvals, q=qvals))
+                rel_p0=mesh.vertices[v0] - off, rel_p1=mesh.vertices[v1] - off,
+                s=seg.points[:, 0], w=seg.weights * h, phi=ref.phi,
+                g=piola(ref.facet_g[lf, back]), v=piola(ref.facet_v[lf, back]),
+                q=ref.facet_q[lf, back]))
         return CellTab(
-            degree=degree, jacobian=am.jacobian,
-            inverse_jacobian=am.inverse_jacobian, det=am.det,
-            ref_points=vol.points, wdet=wdet,
-            g=gmb.values, g_div=gmb.divs, v=vmb.values, v_grad=vmb.grads,
-            v_div=vmb.divs, q_vals=qmb.values, post=pmb.values,
-            post_grad=pmb.grads, int_div=int_div, facets=facets)
+            degree=degree, jacobian=jac, inverse_jacobian=inv, det=det,
+            ref_points=vol.points, wdet=vol.weights * det,
+            g=piola(ref.g), g_div=ref.g_div / det, v=piola(ref.v),
+            v_grad=np.einsum("ab,nbcq,cd->nadq", jac, ref.v_grad, inv) / det,
+            v_div=ref.v_div / det, q_vals=ref.q_vals, post=ref.post,
+            post_grad=np.einsum("ba,nbq->naq", inv, ref.post_grad),
+            int_div=ref.int_div, facets=facets)
 
     def vol_points(self, c, tab):
         """Volume points (q, 2) of cell c, or (C, q, 2) for an index array."""
-        return self._offsets[c][..., None, :] + tab.ref_points @ tab.jacobian.T
+        return self.offsets[c][..., None, :] + tab.ref_points @ tab.jacobian.T
 
     def facet_points(self, c, tab, lf):
         """Points (q, 2) on local facet lf of cell c, or (C, q, 2)."""
         ft = tab.facets[lf]
-        off = self._offsets[c][..., None, :]
+        off = self.offsets[c][..., None, :]
         p0 = off + ft.rel_p0
         p1 = off + ft.rel_p1
         return p0 + ft.s[:, None] * (p1 - p0)
@@ -388,21 +407,19 @@ def normal_trace_jumps(spaces, u_modal, fine=True):
     of u.n).  Fields in V_div0 should give both at roundoff level.
     """
     mesh = spaces.mesh
-    int_max = 0.0
-    bnd_max = 0.0
-    for f in range(mesh.num_facets):
-        own, nbr = mesh.facet_cells[f]
-        tab = spaces.tab(own, fine=fine)
-        lf = spaces.local_facet(own, f)
-        ft = tab.facets[lf]
-        vn_own = np.einsum("m,mcq,c->q", u_modal[own], ft.v, ft.normal)
-        if nbr == -1:
-            bnd_max = max(bnd_max, float(np.sqrt(np.sum(ft.w * vn_own ** 2))))
-            continue
-        tab_n = spaces.tab(nbr, fine=fine)
-        lfn = spaces.local_facet(nbr, f)
-        ftn = tab_n.facets[lfn]
-        vn_nbr = np.einsum("m,mcq,c->q", u_modal[nbr], ftn.v, ftn.normal)
-        jump = vn_own - vn_nbr
-        int_max = max(int_max, float(np.sqrt(np.sum(ft.w * jump ** 2))))
-    return int_max, bnd_max
+    degree = spaces.fine_degree if fine else spaces.assembly_degree
+    weights = quadrature("segment", degree).weights
+    # u.n against the stored facet normal at the facet's points, seen
+    # from the owner (side 0) and from the neighbor (side 1)
+    vn = np.zeros((mesh.num_facets, 2, weights.size))
+    for cells in spaces.class_blocks():
+        tab = spaces.tab(cells, fine=fine)
+        for lf, ft in enumerate(tab.facets):
+            side = (mesh.cell_facet_signs[cells, lf] < 0).astype(int)
+            vn[mesh.cell_facets[cells, lf], side] = np.einsum(
+                "em,mcq,c->eq", u_modal[cells], ft.v, ft.normal)
+    w = weights * mesh.facet_lengths[:, None]
+    jumps = np.sqrt(np.sum(w * (vn[:, 0] - vn[:, 1]) ** 2, axis=1))
+    owner = np.sqrt(np.sum(w * vn[:, 0] ** 2, axis=1))
+    return (float(jumps[mesh.interior_facets].max(initial=0.0)),
+            float(owner[mesh.boundary_facets].max(initial=0.0)))

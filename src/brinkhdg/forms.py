@@ -68,7 +68,20 @@ class ElementBlocks:
 
 def element_blocks(tab, nu, gamma):
     """All volume and facet blocks for one cell tabulation."""
+    return _element_blocks(tab, nu, as_gamma_matrix(gamma))
+
+
+def class_element_blocks(spaces, nu, gamma):
+    """Element blocks of every geometry class, in class order.
+
+    gamma is checked once for all classes.
+    """
     gamma = as_gamma_matrix(gamma)
+    return [_element_blocks(spaces.tab(rep), nu, gamma)
+            for rep in spaces.class_rep]
+
+
+def _element_blocks(tab, nu, gamma):
     w = tab.wdet
     mg = np.einsum("acq,bcq,q->ab", tab.g, tab.g, w)
     divg = np.einsum("mrq,bq,q->rmb", tab.v, tab.g_div, w)

@@ -10,8 +10,10 @@ are evaluated per cell.
 
 `solve_direct` assembles the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
-unknowns.  It shares the quadrature data but none of the condensation
-path, so agreement between the two is a meaningful consistency check.
+unknowns, and pins the last cell's constant pressure coefficient.  It
+shares the quadrature data but none of the condensation path, and it
+pins another cell and another unknown, so agreement between the two is
+a meaningful consistency check.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (element_blocks, postprocess_factor, postprocess_velocity,
-                    values_at)
+from .forms import (class_element_blocks, postprocess_factor,
+                    postprocess_velocity, values_at)
 from .linalg import DenseFactor, SparseBuilder, sparse_solve
 
 
@@ -113,16 +115,16 @@ class SolutionFields:
     uhat_t: np.ndarray   # interior facet tangential trace coefficients
     uhat_n: np.ndarray   # interior facet normal trace coefficients
     pbar: np.ndarray     # (nc,) cell pressure averages
-    mean_mult: float     # mean-pressure multiplier, ~0 when int g = 0
+    mean_mult: float     # mean of the mass source, removed before the
+                         # solve; roundoff when int g = 0
     ustar: np.ndarray    # (nc, 2, n_post)
     n_global: int
     n_local: int
 
 
 def build_local_solvers(spaces, nu, gamma):
-    return [LocalSolver(element_blocks(spaces.tab(rep), nu, gamma),
-                        spaces.family)
-            for rep in spaces.class_rep]
+    return [LocalSolver(blocks, spaces.family)
+            for blocks in class_element_blocks(spaces, nu, gamma)]
 
 
 def _facet_columns(spaces):
@@ -153,15 +155,20 @@ def _checked_values(func, x, shape, what):
 
 
 def _data_moments(spaces, c, f_func, g_func):
-    """Velocity moments of f, pressure moments of g, and the integral of |g|."""
+    """Velocity moments of f, pressure moments of g, and the integral of |g|.
+
+    c is one cell, or an index array of cells of one geometry class; the
+    moments then gain a leading cell axis.
+    """
     tab = spaces.tab(c, fine=True)
     x = spaces.vol_points(c, tab)
-    nq = x.shape[0]
-    fv = _checked_values(f_func, x, (nq, 2), "body force")
-    gv = _checked_values(g_func, x, (nq,), "mass source")
-    fmom = np.einsum("mrq,qr,q->m", tab.v, fv, tab.wdet)
-    gmom = np.einsum("iq,q,q->i", tab.q_vals, gv, tab.wdet)
-    return fmom, gmom, float(np.abs(gv) @ tab.wdet)
+    flat = x.reshape(-1, 2)
+    nq = flat.shape[0]
+    fv = _checked_values(f_func, flat, (nq, 2), "body force").reshape(x.shape)
+    gv = _checked_values(g_func, flat, (nq,), "mass source").reshape(x.shape[:-1])
+    fmom = np.einsum("mrq,...qr,q->...m", tab.v, fv, tab.wdet)
+    gmom = np.einsum("iq,...q,q->...i", tab.q_vals, gv, tab.wdet)
+    return fmom, gmom, float(np.sum(np.abs(gv) @ tab.wdet))
 
 
 def _constant_pressure_value(spaces):
@@ -196,7 +203,7 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     builder = SparseBuilder(n_sys, n_sys)
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, solvers[0].n))
-    areas = np.zeros(nc)
+    areas = spaces.dets * fam.ref_cell.measure
     g_abs = 0.0
 
     for c in range(nc):
@@ -212,8 +219,6 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         idx = cc[keep]
         builder.add_block(idx, idx, ls.energy[np.ix_(keep, keep)])
         np.add.at(rhs, idx, f_loc[keep])
-
-        areas[c] = spaces.amap(c).det * fam.ref_cell.measure
         rhs[o_pbar + c] = -gmom[0] / q0v
 
     # pressure rows couple to the first normal-trace dof of each interior
@@ -240,10 +245,11 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
             "relative); if it does analytically, resolve the data with "
             "Spaces(mesh, k, fine_degree=verify.data_quadrature_degree("
             "case, k, n))")
-    # remove the quadrature-level remainder as a mean-pressure multiplier
-    # would, then pin cell 0's average in place of its redundant row
-    mean_mult = float(rhs[o_pbar:].sum() / areas.sum())
-    rhs[o_pbar:] -= mean_mult * areas
+    # remove the quadrature-level remainder, the mean of g, as a
+    # mean-pressure multiplier would, then pin cell 0's average in place
+    # of its redundant row
+    mean_mult = float(-rhs[o_pbar:].sum() / areas.sum())
+    rhs[o_pbar:] += mean_mult * areas
     builder.add(np.array([o_pbar]), np.array([o_pbar]), np.array([1.0]))
     rhs[o_pbar] = 0.0
 
@@ -278,12 +284,53 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         ustar=ustar, n_global=2 * ntt + nc, n_local=n_local)
 
 
+def _direct_cell_matrix(blocks, trans, family):
+    """Dense cell block of the uncondensed system, and its sparsity pattern.
+
+    Local layout: gradient rows (row-major), nodal velocity, pressure,
+    tangential traces per local facet.  The pattern marks the couplings
+    that exist, so entries that happen to be zero are kept as entries.
+    """
+    nu = blocks.nu
+    n_g, n_v, n_q = family.n_g, family.n_v, family.n_q
+    kk = family.n_facet
+    o_u = 2 * n_g
+    o_p = o_u + n_v
+    o_t = o_p + n_q
+    n = o_t + family.n_cell_facets * kk
+    mat = np.zeros((n, n))
+    pattern = np.zeros((n, n), dtype=bool)
+    tgt_sum = sum(np.multiply.outer(fb.tangent, fb.tgt) for fb in blocks.facets)
+    for r in range(2):
+        rows = slice(r * n_g, (r + 1) * n_g)
+        mat[rows, rows] = nu * blocks.mg
+        mat[rows, o_u:o_p] = nu * (-blocks.grad[r] + tgt_sum[r]) @ trans
+        mat[o_u:o_p, rows] = trans.T @ (nu * (blocks.grad[r] - tgt_sum[r]).T)
+        pattern[rows, rows] = pattern[rows, o_u:o_p] = True
+        pattern[o_u:o_p, rows] = True
+        for lf, fb in enumerate(blocks.facets):
+            cols = slice(o_t + lf * kk, o_t + (lf + 1) * kk)
+            mat[rows, cols] = -nu * fb.tangent[r] * fb.that.T
+            mat[cols, rows] = nu * fb.tangent[r] * fb.that
+            pattern[rows, cols] = pattern[cols, rows] = True
+    mat[o_u:o_p, o_u:o_p] = trans.T @ blocks.mgam @ trans
+    mat[o_u:o_p, o_p:o_t] = trans.T @ (-blocks.bdiv)
+    mat[o_p:o_t, o_u:o_p] = (trans.T @ blocks.bdiv).T
+    pattern[o_u:o_p, o_u:o_t] = pattern[o_p:o_t, o_u:o_p] = True
+    return mat, pattern
+
+
 def solve_direct(spaces, nu, gamma, f_func, g_func):
     """Monolithic solve of the uncondensed system; cross-check oracle.
 
     Unknowns: broken gradient rows, divergence-conforming velocity in
-    nodal form, broken pressure plus a mean multiplier, and tangential
-    facet traces on interior facets.
+    nodal form, broken pressure, and tangential facet traces on interior
+    facets.  The mean of the mass source, in closed form, is removed from
+    the pressure rows, which makes the constant-test rows sum to zero;
+    the last cell's constant pressure coefficient is pinned to zero in
+    place of its constant-test row.  After the solve the constant
+    coefficients are shifted so that p has zero mean.  Cell blocks are
+    scattered one class block of cells at a time.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -294,79 +341,70 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
 
     vd = spaces.dofmap("V_div0")
     mt = spaces.dofmap("Mt0")
-    n_l = nc * 2 * n_g
-    o_u_blk = n_l
-    o_p_blk = o_u_blk + vd.total
-    o_s = o_p_blk + nc * n_q
-    o_t = o_s + 1
+    o_u = nc * 2 * n_g
+    o_p = o_u + vd.total
+    o_t = o_p + nc * n_q
     n_sys = o_t + mt.total
-    builder = SparseBuilder(n_sys, n_sys)
-    rhs = np.zeros(n_sys)
     q0v = _constant_pressure_value(spaces)
+    blocks_by_class = class_element_blocks(spaces, nu, gamma)
+    cell_mats = [_direct_cell_matrix(blk, spaces.nodal_transform(rep), fam)
+                 for blk, rep in zip(blocks_by_class, spaces.class_rep)]
+    trace_dofs = mt.facet_dofs[mesh.cell_facets].reshape(nc, -1)
 
-    blocks_by_class = [element_blocks(spaces.tab(rep), nu, gamma)
-                       for rep in spaces.class_rep]
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n_sys)
+    gmom = np.zeros((nc, n_q))
+    qint = np.zeros((nc, n_q))
+    for cells in spaces.class_blocks():
+        cls = spaces.cell_class[cells[0]]
+        mat, pattern = cell_mats[cls]
+        udofs = vd.cell_dofs[cells]
+        tdofs = trace_dofs[cells]
+        dofs = np.hstack([
+            cells[:, None] * 2 * n_g + np.arange(2 * n_g),
+            np.where(udofs >= 0, o_u + udofs, -1),
+            o_p + cells[:, None] * n_q + np.arange(n_q),
+            np.where(tdofs >= 0, o_t + tdofs, -1)])
+        shape = (len(cells),) + mat.shape
+        row = np.broadcast_to(dofs[:, :, None], shape)
+        col = np.broadcast_to(dofs[:, None, :], shape)
+        keep = pattern & (row >= 0) & (col >= 0)
+        rows.append(row[keep])
+        cols.append(col[keep])
+        vals.append(np.broadcast_to(mat, shape)[keep])
 
-    for c in range(nc):
-        blk = blocks_by_class[spaces.cell_class[c]]
-        trans = spaces.nodal_transform(c)
-        fmom, gmom, _ = _data_moments(spaces, c, f_func, g_func)
-        rows_l = [np.arange(c * 2 * n_g + r * n_g, c * 2 * n_g + (r + 1) * n_g)
-                  for r in range(2)]
-        udofs = vd.cell_dofs[c]
+        fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
+        qint[cells] = blocks_by_class[cls].qint
         ukeep = udofs >= 0
-        uidx = o_u_blk + udofs[ukeep]
-        pdofs = o_p_blk + c * n_q + np.arange(n_q)
+        np.add.at(rhs, o_u + udofs[ukeep],
+                  (fmom @ spaces.nodal_transform(cells))[ukeep])
 
-        tgt_sum = np.zeros((2, n_g, n_v))
-        for lf, fb in enumerate(blk.facets):
-            for r in range(2):
-                tgt_sum[r] += fb.tangent[r] * fb.tgt
-
-        for r in range(2):
-            builder.add_block(rows_l[r], rows_l[r], nu * blk.mg)
-            coup = nu * (-blk.grad[r] + tgt_sum[r]) @ trans
-            builder.add_block(rows_l[r], uidx, coup[:, ukeep])
-            coup_b = nu * (blk.grad[r] - tgt_sum[r]).T
-            coup_b = trans.T @ coup_b
-            builder.add_block(uidx, rows_l[r], coup_b[ukeep])
-        mg_u = trans.T @ blk.mgam @ trans
-        builder.add_block(uidx, uidx, mg_u[np.ix_(ukeep, ukeep)])
-        bp = trans.T @ (-blk.bdiv)
-        builder.add_block(uidx, pdofs, bp[ukeep])
-        builder.add_block(pdofs, uidx, (trans.T @ blk.bdiv)[ukeep].T)
-        builder.add_block(pdofs, np.array([o_s]),
-                          blk.qint.reshape(-1, 1))
-        builder.add_block(np.array([o_s]), pdofs,
-                          blk.qint.reshape(1, -1))
-        rhs[pdofs] = gmom
-        rhs[uidx] = rhs[uidx] + (trans.T @ fmom)[ukeep]
-
-        for lf, fb in enumerate(blk.facets):
-            fd = mt.facet_dofs[mesh.cell_facets[c, lf]]
-            if fd[0] < 0:
-                continue
-            tdofs = o_t + fd
-            for r in range(2):
-                cpl = -nu * fb.tangent[r] * fb.that.T
-                builder.add_block(rows_l[r], tdofs, cpl)
-                builder.add_block(tdofs, rows_l[r], nu * fb.tangent[r] * fb.that)
-
+    # the constant-test rows sum to int g (the divergence terms cancel),
+    # so remove the mean of g; the last cell's constant-test row is then
+    # redundant and carries the pin of its constant coefficient
+    mean_mult = float(gmom[:, 0].sum() / qint[:, 0].sum())
+    rhs[o_p:o_t] = (gmom - mean_mult * qint).ravel()
+    pin = o_p + (nc - 1) * n_q
+    rhs[pin] = 0.0
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    free = rows != pin
+    builder = SparseBuilder(n_sys, n_sys)
+    builder.add(np.append(rows[free], pin), np.append(cols[free], pin),
+                np.append(vals[free], 1.0))
     sol = sparse_solve(builder, rhs)
 
-    l = sol[:n_l].reshape(nc, 2, n_g)
+    l = sol[:o_u].reshape(nc, 2, n_g)
     u = np.zeros((nc, n_v))
-    nodal_pad = np.concatenate([sol[o_u_blk:o_p_blk], [0.0]])
-    for c in range(nc):
-        u[c] = spaces.nodal_transform(c) @ nodal_pad[vd.cell_dofs[c]]
-    p = sol[o_p_blk:o_s].reshape(nc, n_q)
+    nodal_pad = np.append(sol[o_u:o_p], 0.0)
+    for cells in spaces.class_cells:
+        u[cells] = (nodal_pad[vd.cell_dofs[cells]]
+                    @ spaces.nodal_transform(cells).T)
+    p = sol[o_p:o_t].reshape(nc, n_q).copy()
+    p[:, 0] -= np.einsum("ci,ci->", p, qint) / qint[:, 0].sum()
     uhat_t = sol[o_t:]
-
-    uhat_n = np.zeros(mt.total)
-    for f in mesh.interior_facets:
-        rank = mesh.interior_index[f]
-        dofs = sol[o_u_blk + rank * kk:o_u_blk + (rank + 1) * kk]
-        uhat_n[rank * kk:(rank + 1) * kk] = dofs / mesh.facet_lengths[f]
+    n_int = len(mesh.interior_facets)
+    uhat_n = (sol[o_u:o_u + n_int * kk].reshape(n_int, kk)
+              / mesh.facet_lengths[mesh.interior_facets, None]).ravel()
 
     post_factors = [postprocess_factor(blk) for blk in blocks_by_class]
     ustar = np.zeros((nc, 2, fam.n_post))
@@ -378,30 +416,26 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     return SolutionFields(
         k=spaces.k, cell_kind=mesh.cell_kind, l=l, u=u, p=p,
         lam=np.zeros((nc, nfc * kk)), uhat_t=uhat_t, uhat_n=uhat_n,
-        pbar=p[:, 0] * q0v, mean_mult=float(sol[o_s]), ustar=ustar,
+        pbar=p[:, 0] * q0v, mean_mult=mean_mult, ustar=ustar,
         n_global=n_sys, n_local=0)
 
 
 def compare_fields(spaces, fa, fb):
     """L2 distances between two solutions; keys dl, du, dp, dut."""
-    nc = spaces.mesh.num_cells
     dl2 = du2 = dp2 = 0.0
-    for c in range(nc):
-        tab = spaces.tab(c)
+    for cells in spaces.class_blocks():
+        tab = spaces.tab(cells)
         w = tab.wdet
-        dl = np.einsum("ra,acq->rcq", fa.l[c] - fb.l[c], tab.g)
-        dl2 += float(np.einsum("rcq,rcq,q->", dl, dl, w))
-        du = np.einsum("m,mrq->rq", fa.u[c] - fb.u[c], tab.v)
-        du2 += float(np.einsum("rq,rq,q->", du, du, w))
-        dp = np.einsum("i,iq->q", fa.p[c] - fb.p[c], tab.q_vals)
-        dp2 += float(np.dot(dp ** 2, w))
-    dt = fa.uhat_t - fb.uhat_t
-    kk = spaces.family.n_facet
-    dut2 = 0.0
-    for f in spaces.mesh.interior_facets:
-        rank = spaces.mesh.interior_index[f]
-        seg = dt[rank * kk:(rank + 1) * kk]
-        dut2 += float(spaces.mesh.facet_lengths[f] * np.dot(seg, seg))
+        dl = np.einsum("era,acq->ercq", fa.l[cells] - fb.l[cells], tab.g)
+        dl2 += float(np.einsum("ercq,ercq,q->", dl, dl, w))
+        du = np.einsum("em,mrq->erq", fa.u[cells] - fb.u[cells], tab.v)
+        du2 += float(np.einsum("erq,erq,q->", du, du, w))
+        dp = (fa.p[cells] - fb.p[cells]) @ tab.q_vals
+        dp2 += float(np.einsum("eq,eq,q->", dp, dp, w))
+    mesh = spaces.mesh
+    dt = (fa.uhat_t - fb.uhat_t).reshape(len(mesh.interior_facets), -1)
+    dut2 = float(mesh.facet_lengths[mesh.interior_facets]
+                 @ np.einsum("fj,fj->f", dt, dt))
     return {"dl": np.sqrt(dl2), "du": np.sqrt(du2),
             "dp": np.sqrt(dp2), "dut": np.sqrt(dut2)}
 

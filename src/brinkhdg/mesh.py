@@ -152,25 +152,46 @@ class Mesh:
         return self.cells.shape[1]
 
 
+def cell_geometry(mesh, cells=None):
+    """Stacked affine maps of some cells (default: all) in one array pass.
+
+    Returns offsets (C, 2), jacobians (C, 2, 2), dets (C,) and inverse
+    jacobians (C, 2, 2).  Raises ValueError naming the first cell, in the
+    order given, that is degenerate, inverted, or a quad that is not a
+    parallelogram (its map would not be affine).
+    """
+    cells = np.arange(mesh.num_cells) if cells is None else np.atleast_1d(cells)
+    verts = mesh.vertices[mesh.cells[cells]]
+    # columns: the edges from vertex 0 to vertex 1 and to the last vertex
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, -1] - verts[:, 0]],
+                   axis=-1)
+    scale = np.abs(jac).max(axis=(1, 2))
+    skew = np.zeros(len(cells), dtype=bool)
+    if mesh.cell_kind == QUAD:
+        closure = verts[:, 0] + jac[:, :, 0] + jac[:, :, 1]
+        skew = (np.abs(closure - verts[:, 2]).max(axis=1)
+                > 1e-9 * np.maximum(scale, 1e-300))
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    flat = det <= _DEGENERATE_RTOL * np.maximum(scale ** 2, 1e-300)
+    bad = skew | flat
+    if bad.any():
+        i = int(np.argmax(bad))
+        if skew[i]:
+            raise ValueError(f"cell {cells[i]} is not a parallelogram; "
+                             "affine map undefined")
+        raise ValueError(f"cell {cells[i]} is degenerate or inverted "
+                         f"(det={det[i]:.3e})")
+    inv = np.stack([np.stack([jac[:, 1, 1], -jac[:, 0, 1]], axis=-1),
+                    np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=-1)],
+                   axis=1) / det[:, None, None]
+    return verts[:, 0], jac, det, inv
+
+
 def affine_map(mesh, c):
     """Affine map of cell c; raises ValueError on degenerate/non-affine cells."""
-    verts = mesh.vertices[mesh.cells[c]]
-    if mesh.cell_kind == TRIANGLE:
-        jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    else:
-        jac = np.column_stack([verts[1] - verts[0], verts[3] - verts[0]])
-        # the map is affine only if the quad is a parallelogram
-        closure = verts[0] + jac[:, 0] + jac[:, 1]
-        scale = max(np.abs(jac).max(), 1e-300)
-        if np.abs(closure - verts[2]).max() > 1e-9 * scale:
-            raise ValueError(f"cell {c} is not a parallelogram; affine map undefined")
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    scale = float(np.abs(jac).max()) ** 2
-    if det <= _DEGENERATE_RTOL * max(scale, 1e-300):
-        raise ValueError(f"cell {c} is degenerate or inverted (det={det:.3e})")
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    return AffineMap(offset=verts[0].copy(), jacobian=jac, det=det,
-                     inverse_jacobian=inv)
+    offset, jac, det, inv = cell_geometry(mesh, [c])
+    return AffineMap(offset=offset[0], jacobian=jac[0], det=float(det[0]),
+                     inverse_jacobian=inv[0])
 
 
 def build_structured_mesh(n, cell_kind=QUAD):
@@ -202,6 +223,22 @@ def build_structured_mesh(n, cell_kind=QUAD):
                 cells.append((v00, v10, v11))
                 cells.append((v00, v11, v01))
     return Mesh(vertices, cells, cell_kind, structured_n=n)
+
+
+def perturbed_triangles(n, share, seed):
+    """Diagonal-split n-by-n mesh, interior vertices moved by up to share*h.
+
+    Each coordinate of each interior vertex moves by a uniform draw from
+    [-share/n, share/n] of a generator seeded with `seed`; boundary
+    vertices stay, so the domain is still the unit square.
+    """
+    base = build_structured_mesh(n, TRIANGLE)
+    vertices = base.vertices.copy()
+    interior = ((vertices > 0.0) & (vertices < 1.0)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-share / n, share / n,
+                                      size=(int(interior.sum()), 2))
+    return Mesh(vertices, base.cells, TRIANGLE)
 
 
 def locate_cell(mesh, point):

@@ -5,7 +5,15 @@ import pytest
 
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
                               normal_trace_jumps)
-from brinkhdg.mesh import QUAD, TRIANGLE, build_structured_mesh
+from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map,
+                           build_structured_mesh, perturbed_triangles)
+from brinkhdg.refelem import quadrature
+
+
+def piola_values(amap, basis, ref_points):
+    """Contravariant Piola values (n, 2, q) of a vector basis."""
+    return np.einsum("rc,ncq->nrq", amap.jacobian,
+                     basis.tabulate(ref_points)) / amap.det
 
 
 def interpolate_velocity(spaces, func):
@@ -101,27 +109,23 @@ def test_piola_divergence_theorem():
 
 
 def test_piola_divergence_scaling():
-    # (1/det) div-hat composition: mapped divergence matches finite
-    # differences of the mapped values
+    # (1/det) div-hat composition: the tabulated divergence matches
+    # finite differences of the mapped values
     spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
-    tab = spaces.tab(0)
     c = 0
+    tab = spaces.tab(c)
     amap = spaces.amap(c)
-    ref = np.array([[0.2, 0.3], [0.4, 0.1]])
+    x = spaces.vol_points(c, tab)
     h = 1e-6
     fam = spaces.family
-    from brinkhdg.fespace import piola_tabulate
-    div = piola_tabulate(amap, fam.v, ref).divs
-    fd = np.zeros_like(div)
+    fd = np.zeros_like(tab.v_div)
     for d in range(2):
         dx = np.zeros(2)
         dx[d] = h
-        plus = piola_tabulate(amap, fam.v, ref + amap.pull_back(
-            amap.apply(ref) + dx) - ref).values
-        minus = piola_tabulate(amap, fam.v, ref + amap.pull_back(
-            amap.apply(ref) - dx) - ref).values
+        plus = piola_values(amap, fam.v, amap.pull_back(x + dx))
+        minus = piola_values(amap, fam.v, amap.pull_back(x - dx))
         fd += (plus[:, d] - minus[:, d]) / (2 * h)
-    assert np.abs(div - fd).max() < 1e-5
+    assert np.abs(tab.v_div - fd).max() < 1e-5
 
 
 def test_scalar_map_gradient_chain_rule():
@@ -148,10 +152,9 @@ def test_facet_tabulation_consistent_with_volume_basis():
     c = 3
     tab = spaces.tab(c)
     amap = spaces.amap(c)
-    from brinkhdg.fespace import piola_tabulate
     for lf, ft in enumerate(tab.facets):
         x = spaces.facet_points(c, tab, lf)
-        vals = piola_tabulate(amap, spaces.family.v, amap.pull_back(x)).values
+        vals = piola_values(amap, spaces.family.v, amap.pull_back(x))
         assert np.abs(vals - ft.v).max() < 1e-12
 
 
@@ -190,8 +193,7 @@ def test_interpolant_reproduces_member_fields():
     amap = spaces.amap(c)
 
     def func(x):
-        from brinkhdg.fespace import piola_tabulate
-        vals = piola_tabulate(amap, spaces.family.v, amap.pull_back(x)).values
+        vals = piola_values(amap, spaces.family.v, amap.pull_back(x))
         return np.einsum("m,mrq->qr", coef, vals)
 
     modal = interpolate_velocity(spaces, func)
@@ -285,3 +287,148 @@ def test_local_facet_lookup():
     assert spaces.local_facet(c, f) == 2
     with pytest.raises(ValueError):
         spaces.local_facet(0, 9999)
+
+
+def pull_back_tab(spaces, c, degree):
+    """Expected tabulation of cell c, every basis evaluated directly at
+    the pulled-back physical points: {name: array} for the cell and a list
+    of such dicts for its facets."""
+    fam = spaces.family
+    am = affine_map(spaces.mesh, c)
+    mesh = spaces.mesh
+
+    def piola(vhat):
+        return np.einsum("rc,ncq->nrq", am.jacobian, vhat) / am.det
+
+    vol = quadrature(fam.ref_cell.name, degree)
+    pts = vol.points
+    cell = {
+        "wdet": vol.weights * am.det,
+        "g": piola(fam.g_row.tabulate(pts)),
+        "g_div": fam.g_row.tabulate_div(pts) / am.det,
+        "v": piola(fam.v.tabulate(pts)),
+        "v_grad": np.einsum("ab,nbcq,cd->nadq", am.jacobian,
+                            fam.v.tabulate_grad(pts),
+                            am.inverse_jacobian) / am.det,
+        "v_div": fam.v.tabulate_div(pts) / am.det,
+        "q_vals": fam.q.tabulate(pts),
+        "post": fam.post.tabulate(pts),
+        "post_grad": np.einsum("ba,nbq->naq", am.inverse_jacobian,
+                               fam.post.tabulate_grad(pts)),
+        "int_div": fam.div_span @ fam.g_row.tabulate_div(pts),
+    }
+    seg = quadrature("segment", degree)
+    s = seg.points[:, 0]
+    facets = []
+    for lf in range(fam.n_cell_facets):
+        f = mesh.cell_facets[c, lf]
+        p0, p1 = mesh.vertices[mesh.facet_vertices[f]]
+        xref = am.pull_back(p0 + s[:, None] * (p1 - p0))
+        facets.append({
+            "g": piola(fam.g_row.tabulate(xref)),
+            "v": piola(fam.v.tabulate(xref)),
+            "q": fam.q.tabulate(xref),
+            "phi": fam.seg.tabulate(s),
+            "w": seg.weights * mesh.facet_lengths[f],
+            "s": s,
+        })
+    return cell, facets
+
+
+def assert_close(got, want, what):
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert got.shape == want.shape, what
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale, what
+
+
+def test_reference_tabulation_matches_pull_back():
+    # the cached reference values pushed forward per class equal a direct
+    # tabulation at pulled-back points, on facets run either way
+    meshes = [perturbed_triangles(3, 0.2, seed=7),
+              build_structured_mesh(3, QUAD)]
+    for mesh in meshes:
+        for k in (1, 2):
+            spaces = Spaces(mesh, k)
+            directions = set()
+            for rep in spaces.class_rep:
+                loop = mesh.cells[rep]
+                directions |= {bool(loop[a] > loop[b])
+                               for a, b in spaces.family.ref_cell.facets}
+                for fine in (False, True):
+                    tab = spaces.tab(rep, fine=fine)
+                    cell, facets = pull_back_tab(spaces, rep, tab.degree)
+                    for name, want in cell.items():
+                        assert_close(getattr(tab, name), want,
+                                     (mesh.cell_kind, k, rep, name))
+                    for lf, ft in enumerate(tab.facets):
+                        for name, want in facets[lf].items():
+                            assert_close(getattr(ft, name), want,
+                                         (mesh.cell_kind, k, rep, lf, name))
+            assert directions == {False, True}
+
+
+def per_cell_classes(spaces):
+    """Geometry classes from a byte key per cell, in first-appearance order."""
+    mesh = spaces.mesh
+    keys = {}
+    cell_class = np.empty(mesh.num_cells, dtype=int)
+    for c in range(mesh.num_cells):
+        am = affine_map(mesh, c)
+        parts = [np.round(am.jacobian, 12).tobytes()]
+        for lf in range(spaces.family.n_cell_facets):
+            f = mesh.cell_facets[c, lf]
+            v0, v1 = mesh.facet_vertices[f]
+            parts.append(bytes([int(mesh.cell_facet_signs[c, lf]) + 2]))
+            parts.append(np.round(mesh.vertices[v0] - am.offset, 12).tobytes())
+            parts.append(np.round(mesh.vertices[v1] - am.offset, 12).tobytes())
+        cell_class[c] = keys.setdefault(b"".join(parts), len(keys))
+    return cell_class
+
+
+def test_geometry_classes_match_per_cell_keys():
+    for mesh in (build_structured_mesh(4, QUAD),
+                 build_structured_mesh(5, TRIANGLE),
+                 perturbed_triangles(3, 0.2, seed=3)):
+        spaces = Spaces(mesh, 1)
+        want = per_cell_classes(spaces)
+        assert (spaces.cell_class == want).all()
+        assert spaces.class_rep == [int(np.argmax(want == cls))
+                                    for cls in range(want.max() + 1)]
+        for c in (0, mesh.num_cells - 1):
+            am, ref = spaces.amap(c), affine_map(mesh, c)
+            for name in ("offset", "jacobian", "det", "inverse_jacobian"):
+                assert np.array_equal(getattr(am, name), getattr(ref, name))
+
+
+def test_spaces_name_the_first_bad_cell():
+    # a strip of three quads; the last is a trapezoid
+    vertices = [[0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [1, 1], [2, 1],
+                [3.5, 1]]
+    quads = Mesh(np.array(vertices, float) / 4,
+                 [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6]], QUAD)
+    with pytest.raises(ValueError, match="^cell 2 is not a parallelogram"):
+        Spaces(quads, 1)
+    # cell 3 of a structured triangle mesh traversed clockwise
+    base = build_structured_mesh(2, TRIANGLE)
+    cells = base.cells.copy()
+    cells[3] = cells[3][::-1]
+    with pytest.raises(ValueError, match=r"^cell 3 is degenerate or inverted "
+                       r"\(det=-2\.500e-01\)"):
+        Spaces(Mesh(base.vertices, cells, TRIANGLE), 1)
+
+
+def test_v_div0_matches_per_cell_numbering():
+    for kind, k in ((QUAD, 1), (TRIANGLE, 2)):
+        mesh = build_structured_mesh(3, kind)
+        fam = element_family(kind, k)
+        kk = k + 1
+        dm = build_dofmap(mesh, "V_div0", k)
+        facet_block = len(mesh.interior_facets) * kk
+        for c in range(mesh.num_cells):
+            want = []
+            for f in mesh.cell_facets[c]:
+                rank = mesh.interior_index[f]
+                want += list(rank * kk + np.arange(kk)) if rank >= 0 else [-1] * kk
+            want += list(facet_block + c * fam.n_v_interior
+                         + np.arange(fam.n_v_interior))
+            assert list(dm.cell_dofs[c]) == want

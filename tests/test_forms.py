@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from brinkhdg import forms
 from brinkhdg.fespace import Spaces
-from brinkhdg.forms import (as_gamma_matrix, element_blocks,
-                            postprocess_factor, postprocess_velocity,
-                            project_facet_tangent, project_grad,
-                            project_pressure, project_velocity_div)
+from brinkhdg.forms import (as_gamma_matrix, class_element_blocks,
+                            element_blocks, postprocess_factor,
+                            postprocess_velocity, project_facet_tangent,
+                            project_grad, project_pressure,
+                            project_velocity_div)
 from brinkhdg.mesh import QUAD, TRIANGLE, build_structured_mesh
 from brinkhdg.refelem import make_basis, quadrature
 
@@ -102,9 +104,9 @@ def test_project_grad_reproduces_space_members():
         amap = spaces.amap(c)
 
         def field(x):
-            from brinkhdg.fespace import piola_tabulate
-            vals = piola_tabulate(amap, spaces.family.g_row,
-                                  amap.pull_back(x)).values
+            vals = np.einsum("rc,acq->arq", amap.jacobian,
+                             spaces.family.g_row.tabulate(
+                                 amap.pull_back(x))) / amap.det
             return np.einsum("ra,acq->qrc", coef, vals)
 
         proj = project_grad(spaces, c, field)
@@ -277,3 +279,22 @@ def test_postprocessing_mean_matches_velocity_mean():
     mean_star = np.einsum("rj,j->r", star, blocks.pint)
     mean_u = u_coef @ blocks.vint
     assert np.abs(mean_star - mean_u).max() < 1e-11
+
+
+def test_class_blocks_check_gamma_once(monkeypatch):
+    spaces = Spaces(build_structured_mesh(3, TRIANGLE), 1)
+    assert len(spaces.class_rep) > 1
+    calls = []
+    monkeypatch.setattr(forms, "as_gamma_matrix",
+                        lambda g: calls.append(g) or as_gamma_matrix(g))
+    blocks = class_element_blocks(spaces, 1.0, 2.0)
+    assert len(calls) == 1
+    assert len(blocks) == len(spaces.class_rep)
+    for rep, blk in zip(spaces.class_rep, blocks):
+        want = element_blocks(spaces.tab(rep), 1.0, 2.0)
+        assert np.array_equal(blk.mgam, want.mgam)
+    for gamma, message in ((np.array([[1.0, 0.3], [0.0, 1.0]]), "symmetric"),
+                           (np.array([[-1.0, 0.0], [0.0, 1.0]]), "semidefinite"),
+                           (np.ones(3), "scalar or a 2x2")):
+        with pytest.raises(ValueError, match=message):
+            class_element_blocks(spaces, 1.0, gamma)

@@ -1,8 +1,11 @@
 """Condensed solver, uncondensed reference solver, and their equivalence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
 from brinkhdg.forms import element_blocks
 from brinkhdg.hybrid import (build_local_solvers, compare_fields,
@@ -10,7 +13,8 @@ from brinkhdg.hybrid import (build_local_solvers, compare_fields,
                              pressure_integral, solve_direct, solve_hybrid,
                              write_solution_text)
 from brinkhdg.linalg import DenseFactor, SingularMatrixError
-from brinkhdg.mesh import QUAD, TRIANGLE, Mesh, build_structured_mesh
+from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
+                           perturbed_triangles)
 from brinkhdg.verify import data_quadrature_degree, error_norms, make_case
 
 
@@ -95,17 +99,6 @@ def test_pressure_mean_zero():
         assert abs(pressure_integral(spaces, fields)) < 1e-12
 
 
-def perturbed_triangles(n, share, seed):
-    """Diagonal-split n-by-n mesh, interior vertices moved by up to share*h."""
-    base = build_structured_mesh(n, TRIANGLE)
-    vertices = base.vertices.copy()
-    interior = ((vertices > 0.0) & (vertices < 1.0)).all(axis=1)
-    rng = np.random.default_rng(seed)
-    vertices[interior] += rng.uniform(-share / n, share / n,
-                                      size=(int(interior.sum()), 2))
-    return Mesh(vertices, base.cells, TRIANGLE)
-
-
 def test_hybrid_matches_direct_on_perturbed_mesh():
     # weighted and unweighted pressure means differ only on non-uniform
     # cells, so this checks the area-weighted shift after the pinned solve
@@ -138,6 +131,114 @@ def test_direct_factors_postprocessing_once_per_class(monkeypatch):
     spaces = Spaces(build_structured_mesh(8, QUAD), 1)
     solve_direct(spaces, case.nu, case.gamma, case.body_force, case.mass_source)
     assert len(made) == len(spaces.class_rep) < spaces.mesh.num_cells
+
+
+def test_direct_system_has_no_dense_row(monkeypatch):
+    # the pressure constant is pinned, not fixed by a multiplier coupled
+    # to every pressure dof, so each row stays within two cells' unknowns
+    seen = []
+    inner = hybrid.sparse_solve
+
+    def capture(builder, b):
+        seen.append(builder.finalize())
+        return inner(builder, b)
+
+    monkeypatch.setattr(hybrid, "sparse_solve", capture)
+    case = make_case(1)
+    spaces = Spaces(build_structured_mesh(8, QUAD), 1)
+    solve_direct(spaces, case.nu, case.gamma, case.body_force, case.mass_source)
+    fam = spaces.family
+    n_cell = 2 * fam.n_g + fam.n_v + fam.n_q + fam.n_cell_facets * fam.n_facet
+    (mat,) = seen
+    assert np.diff(mat.tocsr().indptr).max() <= 2 * n_cell
+    assert np.diff(mat.indptr).max() <= 2 * n_cell
+
+
+def test_direct_mean_mult_matches_hybrid():
+    # a mass source whose mean is 1e-11, below the refusal tolerance:
+    # both solvers remove the same mean
+    case = make_case(1)
+
+    def offset_source(x):
+        return case.mass_source(x) + 1e-11
+
+    for kind in (QUAD, TRIANGLE):
+        spaces = Spaces(build_structured_mesh(4, kind), 1)
+        a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                         offset_source)
+        b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                         offset_source)
+        assert abs(a.mean_mult - 1e-11) <= 1e-12
+        assert abs(b.mean_mult - a.mean_mult) <= 1e-12
+        assert max(compare_fields(spaces, a, b).values()) < 1e-10
+
+
+def compare_fields_per_cell(spaces, fa, fb):
+    """The per-cell and per-facet loops compare_fields replaces."""
+    dl2 = du2 = dp2 = dut2 = 0.0
+    for c in range(spaces.mesh.num_cells):
+        tab = spaces.tab(c)
+        w = tab.wdet
+        dl = np.einsum("ra,acq->rcq", fa.l[c] - fb.l[c], tab.g)
+        dl2 += float(np.einsum("rcq,rcq,q->", dl, dl, w))
+        du = np.einsum("m,mrq->rq", fa.u[c] - fb.u[c], tab.v)
+        du2 += float(np.einsum("rq,rq,q->", du, du, w))
+        dp = np.einsum("i,iq->q", fa.p[c] - fb.p[c], tab.q_vals)
+        dp2 += float(np.dot(dp ** 2, w))
+    dt = fa.uhat_t - fb.uhat_t
+    kk = spaces.family.n_facet
+    for f in spaces.mesh.interior_facets:
+        rank = spaces.mesh.interior_index[f]
+        seg = dt[rank * kk:(rank + 1) * kk]
+        dut2 += float(spaces.mesh.facet_lengths[f] * np.dot(seg, seg))
+    return {"dl": np.sqrt(dl2), "du": np.sqrt(du2),
+            "dp": np.sqrt(dp2), "dut": np.sqrt(dut2)}
+
+
+def normal_trace_jumps_per_facet(spaces, u_modal):
+    """The per-facet loop normal_trace_jumps replaces."""
+    mesh = spaces.mesh
+    int_max = bnd_max = 0.0
+    for f in range(mesh.num_facets):
+        own, nbr = mesh.facet_cells[f]
+        ft = spaces.tab(own, fine=True).facets[spaces.local_facet(own, f)]
+        vn_own = np.einsum("m,mcq,c->q", u_modal[own], ft.v, ft.normal)
+        if nbr == -1:
+            bnd_max = max(bnd_max, float(np.sqrt(np.sum(ft.w * vn_own ** 2))))
+            continue
+        ftn = spaces.tab(nbr, fine=True).facets[spaces.local_facet(nbr, f)]
+        vn_nbr = np.einsum("m,mcq,c->q", u_modal[nbr], ftn.v, ftn.normal)
+        jump = vn_own - vn_nbr
+        int_max = max(int_max, float(np.sqrt(np.sum(ft.w * jump ** 2))))
+    return int_max, bnd_max
+
+
+def random_fields(spaces, rng):
+    fam = spaces.family
+    nc = spaces.mesh.num_cells
+    n_t = len(spaces.mesh.interior_facets) * fam.n_facet
+    return SimpleNamespace(l=rng.standard_normal((nc, 2, fam.n_g)),
+                           u=rng.standard_normal((nc, fam.n_v)),
+                           p=rng.standard_normal((nc, fam.n_q)),
+                           uhat_t=rng.standard_normal(n_t))
+
+
+def test_field_checks_match_per_cell_loops(monkeypatch):
+    # one-cell classes, and classes split over several blocks
+    monkeypatch.setattr(fespace, "BLOCK_CELLS", 3)
+    rng = np.random.default_rng(4)
+    for mesh, k in ((perturbed_triangles(4, 0.2, seed=1), 2),
+                    (build_structured_mesh(6, QUAD), 1)):
+        spaces = Spaces(mesh, k)
+        fa, fb = random_fields(spaces, rng), random_fields(spaces, rng)
+        got = compare_fields(spaces, fa, fb)
+        want = compare_fields_per_cell(spaces, fa, fb)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-13), key
+        got = normal_trace_jumps(spaces, fa.u)
+        want = normal_trace_jumps_per_facet(spaces, fa.u)
+        assert got == pytest.approx(want, rel=1e-13)
+    assert max(len(cells) for cells in spaces.class_cells) > 3
 
 
 def test_incompatible_mass_source_rejected():

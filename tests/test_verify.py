@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from test_hybrid import perturbed_triangles
 
 from brinkhdg import fespace
 from brinkhdg.fespace import Spaces
@@ -13,7 +12,8 @@ from brinkhdg.forms import (element_blocks, postprocess_factor,
                             project_grad, project_pressure,
                             project_velocity_div)
 from brinkhdg.hybrid import SolutionFields, solve_hybrid
-from brinkhdg.mesh import QUAD, TRIANGLE, build_structured_mesh
+from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
+                           perturbed_triangles)
 from brinkhdg.refelem import quadrature
 from brinkhdg.verify import (BrinkmanCase, ConvergenceTable, ErrorReport,
                              LevelRow, data_quadrature_degree,
