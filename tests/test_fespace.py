@@ -303,6 +303,9 @@ def pull_back_tab(spaces, c, degree):
     vol = quadrature(fam.ref_cell.name, degree)
     pts = vol.points
     cell = {
+        "jacobian": am.jacobian,
+        "inverse_jacobian": am.inverse_jacobian,
+        "ref_points": pts,
         "wdet": vol.weights * am.det,
         "g": piola(fam.g_row.tabulate(pts)),
         "g_div": fam.g_row.tabulate_div(pts) / am.det,
@@ -331,6 +334,8 @@ def pull_back_tab(spaces, c, degree):
             "phi": fam.seg.tabulate(s),
             "w": seg.weights * mesh.facet_lengths[f],
             "s": s,
+            "rel_p0": p0 - am.offset,
+            "rel_p1": p1 - am.offset,
         })
     return cell, facets
 
