@@ -32,8 +32,9 @@ def build_parser():
                    help="reference setting: 1 = (nu 1, gamma 1, m 2), "
                         "2 = (1, 1, 20), 3 = (1e-4, 1, 2)")
     s.add_argument("--nu", type=float, help="viscosity (custom case)")
-    s.add_argument("--gamma", type=float, default=1.0,
-                   help="inverse permeability, scalar times identity")
+    s.add_argument("--gamma", type=float,
+                   help="inverse permeability, scalar times identity "
+                        "(custom case, default 1)")
     s.add_argument("--m", type=int, help="pressure frequency (custom case)")
     s.add_argument("--cells", choices=("quad", "tri"), default="quad",
                    help="cell kind (default quad)")
@@ -62,13 +63,14 @@ def build_parser():
 
 
 def _resolve_case(args, parser):
-    custom = [v is not None for v in (args.nu, args.m)]
     if args.test is not None:
-        if any(custom):
-            parser.error("--test cannot be combined with --nu/--m")
+        if any(v is not None for v in (args.nu, args.gamma, args.m)):
+            parser.error("--test cannot be combined with --nu/--gamma/--m")
         return make_case(args.test)
-    if not all(custom):
+    if args.nu is None or args.m is None:
         parser.error("provide --test or both --nu and --m")
+    if args.gamma is None:
+        args.gamma = 1.0
     if args.nu <= 0:
         parser.error("--nu must be positive")
     if args.gamma <= 0:

@@ -236,14 +236,11 @@ def postprocess_velocity(blocks, factor, l_coef, u_coef):
 
     Each component solves a Neumann-type local problem: its gradient
     matches the corresponding gradient-field row in the L2 sense and its
-    cell mean matches the velocity mean.  Returns (2, n_post).
+    cell mean matches the velocity mean.  l_coef (2, n_g) and u_coef
+    (n_v,) give (2, n_post); with a leading cell axis, (C, 2, n_g) and
+    (C, n_v) give (C, 2, n_post) from one solve.
     """
-    n = blocks.kpp.shape[0]
-    out = np.zeros((2, n))
-    means = u_coef @ blocks.vint
-    for r in range(2):
-        rhs = np.zeros(n + 1)
-        rhs[:n] = l_coef[r] @ blocks.gp_cross
-        rhs[n] = means[r]
-        out[r] = factor.solve(rhs)[:n]
-    return out
+    rhs = np.concatenate([l_coef @ blocks.gp_cross,
+                          (u_coef @ blocks.vint)[..., None]], axis=-1)
+    sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T)
+    return sol[:-1].T.reshape(rhs.shape[:-1] + (-1,))

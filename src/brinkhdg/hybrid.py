@@ -5,8 +5,10 @@ onto facet unknowns: tangential and normal velocity traces on interior
 facets plus one pressure average per cell.  That system is singular only
 along constant pressure averages, so the first cell's average is pinned
 to zero and the averages are shifted to zero area-weighted mean after
-the solve.  Cell solves are cached per geometry class; only data moments
-are evaluated per cell.
+the solve.  Cell solves are factored once per geometry class, and every
+cell-local step (data moments, source solves, the scatter of the energy
+blocks, recovery and the postprocessing of u*) runs on blocks of cells
+of one class (`Spaces.class_blocks`), with one dense operation per block.
 
 `solve_direct` assembles the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
@@ -24,7 +26,7 @@ import numpy as np
 
 from .forms import (class_element_blocks, postprocess_factor,
                     postprocess_velocity, values_at)
-from .linalg import DenseFactor, SparseBuilder, sparse_solve
+from .linalg import DenseFactor, SparseBuilder, block_triplets, sparse_solve
 
 
 class LocalSolver:
@@ -91,16 +93,6 @@ class LocalSolver:
         self.energy = self.lift.T @ zlift
         self.post_factor = postprocess_factor(blocks)
 
-    def source_vector(self, fmom, gmom):
-        s = np.zeros(self.n)
-        o_u, o_p, o_lam = self.offsets[1:]
-        s[o_u:o_p] = fmom
-        s[o_p:o_lam] = gmom[1:]
-        return s
-
-    def solve_source(self, fmom, gmom):
-        return self.factor.solve(self.source_vector(fmom, gmom))
-
 
 @dataclass
 class SolutionFields:
@@ -154,20 +146,22 @@ def _checked_values(func, x, shape, what):
     return vals
 
 
-def _data_moments(spaces, c, f_func, g_func):
+def _data_moments(spaces, cells, f_func, g_func):
     """Velocity moments of f, pressure moments of g, and the integral of |g|.
 
-    c is one cell, or an index array of cells of one geometry class; the
-    moments then gain a leading cell axis.
+    cells is an index array of cells of one geometry class, such as a
+    block of `Spaces.class_blocks`.  f and g are called once, on the
+    stacked fine points of all the cells; the moments are (C, n_v) and
+    (C, n_q), and the integral is summed over the cells.
     """
-    tab = spaces.tab(c, fine=True)
-    x = spaces.vol_points(c, tab)
+    tab = spaces.tab(cells, fine=True)
+    x = spaces.vol_points(cells, tab)
     flat = x.reshape(-1, 2)
     nq = flat.shape[0]
     fv = _checked_values(f_func, flat, (nq, 2), "body force").reshape(x.shape)
     gv = _checked_values(g_func, flat, (nq,), "mass source").reshape(x.shape[:-1])
-    fmom = np.einsum("mrq,...qr,q->...m", tab.v, fv, tab.wdet)
-    gmom = np.einsum("iq,...q,q->...i", tab.q_vals, gv, tab.wdet)
+    fmom = np.einsum("mrq,eqr,q->em", tab.v, fv, tab.wdet)
+    gmom = np.einsum("iq,eq,q->ei", tab.q_vals, gv, tab.wdet)
     return fmom, gmom, float(np.sum(np.abs(gv) @ tab.wdet))
 
 
@@ -206,20 +200,22 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     areas = spaces.dets * fam.ref_cell.measure
     g_abs = 0.0
 
-    for c in range(nc):
-        ls = solvers[spaces.cell_class[c]]
-        fmom, gmom, g_abs_c = _data_moments(spaces, c, f_func, g_func)
-        g_abs += g_abs_c
-        xs = ls.solve_source(fmom, gmom)
-        x_src[c] = xs
-        o_u, o_p = ls.offsets[1], ls.offsets[2]
+    for cells in spaces.class_blocks():
+        ls = solvers[spaces.cell_class[cells[0]]]
+        o_u, o_p, o_lam = ls.offsets[1:]
+        fmom, gmom, g_abs_b = _data_moments(spaces, cells, f_func, g_func)
+        g_abs += g_abs_b
+        src = np.zeros((ls.n, len(cells)))
+        src[o_u:o_p] = fmom.T
+        src[o_p:o_lam] = gmom[:, 1:].T
+        xs = ls.factor.solve(src).T
+        x_src[cells] = xs
         f_loc = fmom @ ls.lift[o_u:o_p] - xs @ ls.zlift
-        cc = cols[c]
+        cc = cols[cells]
+        builder.add(*block_triplets(cc, ls.energy))
         keep = cc >= 0
-        idx = cc[keep]
-        builder.add_block(idx, idx, ls.energy[np.ix_(keep, keep)])
-        np.add.at(rhs, idx, f_loc[keep])
-        rhs[o_pbar + c] = -gmom[0] / q0v
+        np.add.at(rhs, cc[keep], f_loc[keep])
+        rhs[o_pbar + cells] = -gmom[:, 0] / q0v
 
     # pressure rows couple to the first normal-trace dof of each interior
     # facet; cell 0's row has no couplings, since its average is pinned
@@ -265,17 +261,17 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     lam = np.zeros((nc, nfc * kk))
     ustar = np.zeros((nc, 2, fam.n_post))
     eta_pad = np.concatenate([sol[:2 * ntt], [0.0]])
-    for c in range(nc):
-        ls = solvers[spaces.cell_class[c]]
-        eta = eta_pad[cols[c]]
-        xi = ls.lift @ eta + x_src[c]
+    for cells in spaces.class_blocks():
+        ls = solvers[spaces.cell_class[cells[0]]]
         o_u, o_p, o_lam = ls.offsets[1:]
-        l[c] = xi[:o_u].reshape(2, fam.n_g)
-        u[c] = xi[o_u:o_p]
-        p[c, 0] = pbar[c] / q0v
-        p[c, 1:] = xi[o_p:o_lam]
-        lam[c] = xi[o_lam:]
-        ustar[c] = postprocess_velocity(ls.blocks, ls.post_factor, l[c], u[c])
+        xi = eta_pad[cols[cells]] @ ls.lift.T + x_src[cells]
+        l[cells] = xi[:, :o_u].reshape(-1, 2, fam.n_g)
+        u[cells] = xi[:, o_u:o_p]
+        p[cells, 1:] = xi[:, o_p:o_lam]
+        lam[cells] = xi[:, o_lam:]
+        ustar[cells] = postprocess_velocity(ls.blocks, ls.post_factor,
+                                            l[cells], u[cells])
+    p[:, 0] = pbar / q0v
 
     n_local = nc * solvers[0].n
     return SolutionFields(
@@ -351,7 +347,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
                  for blk, rep in zip(blocks_by_class, spaces.class_rep)]
     trace_dofs = mt.facet_dofs[mesh.cell_facets].reshape(nc, -1)
 
-    rows, cols, vals = [], [], []
+    triplets = []
     rhs = np.zeros(n_sys)
     gmom = np.zeros((nc, n_q))
     qint = np.zeros((nc, n_q))
@@ -365,13 +361,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
             np.where(udofs >= 0, o_u + udofs, -1),
             o_p + cells[:, None] * n_q + np.arange(n_q),
             np.where(tdofs >= 0, o_t + tdofs, -1)])
-        shape = (len(cells),) + mat.shape
-        row = np.broadcast_to(dofs[:, :, None], shape)
-        col = np.broadcast_to(dofs[:, None, :], shape)
-        keep = pattern & (row >= 0) & (col >= 0)
-        rows.append(row[keep])
-        cols.append(col[keep])
-        vals.append(np.broadcast_to(mat, shape)[keep])
+        triplets.append(block_triplets(dofs, mat, pattern))
 
         fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
         qint[cells] = blocks_by_class[cls].qint
@@ -386,7 +376,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     rhs[o_p:o_t] = (gmom - mean_mult * qint).ravel()
     pin = o_p + (nc - 1) * n_q
     rhs[pin] = 0.0
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
     free = rows != pin
     builder = SparseBuilder(n_sys, n_sys)
     builder.add(np.append(rows[free], pin), np.append(cols[free], pin),
@@ -395,23 +385,21 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
 
     l = sol[:o_u].reshape(nc, 2, n_g)
     u = np.zeros((nc, n_v))
+    ustar = np.zeros((nc, 2, fam.n_post))
+    post_factors = [postprocess_factor(blk) for blk in blocks_by_class]
     nodal_pad = np.append(sol[o_u:o_p], 0.0)
-    for cells in spaces.class_cells:
+    for cells in spaces.class_blocks():
+        cls = spaces.cell_class[cells[0]]
         u[cells] = (nodal_pad[vd.cell_dofs[cells]]
                     @ spaces.nodal_transform(cells).T)
+        ustar[cells] = postprocess_velocity(
+            blocks_by_class[cls], post_factors[cls], l[cells], u[cells])
     p = sol[o_p:o_t].reshape(nc, n_q).copy()
     p[:, 0] -= np.einsum("ci,ci->", p, qint) / qint[:, 0].sum()
     uhat_t = sol[o_t:]
     n_int = len(mesh.interior_facets)
     uhat_n = (sol[o_u:o_u + n_int * kk].reshape(n_int, kk)
               / mesh.facet_lengths[mesh.interior_facets, None]).ravel()
-
-    post_factors = [postprocess_factor(blk) for blk in blocks_by_class]
-    ustar = np.zeros((nc, 2, fam.n_post))
-    for c in range(nc):
-        cls = spaces.cell_class[c]
-        ustar[c] = postprocess_velocity(blocks_by_class[cls], post_factors[cls],
-                                        l[c], u[c])
 
     return SolutionFields(
         k=spaces.k, cell_kind=mesh.cell_kind, l=l, u=u, p=p,

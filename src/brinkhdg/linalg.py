@@ -66,17 +66,6 @@ class SparseBuilder:
         self._cols.append(cols)
         self._vals.append(vals)
 
-    def add_block(self, rows, cols, block):
-        """Scatter a dense block: entry block[i, j] goes to (rows[i], cols[j])."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        block = np.asarray(block, dtype=float)
-        if block.shape != (rows.size, cols.size):
-            raise ValueError("block shape does not match index arrays")
-        rr = np.repeat(rows, cols.size)
-        cc = np.tile(cols, rows.size)
-        self.add(rr, cc, block.ravel())
-
     def finalize(self):
         if self._rows:
             rows = np.concatenate(self._rows)
@@ -95,6 +84,27 @@ class SparseBuilder:
         return sp.coo_matrix(
             (vals[order], (rows[order], cols[order])), shape=self.shape
         ).tocsc()
+
+
+def block_triplets(dofs, block, pattern=None):
+    """COO triplets of one dense block per cell.
+
+    dofs is (C, n), and block[i, j] goes to (dofs[e, i], dofs[e, j]) for
+    every cell e.  Entries at a negative dof are dropped, and so are those
+    outside the boolean (n, n) pattern when one is given.  Triplets come
+    in cell, row, column order.
+    """
+    dofs = np.asarray(dofs, dtype=np.int64)
+    block = np.asarray(block, dtype=float)
+    n = dofs.shape[-1]
+    if dofs.ndim != 2 or block.shape != (n, n):
+        raise ValueError(f"block shape {block.shape} does not match dofs "
+                         f"of shape {dofs.shape}")
+    keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+    if pattern is not None:
+        keep &= pattern
+    e, i, j = np.nonzero(keep)
+    return dofs[e, i], dofs[e, j], block[i, j]
 
 
 class SparseFactor:

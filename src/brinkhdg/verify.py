@@ -432,7 +432,9 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
 
     Level 1 uses base_n (8 for quads, 4 for triangles, matching ladders
     starting at 64 and 32 cells); each level halves h.  The oracle check
-    runs the uncondensed solve on the coarsest level.
+    runs the uncondensed solve on the coarsest level.  A row's seconds
+    run from the set-up of its Spaces through its error norms, and leave
+    out the oracle.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -441,9 +443,9 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
     for lev in range(1, levels + 1):
         n = base * 2 ** (lev - 1)
         mesh = build_structured_mesh(n, cell_kind)
+        t0 = time.perf_counter()
         spaces = Spaces(mesh, k, assembly_degree=quad_degree,
                         fine_degree=data_quadrature_degree(case, k, n))
-        t0 = time.perf_counter()
         try:
             fields = solve_hybrid(spaces, case.nu, case.gamma,
                                   case.body_force, case.mass_source)
@@ -451,8 +453,8 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
             raise RuntimeError(
                 f"solve failed at level {lev} ({cell_kind}, n={n}, k={k}): {exc}"
             ) from exc
-        seconds = time.perf_counter() - t0
         report = error_norms(spaces, fields, case)
+        seconds = time.perf_counter() - t0
         disc = None
         if check_oracle and lev == 1:
             direct = solve_direct(spaces, case.nu, case.gamma,

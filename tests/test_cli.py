@@ -41,6 +41,7 @@ def test_help_lists_flags(capsys):
     ["solve", "--test", "1", "--base-n", "0"],
     ["solve", "--test", "1", "--k", "4"],                   # above quad range
     ["solve", "--test", "1", "--cells", "tri", "--k", "0"],  # below tri range
+    ["solve", "--test", "1", "--gamma", "5"],               # tests fix gamma
 ])
 def test_rejected_arguments(argv, capsys):
     with pytest.raises(SystemExit) as info:

@@ -186,11 +186,17 @@ def test_projections_of_a_cell_array_match_per_cell():
         assert len(cells) > 1
         u_all = project_velocity_div(spaces, cells, field)
         l_all = project_grad(spaces, cells, grad_field)
+        blocks = element_blocks(spaces.tab(cells), 1.0, 1.0)
+        factor = postprocess_factor(blocks)
+        s_all = postprocess_velocity(blocks, factor, l_all, u_all)
+        assert s_all.shape == (len(cells), 2, spaces.family.n_post)
         for i, c in enumerate(cells):
             u_one = project_velocity_div(spaces, c, field)
             l_one = project_grad(spaces, c, grad_field)
             assert np.abs(u_all[i] - u_one).max() < 1e-13 * np.abs(u_one).max()
             assert np.abs(l_all[i] - l_one).max() < 1e-13 * np.abs(l_one).max()
+            s_one = postprocess_velocity(blocks, factor, l_one, u_one)
+            assert np.abs(s_all[i] - s_one).max() < 1e-13 * np.abs(s_one).max()
         mesh = spaces.mesh
         t_all = project_facet_tangent(mesh, np.arange(mesh.num_facets), 2,
                                       field, spaces.fine_degree)

@@ -1,5 +1,6 @@
 """Condensed solver, uncondensed reference solver, and their equivalence."""
 
+from dataclasses import fields as dataclass_fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
 from brinkhdg.forms import element_blocks
-from brinkhdg.hybrid import (build_local_solvers, compare_fields,
-                             evaluate_fields, mass_balance_residual,
-                             pressure_integral, solve_direct, solve_hybrid,
-                             write_solution_text)
+from brinkhdg.hybrid import (SolutionFields, build_local_solvers,
+                             compare_fields, evaluate_fields,
+                             mass_balance_residual, pressure_integral,
+                             solve_direct, solve_hybrid, write_solution_text)
 from brinkhdg.linalg import DenseFactor, SingularMatrixError
 from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
                            perturbed_triangles)
@@ -239,6 +240,35 @@ def test_field_checks_match_per_cell_loops(monkeypatch):
         want = normal_trace_jumps_per_facet(spaces, fa.u)
         assert got == pytest.approx(want, rel=1e-13)
     assert max(len(cells) for cells in spaces.class_cells) > 3
+
+
+def test_solves_match_across_block_sizes(monkeypatch):
+    # one cell per block, classes split over several blocks, and the
+    # default; 8x8 quads have one class of 64 cells, the perturbed
+    # triangles one-cell classes
+    case = make_case(1)
+    sizes = (1, 3, fespace.BLOCK_CELLS)
+    for mesh, k in ((build_structured_mesh(8, QUAD), 1),
+                    (perturbed_triangles(4, 0.2, seed=2016), 2)):
+        for solve in (solve_hybrid, solve_direct):
+            runs = []
+            for size in sizes:
+                monkeypatch.setattr(fespace, "BLOCK_CELLS", size)
+                spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(
+                    case, k, 4))
+                runs.append(solve(spaces, case.nu, case.gamma,
+                                  case.body_force, case.mass_source))
+            ref = runs[0]
+            for run in runs[1:]:
+                for fld in dataclass_fields(SolutionFields):
+                    want, got = getattr(ref, fld.name), getattr(run, fld.name)
+                    if isinstance(want, np.ndarray):
+                        gap = np.abs(got - want).max()
+                        assert gap <= 1e-12 * np.abs(want).max(), fld.name
+                    elif fld.name == "mean_mult":
+                        assert abs(got - want) <= 1e-12
+                    else:
+                        assert got == want, fld.name
 
 
 def test_incompatible_mass_source_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
-                             SparseFactor, sparse_solve)
+                             SparseFactor, block_triplets, sparse_solve)
 
 
 def laplacian_1d(n):
@@ -110,12 +110,25 @@ def test_duplicate_entries_sum():
 
 
 def test_add_block_layout():
-    builder = SparseBuilder(3, 3)
-    block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    builder.add_block([2, 0], [1, 2], block)
+    # block[i, j] of cell e goes to (dofs[e, i], dofs[e, j]); a negative
+    # dof drops its row and column, the pattern drops what it leaves out
+    block = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    dofs = np.array([[2, 0, 1], [3, -1, 0]])
+    rows, cols, vals = block_triplets(dofs, block)
+    assert len(rows) == 9 + 4
+    builder = SparseBuilder(4, 4)
+    builder.add(rows, cols, vals)
     arr = builder.finalize().toarray()
-    assert arr[2, 1] == 1.0 and arr[2, 2] == 2.0
-    assert arr[0, 1] == 3.0 and arr[0, 2] == 4.0
+    want = np.zeros((4, 4))
+    want[np.ix_([2, 0, 1], [2, 0, 1])] += block
+    want[np.ix_([3, 0], [3, 0])] += block[np.ix_([0, 2], [0, 2])]
+    assert np.array_equal(arr, want)
+    pattern = np.eye(3, dtype=bool)
+    pattern[0, 2] = True
+    rows, cols, vals = block_triplets(dofs, block, pattern)
+    assert list(zip(rows, cols, vals)) == [
+        (2, 2, 1.0), (2, 1, 3.0), (0, 0, 5.0), (1, 1, 9.0),
+        (3, 3, 1.0), (3, 0, 3.0), (0, 0, 9.0)]
 
 
 def test_insertion_order_invariance():
@@ -161,5 +174,5 @@ def test_index_validation():
         builder.finalize()
     with pytest.raises(ValueError):
         builder.add([0, 1], [0], [1.0])
-    with pytest.raises(ValueError):
-        SparseBuilder(2, 2).add_block([0], [0], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="does not match dofs"):
+        block_triplets(np.array([[0]]), np.ones((2, 2)))
