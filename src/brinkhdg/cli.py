@@ -28,6 +28,8 @@ def build_parser():
         "solve", help="run a convergence study",
         description="Solve the manufactured problem on a ladder of "
                     "uniformly refined meshes and tabulate errors.")
+    # argument errors found after parsing are reported with this usage
+    s.set_defaults(parser=s)
     s.add_argument("--test", type=int, choices=(1, 2, 3),
                    help="reference setting: 1 = (nu 1, gamma 1, m 2), "
                         "2 = (1, 1, 20), 3 = (1e-4, 1, 2)")
@@ -138,12 +140,10 @@ def run(args, parser):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve":
-        return run(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return run(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -79,11 +79,31 @@ class SparseBuilder:
                           or cols.min() < 0 or cols.max() >= self.shape[1]):
             raise ValueError("triplet index out of range")
         # sort by (row, col, value) so duplicate summation order does not
-        # depend on insertion order
-        order = np.lexsort((vals, cols, rows))
-        return sp.coo_matrix(
-            (vals[order], (rows[order], cols[order])), shape=self.shape
-        ).tocsc()
+        # depend on insertion order, with one argsort on a combined key.
+        # Rows and columns are read back from the key; each array is
+        # dropped once the next one holds its data, which keeps the peak
+        # memory below that of a 3-key lexsort
+        key = rows * self.shape[1] + cols
+        del rows, cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        del order
+        _sort_repeated_values(key, vals)
+        rows, cols = np.divmod(key, self.shape[1])
+        del key
+        return sp.coo_matrix((vals, (rows, cols)), shape=self.shape).tocsc()
+
+
+def _sort_repeated_values(key, vals):
+    """Sort vals in place within each run of equal sorted keys.
+
+    Only runs of three or more entries are touched: two summands give
+    the same sum in either order.
+    """
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(first, append=key.size)
+    many = np.flatnonzero(np.repeat(counts >= 3, counts))
+    vals[many] = vals[many[np.lexsort((vals[many], key[many]))]]
 
 
 def block_triplets(dofs, block, pattern=None):

@@ -47,7 +47,9 @@ def test_rejected_arguments(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    capsys.readouterr()
+    # errors in solve's arguments show the usage that lists its flags
+    usage = "usage: brinkhdg solve " if argv else "usage: brinkhdg [-h]"
+    assert capsys.readouterr().err.startswith(usage)
 
 
 def test_force_k_bypasses_range(tmp_path, capsys):

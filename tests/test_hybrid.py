@@ -8,7 +8,7 @@ import pytest
 
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
-from brinkhdg.forms import element_blocks
+from brinkhdg.forms import class_element_blocks, element_blocks
 from brinkhdg.hybrid import (SolutionFields, build_local_solvers,
                              compare_fields, evaluate_fields,
                              mass_balance_residual, pressure_integral,
@@ -60,13 +60,19 @@ def test_zero_data_gives_zero_solution():
 
 
 def test_hybrid_matches_direct():
+    # every supported degree, in the Stokes regime and at the Darcy-
+    # dominated end, where the gradient rows are scaled by a small nu
     case = make_case(1)
-    for kind in (QUAD, TRIANGLE):
-        spaces, fields = solve_case(kind, 2, 1, case)
-        direct = solve_direct(spaces, case.nu, case.gamma,
-                              case.body_force, case.mass_source)
-        diffs = compare_fields(spaces, fields, direct)
-        assert max(diffs.values()) < 1e-10, diffs
+    for nu in (1.0, 1e-4):
+        for kind, degrees in ((QUAD, (0, 1, 2, 3)), (TRIANGLE, (1, 2, 3))):
+            for k in degrees:
+                spaces = Spaces(build_structured_mesh(2, kind), k)
+                a = solve_hybrid(spaces, nu, case.gamma, case.body_force,
+                                 case.mass_source)
+                b = solve_direct(spaces, nu, case.gamma, case.body_force,
+                                 case.mass_source)
+                diffs = compare_fields(spaces, a, b)
+                assert max(diffs.values()) < 1e-10, (nu, kind, k, diffs)
 
 
 def test_hybrid_matches_direct_anisotropic_gamma():
@@ -131,7 +137,14 @@ def test_direct_factors_postprocessing_once_per_class(monkeypatch):
     case = make_case(1)
     spaces = Spaces(build_structured_mesh(8, QUAD), 1)
     solve_direct(spaces, case.nu, case.gamma, case.body_force, case.mass_source)
-    assert len(made) == len(spaces.class_rep) < spaces.mesh.num_cells
+    # one postprocessing factor and one gradient mass factor per class
+    fam = spaces.family
+    n_cls = len(spaces.class_rep)
+    assert n_cls < spaces.mesh.num_cells
+    assert (fam.n_post + 1) != fam.n_g
+    assert made.count((fam.n_post + 1, fam.n_post + 1)) == n_cls
+    assert made.count((fam.n_g, fam.n_g)) == n_cls
+    assert len(made) == 2 * n_cls
 
 
 def test_direct_system_has_no_dense_row(monkeypatch):
@@ -153,6 +166,45 @@ def test_direct_system_has_no_dense_row(monkeypatch):
     (mat,) = seen
     assert np.diff(mat.tocsr().indptr).max() <= 2 * n_cell
     assert np.diff(mat.indptr).max() <= 2 * n_cell
+
+
+def test_direct_eliminates_gradient_rows(monkeypatch):
+    # the sparse system holds only velocity, pressure and trace unknowns,
+    # and the recovered gradient satisfies the uncondensed gradient rows
+    seen = []
+    inner = hybrid.sparse_solve
+
+    def capture(builder, b):
+        seen.append(builder.shape)
+        return inner(builder, b)
+
+    monkeypatch.setattr(hybrid, "sparse_solve", capture)
+    case = make_case(1)
+    spaces = Spaces(perturbed_triangles(4, 0.2, seed=2016), 2,
+                    fine_degree=data_quadrature_degree(case, 2, 4))
+    fields = solve_direct(spaces, case.nu, case.gamma,
+                          case.body_force, case.mass_source)
+    mesh = spaces.mesh
+    fam = spaces.family
+    nc = mesh.num_cells
+    n_kept = (spaces.dofmap("V_div0").total + nc * fam.n_q
+              + spaces.dofmap("Mt0").total)
+    assert seen == [(n_kept, n_kept)]
+    assert fields.n_global == n_kept
+
+    trace_dofs = spaces.dofmap("Mt0").facet_dofs[mesh.cell_facets]
+    uhat_pad = np.append(fields.uhat_t, 0.0)
+    blocks = class_element_blocks(spaces, case.nu, case.gamma)
+    n_l = 2 * fam.n_g
+    for c in range(nc):
+        trans = spaces.nodal_transform(c)
+        mat, _ = hybrid._direct_cell_matrix(
+            blocks[spaces.cell_class[c]], trans, fam)
+        x = np.concatenate([fields.l[c].ravel(),
+                            np.linalg.solve(trans, fields.u[c]),
+                            fields.p[c], uhat_pad[trace_dofs[c].ravel()]])
+        scale = np.abs(mat[:n_l]).max() * np.abs(x).max()
+        assert np.abs(mat[:n_l] @ x).max() <= 1e-13 * scale
 
 
 def test_direct_mean_mult_matches_hybrid():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
                              SparseFactor, block_triplets, sparse_solve)
@@ -143,6 +144,28 @@ def test_insertion_order_invariance():
             builder.add([i], [j], [v])
         mats.append(builder.finalize().toarray())
     assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
+
+
+def test_finalize_matches_lexsort_reference():
+    # triplets with up to 4 duplicates per entry, in shuffled order, sum
+    # as after a sort by (row, col, value)
+    rng = np.random.default_rng(8)
+    n = 60
+    cells = rng.choice(n * n, size=400, replace=False)
+    rows, cols = np.divmod(np.repeat(cells, rng.integers(1, 5, cells.size)), n)
+    scales = 10.0 ** rng.integers(-16, 2, rows.size)
+    vals = rng.standard_normal(rows.size) * scales
+    shuffle = rng.permutation(rows.size)
+    rows, cols, vals = rows[shuffle], cols[shuffle], vals[shuffle]
+    order = np.lexsort((vals, cols, rows))
+    want = sp.coo_matrix((vals[order], (rows[order], cols[order])),
+                         shape=(n, n)).tocsc()
+    builder = SparseBuilder(n, n)
+    for part in np.array_split(np.arange(rows.size), 7):
+        builder.add(rows[part], cols[part], vals[part])
+    got = builder.finalize()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_sparse_factor_once_solve_many():
