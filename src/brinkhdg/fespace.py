@@ -7,11 +7,14 @@ cell map.
 
 Reference bases are tabulated once per quadrature degree on the
 reference cell (`ElementFamily.reference_tab`); a geometry class only
-pushes those values forward with its jacobian.  Tabulations are cached
-per geometry class: cells sharing jacobian, the relative positions of
-their facets and the facet orientation signs reuse the same arrays.  On
-the structured meshes built here this collapses thousands of cells to a
-handful of classes.  `Spaces.class_blocks` hands out the cells of each
+pushes those values forward with its jacobian.  Cells sharing jacobian,
+the relative positions of their facets and the facet orientation signs
+form one geometry class.  On the structured meshes built here this
+collapses thousands of cells to a handful of classes; on perturbed
+meshes every cell is its own class.  Per-class quantities (the
+tabulation, `ClassTabs`, and from it the element blocks, local solves
+and nodal transforms) are stacked along a leading class axis and formed
+for all classes at once.  `Spaces.class_blocks` hands out the cells of each
 class in blocks, and the point and tabulation lookups accept such an
 index array in place of one cell, so per-cell quantities can be formed
 a block at a time.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import DenseFactor, SingularMatrixError
 from .mesh import QUAD, TRIANGLE, AffineMap, cell_geometry
 from .refelem import (REFERENCE_CELLS, SIMPLEX, SQUARE, SegmentBasis,
                       divergence_span_coeffs, make_basis, quadrature)
@@ -172,6 +176,105 @@ class CellTab:
     facets: list
 
 
+@dataclass(frozen=True)
+class ClassTabs:
+    """Tabulations of a stack of geometry classes at one quadrature degree.
+
+    Arrays that depend on the geometry carry a leading class axis (S),
+    and facet arrays the local facet (f) next; the values of the
+    reference rules shared by every class (ref_points, q_vals, post,
+    int_div, s, phi) carry neither.  `cells` holds the cell each class
+    was tabulated from.  `at(i)` gives the CellTab of class i as views.
+    All arrays are read-only.
+    """
+
+    cells: np.ndarray       # (S,)
+    degree: int
+    ref_points: np.ndarray  # (q, 2)
+    jacobian: np.ndarray    # (S, 2, 2)
+    inverse_jacobian: np.ndarray
+    det: np.ndarray         # (S,)
+    wdet: np.ndarray        # (S, q)
+    g: np.ndarray           # (S, n_g, 2, q)
+    g_div: np.ndarray       # (S, n_g, q)
+    v: np.ndarray           # (S, n_v, 2, q)
+    v_grad: np.ndarray      # (S, n_v, 2, 2, q)
+    v_div: np.ndarray       # (S, n_v, q)
+    q_vals: np.ndarray      # (n_q, q)
+    post: np.ndarray        # (n_post, q)
+    post_grad: np.ndarray   # (S, n_post, 2, q)
+    int_div: np.ndarray     # (n_int_scalar, q)
+    sign: np.ndarray        # (S, f)
+    h: np.ndarray           # (S, f)
+    normal: np.ndarray      # (S, f, 2)
+    outward: np.ndarray     # (S, f, 2)
+    tangent: np.ndarray     # (S, f, 2)
+    rel_p0: np.ndarray      # (S, f, 2)
+    rel_p1: np.ndarray      # (S, f, 2)
+    s: np.ndarray           # (qf,)
+    w: np.ndarray           # (S, f, qf)
+    phi: np.ndarray         # (k+1, qf)
+    facet_g: np.ndarray     # (S, f, n_g, 2, qf)
+    facet_v: np.ndarray     # (S, f, n_v, 2, qf)
+    facet_q: np.ndarray     # (S, f, n_q, qf)
+
+    def at(self, i):
+        """The CellTab of class i; its arrays are views of the stack."""
+        facets = [FacetTab(
+            sign=int(self.sign[i, lf]), h=float(self.h[i, lf]),
+            normal=self.normal[i, lf], outward=self.outward[i, lf],
+            tangent=self.tangent[i, lf], rel_p0=self.rel_p0[i, lf],
+            rel_p1=self.rel_p1[i, lf], s=self.s, w=self.w[i, lf],
+            phi=self.phi, g=self.facet_g[i, lf], v=self.facet_v[i, lf],
+            q=self.facet_q[i, lf]) for lf in range(self.sign.shape[1])]
+        return CellTab(
+            degree=self.degree, jacobian=self.jacobian[i],
+            inverse_jacobian=self.inverse_jacobian[i], det=float(self.det[i]),
+            ref_points=self.ref_points, wdet=self.wdet[i], g=self.g[i],
+            g_div=self.g_div[i], v=self.v[i], v_grad=self.v_grad[i],
+            v_div=self.v_div[i], q_vals=self.q_vals, post=self.post,
+            post_grad=self.post_grad[i], int_div=self.int_div, facets=facets)
+
+
+def factor_classes(mats, cells, what):
+    """DenseFactor of a stack of per-class matrices.
+
+    cells[i] is a cell of the class of matrix i; a singular matrix
+    raises SingularMatrixError naming that cell.
+    """
+    try:
+        return DenseFactor(mats)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{what} of cell {cells[exc.index]}: {exc}",
+                                  index=exc.index) from exc
+
+
+def nodal_dof_matrices(tabs):
+    """Velocity dof matrices B, (S, n_v, n_v), of a stack of classes.
+
+    B[beta, m] = functional beta on basis m.  Rows: facet normal moments
+    against the facet Legendre basis (global facet normal), then interior
+    moments of each component against the orthonormalized divergence
+    span of the gradient rows.
+    """
+    n_cls, n_v = tabs.v.shape[:2]
+    vn = np.einsum("sfmcq,sfc->sfmq", tabs.facet_v, tabs.normal)
+    b = np.einsum("jq,sfmq,sfq->sfjm", tabs.phi, vn, tabs.w)
+    b = b.reshape(n_cls, -1, n_v)
+    if tabs.int_div.shape[0]:
+        mom = np.einsum("smrq,iq,sq->srim", tabs.v, tabs.int_div, tabs.wdet)
+        b = np.concatenate([b, mom.reshape(n_cls, -1, n_v)], axis=1)
+    return b
+
+
+def nodal_transforms(tabs):
+    """T per class, (S, n_v, n_v): field = sum_m (T @ alpha)_m V_m for
+    nodal coefficients alpha."""
+    b = nodal_dof_matrices(tabs)
+    factor = factor_classes(b, tabs.cells, "nodal dof matrix")
+    return factor.solve(np.broadcast_to(np.eye(b.shape[-1]), b.shape))
+
+
 @dataclass
 class DofMap:
     """Global numbering for one discrete space."""
@@ -226,9 +329,10 @@ def build_dofmap(mesh, tag, k):
 class Spaces:
     """Mapped-element data for one (mesh, degree) pair.
 
-    Provides per-cell tabulations cached by geometry class, affine maps,
-    the nodal (facet-moment / interior-moment) velocity transform, and the
-    dof maps of all discrete spaces.
+    Provides the tabulations of all geometry classes, stacked
+    (`class_tabs`) and per class (`tab`), affine maps, the nodal
+    (facet-moment / interior-moment) velocity transform, and the dof maps
+    of all discrete spaces.
     """
 
     def __init__(self, mesh, k, assembly_degree=None, fine_degree=None):
@@ -265,7 +369,8 @@ class Spaces:
         counts = np.bincount(self.cell_class, minlength=len(self.class_rep))
         self.class_cells = np.split(cells, np.cumsum(counts)[:-1])
         self._tabs = {}
-        self._nodal = {}
+        self._class_tabs = {}
+        self._nodal = None
         self._dofmaps = {}
 
     # -- lookups --------------------------------------------------------
@@ -299,56 +404,86 @@ class Spaces:
     # -- tabulation -------------------------------------------------------
 
     def tab(self, c, fine=False):
+        """Tabulation of the class of cell c (or of an index array of cells
+        of one class); the same CellTab object for every cell of a class."""
         degree = self.fine_degree if fine else self.assembly_degree
         key = (self._class_of(c), degree)
         if key not in self._tabs:
-            self._tabs[key] = self._build_tab(self.class_rep[key[0]], degree)
+            self._tabs[key] = self.class_tabs(fine).at(key[0])
         return self._tabs[key]
 
-    def _build_tab(self, rep, degree):
-        """Push the reference values forward with the class jacobian.
+    def class_tabs(self, fine=False):
+        """Stacked tabulation of every class, in class order, made on
+        first use."""
+        degree = self.fine_degree if fine else self.assembly_degree
+        if degree not in self._class_tabs:
+            self._class_tabs[degree] = self.tabulate(self.class_rep, fine)
+        return self._class_tabs[degree]
 
-        Vector bases map by the contravariant Piola transform, scalar
-        bases by composition.  On each local facet the reference values
-        are taken in the direction of the stored facet, which runs from
-        its lower-numbered vertex to the higher one.
+    def tabulate(self, cells, fine=False):
+        """ClassTabs of the geometry of each given cell.
+
+        The reference values are pushed forward with one array operation
+        per array over the stacked jacobians: vector bases by the
+        contravariant Piola transform, scalar bases by composition.  On
+        each local facet the reference values are taken in the direction
+        of the stored facet, which runs from its lower-numbered vertex to
+        the higher one.
         """
         fam = self.family
+        degree = self.fine_degree if fine else self.assembly_degree
         ref = fam.reference_tab(degree)
         vol = quadrature(fam.ref_cell.name, degree)
         seg = quadrature("segment", degree)
         mesh = self.mesh
-        jac, inv = self.jacobians[rep], self.inverse_jacobians[rep]
-        det = float(self.dets[rep])
-        off = self.offsets[rep]
+        cells = np.array(cells, dtype=int)
+        jac, inv = self.jacobians[cells], self.inverse_jacobians[cells]
+        det = self.dets[cells]
 
-        def piola(vhat):
-            return np.einsum("rc,ncq->nrq", jac, vhat) / det
+        def piola(jac_b, vhat):
+            """jac_b @ vhat / det, with jac_b the jacobians shaped to
+            broadcast against the reference values vhat (..., 2, q)."""
+            out = jac_b @ vhat
+            out /= det.reshape((-1,) + (1,) * (out.ndim - 1))
+            return out
 
-        facets = []
-        loop = mesh.cells[rep]
-        for lf, (a, b) in enumerate(fam.ref_cell.facets):
-            f = mesh.cell_facets[rep, lf]
-            back = int(loop[a] > loop[b])
-            sgn = int(mesh.cell_facet_signs[rep, lf])
-            v0, v1 = mesh.facet_vertices[f]
-            h = float(mesh.facet_lengths[f])
-            normal = mesh.facet_normals[f].copy()
-            facets.append(FacetTab(
-                sign=sgn, h=h, normal=normal, outward=sgn * normal,
-                tangent=mesh.facet_tangents[f].copy(),
-                rel_p0=mesh.vertices[v0] - off, rel_p1=mesh.vertices[v1] - off,
-                s=seg.points[:, 0], w=seg.weights * h, phi=ref.phi,
-                g=piola(ref.facet_g[lf, back]), v=piola(ref.facet_v[lf, back]),
-                q=ref.facet_q[lf, back]))
-        return CellTab(
-            degree=degree, jacobian=jac, inverse_jacobian=inv, det=det,
-            ref_points=vol.points, wdet=vol.weights * det,
-            g=piola(ref.g), g_div=ref.g_div / det, v=piola(ref.v),
-            v_grad=np.einsum("ab,nbcq,cd->nadq", jac, ref.v_grad, inv) / det,
-            v_div=ref.v_div / det, q_vals=ref.q_vals, post=ref.post,
-            post_grad=np.einsum("ba,nbq->naq", inv, ref.post_grad),
-            int_div=ref.int_div, facets=facets)
+        v_grad = np.einsum("sab,nbcq,scd->snadq", jac, ref.v_grad, inv,
+                           optimize=True)
+        v_grad /= det[:, None, None, None, None]
+        # back[s, lf] = 1 where the stored facet runs against the
+        # reference facet lf
+        ref_facets = np.array(fam.ref_cell.facets)
+        loops = mesh.cells[cells]
+        back = (loops[:, ref_facets[:, 0]]
+                > loops[:, ref_facets[:, 1]]).astype(int)
+        lf = np.arange(len(ref_facets))
+        f = mesh.cell_facets[cells]
+        sign = mesh.cell_facet_signs[cells].astype(int)
+        h = mesh.facet_lengths[f]
+        normal = mesh.facet_normals[f]
+        rel = (mesh.vertices[mesh.facet_vertices[f]]
+               - self.offsets[cells, None, None])
+        tabs = ClassTabs(
+            cells=cells, degree=degree, ref_points=vol.points,
+            jacobian=jac, inverse_jacobian=inv, det=det,
+            wdet=det[:, None] * vol.weights,
+            g=piola(jac[:, None], ref.g), g_div=ref.g_div / det[:, None, None],
+            v=piola(jac[:, None], ref.v), v_grad=v_grad,
+            v_div=ref.v_div / det[:, None, None],
+            q_vals=ref.q_vals, post=ref.post,
+            post_grad=np.einsum("sba,nbq->snaq", inv, ref.post_grad),
+            int_div=ref.int_div,
+            sign=sign, h=h, normal=normal, outward=sign[..., None] * normal,
+            tangent=mesh.facet_tangents[f],
+            rel_p0=rel[:, :, 0], rel_p1=rel[:, :, 1],
+            s=seg.points[:, 0], w=h[..., None] * seg.weights, phi=ref.phi,
+            facet_g=piola(jac[:, None, None], ref.facet_g[lf, back]),
+            facet_v=piola(jac[:, None, None], ref.facet_v[lf, back]),
+            facet_q=ref.facet_q[lf, back])
+        for arr in vars(tabs).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return tabs
 
     def vol_points(self, c, tab):
         """Volume points (q, 2) of cell c, or (C, q, 2) for an index array."""
@@ -371,33 +506,17 @@ class Spaces:
 
     # -- nodal velocity transform ----------------------------------------
 
-    def nodal_dof_matrix(self, c):
-        """Velocity dof matrix B: B[beta, m] = functional beta on basis m.
-
-        Rows: facet normal moments against the facet Legendre basis (global
-        facet normal), then interior moments of each component against the
-        orthonormalized divergence span of the gradient rows.
-        """
-        fam = self.family
-        tab = self.tab(c)
-        kk = fam.n_facet
-        b = np.zeros((fam.n_v, fam.n_v))
-        for lf, ft in enumerate(tab.facets):
-            vn = np.einsum("mcq,c->mq", ft.v, ft.normal)
-            b[lf * kk:(lf + 1) * kk] = np.einsum("jq,mq,q->jm", ft.phi, vn, ft.w)
-        base = fam.n_cell_facets * kk
-        if fam.n_int_scalar:
-            mom = np.einsum("mrq,iq,q->rim", tab.v, tab.int_div, tab.wdet)
-            b[base:] = mom.reshape(fam.n_v_interior, fam.n_v)
-        return b
+    def class_nodal_transforms(self):
+        """Nodal transforms of every class, (n_cls, n_v, n_v); see
+        `nodal_transforms`."""
+        if self._nodal is None:
+            self._nodal = nodal_transforms(self.class_tabs())
+            self._nodal.flags.writeable = False
+        return self._nodal
 
     def nodal_transform(self, c):
         """T with field = sum_m (T @ alpha)_m V_m for nodal coefficients alpha."""
-        key = self._class_of(c)
-        if key not in self._nodal:
-            b = self.nodal_dof_matrix(self.class_rep[key])
-            self._nodal[key] = np.linalg.solve(b, np.eye(b.shape[0]))
-        return self._nodal[key]
+        return self.class_nodal_transforms()[self._class_of(c)]
 
 
 def normal_trace_jumps(spaces, u_modal, fine=True):

@@ -1,9 +1,10 @@
 """Element integrals, projections, and local velocity postprocessing.
 
-Block matrices are computed per geometry class from cached tabulations.
-Index conventions: a, b run over gradient-row functions, m, n over
-velocity functions, i, j over pressure / facet-polynomial indices, r, c
-over spatial components, q over quadrature points.
+Block matrices are computed for a stack of geometry classes at once,
+from their stacked tabulation.  Index conventions: s runs over the
+classes, f over local facets, a, b over gradient-row functions, m, n
+over velocity functions, i, j over pressure / facet-polynomial indices,
+r, c, t over spatial components, q over quadrature points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DenseFactor
+from .fespace import factor_classes
 from .refelem import SegmentBasis, quadrature
 
 
@@ -33,88 +34,77 @@ def as_gamma_matrix(gamma):
 
 
 @dataclass
-class FacetBlocks:
-    """Per-local-facet couplings with the cell interior."""
-
-    sign: int
-    h: float
-    normal: np.ndarray
-    tangent: np.ndarray
-    that: np.ndarray     # (k+1, n_g)  facet poly vs gradient-row normal trace
-    tlam: np.ndarray     # (n_v, k+1)  velocity normal trace vs facet poly
-    tgt: np.ndarray      # (n_g, n_v)  (G.n)(V.t) facet coupling
-
-
-@dataclass
 class ElementBlocks:
-    """Volume and facet block matrices for one geometry class."""
+    """Volume and facet block matrices of a stack of geometry classes.
 
+    Every array has a leading class axis; the facet arrays have the local
+    facet next.  `cells` holds a cell of each class.
+    """
+
+    cells: np.ndarray    # (S,)
     nu: float
     gamma: np.ndarray
-    mg: np.ndarray       # (n_g, n_g)      gradient-row mass
-    divg: np.ndarray     # (2, n_v, n_g)   velocity component vs row divergence
-    grad: np.ndarray     # (2, n_g, n_v)   row vs velocity jacobian row
-    tg: np.ndarray       # (2, n_g, n_v)   boundary (G.n)(V)_r
-    mgam: np.ndarray     # (n_v, n_v)      gamma-weighted velocity mass
-    bdiv: np.ndarray     # (n_v, n_q)      pressure vs velocity divergence
-    tq: np.ndarray       # (n_v, n_q)      boundary pressure vs normal trace
-    qint: np.ndarray     # (n_q,)          pressure basis integrals
-    vint: np.ndarray     # (n_v, 2)        velocity component integrals
-    kpp: np.ndarray      # (n_post, n_post) postprocessing stiffness
-    pint: np.ndarray     # (n_post,)
-    gp_cross: np.ndarray  # (n_g, n_post)  row basis vs postprocessing gradient
-    facets: list
-
-
-def element_blocks(tab, nu, gamma):
-    """All volume and facet blocks for one cell tabulation."""
-    return _element_blocks(tab, nu, as_gamma_matrix(gamma))
+    mg: np.ndarray       # (S, n_g, n_g)      gradient-row mass
+    divg: np.ndarray     # (S, 2, n_v, n_g)   velocity component vs row divergence
+    grad: np.ndarray     # (S, 2, n_g, n_v)   row vs velocity jacobian row
+    tg: np.ndarray       # (S, 2, n_g, n_v)   boundary (G.n)(V)_r
+    mgam: np.ndarray     # (S, n_v, n_v)      gamma-weighted velocity mass
+    bdiv: np.ndarray     # (S, n_v, n_q)      pressure vs velocity divergence
+    tq: np.ndarray       # (S, n_v, n_q)      boundary pressure vs normal trace
+    qint: np.ndarray     # (S, n_q)           pressure basis integrals
+    vint: np.ndarray     # (S, n_v, 2)        velocity component integrals
+    kpp: np.ndarray      # (S, n_post, n_post) postprocessing stiffness
+    pint: np.ndarray     # (S, n_post)
+    gp_cross: np.ndarray  # (S, n_g, n_post)  row basis vs postprocessing gradient
+    sign: np.ndarray     # (S, f)             facet orientation signs
+    h: np.ndarray        # (S, f)             facet lengths
+    normal: np.ndarray   # (S, f, 2)          global facet normals
+    tangent: np.ndarray  # (S, f, 2)
+    that: np.ndarray     # (S, f, k+1, n_g)   facet poly vs row normal trace
+    tlam: np.ndarray     # (S, f, n_v, k+1)   velocity normal trace vs facet poly
+    tgt: np.ndarray      # (S, f, n_g, n_v)   (G.n)(V.t) facet coupling
 
 
 def class_element_blocks(spaces, nu, gamma):
-    """Element blocks of every geometry class, in class order.
+    """Element blocks of every geometry class, in class order."""
+    return element_blocks(spaces.class_tabs(), nu, gamma)
 
-    gamma is checked once for all classes.
+
+def element_blocks(tabs, nu, gamma):
+    """All volume and facet blocks of a stacked tabulation (`ClassTabs`).
+
+    Each block is one array operation over the class axis; gamma is
+    checked once for all classes.  The quadrature weights are folded
+    into one factor of each product first.
     """
     gamma = as_gamma_matrix(gamma)
-    return [_element_blocks(spaces.tab(rep), nu, gamma)
-            for rep in spaces.class_rep]
-
-
-def _element_blocks(tab, nu, gamma):
-    w = tab.wdet
-    mg = np.einsum("acq,bcq,q->ab", tab.g, tab.g, w)
-    divg = np.einsum("mrq,bq,q->rmb", tab.v, tab.g_div, w)
-    grad = np.einsum("acq,mrcq,q->ram", tab.g, tab.v_grad, w)
-    mgam = np.einsum("mrq,rs,nsq,q->mn", tab.v, gamma, tab.v, w)
-    bdiv = np.einsum("iq,mq,q->mi", tab.q_vals, tab.v_div, w)
-    qint = np.einsum("iq,q->i", tab.q_vals, w)
-    vint = np.einsum("mrq,q->mr", tab.v, w)
-    kpp = np.einsum("icq,jcq,q->ij", tab.post_grad, tab.post_grad, w)
-    pint = np.einsum("iq,q->i", tab.post, w)
-    gp_cross = np.einsum("acq,jcq,q->aj", tab.g, tab.post_grad, w)
-
-    n_g = tab.g.shape[0]
-    n_v = tab.v.shape[0]
-    n_q = tab.q_vals.shape[0]
-    tg = np.zeros((2, n_g, n_v))
-    tq = np.zeros((n_v, n_q))
-    facets = []
-    for ft in tab.facets:
-        gn = np.einsum("acq,c->aq", ft.g, ft.outward)
-        vn = np.einsum("mcq,c->mq", ft.v, ft.outward)
-        vt = np.einsum("mcq,c->mq", ft.v, ft.tangent)
-        tg += np.einsum("aq,mrq,q->ram", gn, ft.v, ft.w)
-        tq += np.einsum("iq,mq,q->mi", ft.q, vn, ft.w)
-        facets.append(FacetBlocks(
-            sign=ft.sign, h=ft.h, normal=ft.normal, tangent=ft.tangent,
-            that=np.einsum("jq,aq,q->ja", ft.phi, gn, ft.w),
-            tlam=np.einsum("jq,mq,q->mj", ft.phi, vn, ft.w),
-            tgt=np.einsum("aq,mq,q->am", gn, vt, ft.w)))
+    w = tabs.wdet[:, None, :]
+    gw = tabs.g * w[..., None, :]
+    vw = tabs.v * w[..., None, :]
+    fw = tabs.w[:, :, None, :]
+    gn = np.einsum("sfacq,sfc->sfaq", tabs.facet_g, tabs.outward) * fw
+    vn = np.einsum("sfmcq,sfc->sfmq", tabs.facet_v, tabs.outward) * fw
+    vt = np.einsum("sfmcq,sfc->sfmq", tabs.facet_v, tabs.tangent)
+    gam_v = np.einsum("rt,sntq->snrq", gamma, tabs.v)
     return ElementBlocks(
-        nu=float(nu), gamma=gamma, mg=mg, divg=divg, grad=grad, tg=tg,
-        mgam=mgam, bdiv=bdiv, tq=tq, qint=qint, vint=vint,
-        kpp=kpp, pint=pint, gp_cross=gp_cross, facets=facets)
+        cells=tabs.cells, nu=float(nu), gamma=gamma,
+        mg=np.einsum("sacq,sbcq->sab", gw, tabs.g),
+        divg=np.einsum("smrq,sbq->srmb", vw, tabs.g_div),
+        grad=np.einsum("sacq,smrcq->sram", gw, tabs.v_grad),
+        tg=np.einsum("sfaq,sfmrq->sram", gn, tabs.facet_v),
+        mgam=np.einsum("smrq,snrq->smn", vw, gam_v),
+        bdiv=np.einsum("iq,smq->smi", tabs.q_vals, tabs.v_div * w),
+        tq=np.einsum("sfiq,sfmq->smi", tabs.facet_q, vn),
+        qint=tabs.wdet @ tabs.q_vals.T,
+        vint=vw.sum(axis=-1),
+        kpp=np.einsum("sicq,sjcq->sij", tabs.post_grad * w[..., None, :],
+                      tabs.post_grad),
+        pint=tabs.wdet @ tabs.post.T,
+        gp_cross=np.einsum("sacq,sjcq->saj", gw, tabs.post_grad),
+        sign=tabs.sign, h=tabs.h, normal=tabs.normal, tangent=tabs.tangent,
+        that=np.einsum("jq,sfaq->sfja", tabs.phi, gn),
+        tlam=np.einsum("jq,sfmq->sfmj", tabs.phi, vn),
+        tgt=np.einsum("sfaq,sfmq->sfam", gn, vt))
 
 
 # -- projections ----------------------------------------------------------
@@ -222,25 +212,27 @@ def project_facet_tangent(mesh, facet, k, func, degree):
 
 
 def postprocess_factor(blocks):
-    """Factor of the gradient-matching system with a mean constraint."""
-    n = blocks.kpp.shape[0]
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = blocks.kpp
-    aug[:n, n] = blocks.pint
-    aug[n, :n] = blocks.pint
-    return DenseFactor(aug)
+    """Factors of the gradient-matching systems, with a mean constraint,
+    of every class of the stacked blocks."""
+    n_cls, n = blocks.pint.shape
+    aug = np.zeros((n_cls, n + 1, n + 1))
+    aug[:, :n, :n] = blocks.kpp
+    aug[:, :n, n] = blocks.pint
+    aug[:, n, :n] = blocks.pint
+    return factor_classes(aug, blocks.cells, "postprocessing matrix")
 
 
-def postprocess_velocity(blocks, factor, l_coef, u_coef):
+def postprocess_velocity(blocks, factor, cls, l_coef, u_coef):
     """Componentwise higher-degree velocity from the gradient field.
 
     Each component solves a Neumann-type local problem: its gradient
     matches the corresponding gradient-field row in the L2 sense and its
-    cell mean matches the velocity mean.  l_coef (2, n_g) and u_coef
-    (n_v,) give (2, n_post); with a leading cell axis, (C, 2, n_g) and
-    (C, n_v) give (C, 2, n_post) from one solve.
+    cell mean matches the velocity mean.  cls picks the class of the
+    stacked blocks and factor.  l_coef (2, n_g) and u_coef (n_v,) give
+    (2, n_post); with a leading cell axis, (C, 2, n_g) and (C, n_v) give
+    (C, 2, n_post) from one solve.
     """
-    rhs = np.concatenate([l_coef @ blocks.gp_cross,
-                          (u_coef @ blocks.vint)[..., None]], axis=-1)
-    sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T)
+    rhs = np.concatenate([l_coef @ blocks.gp_cross[cls],
+                          (u_coef @ blocks.vint[cls])[..., None]], axis=-1)
+    sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T, cls)
     return sol[:-1].T.reshape(rhs.shape[:-1] + (-1,))

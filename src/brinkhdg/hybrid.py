@@ -5,10 +5,12 @@ onto facet unknowns: tangential and normal velocity traces on interior
 facets plus one pressure average per cell.  That system is singular only
 along constant pressure averages, so the first cell's average is pinned
 to zero and the averages are shifted to zero area-weighted mean after
-the solve.  Cell solves are factored once per geometry class, and every
-cell-local step (data moments, source solves, the scatter of the energy
-blocks, recovery and the postprocessing of u*) runs on blocks of cells
-of one class (`Spaces.class_blocks`), with one dense operation per block.
+the solve.  The local matrices of all geometry classes are formed and
+factored as one stack with a leading class axis (`LocalSolver`), and
+every cell-local step (data moments, source solves, the scatter of the
+energy blocks, recovery and the postprocessing of u*) runs on blocks of
+cells of one class (`Spaces.class_blocks`), with one dense operation per
+block.
 
 `solve_direct` works on the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
@@ -25,21 +27,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fespace import factor_classes
 from .forms import (class_element_blocks, postprocess_factor,
                     postprocess_velocity, values_at)
-from .linalg import DenseFactor, SparseBuilder, block_triplets, sparse_solve
+from .linalg import SparseBuilder, block_triplets, sparse_solve
 
 
 class LocalSolver:
-    """Condensed cell solve for one geometry class.
+    """Condensed cell solves of a stack of geometry classes.
 
     Unknown layout: gradient rows (row-major), velocity, mean-free
     pressure, facet multiplier.  Lift columns: tangential facet data per
-    local facet, then normal facet data.
+    local facet, then normal facet data.  The local matrices of all the
+    classes are filled by slice assignment over the class axis and
+    factored together; `lift`, `zlift` and `energy` have a leading class
+    axis.
     """
 
     def __init__(self, blocks, family):
         nu = blocks.nu
+        n_cls = len(blocks.cells)
         n_g, n_v, n_q = family.n_g, family.n_v, family.n_q
         kk = family.n_facet
         nfc = family.n_cell_facets
@@ -54,33 +61,32 @@ class LocalSolver:
         self.offsets = (0, o_u, o_p, o_lam)
         self.blocks = blocks
 
-        mat = np.zeros((n, n))
+        mat = np.zeros((n_cls, n, n))
         gt = blocks.grad - blocks.tg
         for r in range(2):
             rows = slice(r * n_g, (r + 1) * n_g)
-            mat[rows, rows] = nu * blocks.mg
-            mat[rows, o_u:o_p] = nu * blocks.divg[r].T
-            mat[o_u:o_p, rows] = nu * gt[r].T
-        mat[o_u:o_p, o_u:o_p] = blocks.mgam
-        mat[o_u:o_p, o_p:o_lam] = -blocks.bdiv[:, 1:] + blocks.tq[:, 1:]
-        mat[o_p:o_lam, o_u:o_p] = blocks.bdiv[:, 1:].T
-        for lf, fb in enumerate(blocks.facets):
-            cols = slice(o_lam + lf * kk, o_lam + (lf + 1) * kk)
-            mat[o_u:o_p, cols] = -fb.tlam
-            mat[cols, o_u:o_p] = fb.tlam.T
-        self.factor = DenseFactor(mat)
+            mat[:, rows, rows] = nu * blocks.mg
+            mat[:, rows, o_u:o_p] = nu * blocks.divg[:, r].swapaxes(1, 2)
+            mat[:, o_u:o_p, rows] = nu * gt[:, r].swapaxes(1, 2)
+        mat[:, o_u:o_p, o_u:o_p] = blocks.mgam
+        mat[:, o_u:o_p, o_p:o_lam] = -blocks.bdiv[..., 1:] + blocks.tq[..., 1:]
+        mat[:, o_p:o_lam, o_u:o_p] = blocks.bdiv[..., 1:].swapaxes(1, 2)
+        # (S, n_v, f * (k+1)): the multiplier columns of every local facet
+        tlam = blocks.tlam.transpose(0, 2, 1, 3).reshape(n_cls, n_v, n_lam)
+        mat[:, o_u:o_p, o_lam:] = -tlam
+        mat[:, o_lam:, o_u:o_p] = tlam.swapaxes(1, 2)
+        self.factor = factor_classes(mat, blocks.cells, "local solver matrix")
 
-        ncol = 2 * nfc * kk
-        lift_rhs = np.zeros((n, ncol))
-        for lf, fb in enumerate(blocks.facets):
-            tcols = slice(lf * kk, (lf + 1) * kk)
-            ncols = slice(nfc * kk + lf * kk, nfc * kk + (lf + 1) * kk)
-            for r in range(2):
-                rows = slice(r * n_g, (r + 1) * n_g)
-                lift_rhs[rows, tcols] += nu * fb.tangent[r] * fb.that.T
-                lift_rhs[rows, ncols] += nu * fb.normal[r] * fb.that.T
-            drows = slice(o_lam + lf * kk, o_lam + (lf + 1) * kk)
-            lift_rhs[drows, ncols] = fb.sign * fb.h * np.eye(kk)
+        # gradient rows against the tangential, then the normal, data of
+        # each local facet; the multiplier rows against the normal data
+        lift_rhs = np.zeros((n_cls, n, 2 * n_lam))
+        for col, vec in ((0, blocks.tangent), (n_lam, blocks.normal)):
+            lift_rhs[:, :n_l, col:col + n_lam] = np.einsum(
+                "sfr,sfja->srafj", nu * vec, blocks.that).reshape(
+                    n_cls, n_l, n_lam)
+        diag = np.arange(n_lam)
+        lift_rhs[:, o_lam + diag, n_lam + diag] = np.repeat(
+            blocks.sign * blocks.h, kk, axis=1)
         self.lift = self.factor.solve(lift_rhs)
 
         # energy-weighted lift: rows of Z @ lift with Z the block Gram
@@ -88,10 +94,10 @@ class LocalSolver:
         zlift = np.zeros_like(self.lift)
         for r in range(2):
             rows = slice(r * n_g, (r + 1) * n_g)
-            zlift[rows] = nu * blocks.mg @ self.lift[rows]
-        zlift[o_u:o_p] = blocks.mgam @ self.lift[o_u:o_p]
+            zlift[:, rows] = nu * blocks.mg @ self.lift[:, rows]
+        zlift[:, o_u:o_p] = blocks.mgam @ self.lift[:, o_u:o_p]
         self.zlift = zlift
-        self.energy = self.lift.T @ zlift
+        self.energy = self.lift.swapaxes(1, 2) @ zlift
         self.post_factor = postprocess_factor(blocks)
 
 
@@ -118,8 +124,8 @@ class SolutionFields:
 
 
 def build_local_solvers(spaces, nu, gamma):
-    return [LocalSolver(blocks, spaces.family)
-            for blocks in class_element_blocks(spaces, nu, gamma)]
+    """The LocalSolver of all the geometry classes, in class order."""
+    return LocalSolver(class_element_blocks(spaces, nu, gamma), spaces.family)
 
 
 def _facet_columns(spaces):
@@ -191,7 +197,8 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     nc = mesh.num_cells
     kk = fam.n_facet
     nfc = fam.n_cell_facets
-    solvers = build_local_solvers(spaces, nu, gamma)
+    ls = build_local_solvers(spaces, nu, gamma)
+    o_u, o_p, o_lam = ls.offsets[1:]
     cols, ntt = _facet_columns(spaces)
     q0v = _constant_pressure_value(spaces)
 
@@ -199,23 +206,22 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     o_pbar = 2 * ntt
     builder = SparseBuilder(n_sys, n_sys)
     rhs = np.zeros(n_sys)
-    x_src = np.zeros((nc, solvers[0].n))
+    x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
     g_abs = 0.0
 
     for cells in spaces.class_blocks():
-        ls = solvers[spaces.cell_class[cells[0]]]
-        o_u, o_p, o_lam = ls.offsets[1:]
+        cls = spaces.cell_class[cells[0]]
         fmom, gmom, g_abs_b = _data_moments(spaces, cells, f_func, g_func)
         g_abs += g_abs_b
         src = np.zeros((ls.n, len(cells)))
         src[o_u:o_p] = fmom.T
         src[o_p:o_lam] = gmom[:, 1:].T
-        xs = ls.factor.solve(src).T
+        xs = ls.factor.solve(src, cls).T
         x_src[cells] = xs
-        f_loc = fmom @ ls.lift[o_u:o_p] - xs @ ls.zlift
+        f_loc = fmom @ ls.lift[cls, o_u:o_p] - xs @ ls.zlift[cls]
         cc = cols[cells]
-        builder.add(*block_triplets(cc, ls.energy))
+        builder.add(*block_triplets(cc, ls.energy[cls]))
         keep = cc >= 0
         np.add.at(rhs, cc[keep], f_loc[keep])
         rhs[o_pbar + cells] = -gmom[:, 0] / q0v
@@ -265,18 +271,17 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     ustar = np.zeros((nc, 2, fam.n_post))
     eta_pad = np.concatenate([sol[:2 * ntt], [0.0]])
     for cells in spaces.class_blocks():
-        ls = solvers[spaces.cell_class[cells[0]]]
-        o_u, o_p, o_lam = ls.offsets[1:]
-        xi = eta_pad[cols[cells]] @ ls.lift.T + x_src[cells]
+        cls = spaces.cell_class[cells[0]]
+        xi = eta_pad[cols[cells]] @ ls.lift[cls].T + x_src[cells]
         l[cells] = xi[:, :o_u].reshape(-1, 2, fam.n_g)
         u[cells] = xi[:, o_u:o_p]
         p[cells, 1:] = xi[:, o_p:o_lam]
         lam[cells] = xi[:, o_lam:]
-        ustar[cells] = postprocess_velocity(ls.blocks, ls.post_factor,
+        ustar[cells] = postprocess_velocity(ls.blocks, ls.post_factor, cls,
                                             l[cells], u[cells])
     p[:, 0] = pbar / q0v
 
-    n_local = nc * solvers[0].n
+    n_local = nc * ls.n
     return SolutionFields(
         k=spaces.k, cell_kind=mesh.cell_kind, l=l, u=u, p=p, lam=lam,
         uhat_t=uhat_t, uhat_n=uhat_n, pbar=pbar, mean_mult=mean_mult,
@@ -284,55 +289,65 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
 
 
 def _direct_cell_matrix(blocks, trans, family):
-    """Dense cell block of the uncondensed system, and its sparsity pattern.
+    """Dense cell blocks of the uncondensed system, and their sparsity pattern.
 
-    Local layout: gradient rows (row-major), nodal velocity, pressure,
-    tangential traces per local facet.  The pattern marks the couplings
-    that exist, so entries that happen to be zero are kept as entries.
+    blocks and trans (the nodal transforms) hold a stack of classes; the
+    blocks come back as (S, n, n), one per class, and the (n, n) pattern
+    is shared.  Local layout: gradient rows (row-major), nodal velocity,
+    pressure, tangential traces per local facet.  The pattern marks the
+    couplings that exist, so entries that happen to be zero are kept as
+    entries.
     """
     nu = blocks.nu
+    n_cls = len(blocks.cells)
     n_g, n_v, n_q = family.n_g, family.n_v, family.n_q
     kk = family.n_facet
     o_u = 2 * n_g
     o_p = o_u + n_v
     o_t = o_p + n_q
-    n = o_t + family.n_cell_facets * kk
-    mat = np.zeros((n, n))
+    n_t = family.n_cell_facets * kk
+    n = o_t + n_t
+    mat = np.zeros((n_cls, n, n))
     pattern = np.zeros((n, n), dtype=bool)
-    tgt_sum = sum(np.multiply.outer(fb.tangent, fb.tgt) for fb in blocks.facets)
+    trans_t = trans.swapaxes(1, 2)
+    tgt_sum = np.einsum("sfr,sfam->sram", blocks.tangent, blocks.tgt)
     for r in range(2):
         rows = slice(r * n_g, (r + 1) * n_g)
-        mat[rows, rows] = nu * blocks.mg
-        mat[rows, o_u:o_p] = nu * (-blocks.grad[r] + tgt_sum[r]) @ trans
-        mat[o_u:o_p, rows] = trans.T @ (nu * (blocks.grad[r] - tgt_sum[r]).T)
-        pattern[rows, rows] = pattern[rows, o_u:o_p] = True
-        pattern[o_u:o_p, rows] = True
-        for lf, fb in enumerate(blocks.facets):
-            cols = slice(o_t + lf * kk, o_t + (lf + 1) * kk)
-            mat[rows, cols] = -nu * fb.tangent[r] * fb.that.T
-            mat[cols, rows] = nu * fb.tangent[r] * fb.that
-            pattern[rows, cols] = pattern[cols, rows] = True
-    mat[o_u:o_p, o_u:o_p] = trans.T @ blocks.mgam @ trans
-    mat[o_u:o_p, o_p:o_t] = trans.T @ (-blocks.bdiv)
-    mat[o_p:o_t, o_u:o_p] = (trans.T @ blocks.bdiv).T
+        mat[:, rows, rows] = nu * blocks.mg
+        mat[:, rows, o_u:o_p] = nu * (-blocks.grad[:, r] + tgt_sum[:, r]) @ trans
+        mat[:, o_u:o_p, rows] = trans_t @ (
+            nu * (blocks.grad[:, r] - tgt_sum[:, r]).swapaxes(1, 2))
+        pattern[rows, rows] = True
+    # gradient rows against the traces of every local facet
+    trace = np.einsum("sfr,sfja->srafj", nu * blocks.tangent,
+                      blocks.that).reshape(n_cls, o_u, n_t)
+    mat[:, :o_u, o_t:] = -trace
+    mat[:, o_t:, :o_u] = trace.swapaxes(1, 2)
+    pattern[:o_u, o_u:o_p] = pattern[:o_u, o_t:] = True
+    pattern[o_u:o_p, :o_u] = pattern[o_t:, :o_u] = True
+    mat[:, o_u:o_p, o_u:o_p] = trans_t @ blocks.mgam @ trans
+    mat[:, o_u:o_p, o_p:o_t] = trans_t @ (-blocks.bdiv)
+    mat[:, o_p:o_t, o_u:o_p] = (trans_t @ blocks.bdiv).swapaxes(1, 2)
     pattern[o_u:o_p, o_u:o_t] = pattern[o_p:o_t, o_u:o_p] = True
     return mat, pattern
 
 
-def _eliminate_gradient(mat, pattern, n_g):
-    """Schur complement of a direct cell block on its non-gradient dofs.
+def _eliminate_gradient(mat, pattern, n_g, cells):
+    """Schur complements of stacked direct cell blocks on their non-gradient dofs.
 
     The gradient rows couple to each other only through nu M_G, one copy
-    per row, which is factored once.  Returns the reduced block, its
+    per row, which is factored once per class; cells[i] names the class
+    of mat[i] if its mass is singular.  Returns the reduced blocks, their
     pattern (the old one on the kept dofs, plus the couplings among the
-    dofs the gradient rows touch) and the recovery matrix R, with
+    dofs the gradient rows touch) and the recovery matrices R, with
     l = R @ x_kept since the gradient rows carry no load.
     """
     n_l = 2 * n_g
-    mass = DenseFactor(mat[:n_g, :n_g])
-    lk = mat[:n_l, n_l:]
-    rec = -np.vstack([mass.solve(lk[r * n_g:(r + 1) * n_g]) for r in range(2)])
-    reduced = mat[n_l:, n_l:] + mat[n_l:, :n_l] @ rec
+    mass = factor_classes(mat[:, :n_g, :n_g], cells, "gradient mass")
+    lk = mat[:, :n_l, n_l:]
+    rec = -np.concatenate([mass.solve(lk[:, :n_g]), mass.solve(lk[:, n_g:])],
+                          axis=1)
+    reduced = mat[:, n_l:, n_l:] + mat[:, n_l:, :n_l] @ rec
     fill = np.outer(pattern[n_l:, :n_l].any(axis=1),
                     pattern[:n_l, n_l:].any(axis=0))
     return reduced, pattern[n_l:, n_l:] | fill, rec
@@ -354,9 +369,10 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     Unknowns: broken gradient rows, divergence-conforming velocity in
     nodal form, broken pressure, and tangential facet traces on interior
     facets.  The gradient rows, which carry no load and couple only
-    within their cell, are eliminated cell by cell (one factored
-    gradient mass per class) before the sparse solve and recovered from
-    the other unknowns after it; the sparse system holds the velocity,
+    within their cell, are eliminated cell by cell before the sparse
+    solve and recovered from the other unknowns after it; the cell
+    blocks, their gradient masses and the eliminations are formed for
+    all classes as one stack.  The sparse system holds the velocity,
     pressure and trace unknowns and is equilibrated by power-of-two row
     and column scales.  The mean of the mass source, in closed form, is
     removed from the pressure rows, which makes the constant-test rows
@@ -378,11 +394,9 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     o_t = o_p + nc * n_q
     n_sys = o_t + mt.total
     q0v = _constant_pressure_value(spaces)
-    blocks_by_class = class_element_blocks(spaces, nu, gamma)
-    cell_mats = [
-        _eliminate_gradient(*_direct_cell_matrix(
-            blk, spaces.nodal_transform(rep), fam), n_g)
-        for blk, rep in zip(blocks_by_class, spaces.class_rep)]
+    blocks = class_element_blocks(spaces, nu, gamma)
+    mats, pattern, rec = _eliminate_gradient(*_direct_cell_matrix(
+        blocks, spaces.class_nodal_transforms(), fam), n_g, blocks.cells)
     trace_dofs = mt.facet_dofs[mesh.cell_facets].reshape(nc, -1)
     # per cell: velocity, pressure and trace rows of the reduced system
     kept = np.hstack([vd.cell_dofs,
@@ -395,11 +409,10 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     qint = np.zeros((nc, n_q))
     for cells in spaces.class_blocks():
         cls = spaces.cell_class[cells[0]]
-        mat, pattern, _ = cell_mats[cls]
-        triplets.append(block_triplets(kept[cells], mat, pattern))
+        triplets.append(block_triplets(kept[cells], mats[cls], pattern))
 
         fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
-        qint[cells] = blocks_by_class[cls].qint
+        qint[cells] = blocks.qint[cls]
         udofs = vd.cell_dofs[cells]
         ukeep = udofs >= 0
         np.add.at(rhs, udofs[ukeep],
@@ -429,16 +442,15 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     l = np.zeros((nc, 2, n_g))
     u = np.zeros((nc, n_v))
     ustar = np.zeros((nc, 2, fam.n_post))
-    post_factors = [postprocess_factor(blk) for blk in blocks_by_class]
+    post_factor = postprocess_factor(blocks)
     sol_pad = np.append(sol, 0.0)
     for cells in spaces.class_blocks():
         cls = spaces.cell_class[cells[0]]
-        l[cells] = (sol_pad[kept[cells]] @ cell_mats[cls][2].T).reshape(
-            -1, 2, n_g)
+        l[cells] = (sol_pad[kept[cells]] @ rec[cls].T).reshape(-1, 2, n_g)
         u[cells] = (sol_pad[vd.cell_dofs[cells]]
                     @ spaces.nodal_transform(cells).T)
-        ustar[cells] = postprocess_velocity(
-            blocks_by_class[cls], post_factors[cls], l[cells], u[cells])
+        ustar[cells] = postprocess_velocity(blocks, post_factor, cls,
+                                            l[cells], u[cells])
     p = sol[o_p:o_t].reshape(nc, n_q).copy()
     p[:, 0] -= np.einsum("ci,ci->", p, qint) / qint[:, 0].sum()
     uhat_t = sol[o_t:]

@@ -16,35 +16,62 @@ import scipy.sparse.linalg as spla
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a factorization meets a numerically singular matrix."""
+    """Raised when a factorization meets a numerically singular matrix.
+
+    For a stack of matrices, `index` is the position of the first
+    singular one; it is None otherwise.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 _PIVOT_RTOL = 1e-13
 
 
 class DenseFactor:
-    """LU factorization with partial pivoting of a square dense matrix."""
+    """LU factorization with partial pivoting of a square dense matrix.
+
+    A stack (S, n, n) factors each matrix on its own; `solve` then takes
+    right-hand sides with the same leading axis, or solves with one
+    matrix of the stack when given its index.
+    """
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValueError(
-                f"expected a nonempty square matrix, got shape {a.shape}")
+        if (a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]
+                or 0 in a.shape):
+            raise ValueError("expected a nonempty square matrix or stack of "
+                             f"them, got shape {a.shape}")
         self.shape = a.shape
-        scale = float(np.abs(a).max())
+        stack = a.reshape((-1,) + a.shape[-2:])
         with warnings.catch_warnings():
             # the pivot check below reports singularity; keep LAPACK quiet
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._lu = sla.lu_factor(a, check_finite=False)
-        pivots = np.abs(np.diag(self._lu[0]))
-        if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
+            self._lu = [sla.lu_factor(m, check_finite=False) for m in stack]
+        # each matrix's pivots against its own largest entry
+        scale = np.abs(stack).max(axis=(1, 2))
+        pivots = np.array([np.abs(np.diag(lu)).min() for lu, _ in self._lu])
+        bad = (scale == 0.0) | (pivots < _PIVOT_RTOL * scale)
+        if bad.any():
+            i = int(np.argmax(bad))
+            which = f" of matrix {i}" if a.ndim == 3 else ""
             raise SingularMatrixError(
-                f"dense factorization: pivot {pivots.min():.3e} below "
-                f"{_PIVOT_RTOL:.0e} * max entry {scale:.3e}")
+                f"dense factorization{which}: pivot {pivots[i]:.3e} below "
+                f"{_PIVOT_RTOL:.0e} * max entry {scale[i]:.3e}",
+                index=i if a.ndim == 3 else None)
 
-    def solve(self, b):
+    def solve(self, b, index=None):
+        """x with a @ x = b; for a stack b[i] per matrix, or one matrix's."""
         b = np.asarray(b, dtype=float)
-        return sla.lu_solve(self._lu, b, check_finite=False)
+        if index is not None or len(self.shape) == 2:
+            return sla.lu_solve(self._lu[index or 0], b, check_finite=False)
+        if len(b) != len(self._lu):
+            raise ValueError(f"{len(b)} right-hand sides for a stack of "
+                             f"{len(self._lu)} matrices")
+        return np.stack([sla.lu_solve(lu, rhs, check_finite=False)
+                         for lu, rhs in zip(self._lu, b)])
 
 
 class SparseBuilder:

@@ -1,4 +1,4 @@
-"""Structured meshes of the unit square with facet connectivity.
+"""Conforming meshes of the unit square with facet connectivity.
 
 Cells are affine images of a reference element (unit triangle or unit
 square).  Facets are stored once, with a canonical vertex order (lower
@@ -55,13 +55,12 @@ class Mesh:
         outward for that cell, -1 otherwise
     """
 
-    def __init__(self, vertices, cells, cell_kind, structured_n=None):
+    def __init__(self, vertices, cells, cell_kind):
         if cell_kind not in (QUAD, TRIANGLE):
             raise ValueError(f"unknown cell kind: {cell_kind!r}")
         self.vertices = np.array(vertices, dtype=float)
         self.cells = np.array(cells, dtype=int)
         self.cell_kind = cell_kind
-        self.structured_n = structured_n
         npc = 3 if cell_kind == TRIANGLE else 4
         if self.cells.ndim != 2 or self.cells.shape[1] != npc:
             raise ValueError("cell array shape does not match cell kind")
@@ -222,7 +221,7 @@ def build_structured_mesh(n, cell_kind=QUAD):
             else:
                 cells.append((v00, v10, v11))
                 cells.append((v00, v11, v01))
-    return Mesh(vertices, cells, cell_kind, structured_n=n)
+    return Mesh(vertices, cells, cell_kind)
 
 
 def perturbed_triangles(n, share, seed):
@@ -242,16 +241,24 @@ def perturbed_triangles(n, share, seed):
 
 
 def locate_cell(mesh, point):
-    """Index of the cell containing a point of the unit square (structured meshes)."""
-    if mesh.structured_n is None:
-        raise ValueError("locate_cell requires a structured mesh")
-    n = mesh.structured_n
-    x, y = float(point[0]), float(point[1])
-    if not (-1e-12 <= x <= 1 + 1e-12 and -1e-12 <= y <= 1 + 1e-12):
+    """Index of the first cell that contains a point of the unit square.
+
+    The point is pulled back through the affine maps of all cells at
+    once; a cell contains it when its reference coordinates lie in the
+    reference cell, up to roundoff.
+    """
+    x = np.asarray(point, dtype=float)
+    if x.shape != (2,) or not ((-1e-12 <= x) & (x <= 1 + 1e-12)).all():
         raise ValueError(f"point {point} outside the unit square")
-    i = min(max(int(x * n), 0), n - 1)
-    j = min(max(int(y * n), 0), n - 1)
+    offsets, _, _, inv = cell_geometry(mesh)
+    ref = np.einsum("cij,cj->ci", inv, x - offsets)
+    tol = 1e-12
+    inside = (ref >= -tol).all(axis=1)
     if mesh.cell_kind == QUAD:
-        return j * n + i
-    xr, yr = x * n - i, y * n - j
-    return 2 * (j * n + i) + (0 if yr <= xr else 1)
+        inside &= (ref <= 1 + tol).all(axis=1)
+    else:
+        inside &= ref.sum(axis=1) <= 1 + tol
+    hits = np.flatnonzero(inside)
+    if hits.size == 0:
+        raise ValueError(f"no cell contains the point {point}")
+    return int(hits[0])

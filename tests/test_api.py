@@ -1,6 +1,7 @@
 """The public names other code drives must keep resolving."""
 
 import importlib
+import inspect
 
 import brinkhdg
 
@@ -11,13 +12,21 @@ DRIVEN = {
     "fespace": ("normal_trace_jumps",),
 }
 
-# spans perfbench/spans.py reads per-layer metrics from by name; it wraps
-# only functions defined in the layer module (methods: in the class body),
-# and a span name that no longer resolves reads as 0, not as an error
-SPANS = ("forms.postprocess_velocity", "hybrid.build_local_solvers",
+# every span perfbench/spans.py reads per-layer metrics from by name; it
+# wraps only plain functions defined in the layer module (methods: in the
+# class body), and a span name that no longer resolves reads as 0, not as
+# an error
+SPANS = ("fespace.Spaces.__init__", "fespace.Spaces.tab",
+         "forms.postprocess_velocity", "forms.project_grad",
+         "forms.project_pressure", "forms.project_velocity_div",
+         "forms.project_facet_tangent",
+         "hybrid.build_local_solvers", "hybrid.compare_fields",
+         "hybrid.solve_direct", "hybrid.solve_hybrid",
          "linalg.SparseBuilder.add", "linalg.SparseBuilder.finalize",
          "linalg.DenseFactor.__init__", "linalg.SparseFactor.__init__",
-         "linalg.SparseFactor.solve")
+         "linalg.SparseFactor.solve",
+         "mesh.Mesh.__init__", "mesh.build_structured_mesh",
+         "refelem.quadrature", "verify.error_norms")
 
 
 def span_target(name):
@@ -26,7 +35,7 @@ def span_target(name):
     obj = importlib.import_module(f"brinkhdg.{layer}")
     for attr in path:
         obj = getattr(obj, "__dict__", {}).get(attr)
-    if callable(obj) and obj.__module__ == f"brinkhdg.{layer}":
+    if inspect.isfunction(obj) and obj.__module__ == f"brinkhdg.{layer}":
         return obj
     return None
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from brinkhdg import fespace
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
-                              normal_trace_jumps)
+                              nodal_dof_matrices, normal_trace_jumps)
+from brinkhdg.linalg import SingularMatrixError
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map,
                            build_structured_mesh, perturbed_triangles)
 from brinkhdg.refelem import quadrature
@@ -161,10 +163,28 @@ def test_facet_tabulation_consistent_with_volume_basis():
 def test_nodal_transform_inverts_dof_matrix():
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(2, kind), 2)
+        dof_matrices = nodal_dof_matrices(spaces.class_tabs())
         for c in range(spaces.mesh.num_cells):
-            b = spaces.nodal_dof_matrix(c)
+            b = dof_matrices[spaces.cell_class[c]]
             t = spaces.nodal_transform(c)
             assert np.abs(b @ t - np.eye(b.shape[0])).max() < 1e-9
+
+
+def test_singular_nodal_dof_matrix_names_its_cell(monkeypatch):
+    spaces = Spaces(perturbed_triangles(3, 0.2, seed=7), 1)
+    inner = fespace.nodal_dof_matrices
+
+    def second_singular(tabs):
+        b = inner(tabs)
+        b[1, -1] = b[1, 0]
+        return b
+
+    monkeypatch.setattr(fespace, "nodal_dof_matrices", second_singular)
+    rep = spaces.class_rep[1]
+    with pytest.raises(SingularMatrixError,
+                       match=f"^nodal dof matrix of cell {rep}: dense "
+                             "factorization of matrix 1: "):
+        spaces.nodal_transform(0)
 
 
 def test_interpolant_normal_trace_continuous():

@@ -15,8 +15,9 @@ from brinkhdg.refelem import make_basis, quadrature
 
 
 def make_blocks(kind, k, n=2, nu=1.0, gamma=1.0, c=0):
+    """Spaces and the element blocks of the class of cell c, a one-class stack."""
     spaces = Spaces(build_structured_mesh(n, kind), k)
-    return spaces, element_blocks(spaces.tab(c), nu, gamma)
+    return spaces, element_blocks(spaces.tabulate([c]), nu, gamma)
 
 
 def test_gamma_normalization():
@@ -36,7 +37,8 @@ def test_gradient_row_mass_matrix():
     # Piola rows give mg_ab = (1/det) int ghat_a^T (J^T J) ghat_b on the
     # reference cell; with J = h*I on the square mesh that is the identity
     spaces, blocks = make_blocks(QUAD, 1, n=2)
-    assert np.abs(blocks.mg - np.eye(spaces.family.n_g)).max() < 1e-12
+    assert blocks.mg.shape == (1, spaces.family.n_g, spaces.family.n_g)
+    assert np.abs(blocks.mg[0] - np.eye(spaces.family.n_g)).max() < 1e-12
 
     spaces, blocks = make_blocks(TRIANGLE, 1, n=2)
     tab = spaces.tab(0)
@@ -47,8 +49,8 @@ def test_gradient_row_mass_matrix():
     vals = ref.tabulate(rule.points)
     expected = np.einsum("acq,cd,bdq,q->ab", vals, weight, vals,
                          rule.weights)
-    assert np.abs(blocks.mg - expected).max() < 1e-12
-    assert np.linalg.eigvalsh(blocks.mg)[0] > 0.0
+    assert np.abs(blocks.mg[0] - expected).max() < 1e-12
+    assert np.linalg.eigvalsh(blocks.mg[0])[0] > 0.0
 
 
 def test_integration_by_parts_identity():
@@ -58,8 +60,8 @@ def test_integration_by_parts_identity():
         for k in (1, 2):
             _, blocks = make_blocks(kind, k)
             for r in range(2):
-                lhs = blocks.divg[r]
-                rhs = (blocks.tg - blocks.grad)[r].T
+                lhs = blocks.divg[0, r]
+                rhs = (blocks.tg - blocks.grad)[0, r].T
                 assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -68,17 +70,18 @@ def test_pressure_divergence_ibp():
     # volume gradient term drops, so the q0 columns of bdiv and tq agree
     for kind in (QUAD, TRIANGLE):
         _, blocks = make_blocks(kind, 1)
-        assert np.abs(blocks.bdiv[:, 0] - blocks.tq[:, 0]).max() < 1e-12
+        assert np.abs(blocks.bdiv[0, :, 0] - blocks.tq[0, :, 0]).max() < 1e-12
 
 
 def test_facet_blocks_dimensions():
     spaces, blocks = make_blocks(QUAD, 2)
     fam = spaces.family
-    assert len(blocks.facets) == 4
-    fb = blocks.facets[0]
-    assert fb.that.shape == (3, fam.n_g)
-    assert fb.tlam.shape == (fam.n_v, 3)
-    assert fb.tgt.shape == (fam.n_g, fam.n_v)
+    # one class, four local facets
+    assert blocks.that.shape == (1, 4, 3, fam.n_g)
+    assert blocks.tlam.shape == (1, 4, fam.n_v, 3)
+    assert blocks.tgt.shape == (1, 4, fam.n_g, fam.n_v)
+    for arr in (blocks.sign, blocks.h):
+        assert arr.shape == (1, 4)
 
 
 def test_facet_sum_consistency():
@@ -86,12 +89,12 @@ def test_facet_sum_consistency():
     # tangential/normal decomposition v = (v.t) t + (v.n) n
     spaces, blocks = make_blocks(TRIANGLE, 1)
     tab = spaces.tab(0)
-    rebuilt = np.zeros_like(blocks.tg)
+    rebuilt = np.zeros_like(blocks.tg[0])
     for ft in tab.facets:
         gn = np.einsum("acq,c->aq", ft.g, ft.outward)
         for r in range(2):
             rebuilt[r] += np.einsum("aq,mq,q->am", gn, ft.v[:, r], ft.w)
-    assert np.abs(rebuilt - blocks.tg).max() < 1e-12
+    assert np.abs(rebuilt - blocks.tg[0]).max() < 1e-12
 
 
 def test_project_grad_reproduces_space_members():
@@ -186,16 +189,16 @@ def test_projections_of_a_cell_array_match_per_cell():
         assert len(cells) > 1
         u_all = project_velocity_div(spaces, cells, field)
         l_all = project_grad(spaces, cells, grad_field)
-        blocks = element_blocks(spaces.tab(cells), 1.0, 1.0)
+        blocks = element_blocks(spaces.tabulate(cells[:1]), 1.0, 1.0)
         factor = postprocess_factor(blocks)
-        s_all = postprocess_velocity(blocks, factor, l_all, u_all)
+        s_all = postprocess_velocity(blocks, factor, 0, l_all, u_all)
         assert s_all.shape == (len(cells), 2, spaces.family.n_post)
         for i, c in enumerate(cells):
             u_one = project_velocity_div(spaces, c, field)
             l_one = project_grad(spaces, c, grad_field)
             assert np.abs(u_all[i] - u_one).max() < 1e-13 * np.abs(u_one).max()
             assert np.abs(l_all[i] - l_one).max() < 1e-13 * np.abs(l_one).max()
-            s_one = postprocess_velocity(blocks, factor, l_one, u_one)
+            s_one = postprocess_velocity(blocks, factor, 0, l_one, u_one)
             assert np.abs(s_all[i] - s_one).max() < 1e-13 * np.abs(s_one).max()
         mesh = spaces.mesh
         t_all = project_facet_tangent(mesh, np.arange(mesh.num_facets), 2,
@@ -245,8 +248,7 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
         for k in (1, 2):
             spaces = Spaces(build_structured_mesh(2, kind), k)
             c = 1
-            tab = spaces.tab(c)
-            blocks = element_blocks(tab, 1.0, 1.0)
+            blocks = element_blocks(spaces.tabulate([c]), 1.0, 1.0)
 
             def target(x):
                 u = x[:, 0] ** (k + 1) - 2.0 * x[:, 1] + 1.0
@@ -264,7 +266,7 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
             l_coef = project_grad(spaces, c, target_grad)
             u_coef = project_velocity_div(spaces, c, target)
             factor = postprocess_factor(blocks)
-            star = postprocess_velocity(blocks, factor, l_coef, u_coef)
+            star = postprocess_velocity(blocks, factor, 0, l_coef, u_coef)
 
             ftab = spaces.tab(c, fine=True)
             x = spaces.vol_points(c, ftab)
@@ -274,16 +276,14 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
 
 def test_postprocessing_mean_matches_velocity_mean():
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
-    c = 0
-    tab = spaces.tab(c)
-    blocks = element_blocks(tab, 1.0, 1.0)
+    blocks = element_blocks(spaces.tabulate([0]), 1.0, 1.0)
     rng = np.random.default_rng(5)
     l_coef = rng.standard_normal((2, spaces.family.n_g))
     u_coef = rng.standard_normal(spaces.family.n_v)
-    star = postprocess_velocity(blocks, postprocess_factor(blocks),
+    star = postprocess_velocity(blocks, postprocess_factor(blocks), 0,
                                 l_coef, u_coef)
-    mean_star = np.einsum("rj,j->r", star, blocks.pint)
-    mean_u = u_coef @ blocks.vint
+    mean_star = np.einsum("rj,j->r", star, blocks.pint[0])
+    mean_u = u_coef @ blocks.vint[0]
     assert np.abs(mean_star - mean_u).max() < 1e-11
 
 
@@ -295,10 +295,10 @@ def test_class_blocks_check_gamma_once(monkeypatch):
                         lambda g: calls.append(g) or as_gamma_matrix(g))
     blocks = class_element_blocks(spaces, 1.0, 2.0)
     assert len(calls) == 1
-    assert len(blocks) == len(spaces.class_rep)
-    for rep, blk in zip(spaces.class_rep, blocks):
-        want = element_blocks(spaces.tab(rep), 1.0, 2.0)
-        assert np.array_equal(blk.mgam, want.mgam)
+    assert blocks.mgam.shape[0] == len(spaces.class_rep)
+    for cls, rep in enumerate(spaces.class_rep):
+        want = element_blocks(spaces.tabulate([rep]), 1.0, 2.0)
+        assert np.array_equal(blocks.mgam[cls], want.mgam[0])
     for gamma, message in ((np.array([[1.0, 0.3], [0.0, 1.0]]), "symmetric"),
                            (np.array([[-1.0, 0.0], [0.0, 1.0]]), "semidefinite"),
                            (np.ones(3), "scalar or a 2x2")):

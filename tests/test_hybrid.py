@@ -37,8 +37,7 @@ def solve_case(kind, n, k, case, fine_degree=None):
 def test_local_energy_symmetric_psd():
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(2, kind), 1)
-        for solver in build_local_solvers(spaces, 1.0, 1.0):
-            e = solver.energy
+        for e in build_local_solvers(spaces, 1.0, 1.0).energy:
             assert np.abs(e - e.T).max() < 1e-11
             evals = np.linalg.eigvalsh(0.5 * (e + e.T))
             assert evals[0] > -1e-10 * max(evals[-1], 1.0)
@@ -47,7 +46,72 @@ def test_local_energy_symmetric_psd():
 def test_local_solver_counts_match_classes():
     spaces = Spaces(build_structured_mesh(4, QUAD), 1)
     solvers = build_local_solvers(spaces, 1.0, 1.0)
-    assert len(solvers) == len(spaces.class_rep)
+    n_cls = len(spaces.class_rep)
+    assert list(solvers.blocks.cells) == spaces.class_rep
+    for arr in (solvers.lift, solvers.zlift, solvers.energy):
+        assert arr.shape[0] == n_cls
+
+
+# ClassTabs fields of the reference rules, which carry no class axis
+SHARED_TAB_FIELDS = {"degree", "ref_points", "q_vals", "post", "int_div",
+                     "s", "phi"}
+
+
+def assert_slice_matches(got, want, what):
+    """got equals want to 1e-14 relative to the largest entry of want."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale, what
+
+
+def test_class_stack_slices_match_one_class_stacks():
+    # each class's slice of the stacked set-up equals the same quantity
+    # formed on a one-class stack of that class alone
+    nu, gamma = 0.5, np.array([[2.0, 0.3], [0.3, 1.0]])
+    cases = [(perturbed_triangles(4, 0.2, seed=2016), k) for k in (1, 2, 3)]
+    cases.append((build_structured_mesh(1, TRIANGLE), 2))
+    for mesh, k in cases:
+        spaces = Spaces(mesh, k)
+        fam = spaces.family
+        n_cls = len(spaces.class_rep)
+        assert n_cls == (2 if mesh.num_cells == 2 else mesh.num_cells)
+        blocks = class_element_blocks(spaces, nu, gamma)
+        solvers = build_local_solvers(spaces, nu, gamma)
+        trans = spaces.class_nodal_transforms()
+        direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
+            blocks, trans, fam), fam.n_g, blocks.cells)
+        for cls, rep in enumerate(spaces.class_rep):
+            what = (mesh.num_cells, k, cls)
+            for fine in (False, True):
+                tabs, one = spaces.class_tabs(fine), spaces.tabulate([rep], fine)
+                for field in dataclass_fields(tabs):
+                    got = getattr(tabs, field.name)
+                    want = getattr(one, field.name)
+                    if field.name in SHARED_TAB_FIELDS:
+                        assert np.array_equal(got, want), (what, field.name)
+                    else:
+                        assert got.shape[0] == n_cls
+                        assert_slice_matches(got[cls], want[0],
+                                             (what, fine, field.name))
+            one_blocks = element_blocks(spaces.tabulate([rep]), nu, gamma)
+            for field in dataclass_fields(blocks):
+                if field.name not in ("nu", "gamma"):
+                    assert_slice_matches(getattr(blocks, field.name)[cls],
+                                         getattr(one_blocks, field.name)[0],
+                                         (what, field.name))
+            one_solver = hybrid.LocalSolver(one_blocks, fam)
+            for name in ("lift", "zlift", "energy"):
+                assert_slice_matches(getattr(solvers, name)[cls],
+                                     getattr(one_solver, name)[0], (what, name))
+            one_trans = fespace.nodal_transforms(spaces.tabulate([rep]))
+            assert_slice_matches(trans[cls], one_trans[0], (what, "nodal"))
+            one_direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
+                one_blocks, one_trans, fam), fam.n_g, one_blocks.cells)
+            for j, name in ((0, "reduced"), (2, "recovery")):
+                assert_slice_matches(direct[j][cls], one_direct[j][0],
+                                     (what, name))
+            assert np.array_equal(direct[1], one_direct[1])
 
 
 def test_zero_data_gives_zero_solution():
@@ -137,14 +201,14 @@ def test_direct_factors_postprocessing_once_per_class(monkeypatch):
     case = make_case(1)
     spaces = Spaces(build_structured_mesh(8, QUAD), 1)
     solve_direct(spaces, case.nu, case.gamma, case.body_force, case.mass_source)
-    # one postprocessing factor and one gradient mass factor per class
+    # one stacked factorization each of the nodal dof matrices, the
+    # gradient masses and the postprocessing matrices of all the classes
     fam = spaces.family
     n_cls = len(spaces.class_rep)
     assert n_cls < spaces.mesh.num_cells
-    assert (fam.n_post + 1) != fam.n_g
-    assert made.count((fam.n_post + 1, fam.n_post + 1)) == n_cls
-    assert made.count((fam.n_g, fam.n_g)) == n_cls
-    assert len(made) == 2 * n_cls
+    assert sorted(made) == sorted([(n_cls, fam.n_v, fam.n_v),
+                                   (n_cls, fam.n_g, fam.n_g),
+                                   (n_cls, fam.n_post + 1, fam.n_post + 1)])
 
 
 def test_direct_system_has_no_dense_row(monkeypatch):
@@ -195,11 +259,12 @@ def test_direct_eliminates_gradient_rows(monkeypatch):
     trace_dofs = spaces.dofmap("Mt0").facet_dofs[mesh.cell_facets]
     uhat_pad = np.append(fields.uhat_t, 0.0)
     blocks = class_element_blocks(spaces, case.nu, case.gamma)
+    mats, _ = hybrid._direct_cell_matrix(
+        blocks, spaces.class_nodal_transforms(), fam)
     n_l = 2 * fam.n_g
     for c in range(nc):
         trans = spaces.nodal_transform(c)
-        mat, _ = hybrid._direct_cell_matrix(
-            blocks[spaces.cell_class[c]], trans, fam)
+        mat = mats[spaces.cell_class[c]]
         x = np.concatenate([fields.l[c].ravel(),
                             np.linalg.solve(trans, fields.u[c]),
                             fields.p[c], uhat_pad[trace_dofs[c].ravel()]])
@@ -424,11 +489,16 @@ def test_reference_table_value():
 
 def test_degenerate_coefficients_detected():
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
-    tab = spaces.tab(0)
-    blocks = element_blocks(tab, 0.0, 0.0)  # no viscosity, no resistance
+    # no viscosity, no resistance
+    blocks = element_blocks(spaces.tabulate([3]), 0.0, 0.0)
     from brinkhdg.hybrid import LocalSolver
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError,
+                       match="^local solver matrix of cell 3: "):
         LocalSolver(blocks, spaces.family)
+    # on every class at once, the first class's cell is named
+    with pytest.raises(SingularMatrixError,
+                       match="^local solver matrix of cell 0: "):
+        build_local_solvers(spaces, 0.0, 0.0)
 
 
 def test_point_evaluation_matches_projection_error():
@@ -442,6 +512,36 @@ def test_point_evaluation_matches_projection_error():
     assert np.abs(out["p"] - case.pressure(pts)).max() < 1e-1
     assert np.abs(out["ustar"] - exact).max() < 1e-3
     assert out["l"].shape == (3, 2, 2)
+
+
+def test_point_evaluation_on_perturbed_mesh():
+    # every cell its own geometry class; at k=2 on h=1/8 with seed 2016
+    # the measured maxima over 50 points are |u| 6.9e-3, |p| 3.2e-2,
+    # |u*| 2.1e-3 and |L| 0.12 against the exact solution (|u| <= 0.95,
+    # |L| <= 6.2 there)
+    case = make_case(1)
+    spaces = Spaces(perturbed_triangles(8, 0.2, seed=2016), 2,
+                    fine_degree=data_quadrature_degree(case, 2, 8))
+    fields = solve_hybrid(spaces, case.nu, case.gamma,
+                          case.body_force, case.mass_source)
+    pts = np.random.default_rng(11).uniform(0.0, 1.0, size=(50, 2))
+    out = evaluate_fields(spaces, fields, pts)
+    exact = case.velocity(pts)
+    assert np.abs(out["u"] - exact).max() < 1.5e-2
+    assert np.abs(out["p"] - case.pressure(pts)).max() < 6e-2
+    assert np.abs(out["ustar"] - exact).max() < 4e-3
+    assert np.abs(out["l"] - case.velocity_gradient(pts)).max() < 0.25
+    # at the quadrature points of a cell the values are the tabulated
+    # fields of that cell (measured 2.1e-15)
+    for c in (5, 40, 101):
+        tab = spaces.tab(c)
+        got = evaluate_fields(spaces, fields, spaces.vol_points(c, tab))
+        want = {"u": np.einsum("m,mrq->qr", fields.u[c], tab.v),
+                "p": fields.p[c] @ tab.q_vals,
+                "l": np.einsum("ra,acq->qrc", fields.l[c], tab.g),
+                "ustar": np.einsum("ri,iq->qr", fields.ustar[c], tab.post)}
+        for key, val in want.items():
+            assert np.abs(got[key] - val).max() < 1e-13, (c, key)
 
 
 def test_solution_dump_reproducible(tmp_path):

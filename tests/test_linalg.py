@@ -68,6 +68,40 @@ def test_dense_rejects_singular():
         DenseFactor(np.ones((2, 3)))
 
 
+def test_dense_stack_matches_each_matrix():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 9, 9)) + 9 * np.eye(9)
+    b = rng.standard_normal((4, 9, 3))
+    factor = DenseFactor(a)
+    x = factor.solve(b)
+    assert x.shape == (4, 9, 3)
+    for i in range(4):
+        one = DenseFactor(a[i])
+        assert np.array_equal(x[i], one.solve(b[i]))
+        assert np.array_equal(factor.solve(b[i], i), one.solve(b[i]))
+    with pytest.raises(ValueError, match="3 right-hand sides for a stack of 4"):
+        factor.solve(b[:3])
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        DenseFactor(np.zeros((0, 3, 3)))
+
+
+def test_dense_stack_names_first_singular_matrix():
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for stack in ([good, singular, good], [good, singular, np.zeros((2, 2))]):
+        with pytest.raises(SingularMatrixError,
+                           match=r"^dense factorization of matrix 1: ") as err:
+            DenseFactor(np.stack(stack))
+        assert err.value.index == 1
+    # each matrix is judged against its own largest entry, so a tiny
+    # regular matrix next to large ones passes
+    DenseFactor(np.stack([1e20 * good, 1e-20 * good, good]))
+    with pytest.raises(SingularMatrixError,
+                       match="^dense factorization: ") as err:
+        DenseFactor(singular)
+    assert err.value.index is None
+
+
 def test_sparse_diagonal():
     builder = SparseBuilder(4, 4)
     builder.add(np.arange(4), np.arange(4), [1.0, 2.0, 3.0, 4.0])

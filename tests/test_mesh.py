@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map, build_structured_mesh,
-                           locate_cell)
+                           locate_cell, perturbed_triangles)
 from brinkhdg.refelem import REFERENCE_CELLS, SIMPLEX, SQUARE
 
 
@@ -165,20 +165,48 @@ def test_bad_construction_args():
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], QUAD)  # 3 vertices per quad
 
 
+def structured_cell(n, kind, p):
+    """Cell of build_structured_mesh(n, kind) holding p, by index arithmetic."""
+    i, j = min(int(p[0] * n), n - 1), min(int(p[1] * n), n - 1)
+    if kind == QUAD:
+        return j * n + i
+    return 2 * (j * n + i) + int(p[1] * n - j > p[0] * n - i)
+
+
 def test_locate_cell():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 1.0, size=(200, 2))
-    for kind in (QUAD, TRIANGLE):
-        mesh = build_structured_mesh(5, kind)
+    meshes = [build_structured_mesh(5, QUAD), build_structured_mesh(5, TRIANGLE),
+              perturbed_triangles(5, 0.2, seed=7)]
+    for mesh in meshes:
+        refs = [affine_map(mesh, c) for c in range(mesh.num_cells)]
         for p in pts:
             c = locate_cell(mesh, p)
-            ref = affine_map(mesh, c).pull_back(p[None, :])[0]
+            ref = refs[c].pull_back(p[None, :])[0]
             assert -1e-12 <= ref[0] <= 1 + 1e-12
             assert -1e-12 <= ref[1] <= 1 + 1e-12
-            if kind == TRIANGLE:
+            if mesh.cell_kind == TRIANGLE:
                 assert ref.sum() <= 1 + 1e-12
-    with pytest.raises(ValueError):
+            # no earlier cell holds the point
+            for earlier in refs[:c]:
+                r = earlier.pull_back(p[None, :])[0]
+                outside = r.min() < -1e-12 or r.max() > 1 + 1e-12
+                if mesh.cell_kind == TRIANGLE:
+                    outside |= r.sum() > 1 + 1e-12
+                assert outside
+    for n, kind in ((5, QUAD), (5, TRIANGLE)):
+        mesh = build_structured_mesh(n, kind)
+        assert [locate_cell(mesh, p) for p in pts] == [
+            structured_cell(n, kind, p) for p in pts]
+    # a vertex shared by six cells belongs to the first of them
+    mesh = perturbed_triangles(5, 0.2, seed=7)
+    v = int(np.argmax(((mesh.vertices > 0) & (mesh.vertices < 1)).all(axis=1)))
+    assert locate_cell(mesh, mesh.vertices[v]) == int(
+        np.nonzero((mesh.cells == v).any(axis=1))[0][0])
+    with pytest.raises(ValueError, match="outside the unit square"):
         locate_cell(build_structured_mesh(2, QUAD), (1.5, 0.0))
+    with pytest.raises(ValueError, match="outside the unit square"):
+        locate_cell(perturbed_triangles(2, 0.2, seed=7), (0.5, -0.1))
 
 
 def test_arrays_read_only():

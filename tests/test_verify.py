@@ -138,8 +138,8 @@ def projected_fields(spaces, case):
         u[c] = project_velocity_div(spaces, c, case.velocity)
         p[c] = project_pressure(spaces, c, case.pressure)
         tab = spaces.tab(c)
-        blocks = element_blocks(tab, case.nu, case.gamma)
-        ustar[c] = postprocess_velocity(blocks, postprocess_factor(blocks),
+        blocks = element_blocks(spaces.tabulate([c]), case.nu, case.gamma)
+        ustar[c] = postprocess_velocity(blocks, postprocess_factor(blocks), 0,
                                         l[c], u[c])
         area = tab.wdet.sum()
         pbar[c] = np.einsum("i,iq,q->", p[c], tab.q_vals, tab.wdet) / area
