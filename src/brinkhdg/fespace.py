@@ -14,10 +14,10 @@ collapses thousands of cells to a handful of classes; on perturbed
 meshes every cell is its own class.  Per-class quantities (the
 tabulation, `ClassTabs`, and from it the element blocks, local solves
 and nodal transforms) are stacked along a leading class axis and formed
-for all classes at once.  `Spaces.class_blocks` hands out the cells of each
-class in blocks, and the point and tabulation lookups accept such an
-index array in place of one cell, so per-cell quantities can be formed
-a block at a time.
+for all classes at once.  `Spaces.tab` is the one tabulation format:
+consumers index its stack by class.  `Spaces.class_blocks` hands out the
+cells of each class in blocks, so per-cell quantities can be formed a
+block at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DenseFactor, SingularMatrixError
-from .mesh import QUAD, TRIANGLE, AffineMap, cell_geometry
+from .mesh import QUAD, TRIANGLE, cell_geometry
 from .refelem import (REFERENCE_CELLS, SIMPLEX, SQUARE, SegmentBasis,
                       divergence_span_coeffs, make_basis, quadrature)
 
@@ -135,47 +135,6 @@ def _tabulate_reference(fam, degree):
     return ref
 
 
-@dataclass
-class FacetTab:
-    """Per-local-facet tabulation for one geometry class."""
-
-    sign: int
-    h: float
-    normal: np.ndarray      # global facet normal (owner outward)
-    outward: np.ndarray     # outward for this cell = sign * normal
-    tangent: np.ndarray
-    rel_p0: np.ndarray      # facet endpoints relative to the cell origin
-    rel_p1: np.ndarray
-    s: np.ndarray           # segment rule points in [0, 1]
-    w: np.ndarray           # segment weights * facet length
-    phi: np.ndarray         # (k+1, q) facet Legendre values
-    g: np.ndarray           # (n_g, 2, q) Piola gradient-row values
-    v: np.ndarray           # (n_v, 2, q) Piola velocity values
-    q: np.ndarray           # (n_q, q) pressure values
-
-
-@dataclass
-class CellTab:
-    """Volume and facet tabulations for one geometry class."""
-
-    degree: int
-    jacobian: np.ndarray
-    inverse_jacobian: np.ndarray
-    det: float
-    ref_points: np.ndarray
-    wdet: np.ndarray
-    g: np.ndarray           # (n_g, 2, q)
-    g_div: np.ndarray       # (n_g, q)
-    v: np.ndarray           # (n_v, 2, q)
-    v_grad: np.ndarray      # (n_v, 2, 2, q)
-    v_div: np.ndarray       # (n_v, q)
-    q_vals: np.ndarray      # (n_q, q)
-    post: np.ndarray        # (n_post, q)
-    post_grad: np.ndarray   # (n_post, 2, q)
-    int_div: np.ndarray     # (n_int_scalar, q) interior projection tests
-    facets: list
-
-
 @dataclass(frozen=True)
 class ClassTabs:
     """Tabulations of a stack of geometry classes at one quadrature degree.
@@ -184,8 +143,7 @@ class ClassTabs:
     and facet arrays the local facet (f) next; the values of the
     reference rules shared by every class (ref_points, q_vals, post,
     int_div, s, phi) carry neither.  `cells` holds the cell each class
-    was tabulated from.  `at(i)` gives the CellTab of class i as views.
-    All arrays are read-only.
+    was tabulated from.  All arrays are read-only.
     """
 
     cells: np.ndarray       # (S,)
@@ -217,23 +175,6 @@ class ClassTabs:
     facet_g: np.ndarray     # (S, f, n_g, 2, qf)
     facet_v: np.ndarray     # (S, f, n_v, 2, qf)
     facet_q: np.ndarray     # (S, f, n_q, qf)
-
-    def at(self, i):
-        """The CellTab of class i; its arrays are views of the stack."""
-        facets = [FacetTab(
-            sign=int(self.sign[i, lf]), h=float(self.h[i, lf]),
-            normal=self.normal[i, lf], outward=self.outward[i, lf],
-            tangent=self.tangent[i, lf], rel_p0=self.rel_p0[i, lf],
-            rel_p1=self.rel_p1[i, lf], s=self.s, w=self.w[i, lf],
-            phi=self.phi, g=self.facet_g[i, lf], v=self.facet_v[i, lf],
-            q=self.facet_q[i, lf]) for lf in range(self.sign.shape[1])]
-        return CellTab(
-            degree=self.degree, jacobian=self.jacobian[i],
-            inverse_jacobian=self.inverse_jacobian[i], det=float(self.det[i]),
-            ref_points=self.ref_points, wdet=self.wdet[i], g=self.g[i],
-            g_div=self.g_div[i], v=self.v[i], v_grad=self.v_grad[i],
-            v_div=self.v_div[i], q_vals=self.q_vals, post=self.post,
-            post_grad=self.post_grad[i], int_div=self.int_div, facets=facets)
 
 
 def factor_classes(mats, cells, what):
@@ -329,10 +270,9 @@ def build_dofmap(mesh, tag, k):
 class Spaces:
     """Mapped-element data for one (mesh, degree) pair.
 
-    Provides the tabulations of all geometry classes, stacked
-    (`class_tabs`) and per class (`tab`), affine maps, the nodal
-    (facet-moment / interior-moment) velocity transform, and the dof maps
-    of all discrete spaces.
+    Provides the cell geometry, the stacked tabulation of all geometry
+    classes (`tab`), the nodal (facet-moment / interior-moment) velocity
+    transforms, and the dof maps of all discrete spaces.
     """
 
     def __init__(self, mesh, k, assembly_degree=None, fine_degree=None):
@@ -368,33 +308,18 @@ class Spaces:
         cells = np.argsort(self.cell_class, kind="stable")
         counts = np.bincount(self.cell_class, minlength=len(self.class_rep))
         self.class_cells = np.split(cells, np.cumsum(counts)[:-1])
-        self._tabs = {}
-        self._class_tabs = {}
+        self._stacks = {}
         self._nodal = None
         self._dofmaps = {}
 
     # -- lookups --------------------------------------------------------
 
-    def amap(self, c):
-        return AffineMap(offset=self.offsets[c], jacobian=self.jacobians[c],
-                         det=float(self.dets[c]),
-                         inverse_jacobian=self.inverse_jacobians[c])
-
     def class_blocks(self):
-        """Index arrays of at most BLOCK_CELLS cells, each of one class."""
-        for cells in self.class_cells:
+        """(class, cells) pairs; cells holds at most BLOCK_CELLS cells of
+        that class, and the blocks cover every cell once."""
+        for cls, cells in enumerate(self.class_cells):
             for start in range(0, len(cells), BLOCK_CELLS):
-                yield cells[start:start + BLOCK_CELLS]
-
-    def _class_of(self, c):
-        """Geometry class of cell c, or of an index array of cells of one class."""
-        cls = self.cell_class[c]
-        if np.ndim(cls):
-            if cls.size == 0 or (cls != cls[0]).any():
-                raise ValueError("expected a nonempty set of cells of one "
-                                 "geometry class")
-            cls = cls[0]
-        return int(cls)
+                yield cls, cells[start:start + BLOCK_CELLS]
 
     def dofmap(self, tag):
         if tag not in self._dofmaps:
@@ -403,22 +328,13 @@ class Spaces:
 
     # -- tabulation -------------------------------------------------------
 
-    def tab(self, c, fine=False):
-        """Tabulation of the class of cell c (or of an index array of cells
-        of one class); the same CellTab object for every cell of a class."""
+    def tab(self, *, fine=False):
+        """Stacked tabulation (`ClassTabs`) of every class at the fine or
+        the assembly degree, in class order, made on first use."""
         degree = self.fine_degree if fine else self.assembly_degree
-        key = (self._class_of(c), degree)
-        if key not in self._tabs:
-            self._tabs[key] = self.class_tabs(fine).at(key[0])
-        return self._tabs[key]
-
-    def class_tabs(self, fine=False):
-        """Stacked tabulation of every class, in class order, made on
-        first use."""
-        degree = self.fine_degree if fine else self.assembly_degree
-        if degree not in self._class_tabs:
-            self._class_tabs[degree] = self.tabulate(self.class_rep, fine)
-        return self._class_tabs[degree]
+        if degree not in self._stacks:
+            self._stacks[degree] = self.tabulate(self.class_rep, fine)
+        return self._stacks[degree]
 
     def tabulate(self, cells, fine=False):
         """ClassTabs of the geometry of each given cell.
@@ -485,17 +401,19 @@ class Spaces:
                 arr.flags.writeable = False
         return tabs
 
-    def vol_points(self, c, tab):
-        """Volume points (q, 2) of cell c, or (C, q, 2) for an index array."""
-        return self.offsets[c][..., None, :] + tab.ref_points @ tab.jacobian.T
+    def vol_points(self, tabs, cls, c):
+        """Volume points (q, 2) of cell c of class cls of the stack tabs,
+        or (C, q, 2) for an index array of cells of that class."""
+        return (self.offsets[c][..., None, :]
+                + tabs.ref_points @ tabs.jacobian[cls].T)
 
-    def facet_points(self, c, tab, lf):
-        """Points (q, 2) on local facet lf of cell c, or (C, q, 2)."""
-        ft = tab.facets[lf]
-        off = self.offsets[c][..., None, :]
-        p0 = off + ft.rel_p0
-        p1 = off + ft.rel_p1
-        return p0 + ft.s[:, None] * (p1 - p0)
+    def facet_points(self, tabs, cls, c):
+        """Points (f, qf, 2) on every local facet of cell c of class cls of
+        the stack tabs, or (C, f, qf, 2) for an index array."""
+        off = self.offsets[c][..., None, None, :]
+        p0 = off + tabs.rel_p0[cls][:, None]
+        p1 = off + tabs.rel_p1[cls][:, None]
+        return p0 + tabs.s[:, None] * (p1 - p0)
 
     def local_facet(self, c, f):
         row = self.mesh.cell_facets[c]
@@ -510,33 +428,29 @@ class Spaces:
         """Nodal transforms of every class, (n_cls, n_v, n_v); see
         `nodal_transforms`."""
         if self._nodal is None:
-            self._nodal = nodal_transforms(self.class_tabs())
+            self._nodal = nodal_transforms(self.tab())
             self._nodal.flags.writeable = False
         return self._nodal
 
-    def nodal_transform(self, c):
-        """T with field = sum_m (T @ alpha)_m V_m for nodal coefficients alpha."""
-        return self.class_nodal_transforms()[self._class_of(c)]
 
-
-def normal_trace_jumps(spaces, u_modal, fine=True):
+def normal_trace_jumps(spaces, u_modal):
     """Facet-normal continuity of a broken velocity field.
 
     Returns (max interior facet L2 jump of u.n, max boundary facet L2 norm
-    of u.n).  Fields in V_div0 should give both at roundoff level.
+    of u.n) on the fine rule.  Fields in V_div0 should give both at
+    roundoff level.
     """
     mesh = spaces.mesh
-    degree = spaces.fine_degree if fine else spaces.assembly_degree
-    weights = quadrature("segment", degree).weights
+    tabs = spaces.tab(fine=True)
+    weights = quadrature("segment", tabs.degree).weights
     # u.n against the stored facet normal at the facet's points, seen
     # from the owner (side 0) and from the neighbor (side 1)
     vn = np.zeros((mesh.num_facets, 2, weights.size))
-    for cells in spaces.class_blocks():
-        tab = spaces.tab(cells, fine=fine)
-        for lf, ft in enumerate(tab.facets):
-            side = (mesh.cell_facet_signs[cells, lf] < 0).astype(int)
-            vn[mesh.cell_facets[cells, lf], side] = np.einsum(
-                "em,mcq,c->eq", u_modal[cells], ft.v, ft.normal)
+    for cls, cells in spaces.class_blocks():
+        side = (mesh.cell_facet_signs[cells] < 0).astype(int)
+        vn[mesh.cell_facets[cells], side] = np.einsum(
+            "em,fmcq,fc->efq", u_modal[cells], tabs.facet_v[cls],
+            tabs.normal[cls])
     w = weights * mesh.facet_lengths[:, None]
     jumps = np.sqrt(np.sum(w * (vn[:, 0] - vn[:, 1]) ** 2, axis=1))
     owner = np.sqrt(np.sum(w * vn[:, 0] ** 2, axis=1))

@@ -67,7 +67,7 @@ class ElementBlocks:
 
 def class_element_blocks(spaces, nu, gamma):
     """Element blocks of every geometry class, in class order."""
-    return element_blocks(spaces.class_tabs(), nu, gamma)
+    return element_blocks(spaces.tab(), nu, gamma)
 
 
 def element_blocks(tabs, nu, gamma):
@@ -110,9 +110,10 @@ def element_blocks(tabs, nu, gamma):
 # -- projections ----------------------------------------------------------
 #
 # project_grad and project_velocity_div take one cell c, or an index
-# array of cells of one geometry class, and project_facet_tangent one
-# facet or an index array; the result then gains a leading axis.
-# Callables are evaluated once on all points of all the cells or facets.
+# array of cells of one geometry class, whose slice of the fine stack
+# they read; project_facet_tangent takes one facet or an index array.
+# An index array gives the result a leading axis.  Callables are
+# evaluated once on all points of all the cells or facets.
 
 
 def values_at(func, x):
@@ -121,51 +122,61 @@ def values_at(func, x):
     return flat.reshape(x.shape[:-1] + flat.shape[1:])
 
 
-def grad_coefficients(spaces, c, vals):
-    """Row-space L2 projection from values (..., q, 2, 2) at the fine points."""
-    tab = spaces.tab(c, fine=True)
-    mg = np.einsum("acq,bcq,q->ab", tab.g, tab.g, tab.wdet)
-    rhs = np.einsum("...qrc,acq,q->a...r", vals, tab.g, tab.wdet)
+def _class_of(spaces, c):
+    """Geometry class of cell c, or of a nonempty index array of cells of
+    one class; ValueError otherwise."""
+    cls = np.unique(spaces.cell_class[c])
+    if cls.size != 1:
+        raise ValueError("expected a nonempty set of cells of one geometry "
+                         "class")
+    return int(cls[0])
+
+
+def grad_coefficients(tabs, cls, vals):
+    """Row-space L2 projection from values (..., q, 2, 2) at the volume
+    points of class cls of the stack tabs."""
+    g, wdet = tabs.g[cls], tabs.wdet[cls]
+    mg = np.einsum("acq,bcq,q->ab", g, g, wdet)
+    rhs = np.einsum("...qrc,acq,q->a...r", vals, g, wdet)
     coef = np.linalg.solve(mg, rhs.reshape(mg.shape[0], -1))
     return np.moveaxis(coef.reshape(rhs.shape), 0, -1)
 
 
 def project_grad(spaces, c, grad_func):
     """L2 projection of a 2x2 tensor field into the row space; (2, n_g)."""
-    tab = spaces.tab(c, fine=True)
+    cls = _class_of(spaces, c)
+    tabs = spaces.tab(fine=True)
     return grad_coefficients(
-        spaces, c, values_at(grad_func, spaces.vol_points(c, tab)))
+        tabs, cls, values_at(grad_func, spaces.vol_points(tabs, cls, c)))
 
 
 def project_pressure(spaces, c, func):
     """L2 projection of a scalar field into the pressure space; (n_q,)."""
-    tab = spaces.tab(c, fine=True)
-    x = spaces.vol_points(c, tab)
-    vals = func(x)
-    mq = np.einsum("iq,jq,q->ij", tab.q_vals, tab.q_vals, tab.wdet)
-    rhs = np.einsum("q,iq,q->i", vals, tab.q_vals, tab.wdet)
+    cls = _class_of(spaces, c)
+    tabs = spaces.tab(fine=True)
+    vals = func(spaces.vol_points(tabs, cls, c))
+    mq = np.einsum("iq,jq,q->ij", tabs.q_vals, tabs.q_vals, tabs.wdet[cls])
+    rhs = np.einsum("q,iq,q->i", vals, tabs.q_vals, tabs.wdet[cls])
     return np.linalg.solve(mq, rhs)
 
 
-def velocity_div_coefficients(spaces, c, facet_vals, vol_vals):
+def velocity_div_coefficients(tabs, trans, cls, facet_vals, vol_vals):
     """Divergence-conforming interpolant from point values; modal (..., n_v).
 
-    facet_vals[lf] holds the field at the fine points of local facet lf,
-    vol_vals at the fine volume points (unused when there are no interior
-    moments).
+    facet_vals (..., f, qf, 2) holds the field at the points of every
+    local facet, vol_vals (..., q, 2) at the volume points (unused when
+    there are no interior moments); trans holds the nodal transforms of
+    the stack's classes.
     """
-    fam = spaces.family
-    tab = spaces.tab(c, fine=True)
-    kk = fam.n_facet
-    alpha = np.zeros(np.shape(c) + (fam.n_v,))
-    for lf, ft in enumerate(tab.facets):
-        un = facet_vals[lf] @ ft.normal
-        alpha[..., lf * kk:(lf + 1) * kk] = np.einsum(
-            "jq,...q,q->...j", ft.phi, un, ft.w)
-    if fam.n_int_scalar:
-        mom = np.einsum("...qr,iq,q->...ri", vol_vals, tab.int_div, tab.wdet)
-        alpha[..., fam.n_cell_facets * kk:] = mom.reshape(mom.shape[:-2] + (-1,))
-    return alpha @ spaces.nodal_transform(c).T
+    un = (facet_vals @ tabs.normal[cls][..., None])[..., 0]
+    alpha = np.einsum("jq,...fq,fq->...fj", tabs.phi, un, tabs.w[cls])
+    alpha = alpha.reshape(alpha.shape[:-2] + (-1,))
+    if tabs.int_div.shape[0]:
+        mom = np.einsum("...qr,iq,q->...ri", vol_vals, tabs.int_div,
+                        tabs.wdet[cls])
+        alpha = np.concatenate([alpha, mom.reshape(mom.shape[:-2] + (-1,))],
+                               axis=-1)
+    return alpha @ trans[cls].T
 
 
 def project_velocity_div(spaces, c, func):
@@ -175,13 +186,13 @@ def project_velocity_div(spaces, c, func):
     interior component moments against the row-divergence span, so the
     interpolant commutes with the divergence projection.
     """
-    fam = spaces.family
-    tab = spaces.tab(c, fine=True)
-    facet_vals = [values_at(func, spaces.facet_points(c, tab, lf))
-                  for lf in range(fam.n_cell_facets)]
-    vol_vals = (values_at(func, spaces.vol_points(c, tab))
-                if fam.n_int_scalar else None)
-    return velocity_div_coefficients(spaces, c, facet_vals, vol_vals)
+    cls = _class_of(spaces, c)
+    tabs = spaces.tab(fine=True)
+    facet_vals = values_at(func, spaces.facet_points(tabs, cls, c))
+    vol_vals = (values_at(func, spaces.vol_points(tabs, cls, c))
+                if tabs.int_div.shape[0] else None)
+    return velocity_div_coefficients(tabs, spaces.class_nodal_transforms(),
+                                     cls, facet_vals, vol_vals)
 
 
 @lru_cache(maxsize=None)

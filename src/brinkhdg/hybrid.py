@@ -10,7 +10,7 @@ factored as one stack with a leading class axis (`LocalSolver`), and
 every cell-local step (data moments, source solves, the scatter of the
 energy blocks, recovery and the postprocessing of u*) runs on blocks of
 cells of one class (`Spaces.class_blocks`), with one dense operation per
-block.
+block on the class's slice of each stack.
 
 `solve_direct` works on the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
@@ -31,6 +31,7 @@ from .fespace import factor_classes
 from .forms import (class_element_blocks, postprocess_factor,
                     postprocess_velocity, values_at)
 from .linalg import SparseBuilder, block_triplets, sparse_solve
+from .mesh import locate_cell
 
 
 class LocalSolver:
@@ -155,28 +156,27 @@ def _checked_values(func, x, shape, what):
     return vals
 
 
-def _data_moments(spaces, cells, f_func, g_func):
+def _data_moments(spaces, tabs, cls, cells, f_func, g_func):
     """Velocity moments of f, pressure moments of g, and the integral of |g|.
 
-    cells is an index array of cells of one geometry class, such as a
-    block of `Spaces.class_blocks`.  f and g are called once, on the
-    stacked fine points of all the cells; the moments are (C, n_v) and
-    (C, n_q), and the integral is summed over the cells.
+    cells is an index array of cells of class cls, such as a block of
+    `Spaces.class_blocks`, and tabs the fine-degree stack.  f and g are
+    called once, on the stacked points of all the cells; the moments are
+    (C, n_v) and (C, n_q), and the integral is summed over the cells.
     """
-    tab = spaces.tab(cells, fine=True)
-    x = spaces.vol_points(cells, tab)
+    x = spaces.vol_points(tabs, cls, cells)
     flat = x.reshape(-1, 2)
     nq = flat.shape[0]
     fv = _checked_values(f_func, flat, (nq, 2), "body force").reshape(x.shape)
     gv = _checked_values(g_func, flat, (nq,), "mass source").reshape(x.shape[:-1])
-    fmom = np.einsum("mrq,eqr,q->em", tab.v, fv, tab.wdet)
-    gmom = np.einsum("iq,eq,q->ei", tab.q_vals, gv, tab.wdet)
-    return fmom, gmom, float(np.sum(np.abs(gv) @ tab.wdet))
+    wdet = tabs.wdet[cls]
+    fmom = np.einsum("mrq,eqr,q->em", tabs.v[cls], fv, wdet)
+    gmom = np.einsum("iq,eq,q->ei", tabs.q_vals, gv, wdet)
+    return fmom, gmom, float(np.sum(np.abs(gv) @ wdet))
 
 
 def _constant_pressure_value(spaces):
-    tab = spaces.tab(0)
-    vals = tab.q_vals[0]
+    vals = spaces.tab().q_vals[0]
     if np.ptp(vals) > 1e-12 * abs(vals[0]):
         raise RuntimeError("first pressure basis function is not constant")
     return float(vals[0])
@@ -209,10 +209,11 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
     g_abs = 0.0
+    tabs = spaces.tab(fine=True)
 
-    for cells in spaces.class_blocks():
-        cls = spaces.cell_class[cells[0]]
-        fmom, gmom, g_abs_b = _data_moments(spaces, cells, f_func, g_func)
+    for cls, cells in spaces.class_blocks():
+        fmom, gmom, g_abs_b = _data_moments(spaces, tabs, cls, cells,
+                                            f_func, g_func)
         g_abs += g_abs_b
         src = np.zeros((ls.n, len(cells)))
         src[o_u:o_p] = fmom.T
@@ -270,8 +271,7 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     lam = np.zeros((nc, nfc * kk))
     ustar = np.zeros((nc, 2, fam.n_post))
     eta_pad = np.concatenate([sol[:2 * ntt], [0.0]])
-    for cells in spaces.class_blocks():
-        cls = spaces.cell_class[cells[0]]
+    for cls, cells in spaces.class_blocks():
         xi = eta_pad[cols[cells]] @ ls.lift[cls].T + x_src[cells]
         l[cells] = xi[:, :o_u].reshape(-1, 2, fam.n_g)
         u[cells] = xi[:, o_u:o_p]
@@ -395,8 +395,9 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     n_sys = o_t + mt.total
     q0v = _constant_pressure_value(spaces)
     blocks = class_element_blocks(spaces, nu, gamma)
+    trans = spaces.class_nodal_transforms()
     mats, pattern, rec = _eliminate_gradient(*_direct_cell_matrix(
-        blocks, spaces.class_nodal_transforms(), fam), n_g, blocks.cells)
+        blocks, trans, fam), n_g, blocks.cells)
     trace_dofs = mt.facet_dofs[mesh.cell_facets].reshape(nc, -1)
     # per cell: velocity, pressure and trace rows of the reduced system
     kept = np.hstack([vd.cell_dofs,
@@ -407,16 +408,16 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     rhs = np.zeros(n_sys)
     gmom = np.zeros((nc, n_q))
     qint = np.zeros((nc, n_q))
-    for cells in spaces.class_blocks():
-        cls = spaces.cell_class[cells[0]]
+    tabs = spaces.tab(fine=True)
+    for cls, cells in spaces.class_blocks():
         triplets.append(block_triplets(kept[cells], mats[cls], pattern))
 
-        fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
+        fmom, gmom[cells], _ = _data_moments(spaces, tabs, cls, cells,
+                                             f_func, g_func)
         qint[cells] = blocks.qint[cls]
         udofs = vd.cell_dofs[cells]
         ukeep = udofs >= 0
-        np.add.at(rhs, udofs[ukeep],
-                  (fmom @ spaces.nodal_transform(cells))[ukeep])
+        np.add.at(rhs, udofs[ukeep], (fmom @ trans[cls])[ukeep])
 
     # the constant-test rows sum to int g (the divergence terms cancel),
     # so remove the mean of g; the last cell's constant-test row is then
@@ -444,11 +445,9 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     ustar = np.zeros((nc, 2, fam.n_post))
     post_factor = postprocess_factor(blocks)
     sol_pad = np.append(sol, 0.0)
-    for cells in spaces.class_blocks():
-        cls = spaces.cell_class[cells[0]]
+    for cls, cells in spaces.class_blocks():
         l[cells] = (sol_pad[kept[cells]] @ rec[cls].T).reshape(-1, 2, n_g)
-        u[cells] = (sol_pad[vd.cell_dofs[cells]]
-                    @ spaces.nodal_transform(cells).T)
+        u[cells] = sol_pad[vd.cell_dofs[cells]] @ trans[cls].T
         ustar[cells] = postprocess_velocity(blocks, post_factor, cls,
                                             l[cells], u[cells])
     p = sol[o_p:o_t].reshape(nc, n_q).copy()
@@ -468,14 +467,14 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
 def compare_fields(spaces, fa, fb):
     """L2 distances between two solutions; keys dl, du, dp, dut."""
     dl2 = du2 = dp2 = 0.0
-    for cells in spaces.class_blocks():
-        tab = spaces.tab(cells)
-        w = tab.wdet
-        dl = np.einsum("era,acq->ercq", fa.l[cells] - fb.l[cells], tab.g)
+    tabs = spaces.tab()
+    for cls, cells in spaces.class_blocks():
+        w = tabs.wdet[cls]
+        dl = np.einsum("era,acq->ercq", fa.l[cells] - fb.l[cells], tabs.g[cls])
         dl2 += float(np.einsum("ercq,ercq,q->", dl, dl, w))
-        du = np.einsum("em,mrq->erq", fa.u[cells] - fb.u[cells], tab.v)
+        du = np.einsum("em,mrq->erq", fa.u[cells] - fb.u[cells], tabs.v[cls])
         du2 += float(np.einsum("erq,erq,q->", du, du, w))
-        dp = (fa.p[cells] - fb.p[cells]) @ tab.q_vals
+        dp = (fa.p[cells] - fb.p[cells]) @ tabs.q_vals
         dp2 += float(np.einsum("eq,eq,q->", dp, dp, w))
     mesh = spaces.mesh
     dt = (fa.uhat_t - fb.uhat_t).reshape(len(mesh.interior_facets), -1)
@@ -488,50 +487,38 @@ def compare_fields(spaces, fa, fb):
 def mass_balance_residual(spaces, fields, g_func):
     """Max cell residual of the divergence moments against the source."""
     worst = 0.0
-    for cells in spaces.class_blocks():
-        tab = spaces.tab(cells, fine=True)
-        gv = values_at(g_func, spaces.vol_points(cells, tab))
-        gmom = np.einsum("iq,eq,q->ei", tab.q_vals, gv, tab.wdet)
-        tab_a = spaces.tab(cells)
-        bdiv = np.einsum("iq,mq,q->mi", tab_a.q_vals, tab_a.v_div, tab_a.wdet)
+    fine, tabs = spaces.tab(fine=True), spaces.tab()
+    for cls, cells in spaces.class_blocks():
+        gv = values_at(g_func, spaces.vol_points(fine, cls, cells))
+        gmom = np.einsum("iq,eq,q->ei", fine.q_vals, gv, fine.wdet[cls])
+        bdiv = np.einsum("iq,mq,q->mi", tabs.q_vals, tabs.v_div[cls],
+                         tabs.wdet[cls])
         res = fields.u[cells] @ bdiv - gmom
         worst = max(worst, float(np.abs(res).max()))
     return worst
 
 
 def pressure_integral(spaces, fields):
-    total = 0.0
-    for cells in spaces.class_cells:
-        tab = spaces.tab(cells)
-        qint = np.einsum("iq,q->i", tab.q_vals, tab.wdet)
-        total += float((fields.p[cells] @ qint).sum())
-    return total
+    tabs = spaces.tab()
+    qint = tabs.wdet @ tabs.q_vals.T
+    return float(np.einsum("ci,ci->", fields.p, qint[spaces.cell_class]))
 
 
 def evaluate_fields(spaces, fields, points):
     """Point values of velocity, pressure, gradient, postprocessed velocity."""
-    from .mesh import locate_cell
     fam = spaces.family
     pts = np.atleast_2d(np.asarray(points, float))
-    n = pts.shape[0]
-    out_u = np.zeros((n, 2))
-    out_p = np.zeros(n)
-    out_l = np.zeros((n, 2, 2))
-    out_star = np.zeros((n, 2))
-    for i, pt in enumerate(pts):
-        c = locate_cell(spaces.mesh, pt)
-        am = spaces.amap(c)
-        ref = am.pull_back(pt[None, :])
-        jac, det = am.jacobian, am.det
-        vv = np.einsum("rc,ncq->nrq", jac, fam.v.tabulate(ref)) / det
-        gv = np.einsum("rc,ncq->nrq", jac, fam.g_row.tabulate(ref)) / det
-        qv = fam.q.tabulate(ref)
-        sv = fam.post.tabulate(ref)
-        out_u[i] = np.einsum("m,mrq->r", fields.u[c], vv)
-        out_p[i] = float(fields.p[c] @ qv[:, 0])
-        out_l[i] = np.einsum("ra,acq->rc", fields.l[c], gv)
-        out_star[i] = np.einsum("ri,iq->r", fields.ustar[c], sv)
-    return {"u": out_u, "p": out_p, "l": out_l, "ustar": out_star}
+    cells = locate_cell(spaces.mesh, pts)
+    ref = np.einsum("pij,pj->pi", spaces.inverse_jacobians[cells],
+                    pts - spaces.offsets[cells])
+    jac, det = spaces.jacobians[cells], spaces.dets[cells, None, None]
+    vv = np.einsum("prc,ncp->pnr", jac, fam.v.tabulate(ref)) / det
+    gv = np.einsum("prc,ncp->pnr", jac, fam.g_row.tabulate(ref)) / det
+    return {"u": np.einsum("pm,pmr->pr", fields.u[cells], vv),
+            "p": np.einsum("pi,ip->p", fields.p[cells], fam.q.tabulate(ref)),
+            "l": np.einsum("pra,pac->prc", fields.l[cells], gv),
+            "ustar": np.einsum("pri,ip->pr", fields.ustar[cells],
+                               fam.post.tabulate(ref))}
 
 
 def write_solution_text(path, spaces, fields):

@@ -18,6 +18,11 @@ TRIANGLE = "triangle"
 
 _DEGENERATE_RTOL = 1e-12
 
+# most (point, cell) pairs locate_cell pulls back at once; keeps its
+# (points, cells) temporaries near cache size (on 8,192 cells, 0.09-0.14
+# ms per point against 0.25 ms at 2**20)
+LOCATE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -240,25 +245,41 @@ def perturbed_triangles(n, share, seed):
     return Mesh(vertices, base.cells, TRIANGLE)
 
 
-def locate_cell(mesh, point):
-    """Index of the first cell that contains a point of the unit square.
+def locate_cell(mesh, points):
+    """Index of the first cell that contains each of (P, 2) points of the
+    unit square; an int array (P,).
 
-    The point is pulled back through the affine maps of all cells at
-    once; a cell contains it when its reference coordinates lie in the
-    reference cell, up to roundoff.
+    The points are pulled back through the affine maps of all cells,
+    computed once per call, LOCATE_CHUNK // num_cells points at a time to
+    bound the (points, cells) arrays; a cell contains a point when its
+    reference coordinates lie in the reference cell, up to roundoff.
+    Raises ValueError naming the first point outside the unit square, or
+    else the first point in no cell.
     """
-    x = np.asarray(point, dtype=float)
-    if x.shape != (2,) or not ((-1e-12 <= x) & (x <= 1 + 1e-12)).all():
-        raise ValueError(f"point {point} outside the unit square")
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"expected points of shape (P, 2), got {x.shape}")
+    outside = ~((-1e-12 <= x) & (x <= 1 + 1e-12)).all(axis=1)
+    if outside.any():
+        raise ValueError(f"point {x[np.argmax(outside)]} outside the unit square")
     offsets, _, _, inv = cell_geometry(mesh)
-    ref = np.einsum("cij,cj->ci", inv, x - offsets)
     tol = 1e-12
-    inside = (ref >= -tol).all(axis=1)
-    if mesh.cell_kind == QUAD:
-        inside &= (ref <= 1 + tol).all(axis=1)
-    else:
-        inside &= ref.sum(axis=1) <= 1 + tol
-    hits = np.flatnonzero(inside)
-    if hits.size == 0:
-        raise ValueError(f"no cell contains the point {point}")
-    return int(hits[0])
+    step = max(1, LOCATE_CHUNK // mesh.num_cells)
+    cells = np.empty(len(x), dtype=int)
+    for start in range(0, len(x), step):
+        # reference coordinates (r0, r1) of the points, (points, cells)
+        d0 = x[start:start + step, :1] - offsets[:, 0]
+        d1 = x[start:start + step, 1:] - offsets[:, 1]
+        r0 = inv[:, 0, 0] * d0 + inv[:, 0, 1] * d1
+        r1 = inv[:, 1, 0] * d0 + inv[:, 1, 1] * d1
+        inside = (r0 >= -tol) & (r1 >= -tol)
+        if mesh.cell_kind == QUAD:
+            inside &= (r0 <= 1 + tol) & (r1 <= 1 + tol)
+        else:
+            inside &= r0 + r1 <= 1 + tol
+        hit = inside.any(axis=1)
+        if not hit.all():
+            raise ValueError("no cell contains the point "
+                             f"{x[start + np.argmin(hit)]}")
+        cells[start:start + step] = inside.argmax(axis=1)
+    return cells

@@ -27,6 +27,11 @@ SEGMENT = "segment"
 SIMPLEX = "simplex"
 SQUARE = "square"
 
+# divergence Gram eigenvalues below this share of the largest are dropped
+DIV_SPAN_RTOL = 1e-10
+# normal-trace fit residual, relative to 1 + the largest trace, of roundoff
+NORMAL_TRACE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -282,7 +287,7 @@ class SegmentBasis:
         return out
 
 
-def divergence_span_coeffs(basis, rtol=1e-10):
+def divergence_span_coeffs(basis):
     """Orthonormal combinations spanning the divergences of a vector basis.
 
     Returns a (rank, num_funcs) matrix R; the functions sum_a R[i, a] div(v_a)
@@ -294,21 +299,19 @@ def divergence_span_coeffs(basis, rtol=1e-10):
     gram = np.einsum("np,mp,p->nm", dv, dv, rule.weights)
     evals, evecs = np.linalg.eigh(gram)
     scale = max(evals[-1], 0.0)
-    keep = evals > rtol * max(scale, 1e-300)
+    keep = evals > DIV_SPAN_RTOL * max(scale, 1e-300)
     if not np.any(keep):
         return np.zeros((0, basis.num_funcs))
     return (evecs[:, keep] / np.sqrt(evals[keep])).T
 
 
-def normal_trace_degree_check(basis, k=None, tol=1e-9):
+def normal_trace_degree_check(basis, k):
     """True when every facet normal trace of the basis has degree <= k.
 
     The trace is sampled along each reference facet and fitted with a
     polynomial of degree k; the check fails when some fit residual is
     nonzero beyond roundoff.
     """
-    if k is None:
-        k = basis.degree
     ref = REFERENCE_CELLS[basis.cell]
     s = np.linspace(0.05, 0.95, k + 4)
     vander = np.vander(s, k + 1)
@@ -317,6 +320,7 @@ def normal_trace_degree_check(basis, k=None, tol=1e-9):
         pts = p0 + s[:, None] * (p1 - p0)
         vn = np.einsum("ncp,c->np", basis.tabulate(pts), normal)
         coef = np.linalg.lstsq(vander, vn.T, rcond=None)[0]
-        if np.abs(vander @ coef - vn.T).max() > tol * (1.0 + np.abs(vn).max()):
+        if (np.abs(vander @ coef - vn.T).max()
+                > NORMAL_TRACE_TOL * (1.0 + np.abs(vn).max())):
             return False
     return True

@@ -199,20 +199,20 @@ class ErrorReport:
 class _ErrorBlock:
     """Exact-solution data and projected errors on a block of one class.
 
-    Arrays have a leading cells axis; the facet lists hold one array per
-    local facet, over that facet's fine points.
+    Arrays have a leading cells axis; the facet arrays have the local
+    facet next, over the fine points of each facet.
     """
 
+    cls: int
     cells: np.ndarray
-    tab: object
     x: np.ndarray           # (C, q, 2) fine volume points
     u: np.ndarray           # (C, q, 2) exact velocity
     grad: np.ndarray        # (C, q, 2, 2) exact velocity gradient
     proj_u: np.ndarray      # (C, n_v) interpolant Pi_V u
     du: np.ndarray          # (C, n_v) e_u = Pi_V u - u^h
     dl: np.ndarray          # (C, 2, n_g) e_L = P_G grad u - L^h
-    facet_dl: list          # (C, qf, 2, 2) grad u - P_G grad u
-    facet_gap: list         # (C, qf) e_u . t - e_uhat
+    facet_dl: np.ndarray    # (C, f, qf, 2, 2) grad u - P_G grad u
+    facet_gap: np.ndarray   # (C, f, qf) e_u . t - e_uhat
 
 
 def _error_blocks(spaces, fields, case):
@@ -225,7 +225,8 @@ def _error_blocks(spaces, fields, case):
     """
     mesh = spaces.mesh
     kk = spaces.family.n_facet
-    nfc = spaces.family.n_cell_facets
+    tabs = spaces.tab(fine=True)
+    trans = spaces.class_nodal_transforms()
     # per facet: moments of u . t minus the discrete trace (0 on the boundary)
     dhat = project_facet_tangent(mesh, np.arange(mesh.num_facets), spaces.k,
                                  case.velocity, spaces.fine_degree)
@@ -233,27 +234,23 @@ def _error_blocks(spaces, fields, case):
     inner = rank >= 0
     dhat[inner] -= fields.uhat_t.reshape(-1, kk)[rank[inner]]
 
-    for cells in spaces.class_blocks():
-        tab = spaces.tab(cells, fine=True)
-        x = spaces.vol_points(cells, tab)
-        xf = np.stack([spaces.facet_points(cells, tab, lf)
-                       for lf in range(nfc)])
+    for cls, cells in spaces.class_blocks():
+        x = spaces.vol_points(tabs, cls, cells)
+        xf = spaces.facet_points(tabs, cls, cells)
         u = values_at(case.velocity, x)
         grad = values_at(case.velocity_gradient, x)
-        grad_f = values_at(case.velocity_gradient, xf)
         proj_u = velocity_div_coefficients(
-            spaces, cells, values_at(case.velocity, xf), u)
-        proj_l = grad_coefficients(spaces, cells, grad)
+            tabs, trans, cls, values_at(case.velocity, xf), u)
+        proj_l = grad_coefficients(tabs, cls, grad)
         du = proj_u - fields.u[cells]
-        facet_dl, facet_gap = [], []
-        for lf, ft in enumerate(tab.facets):
-            facet_dl.append(grad_f[lf] - np.einsum("era,acq->eqrc", proj_l, ft.g))
-            ehat = dhat[mesh.cell_facets[cells, lf]] @ ft.phi
-            eut = np.einsum("em,mcq,c->eq", du, ft.v, ft.tangent)
-            facet_gap.append(eut - ehat)
-        yield _ErrorBlock(cells=cells, tab=tab, x=x, u=u, grad=grad,
+        facet_dl = (values_at(case.velocity_gradient, xf)
+                    - np.einsum("era,facq->efqrc", proj_l, tabs.facet_g[cls]))
+        ehat = dhat[mesh.cell_facets[cells]] @ tabs.phi
+        eut = np.einsum("em,fmcq,fc->efq", du, tabs.facet_v[cls],
+                        tabs.tangent[cls])
+        yield _ErrorBlock(cls=cls, cells=cells, x=x, u=u, grad=grad,
                           proj_u=proj_u, du=du, dl=proj_l - fields.l[cells],
-                          facet_dl=facet_dl, facet_gap=facet_gap)
+                          facet_dl=facet_dl, facet_gap=eut - ehat)
 
 
 def error_norms(spaces, fields, case):
@@ -262,36 +259,37 @@ def error_norms(spaces, fields, case):
     gamma = as_gamma_matrix(case.gamma)
 
     el2 = eu2 = ep2 = estar2 = eeu2 = eel2 = eh1 = edl2 = 0.0
+    tabs = spaces.tab(fine=True)
     for blk in _error_blocks(spaces, fields, case):
-        cells, tab = blk.cells, blk.tab
-        w = tab.wdet
+        cells, cls = blk.cells, blk.cls
+        w, g, v = tabs.wdet[cls], tabs.g[cls], tabs.v[cls]
 
-        lv = np.einsum("era,acq->eqrc", fields.l[cells], tab.g)
+        lv = np.einsum("era,acq->eqrc", fields.l[cells], g)
         el2 += float(np.einsum("eqrc,q->", (lv - blk.grad) ** 2, w))
 
-        uv = np.einsum("em,mrq->eqr", fields.u[cells], tab.v)
+        uv = np.einsum("em,mrq->eqr", fields.u[cells], v)
         eu2 += float(np.einsum("eqr,q->", (uv - blk.u) ** 2, w))
 
-        pv = fields.p[cells] @ tab.q_vals
+        pv = fields.p[cells] @ tabs.q_vals
         pex = values_at(case.pressure, blk.x)
         ep2 += float(np.einsum("eq,q->", (pv - pex) ** 2, w))
 
-        sv = np.einsum("eri,iq->eqr", fields.ustar[cells], tab.post)
+        sv = np.einsum("eri,iq->eqr", fields.ustar[cells], tabs.post)
         estar2 += float(np.einsum("eqr,q->", (sv - blk.u) ** 2, w))
 
-        duv = np.einsum("em,mrq->eqr", blk.du, tab.v)
+        duv = np.einsum("em,mrq->eqr", blk.du, v)
         eeu2 += float(np.einsum("eqr,q->", duv ** 2, w))
 
-        dlv = np.einsum("era,acq->eqrc", blk.dl, tab.g)
+        dlv = np.einsum("era,acq->eqrc", blk.dl, g)
         eel2 += float(np.einsum("eqrc,q->", dlv ** 2, w))
 
-        dgrad = np.einsum("em,mrcq->eqrc", blk.du, tab.v_grad)
+        dgrad = np.einsum("em,mrcq->eqrc", blk.du, tabs.v_grad[cls])
         eh1 += float(np.einsum("eqrc,q->", dgrad ** 2, w))
 
-        for ft, dl_f, gap in zip(tab.facets, blk.facet_dl, blk.facet_gap):
-            eh1 += float(np.einsum("eq,q->", gap ** 2, ft.w)) / ft.h
-            dln = np.einsum("eqrc,c->eqr", dl_f, ft.outward)
-            edl2 += nu * ft.h * float(np.einsum("eqr,q->", dln ** 2, ft.w))
+        fw, h = tabs.w[cls], tabs.h[cls]
+        eh1 += float(np.einsum("efq,fq,f->", blk.facet_gap ** 2, fw, 1.0 / h))
+        dln = np.einsum("efqrc,fc->efqr", blk.facet_dl, tabs.outward[cls])
+        edl2 += nu * float(np.einsum("efqr,fq,f->", dln ** 2, fw, h))
 
     theta = case.solution_norm_bound(spaces.k) \
         if hasattr(case, "solution_norm_bound") else float("nan")
@@ -316,20 +314,22 @@ def energy_identity_terms(spaces, fields, case):
     gamma = as_gamma_matrix(case.gamma)
 
     energy = facet_term = volume_term = 0.0
+    tabs = spaces.tab(fine=True)
     for blk in _error_blocks(spaces, fields, case):
-        tab = blk.tab
-        w = tab.wdet
-        elv = np.einsum("era,acq->eqrc", blk.dl, tab.g)
-        euv = np.einsum("em,mrq->eqr", blk.du, tab.v)
+        cls = blk.cls
+        w, v = tabs.wdet[cls], tabs.v[cls]
+        elv = np.einsum("era,acq->eqrc", blk.dl, tabs.g[cls])
+        euv = np.einsum("em,mrq->eqr", blk.du, v)
         energy += nu * float(np.einsum("eqrc,q->", elv ** 2, w))
         energy += float(np.einsum("eqr,rs,eqs,q->", euv, gamma, euv, w))
 
-        delta_u = blk.u - np.einsum("em,mrq->eqr", blk.proj_u, tab.v)
+        delta_u = blk.u - np.einsum("em,mrq->eqr", blk.proj_u, v)
         volume_term -= float(np.einsum("eqr,rs,eqs,q->", delta_u, gamma, euv, w))
 
-        for ft, dl_f, gap in zip(tab.facets, blk.facet_dl, blk.facet_gap):
-            dlnt = np.einsum("eqrc,c,r->eq", dl_f, ft.outward, ft.tangent)
-            facet_term += nu * float(np.einsum("eq,eq,q->", dlnt, gap, ft.w))
+        dlnt = np.einsum("efqrc,fc,fr->efq", blk.facet_dl, tabs.outward[cls],
+                         tabs.tangent[cls])
+        facet_term += nu * float(np.einsum("efq,efq,fq->", dlnt,
+                                           blk.facet_gap, tabs.w[cls]))
     return energy, facet_term, volume_term
 
 

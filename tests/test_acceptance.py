@@ -249,31 +249,33 @@ def test_criterion_7_structural():
                     spaces, fields, case.mass_source))
                 pmean = max(pmean, abs(pressure_integral(spaces, fields)))
 
+                tabs = spaces.tab(fine=True)
                 for c in range(spaces.mesh.num_cells):
-                    tab = spaces.tab(c, fine=True)
-                    x = spaces.vol_points(c, tab)
+                    cls = spaces.cell_class[c]
+                    x = spaces.vol_points(tabs, cls, c)
+                    w = tabs.wdet[cls]
                     # moments of div(Pi_V w) equal moments of div w
                     coef = project_velocity_div(spaces, c, smooth_vector)
-                    left = np.einsum("m,mq,iq,q->i", coef, tab.v_div,
-                                     tab.q_vals, tab.wdet)
+                    left = np.einsum("m,mq,iq,q->i", coef, tabs.v_div[cls],
+                                     tabs.q_vals, w)
                     right = np.einsum("q,iq,q->i", smooth_vector_div(x),
-                                      tab.q_vals, tab.wdet)
+                                      tabs.q_vals, w)
                     scale = max(np.abs(right).max(), 1e-30)
                     commuting = max(commuting,
                                     np.abs(left - right).max() / scale)
                     # projectors reproduce member fields (linear, so they
                     # sit inside every space once k >= 1)
                     gcoef = project_grad(spaces, c, linear_tensor)
-                    gv = np.einsum("ra,acq->qrc", gcoef, tab.g)
+                    gv = np.einsum("ra,acq->qrc", gcoef, tabs.g[cls])
                     projection = max(projection, np.abs(
                         gv - linear_tensor(x)).max())
                     vcoef = project_velocity_div(spaces, c, linear_vector)
-                    vv = np.einsum("m,mcq->qc", vcoef, tab.v)
+                    vv = np.einsum("m,mcq->qc", vcoef, tabs.v[cls])
                     projection = max(projection, np.abs(
                         vv - linear_vector(x)).max())
                     pcoef = project_pressure(spaces, c, lambda y: y[:, 0]
                                              - 2.0 * y[:, 1] + 0.25)
-                    pv = pcoef @ tab.q_vals
+                    pv = pcoef @ tabs.q_vals
                     projection = max(projection, np.abs(
                         pv - (x[:, 0] - 2.0 * x[:, 1] + 0.25)).max())
                 f = spaces.mesh.interior_facets[0]

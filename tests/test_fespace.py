@@ -6,6 +6,7 @@ import pytest
 from brinkhdg import fespace
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
                               nodal_dof_matrices, normal_trace_jumps)
+from brinkhdg.forms import project_grad, project_velocity_div
 from brinkhdg.linalg import SingularMatrixError
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map,
                            build_structured_mesh, perturbed_triangles)
@@ -24,20 +25,23 @@ def interpolate_velocity(spaces, func):
     mesh = spaces.mesh
     fam = spaces.family
     kk = fam.n_facet
+    tabs = spaces.tab(fine=True)
+    trans = spaces.class_nodal_transforms()
     out = np.empty((mesh.num_cells, fam.n_v))
     for c in range(mesh.num_cells):
-        tab = spaces.tab(c, fine=True)
+        cls = spaces.cell_class[c]
+        xf = spaces.facet_points(tabs, cls, c)
         alpha = np.empty(fam.n_v)
-        for lf, ft in enumerate(tab.facets):
-            x = spaces.facet_points(c, tab, lf)
-            fn = func(x) @ ft.normal
-            alpha[lf * kk:(lf + 1) * kk] = np.einsum("jq,q,q->j", ft.phi, fn, ft.w)
+        for lf in range(fam.n_cell_facets):
+            fn = func(xf[lf]) @ tabs.normal[cls, lf]
+            alpha[lf * kk:(lf + 1) * kk] = np.einsum(
+                "jq,q,q->j", tabs.phi, fn, tabs.w[cls, lf])
         if fam.n_int_scalar:
-            x = spaces.vol_points(c, tab)
+            x = spaces.vol_points(tabs, cls, c)
             vals = func(x)
-            mom = np.einsum("qr,iq,q->ri", vals, tab.int_div, tab.wdet)
+            mom = np.einsum("qr,iq,q->ri", vals, tabs.int_div, tabs.wdet[cls])
             alpha[fam.n_cell_facets * kk:] = mom.ravel()
-        out[c] = spaces.nodal_transform(c) @ alpha
+        out[c] = trans[cls] @ alpha
     return out
 
 
@@ -101,12 +105,14 @@ def test_piola_divergence_theorem():
     # int_K div v = sum_F int_F v . n_out for every mapped velocity function
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(3, kind), 2)
+        tabs = spaces.tab()
         for c in (0, 4):
-            tab = spaces.tab(c)
-            vol = np.einsum("mq,q->m", tab.v_div, tab.wdet)
+            cls = spaces.cell_class[c]
+            vol = np.einsum("mq,q->m", tabs.v_div[cls], tabs.wdet[cls])
             surf = np.zeros_like(vol)
-            for ft in tab.facets:
-                surf += np.einsum("mcq,c,q->m", ft.v, ft.outward, ft.w)
+            for lf in range(spaces.family.n_cell_facets):
+                surf += np.einsum("mcq,c,q->m", tabs.facet_v[cls, lf],
+                                  tabs.outward[cls, lf], tabs.w[cls, lf])
             assert np.abs(vol - surf).max() < 1e-12
 
 
@@ -115,36 +121,39 @@ def test_piola_divergence_scaling():
     # finite differences of the mapped values
     spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
     c = 0
-    tab = spaces.tab(c)
-    amap = spaces.amap(c)
-    x = spaces.vol_points(c, tab)
+    tabs = spaces.tab()
+    cls = spaces.cell_class[c]
+    amap = affine_map(spaces.mesh, c)
+    x = spaces.vol_points(tabs, cls, c)
     h = 1e-6
     fam = spaces.family
-    fd = np.zeros_like(tab.v_div)
+    fd = np.zeros_like(tabs.v_div[cls])
     for d in range(2):
         dx = np.zeros(2)
         dx[d] = h
         plus = piola_values(amap, fam.v, amap.pull_back(x + dx))
         minus = piola_values(amap, fam.v, amap.pull_back(x - dx))
         fd += (plus[:, d] - minus[:, d]) / (2 * h)
-    assert np.abs(tab.v_div - fd).max() < 1e-5
+    assert np.abs(tabs.v_div[cls] - fd).max() < 1e-5
 
 
 def test_scalar_map_gradient_chain_rule():
     spaces = Spaces(build_structured_mesh(3, TRIANGLE), 2)
-    tab = spaces.tab(1)
+    tabs = spaces.tab()
+    cls = spaces.cell_class[1]
     # numeric check of grad q = J^{-T} grad-hat q-hat at the volume points
     fam = spaces.family
-    ghat = fam.q.tabulate_grad(tab.ref_points)
-    expect = np.einsum("ba,nbq->naq", tab.inverse_jacobian, ghat)
-    # CellTab stores exactly this; verify against finite differences in x
-    amap = spaces.amap(1)
+    ghat = fam.q.tabulate_grad(tabs.ref_points)
+    expect = np.einsum("ba,nbq->naq", tabs.inverse_jacobian[cls], ghat)
+    # the stack stores exactly this; verify against finite differences in x
+    amap = affine_map(spaces.mesh, 1)
+    x = spaces.vol_points(tabs, cls, 1)
     h = 1e-6
     for d in range(2):
         dx = np.zeros(2)
         dx[d] = h
-        fp = fam.q.tabulate(amap.pull_back(spaces.vol_points(1, tab) + dx))
-        fm = fam.q.tabulate(amap.pull_back(spaces.vol_points(1, tab) - dx))
+        fp = fam.q.tabulate(amap.pull_back(x + dx))
+        fm = fam.q.tabulate(amap.pull_back(x - dx))
         assert np.abs((fp - fm) / (2 * h) - expect[:, d]).max() < 1e-6
 
 
@@ -152,21 +161,23 @@ def test_facet_tabulation_consistent_with_volume_basis():
     # facet point values are the same Piola functions sampled on the edge
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
     c = 3
-    tab = spaces.tab(c)
-    amap = spaces.amap(c)
-    for lf, ft in enumerate(tab.facets):
-        x = spaces.facet_points(c, tab, lf)
-        vals = piola_values(amap, spaces.family.v, amap.pull_back(x))
-        assert np.abs(vals - ft.v).max() < 1e-12
+    tabs = spaces.tab()
+    cls = spaces.cell_class[c]
+    amap = affine_map(spaces.mesh, c)
+    xf = spaces.facet_points(tabs, cls, c)
+    for lf in range(spaces.family.n_cell_facets):
+        vals = piola_values(amap, spaces.family.v, amap.pull_back(xf[lf]))
+        assert np.abs(vals - tabs.facet_v[cls, lf]).max() < 1e-12
 
 
 def test_nodal_transform_inverts_dof_matrix():
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(2, kind), 2)
-        dof_matrices = nodal_dof_matrices(spaces.class_tabs())
+        dof_matrices = nodal_dof_matrices(spaces.tab())
+        trans = spaces.class_nodal_transforms()
         for c in range(spaces.mesh.num_cells):
             b = dof_matrices[spaces.cell_class[c]]
-            t = spaces.nodal_transform(c)
+            t = trans[spaces.cell_class[c]]
             assert np.abs(b @ t - np.eye(b.shape[0])).max() < 1e-9
 
 
@@ -184,7 +195,7 @@ def test_singular_nodal_dof_matrix_names_its_cell(monkeypatch):
     with pytest.raises(SingularMatrixError,
                        match=f"^nodal dof matrix of cell {rep}: dense "
                              "factorization of matrix 1: "):
-        spaces.nodal_transform(0)
+        spaces.class_nodal_transforms()
 
 
 def test_interpolant_normal_trace_continuous():
@@ -209,8 +220,7 @@ def test_interpolant_reproduces_member_fields():
     rng = np.random.default_rng(21)
     coef = rng.standard_normal(spaces.family.n_v)
     c = 5
-    tab = spaces.tab(c, fine=True)
-    amap = spaces.amap(c)
+    amap = affine_map(spaces.mesh, c)
 
     def func(x):
         vals = piola_values(amap, spaces.family.v, amap.pull_back(x))
@@ -225,14 +235,13 @@ def test_geometry_classes_small_on_structured_meshes():
         for n in (3, 5):
             spaces = Spaces(build_structured_mesh(n, kind), 1)
             assert len(spaces.class_rep) <= 8
-            # same class means the tabulation object is shared
-            reps = {}
-            for c in range(spaces.mesh.num_cells):
-                cls = int(spaces.cell_class[c])
-                tab = spaces.tab(c)
-                if cls in reps:
-                    assert reps[cls] is tab
-                reps[cls] = tab
+            # one stack per degree, made once, with one entry per class
+            for fine in (False, True):
+                tabs = spaces.tab(fine=fine)
+                assert spaces.tab(fine=fine) is tabs
+                assert tabs.v.shape[0] == len(spaces.class_rep)
+            with pytest.raises(TypeError):
+                spaces.tab(0)
 
 
 def test_quadrature_degree_floors():
@@ -248,22 +257,24 @@ def test_quadrature_degree_floors():
 def test_vol_points_match_affine_map():
     spaces = Spaces(build_structured_mesh(3, TRIANGLE), 1)
     c = 7
-    tab = spaces.tab(c)
-    x = spaces.vol_points(c, tab)
-    assert np.allclose(x, spaces.amap(c).apply(tab.ref_points))
+    tabs = spaces.tab()
+    x = spaces.vol_points(tabs, spaces.cell_class[c], c)
+    assert np.allclose(x, affine_map(spaces.mesh, c).apply(tabs.ref_points))
 
 
 def test_facet_points_run_p0_to_p1():
-    spaces = Spaces(build_structured_mesh(2, QUAD), 1)
+    mesh = build_structured_mesh(2, QUAD)
+    spaces = Spaces(mesh, 1)
     c = 0
-    tab = spaces.tab(c)
-    for lf, ft in enumerate(tab.facets):
-        x = spaces.facet_points(c, tab, lf)
-        p0 = spaces.amap(c).offset + ft.rel_p0
-        p1 = spaces.amap(c).offset + ft.rel_p1
-        expect = p0 + ft.s[:, None] * (p1 - p0)
-        assert np.allclose(x, expect)
-        assert np.allclose(ft.w.sum(), ft.h)
+    tabs = spaces.tab()
+    cls = spaces.cell_class[c]
+    xf = spaces.facet_points(tabs, cls, c)
+    for lf in range(spaces.family.n_cell_facets):
+        f = mesh.cell_facets[c, lf]
+        p0, p1 = mesh.vertices[mesh.facet_vertices[f]]
+        expect = p0 + tabs.s[:, None] * (p1 - p0)
+        assert np.allclose(xf[lf], expect)
+        assert np.allclose(tabs.w[cls, lf].sum(), tabs.h[cls, lf])
 
 
 def test_class_cells_partition_cells():
@@ -274,29 +285,43 @@ def test_class_cells_partition_cells():
         assert (np.diff(cells) > 0).all()
     every = np.sort(np.concatenate(spaces.class_cells))
     assert (every == np.arange(spaces.mesh.num_cells)).all()
+    seen = []
+    for cls, cells in spaces.class_blocks():
+        assert 0 < len(cells) <= fespace.BLOCK_CELLS
+        assert (spaces.cell_class[cells] == cls).all()
+        seen.append(cells)
+    every = np.sort(np.concatenate(seen))
+    assert (every == np.arange(spaces.mesh.num_cells)).all()
 
 
 def test_points_of_a_cell_array_stack_per_cell_points():
     spaces = Spaces(build_structured_mesh(3, QUAD), 1)
     cells = max(spaces.class_cells, key=len)
     assert len(cells) > 1
-    tab = spaces.tab(cells, fine=True)
-    assert tab is spaces.tab(int(cells[0]), fine=True)
-    batch = spaces.vol_points(cells, tab)
-    assert batch.shape == (len(cells),) + tab.ref_points.shape
+    cls = spaces.cell_class[cells[0]]
+    tabs = spaces.tab(fine=True)
+    batch = spaces.vol_points(tabs, cls, cells)
+    assert batch.shape == (len(cells),) + tabs.ref_points.shape
+    facet_batch = spaces.facet_points(tabs, cls, cells)
+    assert facet_batch.shape == (len(cells), spaces.family.n_cell_facets,
+                                 len(tabs.s), 2)
     for i, c in enumerate(cells):
-        assert (batch[i] == spaces.vol_points(c, tab)).all()
-        for lf in range(len(tab.facets)):
-            assert (spaces.facet_points(cells, tab, lf)[i]
-                    == spaces.facet_points(c, tab, lf)).all()
+        assert (batch[i] == spaces.vol_points(tabs, cls, c)).all()
+        assert (facet_batch[i] == spaces.facet_points(tabs, cls, c)).all()
 
 
 def test_cell_array_of_mixed_classes_rejected():
     spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
-    with pytest.raises(ValueError, match="one geometry class"):
-        spaces.tab(np.array([0, 1]))
-    with pytest.raises(ValueError, match="one geometry class"):
-        spaces.nodal_transform(np.array([], dtype=int))
+    assert spaces.cell_class[0] != spaces.cell_class[1]
+
+    def field(x):
+        return np.ones(x.shape[:-1] + (2, 2))
+
+    for project in (project_grad, project_velocity_div):
+        with pytest.raises(ValueError, match="one geometry class"):
+            project(spaces, np.array([0, 1]), field)
+        with pytest.raises(ValueError, match="one geometry class"):
+            project(spaces, np.array([], dtype=int), field)
 
 
 def test_local_facet_lookup():
@@ -311,8 +336,8 @@ def test_local_facet_lookup():
 
 def pull_back_tab(spaces, c, degree):
     """Expected tabulation of cell c, every basis evaluated directly at
-    the pulled-back physical points: {name: array} for the cell and a list
-    of such dicts for its facets."""
+    the pulled-back physical points: {stack field: array} for the cell and
+    a list of such dicts for its facets."""
     fam = spaces.family
     am = affine_map(spaces.mesh, c)
     mesh = spaces.mesh
@@ -348,9 +373,9 @@ def pull_back_tab(spaces, c, degree):
         p0, p1 = mesh.vertices[mesh.facet_vertices[f]]
         xref = am.pull_back(p0 + s[:, None] * (p1 - p0))
         facets.append({
-            "g": piola(fam.g_row.tabulate(xref)),
-            "v": piola(fam.v.tabulate(xref)),
-            "q": fam.q.tabulate(xref),
+            "facet_g": piola(fam.g_row.tabulate(xref)),
+            "facet_v": piola(fam.v.tabulate(xref)),
+            "facet_q": fam.q.tabulate(xref),
             "phi": fam.seg.tabulate(s),
             "w": seg.weights * mesh.facet_lengths[f],
             "s": s,
@@ -358,6 +383,18 @@ def pull_back_tab(spaces, c, degree):
             "rel_p1": p1 - am.offset,
         })
     return cell, facets
+
+
+# ClassTabs fields of the reference rules, which carry no class axis
+SHARED_TAB_FIELDS = {"ref_points", "q_vals", "post", "int_div", "s", "phi"}
+
+
+def stack_entry(tabs, name, cls, lf=None):
+    """Field name of class cls (and local facet lf) of a ClassTabs stack."""
+    arr = getattr(tabs, name)
+    if name in SHARED_TAB_FIELDS:
+        return arr
+    return arr[cls] if lf is None else arr[cls, lf]
 
 
 def assert_close(got, want, what):
@@ -375,19 +412,20 @@ def test_reference_tabulation_matches_pull_back():
         for k in (1, 2):
             spaces = Spaces(mesh, k)
             directions = set()
-            for rep in spaces.class_rep:
+            for cls, rep in enumerate(spaces.class_rep):
                 loop = mesh.cells[rep]
                 directions |= {bool(loop[a] > loop[b])
                                for a, b in spaces.family.ref_cell.facets}
                 for fine in (False, True):
-                    tab = spaces.tab(rep, fine=fine)
-                    cell, facets = pull_back_tab(spaces, rep, tab.degree)
+                    tabs = spaces.tab(fine=fine)
+                    cell, facets = pull_back_tab(spaces, rep, tabs.degree)
                     for name, want in cell.items():
-                        assert_close(getattr(tab, name), want,
+                        assert_close(stack_entry(tabs, name, cls), want,
                                      (mesh.cell_kind, k, rep, name))
-                    for lf, ft in enumerate(tab.facets):
-                        for name, want in facets[lf].items():
-                            assert_close(getattr(ft, name), want,
+                    for lf, expected in enumerate(facets):
+                        for name, want in expected.items():
+                            assert_close(stack_entry(tabs, name, cls, lf),
+                                         want,
                                          (mesh.cell_kind, k, rep, lf, name))
             assert directions == {False, True}
 
@@ -420,9 +458,12 @@ def test_geometry_classes_match_per_cell_keys():
         assert spaces.class_rep == [int(np.argmax(want == cls))
                                     for cls in range(want.max() + 1)]
         for c in (0, mesh.num_cells - 1):
-            am, ref = spaces.amap(c), affine_map(mesh, c)
-            for name in ("offset", "jacobian", "det", "inverse_jacobian"):
-                assert np.array_equal(getattr(am, name), getattr(ref, name))
+            ref = affine_map(mesh, c)
+            for got, name in ((spaces.offsets, "offset"),
+                              (spaces.jacobians, "jacobian"),
+                              (spaces.dets, "det"),
+                              (spaces.inverse_jacobians, "inverse_jacobian")):
+                assert np.array_equal(got[c], getattr(ref, name))
 
 
 def test_spaces_name_the_first_bad_cell():

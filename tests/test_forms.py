@@ -10,7 +10,7 @@ from brinkhdg.forms import (as_gamma_matrix, class_element_blocks,
                             postprocess_velocity, project_facet_tangent,
                             project_grad, project_pressure,
                             project_velocity_div)
-from brinkhdg.mesh import QUAD, TRIANGLE, build_structured_mesh
+from brinkhdg.mesh import QUAD, TRIANGLE, affine_map, build_structured_mesh
 from brinkhdg.refelem import make_basis, quadrature
 
 
@@ -41,9 +41,10 @@ def test_gradient_row_mass_matrix():
     assert np.abs(blocks.mg[0] - np.eye(spaces.family.n_g)).max() < 1e-12
 
     spaces, blocks = make_blocks(TRIANGLE, 1, n=2)
-    tab = spaces.tab(0)
-    jac = tab.jacobian
-    weight = jac.T @ jac / tab.det
+    tabs = spaces.tab()
+    cls = spaces.cell_class[0]
+    jac = tabs.jacobian[cls]
+    weight = jac.T @ jac / tabs.det[cls]
     ref = make_basis("Pvec", 1)
     rule = quadrature("simplex", 6)
     vals = ref.tabulate(rule.points)
@@ -88,12 +89,16 @@ def test_facet_sum_consistency():
     # tg aggregates the per-facet (g n)(v)_r couplings; rebuild it from the
     # tangential/normal decomposition v = (v.t) t + (v.n) n
     spaces, blocks = make_blocks(TRIANGLE, 1)
-    tab = spaces.tab(0)
+    tabs = spaces.tab()
+    cls = spaces.cell_class[0]
     rebuilt = np.zeros_like(blocks.tg[0])
-    for ft in tab.facets:
-        gn = np.einsum("acq,c->aq", ft.g, ft.outward)
+    for lf in range(spaces.family.n_cell_facets):
+        gn = np.einsum("acq,c->aq", tabs.facet_g[cls, lf],
+                       tabs.outward[cls, lf])
         for r in range(2):
-            rebuilt[r] += np.einsum("aq,mq,q->am", gn, ft.v[:, r], ft.w)
+            rebuilt[r] += np.einsum("aq,mq,q->am", gn,
+                                    tabs.facet_v[cls, lf, :, r],
+                                    tabs.w[cls, lf])
     assert np.abs(rebuilt - blocks.tg[0]).max() < 1e-12
 
 
@@ -103,8 +108,7 @@ def test_project_grad_reproduces_space_members():
         rng = np.random.default_rng(31)
         coef = rng.standard_normal((2, spaces.family.n_g))
         c = 1
-        tab = spaces.tab(c, fine=True)
-        amap = spaces.amap(c)
+        amap = affine_map(spaces.mesh, c)
 
         def field(x):
             vals = np.einsum("rc,acq->arq", amap.jacobian,
@@ -125,9 +129,9 @@ def test_project_pressure_reproduces_polynomials():
             return 1.0 + 2.0 * x[:, 0] - x[:, 1] + 0.5 * x[:, 0] * x[:, 1]
 
         coef = project_pressure(spaces, 0, poly)
-        tab = spaces.tab(0, fine=True)
-        x = spaces.vol_points(0, tab)
-        recon = np.einsum("i,iq->q", coef, tab.q_vals)
+        tabs = spaces.tab(fine=True)
+        x = spaces.vol_points(tabs, spaces.cell_class[0], 0)
+        recon = np.einsum("i,iq->q", coef, tabs.q_vals)
         assert np.abs(recon - poly(x)).max() < 1e-11
 
 
@@ -144,9 +148,10 @@ def test_project_velocity_reproduces_polynomials():
 
             c = 2
             coef = project_velocity_div(spaces, c, poly)
-            tab = spaces.tab(c, fine=True)
-            x = spaces.vol_points(c, tab)
-            recon = np.einsum("m,mrq->qr", coef, tab.v)
+            tabs = spaces.tab(fine=True)
+            cls = spaces.cell_class[c]
+            x = spaces.vol_points(tabs, cls, c)
+            recon = np.einsum("m,mrq->qr", coef, tabs.v[cls])
             assert np.abs(recon - poly(x)).max() < 1e-10
 
 
@@ -163,11 +168,13 @@ def test_interpolant_commutes_with_divergence():
         spaces = Spaces(build_structured_mesh(2, kind), 1)
         for c in (0, 3):
             coef = project_velocity_div(spaces, c, func)
-            tab = spaces.tab(c, fine=True)
-            x = spaces.vol_points(c, tab)
-            div_interp = np.einsum("m,mq->q", coef, tab.v_div)
-            lhs = np.einsum("q,iq,q->i", div_interp, tab.q_vals, tab.wdet)
-            rhs = np.einsum("q,iq,q->i", dfunc(x), tab.q_vals, tab.wdet)
+            tabs = spaces.tab(fine=True)
+            cls = spaces.cell_class[c]
+            x = spaces.vol_points(tabs, cls, c)
+            w = tabs.wdet[cls]
+            div_interp = np.einsum("m,mq->q", coef, tabs.v_div[cls])
+            lhs = np.einsum("q,iq,q->i", div_interp, tabs.q_vals, w)
+            rhs = np.einsum("q,iq,q->i", dfunc(x), tabs.q_vals, w)
             assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -268,9 +275,9 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
             factor = postprocess_factor(blocks)
             star = postprocess_velocity(blocks, factor, 0, l_coef, u_coef)
 
-            ftab = spaces.tab(c, fine=True)
-            x = spaces.vol_points(c, ftab)
-            recon = np.einsum("rj,jq->qr", star, ftab.post)
+            tabs = spaces.tab(fine=True)
+            x = spaces.vol_points(tabs, spaces.cell_class[c], c)
+            recon = np.einsum("rj,jq->qr", star, tabs.post)
             assert np.abs(recon - target(x)).max() < 1e-9
 
 

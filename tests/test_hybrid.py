@@ -84,7 +84,7 @@ def test_class_stack_slices_match_one_class_stacks():
         for cls, rep in enumerate(spaces.class_rep):
             what = (mesh.num_cells, k, cls)
             for fine in (False, True):
-                tabs, one = spaces.class_tabs(fine), spaces.tabulate([rep], fine)
+                tabs, one = spaces.tab(fine=fine), spaces.tabulate([rep], fine)
                 for field in dataclass_fields(tabs):
                     got = getattr(tabs, field.name)
                     want = getattr(one, field.name)
@@ -177,7 +177,8 @@ def test_hybrid_matches_direct_on_perturbed_mesh():
     spaces = Spaces(perturbed_triangles(4, 0.2, seed=2016), 1,
                     fine_degree=data_quadrature_degree(case, 1, 4))
     assert len(spaces.class_rep) == spaces.mesh.num_cells
-    areas = np.array([spaces.tab(c).wdet.sum()
+    tabs = spaces.tab()
+    areas = np.array([tabs.wdet[spaces.cell_class[c]].sum()
                       for c in range(spaces.mesh.num_cells)])
     assert np.ptp(areas) > 0.1 * areas.mean()
     fields = solve_hybrid(spaces, case.nu, case.gamma,
@@ -259,11 +260,11 @@ def test_direct_eliminates_gradient_rows(monkeypatch):
     trace_dofs = spaces.dofmap("Mt0").facet_dofs[mesh.cell_facets]
     uhat_pad = np.append(fields.uhat_t, 0.0)
     blocks = class_element_blocks(spaces, case.nu, case.gamma)
-    mats, _ = hybrid._direct_cell_matrix(
-        blocks, spaces.class_nodal_transforms(), fam)
+    class_trans = spaces.class_nodal_transforms()
+    mats, _ = hybrid._direct_cell_matrix(blocks, class_trans, fam)
     n_l = 2 * fam.n_g
     for c in range(nc):
-        trans = spaces.nodal_transform(c)
+        trans = class_trans[spaces.cell_class[c]]
         mat = mats[spaces.cell_class[c]]
         x = np.concatenate([fields.l[c].ravel(),
                             np.linalg.solve(trans, fields.u[c]),
@@ -294,14 +295,15 @@ def test_direct_mean_mult_matches_hybrid():
 def compare_fields_per_cell(spaces, fa, fb):
     """The per-cell and per-facet loops compare_fields replaces."""
     dl2 = du2 = dp2 = dut2 = 0.0
+    tabs = spaces.tab()
     for c in range(spaces.mesh.num_cells):
-        tab = spaces.tab(c)
-        w = tab.wdet
-        dl = np.einsum("ra,acq->rcq", fa.l[c] - fb.l[c], tab.g)
+        cls = spaces.cell_class[c]
+        w = tabs.wdet[cls]
+        dl = np.einsum("ra,acq->rcq", fa.l[c] - fb.l[c], tabs.g[cls])
         dl2 += float(np.einsum("rcq,rcq,q->", dl, dl, w))
-        du = np.einsum("m,mrq->rq", fa.u[c] - fb.u[c], tab.v)
+        du = np.einsum("m,mrq->rq", fa.u[c] - fb.u[c], tabs.v[cls])
         du2 += float(np.einsum("rq,rq,q->", du, du, w))
-        dp = np.einsum("i,iq->q", fa.p[c] - fb.p[c], tab.q_vals)
+        dp = np.einsum("i,iq->q", fa.p[c] - fb.p[c], tabs.q_vals)
         dp2 += float(np.dot(dp ** 2, w))
     dt = fa.uhat_t - fb.uhat_t
     kk = spaces.family.n_facet
@@ -316,18 +318,25 @@ def compare_fields_per_cell(spaces, fa, fb):
 def normal_trace_jumps_per_facet(spaces, u_modal):
     """The per-facet loop normal_trace_jumps replaces."""
     mesh = spaces.mesh
+    tabs = spaces.tab(fine=True)
+
+    def normal_trace(c, f):
+        """u.n against the stored normal of facet f, from cell c, and the
+        facet weights."""
+        cls, lf = spaces.cell_class[c], spaces.local_facet(c, f)
+        vn = np.einsum("m,mcq,c->q", u_modal[c], tabs.facet_v[cls, lf],
+                       tabs.normal[cls, lf])
+        return vn, tabs.w[cls, lf]
+
     int_max = bnd_max = 0.0
     for f in range(mesh.num_facets):
         own, nbr = mesh.facet_cells[f]
-        ft = spaces.tab(own, fine=True).facets[spaces.local_facet(own, f)]
-        vn_own = np.einsum("m,mcq,c->q", u_modal[own], ft.v, ft.normal)
+        vn_own, w = normal_trace(own, f)
         if nbr == -1:
-            bnd_max = max(bnd_max, float(np.sqrt(np.sum(ft.w * vn_own ** 2))))
+            bnd_max = max(bnd_max, float(np.sqrt(np.sum(w * vn_own ** 2))))
             continue
-        ftn = spaces.tab(nbr, fine=True).facets[spaces.local_facet(nbr, f)]
-        vn_nbr = np.einsum("m,mcq,c->q", u_modal[nbr], ftn.v, ftn.normal)
-        jump = vn_own - vn_nbr
-        int_max = max(int_max, float(np.sqrt(np.sum(ft.w * jump ** 2))))
+        jump = vn_own - normal_trace(nbr, f)[0]
+        int_max = max(int_max, float(np.sqrt(np.sum(w * jump ** 2))))
     return int_max, bnd_max
 
 
@@ -444,13 +453,14 @@ def test_normal_trace_equals_facet_unknown():
     spaces, fields = solve_case(QUAD, 2, 1, case)
     mesh = spaces.mesh
     kk = spaces.family.n_facet
+    tabs = spaces.tab()
     for f in mesh.interior_facets:
         c = int(mesh.facet_cells[f, 0])
-        tab = spaces.tab(c)
-        lf = spaces.local_facet(c, f)
-        ft = tab.facets[lf]
-        vn = np.einsum("m,mcq,c->q", fields.u[c], ft.v, ft.normal)
-        mom = np.einsum("jq,q,q->j", ft.phi, vn, ft.w) / ft.h
+        cls, lf = spaces.cell_class[c], spaces.local_facet(c, f)
+        vn = np.einsum("m,mcq,c->q", fields.u[c], tabs.facet_v[cls, lf],
+                       tabs.normal[cls, lf])
+        mom = np.einsum("jq,q,q->j", tabs.phi, vn,
+                        tabs.w[cls, lf]) / tabs.h[cls, lf]
         rank = mesh.interior_index[f]
         assert np.abs(mom - fields.uhat_n[rank * kk:(rank + 1) * kk]).max() < 1e-11
 
@@ -458,10 +468,10 @@ def test_normal_trace_equals_facet_unknown():
 def test_cell_pressure_average_consistent():
     case = make_case(1)
     spaces, fields = solve_case(QUAD, 2, 1, case)
+    tabs = spaces.tab()
     for c in range(spaces.mesh.num_cells):
-        tab = spaces.tab(c)
-        area = tab.wdet.sum()
-        mean = np.einsum("i,iq,q->", fields.p[c], tab.q_vals, tab.wdet) / area
+        w = tabs.wdet[spaces.cell_class[c]]
+        mean = np.einsum("i,iq,q->", fields.p[c], tabs.q_vals, w) / w.sum()
         assert abs(mean - fields.pbar[c]) < 1e-12
 
 
@@ -533,13 +543,14 @@ def test_point_evaluation_on_perturbed_mesh():
     assert np.abs(out["l"] - case.velocity_gradient(pts)).max() < 0.25
     # at the quadrature points of a cell the values are the tabulated
     # fields of that cell (measured 2.1e-15)
+    tabs = spaces.tab()
     for c in (5, 40, 101):
-        tab = spaces.tab(c)
-        got = evaluate_fields(spaces, fields, spaces.vol_points(c, tab))
-        want = {"u": np.einsum("m,mrq->qr", fields.u[c], tab.v),
-                "p": fields.p[c] @ tab.q_vals,
-                "l": np.einsum("ra,acq->qrc", fields.l[c], tab.g),
-                "ustar": np.einsum("ri,iq->qr", fields.ustar[c], tab.post)}
+        cls = spaces.cell_class[c]
+        got = evaluate_fields(spaces, fields, spaces.vol_points(tabs, cls, c))
+        want = {"u": np.einsum("m,mrq->qr", fields.u[c], tabs.v[cls]),
+                "p": fields.p[c] @ tabs.q_vals,
+                "l": np.einsum("ra,acq->qrc", fields.l[c], tabs.g[cls]),
+                "ustar": np.einsum("ri,iq->qr", fields.ustar[c], tabs.post)}
         for key, val in want.items():
             assert np.abs(got[key] - val).max() < 1e-13, (c, key)
 

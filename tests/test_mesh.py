@@ -173,40 +173,51 @@ def structured_cell(n, kind, p):
     return 2 * (j * n + i) + int(p[1] * n - j > p[0] * n - i)
 
 
+def first_containing_cell(refs, kind, p):
+    """The per-point loop locate_cell replaces: the first cell whose
+    reference coordinates of p lie in the reference cell."""
+    for c, amap in enumerate(refs):
+        r = amap.pull_back(p[None, :])[0]
+        inside = r.min() >= -1e-12 and r.max() <= 1 + 1e-12
+        if kind == TRIANGLE:
+            inside &= r.sum() <= 1 + 1e-12
+        if inside:
+            return c
+    return None
+
+
 def test_locate_cell():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 1.0, size=(200, 2))
-    meshes = [build_structured_mesh(5, QUAD), build_structured_mesh(5, TRIANGLE),
-              perturbed_triangles(5, 0.2, seed=7)]
-    for mesh in meshes:
+    perturbed = perturbed_triangles(5, 0.2, seed=7)
+    # a vertex shared by six cells, and a point of a boundary facet
+    v = int(np.argmax(((perturbed.vertices > 0)
+                       & (perturbed.vertices < 1)).all(axis=1)))
+    shared = np.vstack([pts, perturbed.vertices[v], [0.5, 0.0]])
+    for mesh in (build_structured_mesh(5, QUAD),
+                 build_structured_mesh(5, TRIANGLE), perturbed):
         refs = [affine_map(mesh, c) for c in range(mesh.num_cells)]
-        for p in pts:
-            c = locate_cell(mesh, p)
-            ref = refs[c].pull_back(p[None, :])[0]
-            assert -1e-12 <= ref[0] <= 1 + 1e-12
-            assert -1e-12 <= ref[1] <= 1 + 1e-12
-            if mesh.cell_kind == TRIANGLE:
-                assert ref.sum() <= 1 + 1e-12
-            # no earlier cell holds the point
-            for earlier in refs[:c]:
-                r = earlier.pull_back(p[None, :])[0]
-                outside = r.min() < -1e-12 or r.max() > 1 + 1e-12
-                if mesh.cell_kind == TRIANGLE:
-                    outside |= r.sum() > 1 + 1e-12
-                assert outside
+        got = locate_cell(mesh, shared)
+        assert got.shape == (len(shared),)
+        assert list(got) == [first_containing_cell(refs, mesh.cell_kind, p)
+                             for p in shared]
+    # the shared vertex belongs to the first of its cells
+    assert locate_cell(perturbed, perturbed.vertices[v][None])[0] == int(
+        np.nonzero((perturbed.cells == v).any(axis=1))[0][0])
     for n, kind in ((5, QUAD), (5, TRIANGLE)):
         mesh = build_structured_mesh(n, kind)
-        assert [locate_cell(mesh, p) for p in pts] == [
+        assert list(locate_cell(mesh, pts)) == [
             structured_cell(n, kind, p) for p in pts]
-    # a vertex shared by six cells belongs to the first of them
-    mesh = perturbed_triangles(5, 0.2, seed=7)
-    v = int(np.argmax(((mesh.vertices > 0) & (mesh.vertices < 1)).all(axis=1)))
-    assert locate_cell(mesh, mesh.vertices[v]) == int(
-        np.nonzero((mesh.cells == v).any(axis=1))[0][0])
+    with pytest.raises(ValueError, match=r"point \[1\.5 0\. \] outside"):
+        locate_cell(build_structured_mesh(2, QUAD), [(0.5, 0.5), (1.5, 0.0)])
     with pytest.raises(ValueError, match="outside the unit square"):
-        locate_cell(build_structured_mesh(2, QUAD), (1.5, 0.0))
-    with pytest.raises(ValueError, match="outside the unit square"):
-        locate_cell(perturbed_triangles(2, 0.2, seed=7), (0.5, -0.1))
+        locate_cell(perturbed_triangles(2, 0.2, seed=7), [(0.5, -0.1)])
+    with pytest.raises(ValueError, match=r"shape \(P, 2\)"):
+        locate_cell(build_structured_mesh(2, QUAD), (0.5, 0.5))
+    # a mesh that leaves part of the unit square uncovered
+    half = Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], TRIANGLE)
+    with pytest.raises(ValueError, match=r"no cell contains the point \[0\.9"):
+        locate_cell(half, [(0.2, 0.2), (0.9, 0.9), (0.95, 0.95)])
 
 
 def test_arrays_read_only():

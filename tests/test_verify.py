@@ -133,16 +133,16 @@ def projected_fields(spaces, case):
     p = np.zeros((nc, fam.n_q))
     ustar = np.zeros((nc, 2, fam.n_post))
     pbar = np.zeros(nc)
+    tabs = spaces.tab()
     for c in range(nc):
         l[c] = project_grad(spaces, c, case.velocity_gradient)
         u[c] = project_velocity_div(spaces, c, case.velocity)
         p[c] = project_pressure(spaces, c, case.pressure)
-        tab = spaces.tab(c)
         blocks = element_blocks(spaces.tabulate([c]), case.nu, case.gamma)
         ustar[c] = postprocess_velocity(blocks, postprocess_factor(blocks), 0,
                                         l[c], u[c])
-        area = tab.wdet.sum()
-        pbar[c] = np.einsum("i,iq,q->", p[c], tab.q_vals, tab.wdet) / area
+        w = tabs.wdet[spaces.cell_class[c]]
+        pbar[c] = np.einsum("i,iq,q->", p[c], tabs.q_vals, w) / w.sum()
     nif = len(mesh.interior_facets)
     uhat_t = np.zeros(nif * kk)
     uhat_n = np.zeros(nif * kk)
@@ -187,47 +187,50 @@ def error_norms_per_cell(spaces, fields, case):
     kk = spaces.family.n_facet
     nu = case.nu
     sums = dict.fromkeys(ERROR_MEASURES, 0.0)
+    tabs = spaces.tab(fine=True)
     for c in range(mesh.num_cells):
-        tab = spaces.tab(c, fine=True)
-        x = spaces.vol_points(c, tab)
-        w = tab.wdet
+        cls = spaces.cell_class[c]
+        x = spaces.vol_points(tabs, cls, c)
+        w = tabs.wdet[cls]
 
-        lv = np.einsum("ra,acq->qrc", fields.l[c], tab.g)
+        lv = np.einsum("ra,acq->qrc", fields.l[c], tabs.g[cls])
         sums["err_l"] += np.einsum("qrc,q->", (lv - case.velocity_gradient(x)) ** 2, w)
         uex = case.velocity(x)
-        uv = np.einsum("m,mrq->qr", fields.u[c], tab.v)
+        uv = np.einsum("m,mrq->qr", fields.u[c], tabs.v[cls])
         sums["err_u"] += np.einsum("qr,q->", (uv - uex) ** 2, w)
-        pv = np.einsum("i,iq->q", fields.p[c], tab.q_vals)
+        pv = np.einsum("i,iq->q", fields.p[c], tabs.q_vals)
         sums["err_p"] += np.dot((pv - case.pressure(x)) ** 2, w)
-        sv = np.einsum("ri,iq->qr", fields.ustar[c], tab.post)
+        sv = np.einsum("ri,iq->qr", fields.ustar[c], tabs.post)
         sums["err_ustar"] += np.einsum("qr,q->", (sv - uex) ** 2, w)
 
         proj_u = project_velocity_div(spaces, c, case.velocity)
         ducoef = proj_u - fields.u[c]
-        duv = np.einsum("m,mrq->qr", ducoef, tab.v)
+        duv = np.einsum("m,mrq->qr", ducoef, tabs.v[cls])
         sums["err_eu"] += np.einsum("qr,q->", duv ** 2, w)
         proj_l = project_grad(spaces, c, case.velocity_gradient)
-        dlv = np.einsum("ra,acq->qrc", proj_l - fields.l[c], tab.g)
+        dlv = np.einsum("ra,acq->qrc", proj_l - fields.l[c], tabs.g[cls])
         sums["err_el"] += np.einsum("qrc,q->", dlv ** 2, w)
-        dgrad = np.einsum("m,mrcq->qrc", ducoef, tab.v_grad)
+        dgrad = np.einsum("m,mrcq->qrc", ducoef, tabs.v_grad[cls])
         sums["err_h1"] += np.einsum("qrc,q->", dgrad ** 2, w)
 
-        for lf, ft in enumerate(tab.facets):
+        xf = spaces.facet_points(tabs, cls, c)
+        for lf in range(spaces.family.n_cell_facets):
             f = int(mesh.cell_facets[c, lf])
+            fw, h = tabs.w[cls, lf], tabs.h[cls, lf]
             pcoef = project_facet_tangent(mesh, f, k, case.velocity,
                                           spaces.fine_degree)
             rank = mesh.interior_index[f]
             hcoef = (fields.uhat_t[rank * kk:(rank + 1) * kk]
                      if rank >= 0 else np.zeros(kk))
-            ehat = np.einsum("j,jq->q", pcoef - hcoef, ft.phi)
-            eut = np.einsum("m,mcq,c->q", ducoef, ft.v, ft.tangent)
-            sums["err_h1"] += np.dot(ft.w, (eut - ehat) ** 2) / ft.h
+            ehat = np.einsum("j,jq->q", pcoef - hcoef, tabs.phi)
+            eut = np.einsum("m,mcq,c->q", ducoef, tabs.facet_v[cls, lf],
+                            tabs.tangent[cls, lf])
+            sums["err_h1"] += np.dot(fw, (eut - ehat) ** 2) / h
 
-            xf = spaces.facet_points(c, tab, lf)
-            dl_f = case.velocity_gradient(xf) \
-                - np.einsum("ra,acq->qrc", proj_l, ft.g)
-            dln = np.einsum("qrc,c->qr", dl_f, ft.outward)
-            sums["err_dl_facet"] += nu * ft.h * np.einsum("qr,q->", dln ** 2, ft.w)
+            dl_f = case.velocity_gradient(xf[lf]) \
+                - np.einsum("ra,acq->qrc", proj_l, tabs.facet_g[cls, lf])
+            dln = np.einsum("qrc,c->qr", dl_f, tabs.outward[cls, lf])
+            sums["err_dl_facet"] += nu * h * np.einsum("qr,q->", dln ** 2, fw)
     return {key: np.sqrt(val) for key, val in sums.items()}
 
 
@@ -256,7 +259,7 @@ def test_error_norms_match_per_cell_across_blocks(monkeypatch):
     sizes = [len(cells) for cells in spaces.class_cells]
     assert max(sizes) > fespace.BLOCK_CELLS
     blocks = list(spaces.class_blocks())
-    assert max(len(b) for b in blocks) == fespace.BLOCK_CELLS
+    assert max(len(cells) for _, cells in blocks) == fespace.BLOCK_CELLS
     assert len(blocks) > len(sizes)
     assert_matches_per_cell(spaces, case)
 
