@@ -154,10 +154,10 @@ def project_pressure(spaces, c, func):
     """L2 projection of a scalar field into the pressure space; (n_q,)."""
     cls = _class_of(spaces, c)
     tabs = spaces.tab(fine=True)
-    vals = func(spaces.vol_points(tabs, cls, c))
+    vals = values_at(func, spaces.vol_points(tabs, cls, c))
     mq = np.einsum("iq,jq,q->ij", tabs.q_vals, tabs.q_vals, tabs.wdet[cls])
-    rhs = np.einsum("q,iq,q->i", vals, tabs.q_vals, tabs.wdet[cls])
-    return np.linalg.solve(mq, rhs)
+    rhs = np.einsum("...q,iq,q->i...", vals, tabs.q_vals, tabs.wdet[cls])
+    return np.linalg.solve(mq, rhs).T
 
 
 def velocity_div_coefficients(tabs, trans, cls, facet_vals, vol_vals):

@@ -2,23 +2,36 @@
 
 The mixed gradient-velocity-pressure system is condensed cell by cell
 onto facet unknowns: tangential and normal velocity traces on interior
-facets plus one pressure average per cell.  That system is singular only
-along constant pressure averages, so the first cell's average is pinned
-to zero and the averages are shifted to zero area-weighted mean after
-the solve.  The local matrices of all geometry classes are formed and
-factored as one stack with a leading class axis (`LocalSolver`), and
-every cell-local step (data moments, source solves, the scatter of the
-energy blocks, recovery and the postprocessing of u*) runs on blocks of
-cells of one class (`Spaces.class_blocks`), with one dense operation per
+facets plus one pressure average per cell.  That condensed system is a
+symmetric saddle point, singular only along constant pressure averages;
+cell 0's average is taken as zero in place of its redundant mass
+balance, and the averages are shifted to zero area-weighted mean after
+the solve.  The pressure averages couple only to the first normal mode
+of each interior facet, through the signed cell-facet incidence B.  The
+first modes that satisfy the mass balances are a particular flux plus
+the differences of a vertex potential psi (the discrete exact sequence
+vertex potentials -> facet fluxes -> cell constants), with psi zero on
+one boundary loop and one unknown on each other loop.  So the solver
+factors an SPD system in the traces other than the first modes and psi,
+plus the cell graph matrix B1 B1^T that gives the particular flux and
+the pressure averages; both factorizations pivot on the diagonal.  One
+refinement step against the full condensed system follows.
+
+The local matrices of all geometry classes are formed and factored as
+one stack with a leading class axis (`LocalSolver`), and every
+cell-local step (data moments, source solves, the scatter of the energy
+blocks, recovery and the postprocessing of u*) runs on blocks of cells
+of one class (`Spaces.class_blocks`), with one dense operation per
 block on the class's slice of each stack.
 
 `solve_direct` works on the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
 unknowns.  It eliminates only the gradient rows, cell by cell, before
-its sparse solve, and pins the last cell's constant pressure
-coefficient.  It shares the quadrature data but none of the condensation
-path, and it pins another cell and another unknown, so agreement between
-the two is a meaningful consistency check.
+its sparse solve, which is a general LU with COLAMD ordering, and pins
+the last cell's constant pressure coefficient.  It shares the quadrature
+data but neither the condensation path nor its SPD reduction, and it
+pins another cell and another unknown, so agreement between the two is
+a meaningful consistency check.
 """
 
 from __future__ import annotations
@@ -26,11 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fespace import factor_classes
 from .forms import (class_element_blocks, postprocess_factor,
                     postprocess_velocity, values_at)
-from .linalg import SparseBuilder, block_triplets, sparse_solve
+from .linalg import (SparseBuilder, SparseFactor, block_triplets,
+                     refined_solve, sparse_solve)
 from .mesh import locate_cell
 
 
@@ -118,8 +133,9 @@ class SolutionFields:
     mean_mult: float     # mean of the mass source, removed before the
                          # solve; roundoff when int g = 0
     ustar: np.ndarray    # (nc, 2, n_post)
-    n_global: int        # unknowns of the sparse system: the condensed
-                         # facet system, or for the oracle its velocity,
+    n_global: int        # unknowns of the global system: the condensed
+                         # facet system (not the SPD system factored in
+                         # its place), or for the oracle its velocity,
                          # pressure and trace unknowns
     n_local: int
 
@@ -182,15 +198,126 @@ def _constant_pressure_value(spaces):
     return float(vals[0])
 
 
+def _facet_incidence(mesh):
+    """B: the pressure-row couplings of each cell to the first normal mode
+    of its interior facets, -sign * h; (nc, interior facets), CSR."""
+    rank = mesh.interior_index[mesh.cell_facets]
+    inner = rank >= 0
+    cell = np.broadcast_to(np.arange(mesh.num_cells)[:, None], rank.shape)
+    val = -mesh.cell_facet_signs * mesh.facet_lengths[mesh.cell_facets]
+    return sp.csr_matrix((val[inner], (cell[inner], rank[inner])),
+                         shape=(mesh.num_cells, len(mesh.interior_facets)))
+
+
+def _vertex_flux_map(mesh):
+    """C: first normal modes of the interior facets from vertex potentials.
+
+    Row r, for interior facet r, holds +-o/h at the facet's two vertices,
+    with o = 1 when the stored normal is the tangent turned clockwise and
+    -1 otherwise.  The fluxes h * (C psi) out of a cell are then the
+    differences of psi along its edge loop, which sum to zero, so
+    B C = 0.  Columns: the vertices of interior facets that lie on no
+    boundary facet, then one shared potential per boundary loop after
+    the first, whose potential is zero; the boundary normal flux is zero
+    and so psi is constant along each loop.  With these columns C is
+    injective and its range is the kernel of B: a mesh with holes has one
+    loop per hole besides the outer boundary.
+    """
+    # imported here: scipy.sparse.csgraph adds about 4 ms to the import
+    # of the package, which nothing else needs
+    from scipy.sparse.csgraph import connected_components
+
+    fi = mesh.interior_facets
+    fv = mesh.facet_vertices[fi]
+    t, n = mesh.facet_tangents[fi], mesh.facet_normals[fi]
+    val = (t[:, 1] * n[:, 0] - t[:, 0] * n[:, 1]) / mesh.facet_lengths[fi]
+    nv = mesh.num_vertices
+    bv = mesh.facet_vertices[mesh.boundary_facets]
+    graph = sp.csr_matrix((np.ones(len(bv)), (bv[:, 0], bv[:, 1])),
+                          shape=(nv, nv))
+    label = connected_components(graph, directed=False)[1]
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[bv] = True
+    inner = np.zeros(nv, dtype=bool)
+    inner[fv] = True
+    inner &= ~on_boundary
+    n_inner = int(inner.sum())
+    loops, loop = np.unique(label[on_boundary], return_inverse=True)
+    col = np.full(nv, -1)
+    col[inner] = np.arange(n_inner)
+    col[on_boundary] = np.where(loop > 0, n_inner + loop - 1, -1)
+    rows = np.repeat(np.arange(len(fi)), 2)
+    cols = col[fv].ravel()
+    vals = np.column_stack([-val, val]).ravel()
+    keep = cols >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(len(fi), n_inner + len(loops) - 1))
+
+
+def _solve_condensed(energy, incidence, n0, curl, rhs):
+    """Solve the pinned condensed saddle point through an SPD reduction.
+
+    The system, in [eta, pbar], is K eta + P^T pbar = F and P eta = G,
+    with K = energy on the traces eta and P = incidence acting on the
+    first normal modes n0 of eta; cell 0's row and column are replaced
+    by the pin pbar[0] = rhs[len(eta)].  Writing the first modes as
+    n0_p + C psi, with B1 n0_p equal to the mass balances G of cells
+    1..nc-1 and C = curl (B1 C = 0), leaves Z^T K Z y = Z^T (F - K eta_p)
+    in the other traces and psi, which is SPD; pbar then follows from
+    the n0 rows.  B1 B1^T and Z^T K Z, the latter scaled symmetrically by
+    powers of two, are factored without pivoting.  That reduced solve is
+    the approximate inverse of one refinement step against the full
+    matrix.
+    """
+    m = energy.shape[0]
+    b1 = incidence[1:]
+    n_fac, n_psi = curl.shape
+
+    def full(x):
+        out = np.concatenate([energy @ x[:m], x[m:m + 1], b1 @ x[n0]])
+        out[n0] += b1.T @ x[m + 1:]
+        return out
+
+    free = np.ones(m, dtype=bool)
+    free[n0] = False
+    n_free = m - n_fac
+    curl = curl.tocoo()
+    z = sp.csc_matrix(
+        (np.concatenate([np.ones(n_free), curl.data]),
+         (np.concatenate([np.flatnonzero(free), n0[curl.row]]),
+          np.concatenate([np.arange(n_free), n_free + curl.col]))),
+        shape=(m, n_free + n_psi))
+    reduced = (z.T @ energy @ z).tocsc()
+    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(reduced.diagonal())))[1])
+    reduced.data *= (scale[reduced.indices]
+                     * np.repeat(scale, np.diff(reduced.indptr)))
+    reduced_lu = SparseFactor(reduced, symmetric=True)
+    graph_lu = SparseFactor((b1 @ b1.T).tocsc(), symmetric=True)
+
+    def approx(b):
+        eta = np.zeros(m)
+        eta[n0] = b1.T @ graph_lu.solve(b[m + 1:])
+        y = scale * reduced_lu.solve(scale * (z.T @ (b[:m] - energy @ eta)))
+        eta += z @ y
+        pbar = graph_lu.solve(b1 @ (b[:m] - energy @ eta)[n0])
+        return np.concatenate([eta, b[m:m + 1], pbar])
+
+    return refined_solve(full, approx, rhs, rtol=0.0)
+
+
 def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     """Solve via static condensation onto facet traces.
 
-    Global unknowns: tangential trace block, normal trace block, cell
-    pressure averages.  Cell 0's average is pinned to zero in place of
-    its (redundant) mass balance row; after the solve the averages are
-    shifted to zero area-weighted mean, which fixes the pressure in L2_0
-    and changes no other field.  Raises ValueError when the mass source
-    does not integrate to zero, since its mass balance cannot then hold.
+    Condensed unknowns: tangential trace block, normal trace block, cell
+    pressure averages; `n_global` counts them.  Cell 0's average is zero
+    in place of its (redundant) mass balance.  The condensed system is
+    not factored as such: the first normal modes are written as a flux
+    that meets the mass balances plus the facet differences of a vertex
+    potential, which leaves an SPD system (`_solve_condensed`).  After
+    the solve the averages are shifted to zero area-weighted mean, which
+    fixes the pressure in L2_0 and changes no other field.  Raises
+    ValueError when the mass source does not integrate to zero, since
+    its mass balance cannot then hold.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -204,7 +331,7 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
 
     n_sys = 2 * ntt + nc
     o_pbar = 2 * ntt
-    builder = SparseBuilder(n_sys, n_sys)
+    builder = SparseBuilder(o_pbar, o_pbar)
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
@@ -227,17 +354,6 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         np.add.at(rhs, cc[keep], f_loc[keep])
         rhs[o_pbar + cells] = -gmom[:, 0] / q0v
 
-    # pressure rows couple to the first normal-trace dof of each interior
-    # facet; cell 0's row has no couplings, since its average is pinned
-    ncol = cols[1:, nfc * kk::kk]
-    inner = ncol >= 0
-    prow = np.broadcast_to(o_pbar + np.arange(1, nc)[:, None], ncol.shape)[inner]
-    pcol = ncol[inner]
-    pval = (-mesh.cell_facet_signs[1:]
-            * mesh.facet_lengths[mesh.cell_facets[1:]])[inner]
-    builder.add(np.concatenate([prow, pcol]), np.concatenate([pcol, prow]),
-                np.concatenate([pval, pval]))
-
     # rhs[pbar] holds -int_c g.  The trace couplings of the pressure rows
     # sum to zero over the cells, so the mass balances are solvable only
     # when int g = 0; the scale is int |g| because the cell integrals
@@ -256,10 +372,11 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     # of its redundant row
     mean_mult = float(-rhs[o_pbar:].sum() / areas.sum())
     rhs[o_pbar:] += mean_mult * areas
-    builder.add(np.array([o_pbar]), np.array([o_pbar]), np.array([1.0]))
     rhs[o_pbar] = 0.0
 
-    sol = sparse_solve(builder, rhs)
+    sol = _solve_condensed(builder.finalize(), _facet_incidence(mesh),
+                           ntt + kk * np.arange(len(mesh.interior_facets)),
+                           _vertex_flux_map(mesh), rhs)
     uhat_t = sol[:ntt]
     uhat_n = sol[ntt:2 * ntt]
     pbar = sol[o_pbar:]

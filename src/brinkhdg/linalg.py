@@ -3,6 +3,11 @@
 Thin wrappers over LAPACK (partial-pivoting LU) and SuperLU that add the
 singularity reporting and triplet-assembly semantics the solvers rely on.
 Factorizations are built once and reused for many right-hand sides.
+Every sparse factorization is a `SparseFactor`: general LU with COLAMD
+ordering, or, for symmetric positive definite matrices, a minimum-degree
+ordering of A^T + A with diagonal pivots.  `refined_solve` applies one
+refinement step against a matrix with an exact or approximate inverse
+and checks the residual.
 """
 
 from __future__ import annotations
@@ -155,31 +160,50 @@ def block_triplets(dofs, block, pattern=None):
 
 
 class SparseFactor:
-    """SuperLU factorization; solve() applies one refinement pass if needed."""
+    """SuperLU factorization; solve() applies one refinement pass if needed.
 
-    def __init__(self, csc):
+    With symmetric=True the matrix must be symmetric positive definite:
+    SuperLU then orders A^T + A by minimum degree and pivots on the
+    diagonal, with no row interchanges.  Otherwise it orders by COLAMD
+    with partial pivoting.
+    """
+
+    def __init__(self, csc, symmetric=False):
         self._mat = csc
+        opts = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True)) if symmetric else {})
         try:
-            self._lu = spla.splu(csc)
+            self._lu = spla.splu(csc, **opts)
         except RuntimeError as exc:
             raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, b):
-        b = np.asarray(b, dtype=float)
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        x = self._lu.solve(b)
-        resid = b - self._mat @ x
-        rnorm = np.linalg.norm(resid)
-        if rnorm > 1e-12 * bnorm:
-            x = x + self._lu.solve(resid)
-            rnorm = np.linalg.norm(b - self._mat @ x)
-        if not np.isfinite(rnorm) or rnorm > 1e-6 * bnorm:
-            raise SingularMatrixError(
-                f"sparse solve residual {rnorm:.3e} exceeds 1e-6 * |b| "
-                f"({bnorm:.3e}); matrix is numerically singular")
-        return x
+        return refined_solve(self._mat.dot, self._lu.solve, b)
+
+
+def refined_solve(matvec, solve, b, rtol=1e-12):
+    """x = solve(b), refined once against a matrix when its residual
+    |b - matvec(x)| exceeds rtol |b|.
+
+    solve is an exact or approximate inverse of the matrix.  Raises
+    SingularMatrixError when the refined residual exceeds 1e-6 |b| or is
+    not finite.
+    """
+    b = np.asarray(b, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    x = solve(b)
+    resid = b - matvec(x)
+    rnorm = np.linalg.norm(resid)
+    if rnorm > rtol * bnorm:
+        x = x + solve(resid)
+        rnorm = np.linalg.norm(b - matvec(x))
+    if not np.isfinite(rnorm) or rnorm > 1e-6 * bnorm:
+        raise SingularMatrixError(
+            f"sparse solve residual {rnorm:.3e} exceeds 1e-6 * |b| "
+            f"({bnorm:.3e}); matrix is numerically singular")
+    return x
 
 
 def sparse_solve(builder, b):

@@ -135,6 +135,22 @@ def test_project_pressure_reproduces_polynomials():
         assert np.abs(recon - poly(x)).max() < 1e-11
 
 
+def test_project_pressure_on_cells_of_one_class():
+    # an index array of one class's cells, even of one cell, gives each
+    # cell's projection
+    spaces = Spaces(build_structured_mesh(3, QUAD), 2)
+
+    def field(x):
+        return np.exp(x[:, 0]) * np.sin(2.0 * x[:, 1])
+
+    for cells in (spaces.class_cells[0], max(spaces.class_cells, key=len)):
+        p_all = project_pressure(spaces, cells, field)
+        assert p_all.shape == (len(cells), spaces.family.n_q)
+        for i, c in enumerate(cells):
+            p_one = project_pressure(spaces, c, field)
+            assert np.abs(p_all[i] - p_one).max() < 1e-13 * np.abs(p_one).max()
+
+
 def test_project_velocity_reproduces_polynomials():
     # P_k^2 lies inside the velocity space; the interpolant reproduces it
     for kind in (QUAD, TRIANGLE):

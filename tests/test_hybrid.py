@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
@@ -13,8 +15,8 @@ from brinkhdg.hybrid import (SolutionFields, build_local_solvers,
                              compare_fields, evaluate_fields,
                              mass_balance_residual, pressure_integral,
                              solve_direct, solve_hybrid, write_solution_text)
-from brinkhdg.linalg import DenseFactor, SingularMatrixError
-from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
+from brinkhdg.linalg import DenseFactor, SingularMatrixError, SparseFactor
+from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
                            perturbed_triangles)
 from brinkhdg.verify import data_quadrature_degree, error_norms, make_case
 
@@ -188,6 +190,104 @@ def test_hybrid_matches_direct_on_perturbed_mesh():
     diffs = compare_fields(spaces, fields, direct)
     assert max(diffs.values()) <= 1e-9, diffs
     assert abs(pressure_integral(spaces, fields)) <= 1e-10
+
+
+def holed_quads(n, holes):
+    """n-by-n quads of the unit square without the cells (i, j) in holes;
+    vertices that no cell uses are dropped."""
+    mesh = build_structured_mesh(n, QUAD)
+    drop = np.zeros(mesh.num_cells, dtype=bool)
+    for i, j in holes:
+        drop[j * n + i] = True
+    used, cells = np.unique(mesh.cells[~drop], return_inverse=True)
+    return Mesh(mesh.vertices[used], cells.reshape(-1, 4), QUAD)
+
+
+def test_stream_function_spans_kernel_of_mass_balances():
+    # C maps vertex potentials onto the first normal modes with B C = 0:
+    # exactly on structured quads; on triangles h * (1/h) is 1 only to
+    # the last bit, so the bound is roundoff.  Its columns are
+    # independent and as many as the kernel of B1 has dimensions, so C
+    # spans that kernel, also with one or two holes
+    meshes = [(build_structured_mesh(n, QUAD), 0.0) for n in (2, 3, 8)]
+    meshes += [(build_structured_mesh(n, TRIANGLE), 5e-16) for n in (2, 3, 8)]
+    meshes += [(perturbed_triangles(n, 0.2, seed), 1e-14)
+               for n, seed in ((4, 2016), (6, 0), (12, 1))]
+    meshes += [(holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)]), 0.0),
+               (holed_quads(6, [(1, 1), (4, 3)]), 0.0)]
+    for mesh, bound in meshes:
+        b1 = hybrid._facet_incidence(mesh)[1:]
+        curl = hybrid._vertex_flux_map(mesh)
+        assert abs(b1 @ curl).max() <= bound
+        n_facets, n_psi = curl.shape
+        assert n_psi == n_facets - b1.shape[0]
+        assert np.linalg.matrix_rank(curl.toarray()) == n_psi
+    # one potential per hole: none is interior on the 4x4 mesh
+    assert hybrid._vertex_flux_map(meshes[-2][0]).shape[1] == 1
+
+
+def test_holed_mesh_solves_agree():
+    def force(x):
+        return np.column_stack([np.sin(np.pi * x[:, 1]), x[:, 0] ** 2])
+
+    def source(x):
+        # int g = 0 by the mesh's symmetry about x = y
+        return x[:, 0] - x[:, 1]
+
+    mesh = holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)])
+    for k in (1, 2):
+        spaces = Spaces(mesh, k)
+        a = solve_hybrid(spaces, 1.0, 1.0, force, source)
+        b = solve_direct(spaces, 1.0, 1.0, force, source)
+        assert max(compare_fields(spaces, a, b).values()) <= 1e-9
+        assert np.abs(a.u).max() > 1e-3
+        for fields in (a, b):
+            assert mass_balance_residual(spaces, fields, source) <= 1e-10
+            assert max(normal_trace_jumps(spaces, fields.u)) <= 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 6), k=st.sampled_from((1, 2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_hybrid_matches_direct_on_seeded_perturbed_meshes(n, k, seed):
+    case = make_case(1)
+    spaces = Spaces(perturbed_triangles(n, 0.2, seed), k,
+                    fine_degree=data_quadrature_degree(case, k, n))
+    a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    assert max(compare_fields(spaces, a, b).values()) <= 1e-9
+
+
+def test_condensed_residual_no_worse_than_general_lu(monkeypatch):
+    # the reduced SPD solve, refined once against the pinned saddle point,
+    # leaves a residual on that saddle point no larger than a general LU
+    # of it with COLAMD ordering and its own refinement step
+    seen = {}
+    solve = hybrid._solve_condensed
+
+    def spy(*args):
+        x = solve(*args)
+        # solve_hybrid shifts the pressure averages of x in place
+        seen["args"], seen["x"] = args, x.copy()
+        return x
+
+    monkeypatch.setattr(hybrid, "_solve_condensed", spy)
+    case = make_case(1)
+    for kind, n, k in ((QUAD, 32, 1), (TRIANGLE, 8, 3)):
+        solve_case(kind, n, k, case)
+        energy, incidence, n0, _, rhs = seen["args"]
+        m = energy.shape[0]
+        select = sp.csr_matrix((np.ones(len(n0)), (np.arange(len(n0)), n0)),
+                               shape=(len(n0), m))
+        p1 = incidence[1:] @ select
+        full = sp.bmat([[energy, None, p1.T], [None, sp.identity(1), None],
+                        [p1, None, None]], format="csc")
+        lu_x = SparseFactor(full).solve(rhs)
+        res = [np.linalg.norm(rhs - full @ x) / np.linalg.norm(rhs)
+               for x in (seen["x"], lu_x)]
+        assert res[0] <= res[1], (kind, n, k, res)
 
 
 def test_direct_factors_postprocessing_once_per_class(monkeypatch):

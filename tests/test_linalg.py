@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
-                             SparseFactor, block_triplets, sparse_solve)
+                             SparseFactor, block_triplets, refined_solve,
+                             sparse_solve)
 
 
 def laplacian_1d(n):
@@ -210,6 +211,31 @@ def test_sparse_factor_once_solve_many():
         b = rng.standard_normal(40)
         x = factor.solve(b)
         assert np.linalg.norm(mat @ x - b) < 1e-11 * np.linalg.norm(b)
+
+
+def test_symmetric_mode_matches_general_lu():
+    # on an SPD matrix the diagonal-pivot factorization solves as LU does
+    mat = laplacian_1d(40).finalize()
+    b = np.sin(np.arange(40.0))
+    x_sym = SparseFactor(mat, symmetric=True).solve(b)
+    x_gen = SparseFactor(mat).solve(b)
+    assert np.abs(x_sym - x_gen).max() <= 1e-12 * np.abs(x_gen).max()
+
+
+def test_refined_solve_refines_once_and_checks_residual():
+    # an approximate inverse off by a factor 1 + 1e-4 leaves a relative
+    # residual of 1e-4, and 1e-8 after one refinement step
+    mat = laplacian_1d(40).finalize()
+    exact = SparseFactor(mat)
+    b = np.cos(np.arange(40.0))
+
+    def rough(r):
+        return (1.0 + 1e-4) * exact.solve(r)
+
+    x = refined_solve(mat.dot, rough, b, rtol=0.0)
+    assert np.linalg.norm(b - mat @ x) <= 2e-8 * np.linalg.norm(b)
+    with pytest.raises(SingularMatrixError, match="exceeds 1e-6"):
+        refined_solve(mat.dot, rough, b, rtol=np.inf)
 
 
 def test_sparse_zero_rhs():
