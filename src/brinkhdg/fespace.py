@@ -6,18 +6,25 @@ bases (pressures, facet functions) map by composition with the inverse
 cell map.
 
 Reference bases are tabulated once per quadrature degree on the
-reference cell (`ElementFamily.reference_tab`); a geometry class only
-pushes those values forward with its jacobian.  Cells sharing jacobian,
-the relative positions of their facets and the facet orientation signs
-form one geometry class.  On the structured meshes built here this
-collapses thousands of cells to a handful of classes; on perturbed
-meshes every cell is its own class.  Per-class quantities (the
-tabulation, `ClassTabs`, and from it the element blocks, local solves
-and nodal transforms) are stacked along a leading class axis and formed
-for all classes at once.  `Spaces.tab` is the one tabulation format:
-consumers index its stack by class.  `Spaces.class_blocks` hands out the
-cells of each class in blocks, so per-cell quantities can be formed a
-block at a time.
+reference cell (`ElementFamily.reference_tab`).  Two kinds of consumer
+read them:
+
+* At the assembly degree, the element blocks, local solves and nodal
+  transforms are per geometry class.  Cells sharing jacobian, the
+  relative positions of their facets and the facet orientation signs
+  form one class; on the structured meshes built here this collapses
+  thousands of cells to a handful, and on perturbed meshes every cell is
+  its own class.  `Spaces.tab` pushes the reference values forward once
+  per class into a stack (`ClassTabs`) with a leading class axis, and
+  consumers gather from it with `Spaces.cell_class`.
+* At the fine degree (data moments, projections of exact fields, error
+  norms and trace checks), fields are pushed forward, not bases: a
+  field's reference values come from its coefficients and the reference
+  tabulation, and the per-cell jacobian maps them (`Spaces.piola`).
+
+`Spaces.cell_blocks` hands out the cells in blocks of at most
+`BLOCK_CELLS`, in class order but whatever their classes, so per-cell
+quantities are formed a block at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .refelem import (REFERENCE_CELLS, SIMPLEX, SQUARE, SegmentBasis,
 
 _REF_OF_KIND = {QUAD: SQUARE, TRIANGLE: SIMPLEX}
 
-# most cells per block handed out by Spaces.class_blocks; bounds the
+# most cells per block handed out by Spaces.cell_blocks; bounds the
 # (cells, points, ...) arrays of the batched evaluations
 BLOCK_CELLS = 128
 
@@ -143,7 +150,8 @@ class ClassTabs:
     and facet arrays the local facet (f) next; the values of the
     reference rules shared by every class (ref_points, q_vals, post,
     int_div, s, phi) carry neither.  `cells` holds the cell each class
-    was tabulated from.  All arrays are read-only.
+    was tabulated from.  Facet values run in the direction of the stored
+    facet.  All arrays are read-only.
     """
 
     cells: np.ndarray       # (S,)
@@ -167,8 +175,6 @@ class ClassTabs:
     normal: np.ndarray      # (S, f, 2)
     outward: np.ndarray     # (S, f, 2)
     tangent: np.ndarray     # (S, f, 2)
-    rel_p0: np.ndarray      # (S, f, 2)
-    rel_p1: np.ndarray      # (S, f, 2)
     s: np.ndarray           # (qf,)
     w: np.ndarray           # (S, f, qf)
     phi: np.ndarray         # (k+1, qf)
@@ -177,14 +183,15 @@ class ClassTabs:
     facet_q: np.ndarray     # (S, f, n_q, qf)
 
 
-def factor_classes(mats, cells, what):
-    """DenseFactor of a stack of per-class matrices.
+def factor_classes(mats, cells, what, **options):
+    """DenseFactor of a stack of per-class matrices, with the options
+    of `DenseFactor`.
 
     cells[i] is a cell of the class of matrix i; a singular matrix
     raises SingularMatrixError naming that cell.
     """
     try:
-        return DenseFactor(mats)
+        return DenseFactor(mats, **options)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"{what} of cell {cells[exc.index]}: {exc}",
                                   index=exc.index) from exc
@@ -270,9 +277,11 @@ def build_dofmap(mesh, tag, k):
 class Spaces:
     """Mapped-element data for one (mesh, degree) pair.
 
-    Provides the cell geometry, the stacked tabulation of all geometry
-    classes (`tab`), the nodal (facet-moment / interior-moment) velocity
-    transforms, and the dof maps of all discrete spaces.
+    Provides the cell geometry, the geometry classes and the stacked
+    tabulation of all classes at the assembly degree (`tab`), the nodal
+    (facet-moment / interior-moment) velocity transforms, the dof maps of
+    all discrete spaces, and the per-cell points and push-forward that
+    the fine-degree evaluations use.
     """
 
     def __init__(self, mesh, k, assembly_degree=None, fine_degree=None):
@@ -305,39 +314,45 @@ class Spaces:
         rank[order] = np.arange(len(order))
         self.cell_class = rank[inverse.ravel()]
         self.class_rep = first[order].tolist()
-        cells = np.argsort(self.cell_class, kind="stable")
-        counts = np.bincount(self.cell_class, minlength=len(self.class_rep))
-        self.class_cells = np.split(cells, np.cumsum(counts)[:-1])
-        self._stacks = {}
+        self._class_order = np.argsort(self.cell_class, kind="stable")
+        self._stack = None
         self._nodal = None
         self._dofmaps = {}
 
     # -- lookups --------------------------------------------------------
 
-    def class_blocks(self):
-        """(class, cells) pairs; cells holds at most BLOCK_CELLS cells of
-        that class, and the blocks cover every cell once."""
-        for cls, cells in enumerate(self.class_cells):
-            for start in range(0, len(cells), BLOCK_CELLS):
-                yield cls, cells[start:start + BLOCK_CELLS]
+    def cell_blocks(self):
+        """Index arrays of at most BLOCK_CELLS cells that cover every cell
+        once: the cells in class order, cut every BLOCK_CELLS cells
+        whatever their classes."""
+        order = self._class_order
+        for start in range(0, len(order), BLOCK_CELLS):
+            yield order[start:start + BLOCK_CELLS]
 
     def dofmap(self, tag):
         if tag not in self._dofmaps:
             self._dofmaps[tag] = build_dofmap(self.mesh, tag, self.k)
         return self._dofmaps[tag]
 
-    # -- tabulation -------------------------------------------------------
+    # -- tabulation at the assembly degree --------------------------------
 
-    def tab(self, *, fine=False):
-        """Stacked tabulation (`ClassTabs`) of every class at the fine or
-        the assembly degree, in class order, made on first use."""
-        degree = self.fine_degree if fine else self.assembly_degree
-        if degree not in self._stacks:
-            self._stacks[degree] = self.tabulate(self.class_rep, fine)
-        return self._stacks[degree]
+    def tab(self):
+        """Stacked tabulation (`ClassTabs`) of every class at the assembly
+        degree, in class order, made on first use."""
+        if self._stack is None:
+            self._stack = self.tabulate(self.class_rep)
+        return self._stack
 
-    def tabulate(self, cells, fine=False):
-        """ClassTabs of the geometry of each given cell.
+    def _facet_directions(self, cells):
+        """back[e, lf] = 1 where the stored facet of local facet lf of
+        cells[e] runs against the reference facet lf, else 0."""
+        ref_facets = np.array(self.family.ref_cell.facets)
+        loops = self.mesh.cells[cells]
+        return (loops[..., ref_facets[:, 0]]
+                > loops[..., ref_facets[:, 1]]).astype(int)
+
+    def tabulate(self, cells):
+        """ClassTabs of the geometry of each given cell at the assembly degree.
 
         The reference values are pushed forward with one array operation
         per array over the stacked jacobians: vector bases by the
@@ -347,7 +362,7 @@ class Spaces:
         the higher one.
         """
         fam = self.family
-        degree = self.fine_degree if fine else self.assembly_degree
+        degree = self.assembly_degree
         ref = fam.reference_tab(degree)
         vol = quadrature(fam.ref_cell.name, degree)
         seg = quadrature("segment", degree)
@@ -366,19 +381,12 @@ class Spaces:
         v_grad = np.einsum("sab,nbcq,scd->snadq", jac, ref.v_grad, inv,
                            optimize=True)
         v_grad /= det[:, None, None, None, None]
-        # back[s, lf] = 1 where the stored facet runs against the
-        # reference facet lf
-        ref_facets = np.array(fam.ref_cell.facets)
-        loops = mesh.cells[cells]
-        back = (loops[:, ref_facets[:, 0]]
-                > loops[:, ref_facets[:, 1]]).astype(int)
-        lf = np.arange(len(ref_facets))
+        back = self._facet_directions(cells)
+        lf = np.arange(back.shape[1])
         f = mesh.cell_facets[cells]
         sign = mesh.cell_facet_signs[cells].astype(int)
         h = mesh.facet_lengths[f]
         normal = mesh.facet_normals[f]
-        rel = (mesh.vertices[mesh.facet_vertices[f]]
-               - self.offsets[cells, None, None])
         tabs = ClassTabs(
             cells=cells, degree=degree, ref_points=vol.points,
             jacobian=jac, inverse_jacobian=inv, det=det,
@@ -391,7 +399,6 @@ class Spaces:
             int_div=ref.int_div,
             sign=sign, h=h, normal=normal, outward=sign[..., None] * normal,
             tangent=mesh.facet_tangents[f],
-            rel_p0=rel[:, :, 0], rel_p1=rel[:, :, 1],
             s=seg.points[:, 0], w=h[..., None] * seg.weights, phi=ref.phi,
             facet_g=piola(jac[:, None, None], ref.facet_g[lf, back]),
             facet_v=piola(jac[:, None, None], ref.facet_v[lf, back]),
@@ -401,26 +408,53 @@ class Spaces:
                 arr.flags.writeable = False
         return tabs
 
-    def vol_points(self, tabs, cls, c):
-        """Volume points (q, 2) of cell c of class cls of the stack tabs,
-        or (C, q, 2) for an index array of cells of that class."""
+    # -- per-cell points and push-forward -----------------------------------
+
+    def vol_points(self, c, degree=None):
+        """Points (q, 2) of the volume rule of one degree (default: the
+        fine degree) on cell c, or (C, q, 2) for an index array of cells."""
+        rule = quadrature(self.family.ref_cell.name, degree or self.fine_degree)
         return (self.offsets[c][..., None, :]
-                + tabs.ref_points @ tabs.jacobian[cls].T)
+                + rule.points @ np.swapaxes(self.jacobians[c], -1, -2))
 
-    def facet_points(self, tabs, cls, c):
-        """Points (f, qf, 2) on every local facet of cell c of class cls of
-        the stack tabs, or (C, f, qf, 2) for an index array."""
-        off = self.offsets[c][..., None, None, :]
-        p0 = off + tabs.rel_p0[cls][:, None]
-        p1 = off + tabs.rel_p1[cls][:, None]
-        return p0 + tabs.s[:, None] * (p1 - p0)
+    def facet_points(self, c, degree=None):
+        """Points (f, qf, 2) of the segment rule of one degree (default:
+        the fine degree) on every local facet of cell c, run from the
+        stored facet's first vertex to its second; (C, f, qf, 2) for an
+        index array of cells."""
+        s = quadrature("segment", degree or self.fine_degree).points[:, 0]
+        mesh = self.mesh
+        ends = mesh.vertices[mesh.facet_vertices[mesh.cell_facets[c]]]
+        p0, p1 = ends[..., :1, :], ends[..., 1:, :]
+        return p0 + s[:, None] * (p1 - p0)
 
-    def local_facet(self, c, f):
-        row = self.mesh.cell_facets[c]
-        hits = np.nonzero(row == f)[0]
-        if hits.size == 0:
-            raise ValueError(f"facet {f} is not a facet of cell {c}")
-        return int(hits[0])
+    def facet_fields(self, cells, coef, ref_facet):
+        """Reference fields of coefficients coef (C, *lead, n) on every
+        local facet of cells (C,); (C, f, qf, *lead, *value).
+
+        ref_facet (nfc, 2, n, *value, qf) holds reference facet values
+        indexed [local facet, direction]; each facet's fields run in the
+        direction of the stored facet.  Both directions come from one
+        product, and each cell picks its own.
+        """
+        nfc, _, n = ref_facet.shape[:3]
+        both = coef.reshape(-1, n) @ np.moveaxis(ref_facet, 2, 0).reshape(n, -1)
+        both = both.reshape((len(cells), -1) + ref_facet.shape[:2]
+                            + ref_facet.shape[3:])
+        # advanced indices split by a slice come first: (C, f, L, *value, qf)
+        picked = both[np.arange(len(cells))[:, None], :, np.arange(nfc),
+                      self._facet_directions(cells)]
+        picked = np.moveaxis(picked, -1, 2)
+        return picked.reshape(picked.shape[:3] + coef.shape[1:-1]
+                              + ref_facet.shape[3:-1])
+
+    def piola(self, cells, vhat):
+        """Contravariant Piola push-forward J vhat / det of reference
+        vectors vhat (C, ..., 2), one cell of cells (C,) per leading
+        entry; the vector components are the last axis."""
+        jac_t = np.swapaxes(self.jacobians[cells], 1, 2)
+        jac_t /= self.dets[cells, None, None]
+        return (vhat.reshape(len(jac_t), -1, 2) @ jac_t).reshape(vhat.shape)
 
     # -- nodal velocity transform ----------------------------------------
 
@@ -433,6 +467,15 @@ class Spaces:
         return self._nodal
 
 
+def reference_fields(coef, basis):
+    """Fields sum_m coef[e, ..., m] basis[m, ..., q] at the points of the
+    reference values basis (n, *value, q), for coefficients coef
+    (C, *lead, n); (C, q, *lead, *value), the points next to the cells."""
+    n = basis.shape[0]
+    out = coef.reshape(-1, n) @ basis.reshape(n, -1)
+    return np.moveaxis(out.reshape(coef.shape[:-1] + basis.shape[1:]), -1, 1)
+
+
 def normal_trace_jumps(spaces, u_modal):
     """Facet-normal continuity of a broken velocity field.
 
@@ -441,16 +484,17 @@ def normal_trace_jumps(spaces, u_modal):
     roundoff level.
     """
     mesh = spaces.mesh
-    tabs = spaces.tab(fine=True)
-    weights = quadrature("segment", tabs.degree).weights
+    ref = spaces.family.reference_tab(spaces.fine_degree)
+    weights = quadrature("segment", spaces.fine_degree).weights
     # u.n against the stored facet normal at the facet's points, seen
     # from the owner (side 0) and from the neighbor (side 1)
     vn = np.zeros((mesh.num_facets, 2, weights.size))
-    for cls, cells in spaces.class_blocks():
+    for cells in spaces.cell_blocks():
+        f = mesh.cell_facets[cells]
         side = (mesh.cell_facet_signs[cells] < 0).astype(int)
-        vn[mesh.cell_facets[cells], side] = np.einsum(
-            "em,fmcq,fc->efq", u_modal[cells], tabs.facet_v[cls],
-            tabs.normal[cls])
+        uf = spaces.piola(cells, spaces.facet_fields(cells, u_modal[cells],
+                                                     ref.facet_v))
+        vn[f, side] = np.einsum("efqc,efc->efq", uf, mesh.facet_normals[f])
     w = weights * mesh.facet_lengths[:, None]
     jumps = np.sqrt(np.sum(w * (vn[:, 0] - vn[:, 1]) ** 2, axis=1))
     owner = np.sqrt(np.sum(w * vn[:, 0] ** 2, axis=1))

@@ -1,10 +1,12 @@
 """Element integrals, projections, and local velocity postprocessing.
 
 Block matrices are computed for a stack of geometry classes at once,
-from their stacked tabulation.  Index conventions: s runs over the
-classes, f over local facets, a, b over gradient-row functions, m, n
-over velocity functions, i, j over pressure / facet-polynomial indices,
-r, c, t over spatial components, q over quadrature points.
+from their stacked tabulation; projections work on any cells, from the
+fine-degree reference tabulation and each cell's jacobian.  Index
+conventions: s runs over the classes, e over cells, f over local
+facets, a, b over gradient-row functions, m, n over velocity functions,
+i, j over pressure / facet-polynomial indices, r, c, t over spatial
+components, q over quadrature points.
 """
 
 from __future__ import annotations
@@ -109,11 +111,12 @@ def element_blocks(tabs, nu, gamma):
 
 # -- projections ----------------------------------------------------------
 #
-# project_grad and project_velocity_div take one cell c, or an index
-# array of cells of one geometry class, whose slice of the fine stack
-# they read; project_facet_tangent takes one facet or an index array.
-# An index array gives the result a leading axis.  Callables are
-# evaluated once on all points of all the cells or facets.
+# project_grad, project_pressure and project_velocity_div take one cell
+# c, or an index array of cells of any classes, and work at the fine
+# degree on reference values and per-cell geometry;
+# project_facet_tangent takes one facet or an index array.  An index
+# array gives the result a leading axis.  Callables are evaluated once
+# on all points of all the cells or facets.
 
 
 def values_at(func, x):
@@ -122,61 +125,78 @@ def values_at(func, x):
     return flat.reshape(x.shape[:-1] + flat.shape[1:])
 
 
-def _class_of(spaces, c):
-    """Geometry class of cell c, or of a nonempty index array of cells of
-    one class; ValueError otherwise."""
-    cls = np.unique(spaces.cell_class[c])
-    if cls.size != 1:
-        raise ValueError("expected a nonempty set of cells of one geometry "
-                         "class")
-    return int(cls[0])
+def grad_coefficients(spaces, cells, vals):
+    """Row-space L2 projection, (C, 2, n_g), from values (C, q, 2, 2) at
+    the fine volume points of cells (C,).
 
-
-def grad_coefficients(tabs, cls, vals):
-    """Row-space L2 projection from values (..., q, 2, 2) at the volume
-    points of class cls of the stack tabs."""
-    g, wdet = tabs.g[cls], tabs.wdet[cls]
-    mg = np.einsum("acq,bcq,q->ab", g, g, wdet)
-    rhs = np.einsum("...qrc,acq,q->a...r", vals, g, wdet)
-    coef = np.linalg.solve(mg, rhs.reshape(mg.shape[0], -1))
-    return np.moveaxis(coef.reshape(rhs.shape), 0, -1)
+    With g_a = J ghat_a / det, (g_a, g_b) = sum_q w ghat_a . (J^T J / det)
+    ghat_b and (v_r, g_a) = sum_q w (J^T v_r) . ghat_a.
+    """
+    fam = spaces.family
+    g = fam.reference_tab(spaces.fine_degree).g
+    gw = g * quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    n_g, n = len(g), len(cells)
+    jac = spaces.jacobians[cells]
+    # gram[(c, d), (a, b)] = sum_q w ghat_ac ghat_bd
+    gram = np.einsum("acq,bdq->cdab", gw, g).reshape(4, n_g * n_g)
+    metric = np.swapaxes(jac, 1, 2) @ jac / spaces.dets[cells, None, None]
+    mg = (metric.reshape(n, 4) @ gram).reshape(n, n_g, n_g)
+    # (J^T v_r)[e, r, q, d] against (w ghat)[a, d, q], one product over (q, d)
+    nq = g.shape[-1]
+    jv = (vals.reshape(n, 2 * nq, 2) @ jac).reshape(vals.shape)
+    jv = np.swapaxes(jv, 1, 2).reshape(2 * n, 2 * nq)
+    rhs = jv @ np.moveaxis(gw, 0, -1).swapaxes(0, 1).reshape(2 * nq, n_g)
+    return np.swapaxes(np.linalg.solve(mg, rhs.reshape(n, 2, n_g).swapaxes(
+        1, 2)), 1, 2)
 
 
 def project_grad(spaces, c, grad_func):
     """L2 projection of a 2x2 tensor field into the row space; (2, n_g)."""
-    cls = _class_of(spaces, c)
-    tabs = spaces.tab(fine=True)
-    return grad_coefficients(
-        tabs, cls, values_at(grad_func, spaces.vol_points(tabs, cls, c)))
+    cells = np.atleast_1d(c)
+    coef = grad_coefficients(spaces, cells,
+                             values_at(grad_func, spaces.vol_points(cells)))
+    return coef if np.ndim(c) else coef[0]
 
 
 def project_pressure(spaces, c, func):
-    """L2 projection of a scalar field into the pressure space; (n_q,)."""
-    cls = _class_of(spaces, c)
-    tabs = spaces.tab(fine=True)
-    vals = values_at(func, spaces.vol_points(tabs, cls, c))
-    mq = np.einsum("iq,jq,q->ij", tabs.q_vals, tabs.q_vals, tabs.wdet[cls])
-    rhs = np.einsum("...q,iq,q->i...", vals, tabs.q_vals, tabs.wdet[cls])
-    return np.linalg.solve(mq, rhs).T
+    """L2 projection of a scalar field into the pressure space; (n_q,).
 
-
-def velocity_div_coefficients(tabs, trans, cls, facet_vals, vol_vals):
-    """Divergence-conforming interpolant from point values; modal (..., n_v).
-
-    facet_vals (..., f, qf, 2) holds the field at the points of every
-    local facet, vol_vals (..., q, 2) at the volume points (unused when
-    there are no interior moments); trans holds the nodal transforms of
-    the stack's classes.
+    The det of the cell scales both sides and cancels.
     """
-    un = (facet_vals @ tabs.normal[cls][..., None])[..., 0]
-    alpha = np.einsum("jq,...fq,fq->...fj", tabs.phi, un, tabs.w[cls])
-    alpha = alpha.reshape(alpha.shape[:-2] + (-1,))
-    if tabs.int_div.shape[0]:
-        mom = np.einsum("...qr,iq,q->...ri", vol_vals, tabs.int_div,
-                        tabs.wdet[cls])
-        alpha = np.concatenate([alpha, mom.reshape(mom.shape[:-2] + (-1,))],
-                               axis=-1)
-    return alpha @ trans[cls].T
+    fam = spaces.family
+    q_vals = fam.reference_tab(spaces.fine_degree).q_vals
+    w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    vals = values_at(func, spaces.vol_points(c))
+    mq = np.einsum("iq,jq,q->ij", q_vals, q_vals, w)
+    rhs = np.einsum("...q,iq,q->i...", vals, q_vals, w)
+    coef = np.linalg.solve(mq, rhs.reshape(len(mq), -1))
+    return coef.T.reshape(vals.shape[:-1] + (len(mq),))
+
+
+def velocity_div_coefficients(spaces, cells, facet_vals, vol_vals):
+    """Divergence-conforming interpolant from point values; modal (C, n_v).
+
+    facet_vals (C, f, qf, 2) holds the field at the fine points of every
+    local facet of cells (C,), vol_vals (C, q, 2) at the fine volume
+    points (unused when there are no interior moments).  Each cell's
+    moments go through the nodal transform of its class.
+    """
+    fam = spaces.family
+    ref = fam.reference_tab(spaces.fine_degree)
+    mesh = spaces.mesh
+    f = mesh.cell_facets[cells]
+    un = np.einsum("efqr,efr->efq", facet_vals, mesh.facet_normals[f])
+    un *= mesh.facet_lengths[f][..., None]
+    seg_w = quadrature("segment", spaces.fine_degree).weights
+    alpha = [(un @ (ref.phi * seg_w).T).reshape(len(cells), -1)]
+    if ref.int_div.shape[0]:
+        w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+        mom = np.swapaxes(vol_vals, 1, 2) @ (ref.int_div * w).T
+        alpha.append((mom * spaces.dets[cells, None, None]).reshape(
+            len(cells), -1))
+    alpha = np.concatenate(alpha, axis=-1)
+    trans = spaces.class_nodal_transforms()[spaces.cell_class[cells]]
+    return np.einsum("emn,en->em", trans, alpha)
 
 
 def project_velocity_div(spaces, c, func):
@@ -186,13 +206,12 @@ def project_velocity_div(spaces, c, func):
     interior component moments against the row-divergence span, so the
     interpolant commutes with the divergence projection.
     """
-    cls = _class_of(spaces, c)
-    tabs = spaces.tab(fine=True)
-    facet_vals = values_at(func, spaces.facet_points(tabs, cls, c))
-    vol_vals = (values_at(func, spaces.vol_points(tabs, cls, c))
-                if tabs.int_div.shape[0] else None)
-    return velocity_div_coefficients(tabs, spaces.class_nodal_transforms(),
-                                     cls, facet_vals, vol_vals)
+    cells = np.atleast_1d(c)
+    vol_vals = (values_at(func, spaces.vol_points(cells))
+                if spaces.family.n_int_scalar else None)
+    coef = velocity_div_coefficients(
+        spaces, cells, values_at(func, spaces.facet_points(cells)), vol_vals)
+    return coef if np.ndim(c) else coef[0]
 
 
 @lru_cache(maxsize=None)
@@ -239,11 +258,17 @@ def postprocess_velocity(blocks, factor, cls, l_coef, u_coef):
     Each component solves a Neumann-type local problem: its gradient
     matches the corresponding gradient-field row in the L2 sense and its
     cell mean matches the velocity mean.  cls picks the class of the
-    stacked blocks and factor.  l_coef (2, n_g) and u_coef (n_v,) give
-    (2, n_post); with a leading cell axis, (C, 2, n_g) and (C, n_v) give
-    (C, 2, n_post) from one solve.
+    stacked blocks and factor; blocks may be anything holding the
+    gp_cross and vint stacks of the `ElementBlocks`.  l_coef (2, n_g) and
+    u_coef (n_v,) give (2, n_post); with a leading cell axis, (C, 2, n_g)
+    and (C, n_v) give (C, 2, n_post), and cls may then be an index array
+    (C,) with each cell's class.
     """
-    rhs = np.concatenate([l_coef @ blocks.gp_cross[cls],
-                          (u_coef @ blocks.vint[cls])[..., None]], axis=-1)
-    sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T, cls)
+    cls = np.asarray(cls)
+    rhs = np.concatenate([
+        np.einsum("...ra,...aj->...rj", l_coef, blocks.gp_cross[cls]),
+        np.einsum("...m,...mr->...r", u_coef, blocks.vint[cls])[..., None]],
+        axis=-1)
+    index = np.repeat(cls, 2) if cls.ndim else cls
+    sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T, index)
     return sol[:-1].T.reshape(rhs.shape[:-1] + (-1,))

@@ -18,11 +18,12 @@ the pressure averages; both factorizations pivot on the diagonal.  One
 refinement step against the full condensed system follows.
 
 The local matrices of all geometry classes are formed and factored as
-one stack with a leading class axis (`LocalSolver`), and every
-cell-local step (data moments, source solves, the scatter of the energy
-blocks, recovery and the postprocessing of u*) runs on blocks of cells
-of one class (`Spaces.class_blocks`), with one dense operation per
-block on the class's slice of each stack.
+one stack with a leading class axis (`LocalSolver`).  Every cell-local
+step (data moments, source solves, the scatter of the energy blocks,
+recovery and the postprocessing of u*) runs on blocks of cells of any
+classes (`Spaces.cell_blocks`): each cell reads its class's entry of
+each stack through `Spaces.cell_class`, and the data moments push the
+fine-degree data forward per cell.
 
 `solve_direct` works on the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
@@ -47,6 +48,7 @@ from .forms import (class_element_blocks, postprocess_factor,
 from .linalg import (SparseBuilder, SparseFactor, block_triplets,
                      refined_solve, sparse_solve)
 from .mesh import locate_cell
+from .refelem import quadrature
 
 
 class LocalSolver:
@@ -57,7 +59,9 @@ class LocalSolver:
     local facet, then normal facet data.  The local matrices of all the
     classes are filled by slice assignment over the class axis and
     factored together; `lift`, `zlift` and `energy` have a leading class
-    axis.
+    axis.  Of the element blocks only the stacks the postprocessing reads
+    are kept (`gp_cross`, `vint`), so a LocalSolver stands in for them
+    in `postprocess_velocity`; `cells` holds a cell of each class.
     """
 
     def __init__(self, blocks, family):
@@ -75,9 +79,11 @@ class LocalSolver:
         o_lam = o_p + n_p
         self.n = n
         self.offsets = (0, o_u, o_p, o_lam)
-        self.blocks = blocks
+        self.cells = blocks.cells
+        self.gp_cross, self.vint = blocks.gp_cross, blocks.vint
 
-        mat = np.zeros((n_cls, n, n))
+        # each matrix in column-major order, so it is factored in place
+        mat = np.zeros((n_cls, n, n)).swapaxes(1, 2)
         gt = blocks.grad - blocks.tg
         for r in range(2):
             rows = slice(r * n_g, (r + 1) * n_g)
@@ -91,7 +97,8 @@ class LocalSolver:
         tlam = blocks.tlam.transpose(0, 2, 1, 3).reshape(n_cls, n_v, n_lam)
         mat[:, o_u:o_p, o_lam:] = -tlam
         mat[:, o_lam:, o_u:o_p] = tlam.swapaxes(1, 2)
-        self.factor = factor_classes(mat, blocks.cells, "local solver matrix")
+        self.factor = factor_classes(mat, blocks.cells, "local solver matrix",
+                                     overwrite_a=True)
 
         # gradient rows against the tangential, then the normal, data of
         # each local facet; the multiplier rows against the normal data
@@ -104,6 +111,7 @@ class LocalSolver:
         lift_rhs[:, o_lam + diag, n_lam + diag] = np.repeat(
             blocks.sign * blocks.h, kk, axis=1)
         self.lift = self.factor.solve(lift_rhs)
+        del lift_rhs
 
         # energy-weighted lift: rows of Z @ lift with Z the block Gram
         # diag(nu M_ll, nu M_ll, M_gamma, 0, 0)
@@ -158,6 +166,15 @@ def _facet_columns(spaces):
     return np.hstack([tang, np.where(tang >= 0, tang + ntt, -1)]), ntt
 
 
+def _class_rows(x, stack, cls):
+    """Rows x[e] @ stack[cls[e]] for the cells e of a block, with cls the
+    class of each cell; one product with the class's matrix when the
+    block holds a single class."""
+    if (cls == cls[0]).all():
+        return x @ stack[cls[0]]
+    return (x[:, None] @ stack[cls])[:, 0]
+
+
 def _checked_values(func, x, shape, what):
     """Values of a data callable at x; ValueError on a wrong shape or NaN/inf."""
     vals = np.asarray(func(x), dtype=float)
@@ -172,23 +189,30 @@ def _checked_values(func, x, shape, what):
     return vals
 
 
-def _data_moments(spaces, tabs, cls, cells, f_func, g_func):
+def _data_moments(spaces, cells, f_func, g_func):
     """Velocity moments of f, pressure moments of g, and the integral of |g|.
 
-    cells is an index array of cells of class cls, such as a block of
-    `Spaces.class_blocks`, and tabs the fine-degree stack.  f and g are
-    called once, on the stacked points of all the cells; the moments are
-    (C, n_v) and (C, n_q), and the integral is summed over the cells.
+    cells is an index array of cells, such as a block of
+    `Spaces.cell_blocks`.  f and g are called once, on the stacked fine
+    points of all the cells; the moments are (C, n_v) and (C, n_q), and
+    the integral is summed over the cells.  With v_m = J vhat_m / det,
+    the Piola 1/det cancels the det of the measure: (f, v_m) = sum_q w
+    (J^T f) . vhat_m.
     """
-    x = spaces.vol_points(tabs, cls, cells)
+    fam = spaces.family
+    ref = fam.reference_tab(spaces.fine_degree)
+    w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    x = spaces.vol_points(cells)
     flat = x.reshape(-1, 2)
     nq = flat.shape[0]
     fv = _checked_values(f_func, flat, (nq, 2), "body force").reshape(x.shape)
     gv = _checked_values(g_func, flat, (nq,), "mass source").reshape(x.shape[:-1])
-    wdet = tabs.wdet[cls]
-    fmom = np.einsum("mrq,eqr,q->em", tabs.v[cls], fv, wdet)
-    gmom = np.einsum("iq,eq,q->ei", tabs.q_vals, gv, wdet)
-    return fmom, gmom, float(np.sum(np.abs(gv) @ wdet))
+    # (J^T f)[e, q, c] against (w vhat)[c, q, m], one product over (q, c)
+    jtf = fv @ spaces.jacobians[cells]
+    vw = np.moveaxis(ref.v * w, 0, -1).reshape(-1, fam.n_v)
+    fmom = jtf.swapaxes(1, 2).reshape(len(cells), -1) @ vw
+    gw = gv * np.outer(spaces.dets[cells], w)
+    return fmom, gw @ ref.q_vals.T, float(np.abs(gw).sum())
 
 
 def _constant_pressure_value(spaces):
@@ -336,18 +360,18 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
     g_abs = 0.0
-    tabs = spaces.tab(fine=True)
 
-    for cls, cells in spaces.class_blocks():
-        fmom, gmom, g_abs_b = _data_moments(spaces, tabs, cls, cells,
-                                            f_func, g_func)
+    for cells in spaces.cell_blocks():
+        cls = spaces.cell_class[cells]
+        fmom, gmom, g_abs_b = _data_moments(spaces, cells, f_func, g_func)
         g_abs += g_abs_b
         src = np.zeros((ls.n, len(cells)))
         src[o_u:o_p] = fmom.T
         src[o_p:o_lam] = gmom[:, 1:].T
         xs = ls.factor.solve(src, cls).T
         x_src[cells] = xs
-        f_loc = fmom @ ls.lift[cls, o_u:o_p] - xs @ ls.zlift[cls]
+        f_loc = (_class_rows(fmom, ls.lift[:, o_u:o_p], cls)
+                 - _class_rows(xs, ls.zlift, cls))
         cc = cols[cells]
         builder.add(*block_triplets(cc, ls.energy[cls]))
         keep = cc >= 0
@@ -388,13 +412,15 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     lam = np.zeros((nc, nfc * kk))
     ustar = np.zeros((nc, 2, fam.n_post))
     eta_pad = np.concatenate([sol[:2 * ntt], [0.0]])
-    for cls, cells in spaces.class_blocks():
-        xi = eta_pad[cols[cells]] @ ls.lift[cls].T + x_src[cells]
+    lift_t = ls.lift.swapaxes(1, 2)
+    for cells in spaces.cell_blocks():
+        cls = spaces.cell_class[cells]
+        xi = _class_rows(eta_pad[cols[cells]], lift_t, cls) + x_src[cells]
         l[cells] = xi[:, :o_u].reshape(-1, 2, fam.n_g)
         u[cells] = xi[:, o_u:o_p]
         p[cells, 1:] = xi[:, o_p:o_lam]
         lam[cells] = xi[:, o_lam:]
-        ustar[cells] = postprocess_velocity(ls.blocks, ls.post_factor, cls,
+        ustar[cells] = postprocess_velocity(ls, ls.post_factor, cls,
                                             l[cells], u[cells])
     p[:, 0] = pbar / q0v
 
@@ -496,7 +522,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     sum to zero; the last cell's constant pressure coefficient is pinned
     to zero in place of its constant-test row.  After the solve the
     constant coefficients are shifted so that p has zero mean.  Cell
-    blocks are scattered one class block of cells at a time.
+    blocks are scattered one block of cells at a time.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -524,17 +550,15 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     triplets = []
     rhs = np.zeros(n_sys)
     gmom = np.zeros((nc, n_q))
-    qint = np.zeros((nc, n_q))
-    tabs = spaces.tab(fine=True)
-    for cls, cells in spaces.class_blocks():
+    qint = blocks.qint[spaces.cell_class]
+    for cells in spaces.cell_blocks():
+        cls = spaces.cell_class[cells]
         triplets.append(block_triplets(kept[cells], mats[cls], pattern))
 
-        fmom, gmom[cells], _ = _data_moments(spaces, tabs, cls, cells,
-                                             f_func, g_func)
-        qint[cells] = blocks.qint[cls]
+        fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
         udofs = vd.cell_dofs[cells]
         ukeep = udofs >= 0
-        np.add.at(rhs, udofs[ukeep], (fmom @ trans[cls])[ukeep])
+        np.add.at(rhs, udofs[ukeep], _class_rows(fmom, trans, cls)[ukeep])
 
     # the constant-test rows sum to int g (the divergence terms cancel),
     # so remove the mean of g; the last cell's constant-test row is then
@@ -562,9 +586,12 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     ustar = np.zeros((nc, 2, fam.n_post))
     post_factor = postprocess_factor(blocks)
     sol_pad = np.append(sol, 0.0)
-    for cls, cells in spaces.class_blocks():
-        l[cells] = (sol_pad[kept[cells]] @ rec[cls].T).reshape(-1, 2, n_g)
-        u[cells] = sol_pad[vd.cell_dofs[cells]] @ trans[cls].T
+    rec_t, trans_t = rec.swapaxes(1, 2), trans.swapaxes(1, 2)
+    for cells in spaces.cell_blocks():
+        cls = spaces.cell_class[cells]
+        l[cells] = _class_rows(sol_pad[kept[cells]], rec_t,
+                               cls).reshape(-1, 2, n_g)
+        u[cells] = _class_rows(sol_pad[vd.cell_dofs[cells]], trans_t, cls)
         ustar[cells] = postprocess_velocity(blocks, post_factor, cls,
                                             l[cells], u[cells])
     p = sol[o_p:o_t].reshape(nc, n_q).copy()
@@ -585,16 +612,18 @@ def compare_fields(spaces, fa, fb):
     """L2 distances between two solutions; keys dl, du, dp, dut."""
     dl2 = du2 = dp2 = 0.0
     tabs = spaces.tab()
-    for cls, cells in spaces.class_blocks():
+    for cells in spaces.cell_blocks():
+        cls = spaces.cell_class[cells]
         w = tabs.wdet[cls]
-        dl = np.einsum("era,acq->ercq", fa.l[cells] - fb.l[cells], tabs.g[cls])
-        dl2 += float(np.einsum("ercq,ercq,q->", dl, dl, w))
-        du = np.einsum("em,mrq->erq", fa.u[cells] - fb.u[cells], tabs.v[cls])
-        du2 += float(np.einsum("erq,erq,q->", du, du, w))
+        dl = np.einsum("era,eacq->ercq", fa.l[cells] - fb.l[cells], tabs.g[cls])
+        dl2 += float(np.einsum("ercq,ercq,eq->", dl, dl, w))
+        du = np.einsum("em,emrq->erq", fa.u[cells] - fb.u[cells], tabs.v[cls])
+        du2 += float(np.einsum("erq,erq,eq->", du, du, w))
         dp = (fa.p[cells] - fb.p[cells]) @ tabs.q_vals
-        dp2 += float(np.einsum("eq,eq,q->", dp, dp, w))
+        dp2 += float(np.einsum("eq,eq,eq->", dp, dp, w))
     mesh = spaces.mesh
-    dt = (fa.uhat_t - fb.uhat_t).reshape(len(mesh.interior_facets), -1)
+    dt = (fa.uhat_t - fb.uhat_t).reshape(len(mesh.interior_facets),
+                                         spaces.family.n_facet)
     dut2 = float(mesh.facet_lengths[mesh.interior_facets]
                  @ np.einsum("fj,fj->f", dt, dt))
     return {"dl": np.sqrt(dl2), "du": np.sqrt(du2),
@@ -602,14 +631,21 @@ def compare_fields(spaces, fa, fb):
 
 
 def mass_balance_residual(spaces, fields, g_func):
-    """Max cell residual of the divergence moments against the source."""
+    """Max cell residual of the divergence moments against the source.
+
+    The divergence moments (q_i, div v_m) = sum_q w qhat_i divhat vhat_m
+    take no geometry; the source moments are taken on the fine rule.
+    """
+    fam = spaces.family
+    ref = fam.reference_tab(spaces.assembly_degree)
+    bdiv = np.einsum("iq,mq,q->mi", ref.q_vals, ref.v_div, quadrature(
+        fam.ref_cell.name, spaces.assembly_degree).weights)
+    q_vals = fam.reference_tab(spaces.fine_degree).q_vals
+    w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
     worst = 0.0
-    fine, tabs = spaces.tab(fine=True), spaces.tab()
-    for cls, cells in spaces.class_blocks():
-        gv = values_at(g_func, spaces.vol_points(fine, cls, cells))
-        gmom = np.einsum("iq,eq,q->ei", fine.q_vals, gv, fine.wdet[cls])
-        bdiv = np.einsum("iq,mq,q->mi", tabs.q_vals, tabs.v_div[cls],
-                         tabs.wdet[cls])
+    for cells in spaces.cell_blocks():
+        gv = values_at(g_func, spaces.vol_points(cells))
+        gmom = (gv * np.outer(spaces.dets[cells], w)) @ q_vals.T
         res = fields.u[cells] @ bdiv - gmom
         worst = max(worst, float(np.abs(res).max()))
     return worst

@@ -12,7 +12,7 @@ and checks the residual.
 
 from __future__ import annotations
 
-import warnings
+import functools
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,15 +35,25 @@ class SingularMatrixError(RuntimeError):
 _PIVOT_RTOL = 1e-13
 
 
+@functools.cache
+def _lapack():
+    """LAPACK getrf and getrs for float64, looked up on first use."""
+    return sla.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
 class DenseFactor:
     """LU factorization with partial pivoting of a square dense matrix.
 
     A stack (S, n, n) factors each matrix on its own; `solve` then takes
-    right-hand sides with the same leading axis, or solves with one
-    matrix of the stack when given its index.
+    right-hand sides with the same leading axis, or solves with the
+    matrices of the stack named by an index.  LAPACK getrf and getrs are
+    called directly, so factors and solutions are those of
+    `scipy.linalg.lu_factor` and `lu_solve`.  With overwrite_a, a matrix
+    stored in column-major order is factored in place, as in
+    `lu_factor`; others are copied.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, overwrite_a=False):
         a = np.asarray(a, dtype=float)
         if (a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]
                 or 0 in a.shape):
@@ -51,12 +61,13 @@ class DenseFactor:
                              f"them, got shape {a.shape}")
         self.shape = a.shape
         stack = a.reshape((-1,) + a.shape[-2:])
-        with warnings.catch_warnings():
-            # the pivot check below reports singularity; keep LAPACK quiet
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._lu = [sla.lu_factor(m, check_finite=False) for m in stack]
-        # each matrix's pivots against its own largest entry
-        scale = np.abs(stack).max(axis=(1, 2))
+        # each matrix's pivots against its own largest entry; max and min
+        # rather than abs, which would copy the stack
+        scale = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+        getrf = _lapack()[0]
+        # getrf reports an exactly zero pivot in info; the pivot check
+        # below covers it
+        self._lu = [getrf(m, overwrite_a=overwrite_a)[:2] for m in stack]
         pivots = np.array([np.abs(np.diag(lu)).min() for lu, _ in self._lu])
         bad = (scale == 0.0) | (pivots < _PIVOT_RTOL * scale)
         if bad.any():
@@ -67,16 +78,43 @@ class DenseFactor:
                 f"{_PIVOT_RTOL:.0e} * max entry {scale[i]:.3e}",
                 index=i if a.ndim == 3 else None)
 
+    def _getrs(self, i, b):
+        lu, piv = self._lu[i]
+        return _lapack()[1](lu, piv, b)[0]
+
     def solve(self, b, index=None):
-        """x with a @ x = b; for a stack b[i] per matrix, or one matrix's."""
+        """x with a @ x = b.
+
+        For a stack, b[i] goes with matrix i; with an integer index, all
+        of b goes with that matrix; with an index array, b is (n, m) and
+        column j goes with matrix index[j].  Columns that share a matrix
+        are solved together, one getrs per matrix.
+        """
         b = np.asarray(b, dtype=float)
-        if index is not None or len(self.shape) == 2:
-            return sla.lu_solve(self._lu[index or 0], b, check_finite=False)
-        if len(b) != len(self._lu):
-            raise ValueError(f"{len(b)} right-hand sides for a stack of "
-                             f"{len(self._lu)} matrices")
-        return np.stack([sla.lu_solve(lu, rhs, check_finite=False)
-                         for lu, rhs in zip(self._lu, b)])
+        if len(self.shape) == 2:
+            return self._getrs(0, b)
+        if index is None:
+            if len(b) != len(self._lu):
+                raise ValueError(f"{len(b)} right-hand sides for a stack of "
+                                 f"{len(self._lu)} matrices")
+            x = np.empty_like(b)
+            for i, rhs in enumerate(b):
+                x[i] = self._getrs(i, rhs)
+            return x
+        index = np.asarray(index)
+        if index.ndim == 0:
+            return self._getrs(int(index), b)
+        if b.ndim != 2 or index.shape != b.shape[1:]:
+            raise ValueError(f"index of shape {index.shape} for right-hand "
+                             f"sides of shape {b.shape}")
+        order = np.argsort(index, kind="stable")
+        mats, starts = np.unique(index[order], return_index=True)
+        if len(mats) == 1:
+            return self._getrs(mats[0], b)
+        x = np.empty_like(b)
+        for i, cols in zip(mats, np.split(order, starts[1:])):
+            x[:, cols] = self._getrs(i, b[:, cols])
+        return x
 
 
 class SparseBuilder:
@@ -141,22 +179,24 @@ def _sort_repeated_values(key, vals):
 def block_triplets(dofs, block, pattern=None):
     """COO triplets of one dense block per cell.
 
-    dofs is (C, n), and block[i, j] goes to (dofs[e, i], dofs[e, j]) for
-    every cell e.  Entries at a negative dof are dropped, and so are those
+    dofs is (C, n), and block is (n, n), shared by every cell, or (C, n, n),
+    one per cell: the block of cell e puts entry [i, j] at (dofs[e, i],
+    dofs[e, j]).  Entries at a negative dof are dropped, and so are those
     outside the boolean (n, n) pattern when one is given.  Triplets come
     in cell, row, column order.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     block = np.asarray(block, dtype=float)
     n = dofs.shape[-1]
-    if dofs.ndim != 2 or block.shape != (n, n):
+    if dofs.ndim != 2 or block.shape not in ((n, n), (len(dofs), n, n)):
         raise ValueError(f"block shape {block.shape} does not match dofs "
                          f"of shape {dofs.shape}")
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
     if pattern is not None:
         keep &= pattern
     e, i, j = np.nonzero(keep)
-    return dofs[e, i], dofs[e, j], block[i, j]
+    vals = block[i, j] if block.ndim == 2 else block[e, i, j]
+    return dofs[e, i], dofs[e, j], vals
 
 
 class SparseFactor:

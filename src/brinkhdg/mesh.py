@@ -9,8 +9,6 @@ points out of the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 QUAD = "quad"
@@ -22,22 +20,6 @@ _DEGENERATE_RTOL = 1e-12
 # (points, cells) temporaries near cache size (on 8,192 cells, 0.09-0.14
 # ms per point against 0.25 ms at 2**20)
 LOCATE_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine cell map x = offset + jacobian @ x_ref with constant jacobian."""
-
-    offset: np.ndarray
-    jacobian: np.ndarray
-    det: float
-    inverse_jacobian: np.ndarray
-
-    def apply(self, ref_points):
-        return self.offset + np.asarray(ref_points, float) @ self.jacobian.T
-
-    def pull_back(self, points):
-        return (np.asarray(points, float) - self.offset) @ self.inverse_jacobian.T
 
 
 class Mesh:
@@ -189,13 +171,6 @@ def cell_geometry(mesh, cells=None):
                     np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=-1)],
                    axis=1) / det[:, None, None]
     return verts[:, 0], jac, det, inv
-
-
-def affine_map(mesh, c):
-    """Affine map of cell c; raises ValueError on degenerate/non-affine cells."""
-    offset, jac, det, inv = cell_geometry(mesh, [c])
-    return AffineMap(offset=offset[0], jacobian=jac[0], det=float(det[0]),
-                     inverse_jacobian=inv[0])
 
 
 def build_structured_mesh(n, cell_kind=QUAD):

@@ -9,6 +9,13 @@ with parameters (nu, gamma, m).  Data f, g are hand-derived closed
 forms; construction validates them against finite differences at random
 points and against the algebraic composition of the other callables, so
 a sign slip in any derivative cannot survive.
+
+Error measures integrate on the fine rule over blocks of cells of any
+geometry classes (`Spaces.cell_blocks`).  The exact fields are called
+once per block on all its points, and the discrete fields are formed
+from the fine-degree reference tabulation and pushed forward with each
+cell's jacobian; only the nodal transforms of the interpolant are read
+per class.
 """
 
 from __future__ import annotations
@@ -18,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import Spaces
+from .fespace import Spaces, reference_fields
 from .forms import (as_gamma_matrix, grad_coefficients, project_facet_tangent,
                     values_at, velocity_div_coefficients)
 from .hybrid import compare_fields, solve_direct, solve_hybrid
 from .mesh import build_structured_mesh
+from .refelem import quadrature
 
 
 class BrinkmanCase:
@@ -197,15 +205,15 @@ class ErrorReport:
 
 @dataclass
 class _ErrorBlock:
-    """Exact-solution data and projected errors on a block of one class.
+    """Exact-solution data, projected errors and geometry on a block of cells.
 
     Arrays have a leading cells axis; the facet arrays have the local
     facet next, over the fine points of each facet.
     """
 
-    cls: int
     cells: np.ndarray
     x: np.ndarray           # (C, q, 2) fine volume points
+    wdet: np.ndarray        # (C, q) fine volume weights
     u: np.ndarray           # (C, q, 2) exact velocity
     grad: np.ndarray        # (C, q, 2, 2) exact velocity gradient
     proj_u: np.ndarray      # (C, n_v) interpolant Pi_V u
@@ -213,20 +221,43 @@ class _ErrorBlock:
     dl: np.ndarray          # (C, 2, n_g) e_L = P_G grad u - L^h
     facet_dl: np.ndarray    # (C, f, qf, 2, 2) grad u - P_G grad u
     facet_gap: np.ndarray   # (C, f, qf) e_u . t - e_uhat
+    h: np.ndarray           # (C, f) facet lengths
+    facet_w: np.ndarray     # (C, f, qf) fine facet weights
+    outward: np.ndarray     # (C, f, 2) outward unit normals
+    tangent: np.ndarray     # (C, f, 2)
+
+
+def _pushed(spaces, cells, coef, basis):
+    """Piola-mapped fields of coefficients coef (C, *lead, n) of the
+    reference vector basis (n, 2, q) of cells (C,); (C, q, *lead, 2)."""
+    return spaces.piola(cells, reference_fields(coef, basis))
+
+
+def _velocity_gradients(spaces, cells, ref, coef):
+    """Gradients of the velocity fields of coef (C, n_v) at the points of
+    ref; (C, q, 2, 2) with [r, c] = d u_r / d x_c.  Piola maps them to
+    J (grad-hat vhat) J^{-1} / det."""
+    grad_hat = reference_fields(coef, ref.v_grad)
+    right = (grad_hat.reshape(len(cells), -1, 2)
+             @ spaces.inverse_jacobians[cells]).reshape(grad_hat.shape)
+    return np.swapaxes(spaces.piola(cells, np.swapaxes(right, 2, 3)), 2, 3)
 
 
 def _error_blocks(spaces, fields, case):
-    """Yield an _ErrorBlock per block of cells of one geometry class.
+    """Yield an _ErrorBlock per block of `Spaces.cell_blocks`.
 
     The exact velocity and gradient are evaluated once per block on the
     stacked volume and facet points, and the interpolants are formed from
     those values.  The tangential moments of u come from one call over
-    all facets.
+    all facets.  Discrete fields are reference values pushed forward
+    with each cell's jacobian.
     """
     mesh = spaces.mesh
-    kk = spaces.family.n_facet
-    tabs = spaces.tab(fine=True)
-    trans = spaces.class_nodal_transforms()
+    fam = spaces.family
+    kk = fam.n_facet
+    ref = fam.reference_tab(spaces.fine_degree)
+    weights = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    seg_weights = quadrature("segment", spaces.fine_degree).weights
     # per facet: moments of u . t minus the discrete trace (0 on the boundary)
     dhat = project_facet_tangent(mesh, np.arange(mesh.num_facets), spaces.k,
                                  case.velocity, spaces.fine_degree)
@@ -234,23 +265,30 @@ def _error_blocks(spaces, fields, case):
     inner = rank >= 0
     dhat[inner] -= fields.uhat_t.reshape(-1, kk)[rank[inner]]
 
-    for cls, cells in spaces.class_blocks():
-        x = spaces.vol_points(tabs, cls, cells)
-        xf = spaces.facet_points(tabs, cls, cells)
+    for cells in spaces.cell_blocks():
+        x = spaces.vol_points(cells)
+        xf = spaces.facet_points(cells)
         u = values_at(case.velocity, x)
         grad = values_at(case.velocity_gradient, x)
         proj_u = velocity_div_coefficients(
-            tabs, trans, cls, values_at(case.velocity, xf), u)
-        proj_l = grad_coefficients(tabs, cls, grad)
+            spaces, cells, values_at(case.velocity, xf), u)
+        proj_l = grad_coefficients(spaces, cells, grad)
         du = proj_u - fields.u[cells]
-        facet_dl = (values_at(case.velocity_gradient, xf)
-                    - np.einsum("era,facq->efqrc", proj_l, tabs.facet_g[cls]))
-        ehat = dhat[mesh.cell_facets[cells]] @ tabs.phi
-        eut = np.einsum("em,fmcq,fc->efq", du, tabs.facet_v[cls],
-                        tabs.tangent[cls])
-        yield _ErrorBlock(cls=cls, cells=cells, x=x, u=u, grad=grad,
-                          proj_u=proj_u, du=du, dl=proj_l - fields.l[cells],
-                          facet_dl=facet_dl, facet_gap=eut - ehat)
+        facet_l = spaces.piola(cells, spaces.facet_fields(cells, proj_l,
+                                                          ref.facet_g))
+        f = mesh.cell_facets[cells]
+        h = mesh.facet_lengths[f]
+        tangent = mesh.facet_tangents[f]
+        eut = np.einsum("efqc,efc->efq", spaces.piola(
+            cells, spaces.facet_fields(cells, du, ref.facet_v)), tangent)
+        yield _ErrorBlock(
+            cells=cells, x=x, wdet=np.outer(spaces.dets[cells], weights),
+            u=u, grad=grad, proj_u=proj_u, du=du, dl=proj_l - fields.l[cells],
+            facet_dl=values_at(case.velocity_gradient, xf) - facet_l,
+            facet_gap=eut - dhat[f] @ ref.phi, h=h,
+            facet_w=h[..., None] * seg_weights,
+            outward=mesh.cell_facet_signs[cells, :, None] * mesh.facet_normals[f],
+            tangent=tangent)
 
 
 def error_norms(spaces, fields, case):
@@ -259,37 +297,36 @@ def error_norms(spaces, fields, case):
     gamma = as_gamma_matrix(case.gamma)
 
     el2 = eu2 = ep2 = estar2 = eeu2 = eel2 = eh1 = edl2 = 0.0
-    tabs = spaces.tab(fine=True)
+    ref = spaces.family.reference_tab(spaces.fine_degree)
     for blk in _error_blocks(spaces, fields, case):
-        cells, cls = blk.cells, blk.cls
-        w, g, v = tabs.wdet[cls], tabs.g[cls], tabs.v[cls]
+        cells, w = blk.cells, blk.wdet
 
-        lv = np.einsum("era,acq->eqrc", fields.l[cells], g)
-        el2 += float(np.einsum("eqrc,q->", (lv - blk.grad) ** 2, w))
+        lv = _pushed(spaces, cells, fields.l[cells], ref.g)
+        el2 += float(np.einsum("eqrc,eq->", (lv - blk.grad) ** 2, w))
 
-        uv = np.einsum("em,mrq->eqr", fields.u[cells], v)
-        eu2 += float(np.einsum("eqr,q->", (uv - blk.u) ** 2, w))
+        uv = _pushed(spaces, cells, fields.u[cells], ref.v)
+        eu2 += float(np.einsum("eqr,eq->", (uv - blk.u) ** 2, w))
 
-        pv = fields.p[cells] @ tabs.q_vals
+        pv = fields.p[cells] @ ref.q_vals
         pex = values_at(case.pressure, blk.x)
-        ep2 += float(np.einsum("eq,q->", (pv - pex) ** 2, w))
+        ep2 += float(np.einsum("eq,eq->", (pv - pex) ** 2, w))
 
-        sv = np.einsum("eri,iq->eqr", fields.ustar[cells], tabs.post)
-        estar2 += float(np.einsum("eqr,q->", (sv - blk.u) ** 2, w))
+        sv = np.einsum("eri,iq->eqr", fields.ustar[cells], ref.post)
+        estar2 += float(np.einsum("eqr,eq->", (sv - blk.u) ** 2, w))
 
-        duv = np.einsum("em,mrq->eqr", blk.du, v)
-        eeu2 += float(np.einsum("eqr,q->", duv ** 2, w))
+        duv = _pushed(spaces, cells, blk.du, ref.v)
+        eeu2 += float(np.einsum("eqr,eq->", duv ** 2, w))
 
-        dlv = np.einsum("era,acq->eqrc", blk.dl, g)
-        eel2 += float(np.einsum("eqrc,q->", dlv ** 2, w))
+        dlv = _pushed(spaces, cells, blk.dl, ref.g)
+        eel2 += float(np.einsum("eqrc,eq->", dlv ** 2, w))
 
-        dgrad = np.einsum("em,mrcq->eqrc", blk.du, tabs.v_grad[cls])
-        eh1 += float(np.einsum("eqrc,q->", dgrad ** 2, w))
+        dgrad = _velocity_gradients(spaces, cells, ref, blk.du)
+        eh1 += float(np.einsum("eqrc,eq->", dgrad ** 2, w))
 
-        fw, h = tabs.w[cls], tabs.h[cls]
-        eh1 += float(np.einsum("efq,fq,f->", blk.facet_gap ** 2, fw, 1.0 / h))
-        dln = np.einsum("efqrc,fc->efqr", blk.facet_dl, tabs.outward[cls])
-        edl2 += nu * float(np.einsum("efqr,fq,f->", dln ** 2, fw, h))
+        fw, h = blk.facet_w, blk.h
+        eh1 += float(np.einsum("efq,efq,ef->", blk.facet_gap ** 2, fw, 1.0 / h))
+        dln = np.einsum("efqrc,efc->efqr", blk.facet_dl, blk.outward)
+        edl2 += nu * float(np.einsum("efqr,efq,ef->", dln ** 2, fw, h))
 
     theta = case.solution_norm_bound(spaces.k) \
         if hasattr(case, "solution_norm_bound") else float("nan")
@@ -314,22 +351,22 @@ def energy_identity_terms(spaces, fields, case):
     gamma = as_gamma_matrix(case.gamma)
 
     energy = facet_term = volume_term = 0.0
-    tabs = spaces.tab(fine=True)
+    ref = spaces.family.reference_tab(spaces.fine_degree)
     for blk in _error_blocks(spaces, fields, case):
-        cls = blk.cls
-        w, v = tabs.wdet[cls], tabs.v[cls]
-        elv = np.einsum("era,acq->eqrc", blk.dl, tabs.g[cls])
-        euv = np.einsum("em,mrq->eqr", blk.du, v)
-        energy += nu * float(np.einsum("eqrc,q->", elv ** 2, w))
-        energy += float(np.einsum("eqr,rs,eqs,q->", euv, gamma, euv, w))
+        cells, w = blk.cells, blk.wdet
+        elv = _pushed(spaces, cells, blk.dl, ref.g)
+        euv = _pushed(spaces, cells, blk.du, ref.v)
+        energy += nu * float(np.einsum("eqrc,eq->", elv ** 2, w))
+        energy += float(np.einsum("eqr,rs,eqs,eq->", euv, gamma, euv, w))
 
-        delta_u = blk.u - np.einsum("em,mrq->eqr", blk.proj_u, v)
-        volume_term -= float(np.einsum("eqr,rs,eqs,q->", delta_u, gamma, euv, w))
+        delta_u = blk.u - _pushed(spaces, cells, blk.proj_u, ref.v)
+        volume_term -= float(np.einsum("eqr,rs,eqs,eq->", delta_u, gamma, euv,
+                                       w))
 
-        dlnt = np.einsum("efqrc,fc,fr->efq", blk.facet_dl, tabs.outward[cls],
-                         tabs.tangent[cls])
-        facet_term += nu * float(np.einsum("efq,efq,fq->", dlnt,
-                                           blk.facet_gap, tabs.w[cls]))
+        dlnt = np.einsum("efqrc,efc,efr->efq", blk.facet_dl, blk.outward,
+                         blk.tangent)
+        facet_term += nu * float(np.einsum("efq,efq,efq->", dlnt,
+                                           blk.facet_gap, blk.facet_w))
     return energy, facet_term, volume_term
 
 

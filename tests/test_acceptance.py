@@ -249,10 +249,12 @@ def test_criterion_7_structural():
                     spaces, fields, case.mass_source))
                 pmean = max(pmean, abs(pressure_integral(spaces, fields)))
 
-                tabs = spaces.tab(fine=True)
+                # the class stack at the fine degree
+                tabs = Spaces(spaces.mesh, k,
+                              assembly_degree=spaces.fine_degree).tab()
                 for c in range(spaces.mesh.num_cells):
                     cls = spaces.cell_class[c]
-                    x = spaces.vol_points(tabs, cls, c)
+                    x = spaces.vol_points(c)
                     w = tabs.wdet[cls]
                     # moments of div(Pi_V w) equal moments of div w
                     coef = project_velocity_div(spaces, c, smooth_vector)

@@ -6,10 +6,10 @@ import pytest
 from brinkhdg import fespace
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
                               nodal_dof_matrices, normal_trace_jumps)
-from brinkhdg.forms import project_grad, project_velocity_div
 from brinkhdg.linalg import SingularMatrixError
-from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map,
-                           build_structured_mesh, perturbed_triangles)
+from affine_maps import affine_map, local_facet
+from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
+                           perturbed_triangles)
 from brinkhdg.refelem import quadrature
 
 
@@ -25,23 +25,26 @@ def interpolate_velocity(spaces, func):
     mesh = spaces.mesh
     fam = spaces.family
     kk = fam.n_facet
-    tabs = spaces.tab(fine=True)
+    ref = fam.reference_tab(spaces.fine_degree)
+    vol = quadrature(fam.ref_cell.name, spaces.fine_degree)
+    seg = quadrature("segment", spaces.fine_degree)
     trans = spaces.class_nodal_transforms()
     out = np.empty((mesh.num_cells, fam.n_v))
     for c in range(mesh.num_cells):
-        cls = spaces.cell_class[c]
-        xf = spaces.facet_points(tabs, cls, c)
+        xf = spaces.facet_points(c)
         alpha = np.empty(fam.n_v)
         for lf in range(fam.n_cell_facets):
-            fn = func(xf[lf]) @ tabs.normal[cls, lf]
+            f = mesh.cell_facets[c, lf]
+            fn = func(xf[lf]) @ mesh.facet_normals[f]
             alpha[lf * kk:(lf + 1) * kk] = np.einsum(
-                "jq,q,q->j", tabs.phi, fn, tabs.w[cls, lf])
+                "jq,q,q->j", ref.phi, fn,
+                seg.weights * mesh.facet_lengths[f])
         if fam.n_int_scalar:
-            x = spaces.vol_points(tabs, cls, c)
-            vals = func(x)
-            mom = np.einsum("qr,iq,q->ri", vals, tabs.int_div, tabs.wdet[cls])
+            vals = func(spaces.vol_points(c))
+            mom = np.einsum("qr,iq,q->ri", vals, ref.int_div,
+                            vol.weights * spaces.dets[c])
             alpha[fam.n_cell_facets * kk:] = mom.ravel()
-        out[c] = trans[cls] @ alpha
+        out[c] = trans[spaces.cell_class[c]] @ alpha
     return out
 
 
@@ -124,7 +127,7 @@ def test_piola_divergence_scaling():
     tabs = spaces.tab()
     cls = spaces.cell_class[c]
     amap = affine_map(spaces.mesh, c)
-    x = spaces.vol_points(tabs, cls, c)
+    x = spaces.vol_points(c, tabs.degree)
     h = 1e-6
     fam = spaces.family
     fd = np.zeros_like(tabs.v_div[cls])
@@ -147,7 +150,7 @@ def test_scalar_map_gradient_chain_rule():
     expect = np.einsum("ba,nbq->naq", tabs.inverse_jacobian[cls], ghat)
     # the stack stores exactly this; verify against finite differences in x
     amap = affine_map(spaces.mesh, 1)
-    x = spaces.vol_points(tabs, cls, 1)
+    x = spaces.vol_points(1, tabs.degree)
     h = 1e-6
     for d in range(2):
         dx = np.zeros(2)
@@ -164,7 +167,7 @@ def test_facet_tabulation_consistent_with_volume_basis():
     tabs = spaces.tab()
     cls = spaces.cell_class[c]
     amap = affine_map(spaces.mesh, c)
-    xf = spaces.facet_points(tabs, cls, c)
+    xf = spaces.facet_points(c, tabs.degree)
     for lf in range(spaces.family.n_cell_facets):
         vals = piola_values(amap, spaces.family.v, amap.pull_back(xf[lf]))
         assert np.abs(vals - tabs.facet_v[cls, lf]).max() < 1e-12
@@ -235,11 +238,12 @@ def test_geometry_classes_small_on_structured_meshes():
         for n in (3, 5):
             spaces = Spaces(build_structured_mesh(n, kind), 1)
             assert len(spaces.class_rep) <= 8
-            # one stack per degree, made once, with one entry per class
-            for fine in (False, True):
-                tabs = spaces.tab(fine=fine)
-                assert spaces.tab(fine=fine) is tabs
-                assert tabs.v.shape[0] == len(spaces.class_rep)
+            # one stack, at the assembly degree, made once, with one entry
+            # per class
+            tabs = spaces.tab()
+            assert spaces.tab() is tabs
+            assert tabs.degree == spaces.assembly_degree
+            assert tabs.v.shape[0] == len(spaces.class_rep)
             with pytest.raises(TypeError):
                 spaces.tab(0)
 
@@ -258,7 +262,7 @@ def test_vol_points_match_affine_map():
     spaces = Spaces(build_structured_mesh(3, TRIANGLE), 1)
     c = 7
     tabs = spaces.tab()
-    x = spaces.vol_points(tabs, spaces.cell_class[c], c)
+    x = spaces.vol_points(c, tabs.degree)
     assert np.allclose(x, affine_map(spaces.mesh, c).apply(tabs.ref_points))
 
 
@@ -268,7 +272,7 @@ def test_facet_points_run_p0_to_p1():
     c = 0
     tabs = spaces.tab()
     cls = spaces.cell_class[c]
-    xf = spaces.facet_points(tabs, cls, c)
+    xf = spaces.facet_points(c, tabs.degree)
     for lf in range(spaces.family.n_cell_facets):
         f = mesh.cell_facets[c, lf]
         p0, p1 = mesh.vertices[mesh.facet_vertices[f]]
@@ -277,61 +281,47 @@ def test_facet_points_run_p0_to_p1():
         assert np.allclose(tabs.w[cls, lf].sum(), tabs.h[cls, lf])
 
 
-def test_class_cells_partition_cells():
-    spaces = Spaces(build_structured_mesh(4, TRIANGLE), 1)
-    assert len(spaces.class_cells) == len(spaces.class_rep)
-    for cls, cells in enumerate(spaces.class_cells):
-        assert (spaces.cell_class[cells] == cls).all()
-        assert (np.diff(cells) > 0).all()
-    every = np.sort(np.concatenate(spaces.class_cells))
-    assert (every == np.arange(spaces.mesh.num_cells)).all()
-    seen = []
-    for cls, cells in spaces.class_blocks():
-        assert 0 < len(cells) <= fespace.BLOCK_CELLS
-        assert (spaces.cell_class[cells] == cls).all()
-        seen.append(cells)
-    every = np.sort(np.concatenate(seen))
-    assert (every == np.arange(spaces.mesh.num_cells)).all()
+def test_class_cells_partition_cells(monkeypatch):
+    # the blocks cut the class-sorted cells every BLOCK_CELLS cells,
+    # whatever their classes
+    monkeypatch.setattr(fespace, "BLOCK_CELLS", 5)
+    for mesh in (build_structured_mesh(4, TRIANGLE),
+                 perturbed_triangles(3, 0.2, seed=7)):
+        spaces = Spaces(mesh, 1)
+        blocks = list(spaces.cell_blocks())
+        assert [len(cells) for cells in blocks[:-1]] == [5] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= 5
+        order = np.concatenate(blocks)
+        assert (np.diff(spaces.cell_class[order]) >= 0).all()
+        assert (np.sort(order) == np.arange(mesh.num_cells)).all()
+        mixed = [len(np.unique(spaces.cell_class[cells])) for cells in blocks]
+        assert max(mixed) > 1
 
 
 def test_points_of_a_cell_array_stack_per_cell_points():
-    spaces = Spaces(build_structured_mesh(3, QUAD), 1)
-    cells = max(spaces.class_cells, key=len)
-    assert len(cells) > 1
-    cls = spaces.cell_class[cells[0]]
-    tabs = spaces.tab(fine=True)
-    batch = spaces.vol_points(tabs, cls, cells)
-    assert batch.shape == (len(cells),) + tabs.ref_points.shape
-    facet_batch = spaces.facet_points(tabs, cls, cells)
-    assert facet_batch.shape == (len(cells), spaces.family.n_cell_facets,
-                                 len(tabs.s), 2)
-    for i, c in enumerate(cells):
-        assert (batch[i] == spaces.vol_points(tabs, cls, c)).all()
-        assert (facet_batch[i] == spaces.facet_points(tabs, cls, c)).all()
-
-
-def test_cell_array_of_mixed_classes_rejected():
-    spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
-    assert spaces.cell_class[0] != spaces.cell_class[1]
-
-    def field(x):
-        return np.ones(x.shape[:-1] + (2, 2))
-
-    for project in (project_grad, project_velocity_div):
-        with pytest.raises(ValueError, match="one geometry class"):
-            project(spaces, np.array([0, 1]), field)
-        with pytest.raises(ValueError, match="one geometry class"):
-            project(spaces, np.array([], dtype=int), field)
+    spaces = Spaces(perturbed_triangles(3, 0.2, seed=7), 2)
+    cells = np.array([4, 0, 11, 4])
+    assert len(np.unique(spaces.cell_class[cells])) > 1
+    for degree in (None, spaces.assembly_degree):
+        rule = quadrature(spaces.family.ref_cell.name, degree or spaces.fine_degree)
+        seg = quadrature("segment", degree or spaces.fine_degree)
+        batch = spaces.vol_points(cells, degree)
+        assert batch.shape == (len(cells),) + rule.points.shape
+        facet_batch = spaces.facet_points(cells, degree)
+        assert facet_batch.shape == (len(cells), spaces.family.n_cell_facets,
+                                     len(seg.points), 2)
+        for i, c in enumerate(cells):
+            assert (batch[i] == spaces.vol_points(c, degree)).all()
+            assert (facet_batch[i] == spaces.facet_points(c, degree)).all()
 
 
 def test_local_facet_lookup():
     mesh = build_structured_mesh(2, QUAD)
-    spaces = Spaces(mesh, 1)
     c = 1
     f = int(mesh.cell_facets[c, 2])
-    assert spaces.local_facet(c, f) == 2
+    assert local_facet(mesh, c, f) == 2
     with pytest.raises(ValueError):
-        spaces.local_facet(0, 9999)
+        local_facet(mesh, 0, 9999)
 
 
 def pull_back_tab(spaces, c, degree):
@@ -379,8 +369,6 @@ def pull_back_tab(spaces, c, degree):
             "phi": fam.seg.tabulate(s),
             "w": seg.weights * mesh.facet_lengths[f],
             "s": s,
-            "rel_p0": p0 - am.offset,
-            "rel_p1": p1 - am.offset,
         })
     return cell, facets
 
@@ -405,19 +393,20 @@ def assert_close(got, want, what):
 
 def test_reference_tabulation_matches_pull_back():
     # the cached reference values pushed forward per class equal a direct
-    # tabulation at pulled-back points, on facets run either way
+    # tabulation at pulled-back points, on facets run either way, at the
+    # assembly degree and at the fine one
     meshes = [perturbed_triangles(3, 0.2, seed=7),
               build_structured_mesh(3, QUAD)]
     for mesh in meshes:
         for k in (1, 2):
             spaces = Spaces(mesh, k)
+            fine = Spaces(mesh, k, assembly_degree=spaces.fine_degree)
             directions = set()
             for cls, rep in enumerate(spaces.class_rep):
                 loop = mesh.cells[rep]
                 directions |= {bool(loop[a] > loop[b])
                                for a, b in spaces.family.ref_cell.facets}
-                for fine in (False, True):
-                    tabs = spaces.tab(fine=fine)
+                for tabs in (spaces.tab(), fine.tab()):
                     cell, facets = pull_back_tab(spaces, rep, tabs.degree)
                     for name, want in cell.items():
                         assert_close(stack_entry(tabs, name, cls), want,

@@ -10,7 +10,9 @@ from brinkhdg.forms import (as_gamma_matrix, class_element_blocks,
                             postprocess_velocity, project_facet_tangent,
                             project_grad, project_pressure,
                             project_velocity_div)
-from brinkhdg.mesh import QUAD, TRIANGLE, affine_map, build_structured_mesh
+from affine_maps import affine_map
+from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
+                           perturbed_triangles)
 from brinkhdg.refelem import make_basis, quadrature
 
 
@@ -129,9 +131,9 @@ def test_project_pressure_reproduces_polynomials():
             return 1.0 + 2.0 * x[:, 0] - x[:, 1] + 0.5 * x[:, 0] * x[:, 1]
 
         coef = project_pressure(spaces, 0, poly)
-        tabs = spaces.tab(fine=True)
-        x = spaces.vol_points(tabs, spaces.cell_class[0], 0)
-        recon = np.einsum("i,iq->q", coef, tabs.q_vals)
+        ref = spaces.family.reference_tab(spaces.fine_degree)
+        recon = np.einsum("i,iq->q", coef, ref.q_vals)
+        x = spaces.vol_points(0)
         assert np.abs(recon - poly(x)).max() < 1e-11
 
 
@@ -143,7 +145,9 @@ def test_project_pressure_on_cells_of_one_class():
     def field(x):
         return np.exp(x[:, 0]) * np.sin(2.0 * x[:, 1])
 
-    for cells in (spaces.class_cells[0], max(spaces.class_cells, key=len)):
+    classes = [np.flatnonzero(spaces.cell_class == cls)
+               for cls in range(len(spaces.class_rep))]
+    for cells in (classes[0], max(classes, key=len)):
         p_all = project_pressure(spaces, cells, field)
         assert p_all.shape == (len(cells), spaces.family.n_q)
         for i, c in enumerate(cells):
@@ -164,9 +168,10 @@ def test_project_velocity_reproduces_polynomials():
 
             c = 2
             coef = project_velocity_div(spaces, c, poly)
-            tabs = spaces.tab(fine=True)
+            tabs = Spaces(spaces.mesh, k,
+                          assembly_degree=spaces.fine_degree).tab()
             cls = spaces.cell_class[c]
-            x = spaces.vol_points(tabs, cls, c)
+            x = spaces.vol_points(c)
             recon = np.einsum("m,mrq->qr", coef, tabs.v[cls])
             assert np.abs(recon - poly(x)).max() < 1e-10
 
@@ -182,11 +187,11 @@ def test_interpolant_commutes_with_divergence():
 
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(2, kind), 1)
+        tabs = Spaces(spaces.mesh, 1, assembly_degree=spaces.fine_degree).tab()
         for c in (0, 3):
             coef = project_velocity_div(spaces, c, func)
-            tabs = spaces.tab(fine=True)
             cls = spaces.cell_class[c]
-            x = spaces.vol_points(tabs, cls, c)
+            x = spaces.vol_points(c)
             w = tabs.wdet[cls]
             div_interp = np.einsum("m,mq->q", coef, tabs.v_div[cls])
             lhs = np.einsum("q,iq,q->i", div_interp, tabs.q_vals, w)
@@ -198,6 +203,9 @@ def test_projections_of_a_cell_array_match_per_cell():
     def field(x):
         return np.stack([np.sin(3 * x[:, 0]) * x[:, 1], np.cos(x[:, 1])], axis=-1)
 
+    def field_x(x):
+        return field(x)[:, 0]
+
     def grad_field(x):
         out = np.empty((x.shape[0], 2, 2))
         out[:, 0, 0] = 3 * np.cos(3 * x[:, 0]) * x[:, 1]
@@ -206,24 +214,32 @@ def test_projections_of_a_cell_array_match_per_cell():
         out[:, 1, 1] = -np.sin(x[:, 1])
         return out
 
-    for kind in (QUAD, TRIANGLE):
-        spaces = Spaces(build_structured_mesh(3, kind), 2)
-        cells = max(spaces.class_cells, key=len)
-        assert len(cells) > 1
+    # the cells of an index array may be of any classes, in any order
+    for mesh in (build_structured_mesh(3, QUAD),
+                 build_structured_mesh(3, TRIANGLE),
+                 perturbed_triangles(3, 0.2, seed=7)):
+        spaces = Spaces(mesh, 2)
+        cells = np.arange(mesh.num_cells)[::-1]
+        assert len(np.unique(spaces.cell_class)) > 1
         u_all = project_velocity_div(spaces, cells, field)
         l_all = project_grad(spaces, cells, grad_field)
-        blocks = element_blocks(spaces.tabulate(cells[:1]), 1.0, 1.0)
+        p_all = project_pressure(spaces, cells, field_x)
+        blocks = class_element_blocks(spaces, 1.0, 1.0)
         factor = postprocess_factor(blocks)
-        s_all = postprocess_velocity(blocks, factor, 0, l_all, u_all)
+        s_all = postprocess_velocity(blocks, factor, spaces.cell_class[cells],
+                                     l_all, u_all)
         assert s_all.shape == (len(cells), 2, spaces.family.n_post)
         for i, c in enumerate(cells):
             u_one = project_velocity_div(spaces, c, field)
             l_one = project_grad(spaces, c, grad_field)
+            p_one = project_pressure(spaces, c, field_x)
             assert np.abs(u_all[i] - u_one).max() < 1e-13 * np.abs(u_one).max()
             assert np.abs(l_all[i] - l_one).max() < 1e-13 * np.abs(l_one).max()
-            s_one = postprocess_velocity(blocks, factor, 0, l_one, u_one)
+            assert np.abs(p_all[i] - p_one).max() < 1e-13 * np.abs(p_one).max()
+            s_one = postprocess_velocity(blocks, factor, spaces.cell_class[c],
+                                         l_one, u_one)
             assert np.abs(s_all[i] - s_one).max() < 1e-13 * np.abs(s_one).max()
-        mesh = spaces.mesh
+
         t_all = project_facet_tangent(mesh, np.arange(mesh.num_facets), 2,
                                       field, spaces.fine_degree)
         for f in range(mesh.num_facets):
@@ -291,9 +307,9 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
             factor = postprocess_factor(blocks)
             star = postprocess_velocity(blocks, factor, 0, l_coef, u_coef)
 
-            tabs = spaces.tab(fine=True)
-            x = spaces.vol_points(tabs, spaces.cell_class[c], c)
-            recon = np.einsum("rj,jq->qr", star, tabs.post)
+            ref = spaces.family.reference_tab(spaces.fine_degree)
+            x = spaces.vol_points(c)
+            recon = np.einsum("rj,jq->qr", star, ref.post)
             assert np.abs(recon - target(x)).max() < 1e-9
 
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from affine_maps import local_facet
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
 from brinkhdg.forms import class_element_blocks, element_blocks
@@ -49,7 +50,7 @@ def test_local_solver_counts_match_classes():
     spaces = Spaces(build_structured_mesh(4, QUAD), 1)
     solvers = build_local_solvers(spaces, 1.0, 1.0)
     n_cls = len(spaces.class_rep)
-    assert list(solvers.blocks.cells) == spaces.class_rep
+    assert list(solvers.cells) == spaces.class_rep
     for arr in (solvers.lift, solvers.zlift, solvers.energy):
         assert arr.shape[0] == n_cls
 
@@ -83,10 +84,11 @@ def test_class_stack_slices_match_one_class_stacks():
         trans = spaces.class_nodal_transforms()
         direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
             blocks, trans, fam), fam.n_g, blocks.cells)
+        fine = Spaces(mesh, k, assembly_degree=spaces.fine_degree)
         for cls, rep in enumerate(spaces.class_rep):
             what = (mesh.num_cells, k, cls)
-            for fine in (False, True):
-                tabs, one = spaces.tab(fine=fine), spaces.tabulate([rep], fine)
+            for stacked in (spaces, fine):
+                tabs, one = stacked.tab(), stacked.tabulate([rep])
                 for field in dataclass_fields(tabs):
                     got = getattr(tabs, field.name)
                     want = getattr(one, field.name)
@@ -95,7 +97,7 @@ def test_class_stack_slices_match_one_class_stacks():
                     else:
                         assert got.shape[0] == n_cls
                         assert_slice_matches(got[cls], want[0],
-                                             (what, fine, field.name))
+                                             (what, tabs.degree, field.name))
             one_blocks = element_blocks(spaces.tabulate([rep]), nu, gamma)
             for field in dataclass_fields(blocks):
                 if field.name not in ("nu", "gamma"):
@@ -416,14 +418,15 @@ def compare_fields_per_cell(spaces, fa, fb):
 
 
 def normal_trace_jumps_per_facet(spaces, u_modal):
-    """The per-facet loop normal_trace_jumps replaces."""
+    """The per-facet loop normal_trace_jumps replaces, on the class stack
+    at the fine degree."""
     mesh = spaces.mesh
-    tabs = spaces.tab(fine=True)
+    tabs = Spaces(mesh, spaces.k, assembly_degree=spaces.fine_degree).tab()
 
     def normal_trace(c, f):
         """u.n against the stored normal of facet f, from cell c, and the
         facet weights."""
-        cls, lf = spaces.cell_class[c], spaces.local_facet(c, f)
+        cls, lf = spaces.cell_class[c], local_facet(mesh, c, f)
         vn = np.einsum("m,mcq,c->q", u_modal[c], tabs.facet_v[cls, lf],
                        tabs.normal[cls, lf])
         return vn, tabs.w[cls, lf]
@@ -465,7 +468,7 @@ def test_field_checks_match_per_cell_loops(monkeypatch):
         got = normal_trace_jumps(spaces, fa.u)
         want = normal_trace_jumps_per_facet(spaces, fa.u)
         assert got == pytest.approx(want, rel=1e-13)
-    assert max(len(cells) for cells in spaces.class_cells) > 3
+    assert np.bincount(spaces.cell_class).max() > 3
 
 
 def test_solves_match_across_block_sizes(monkeypatch):
@@ -495,6 +498,39 @@ def test_solves_match_across_block_sizes(monkeypatch):
                         assert abs(got - want) <= 1e-12
                     else:
                         assert got == want, fld.name
+
+
+def test_compare_fields_without_interior_facets():
+    # one quad: no trace unknowns, and both solvers still agree
+    case = make_case(1)
+    spaces = Spaces(build_structured_mesh(1, QUAD), 2)
+    assert len(spaces.mesh.interior_facets) == 0
+    a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    diffs = compare_fields(spaces, a, b)
+    assert diffs["dut"] == 0.0
+    assert max(diffs.values()) <= 1e-9
+
+
+def test_data_called_once_per_block_of_mixed_classes():
+    # 288 one-cell classes on perturbed 12x12 triangles: the body force is
+    # called once per block of BLOCK_CELLS cells, not once per class
+    case = make_case(1)
+    spaces = Spaces(perturbed_triangles(12, 0.2, seed=0), 2,
+                    fine_degree=data_quadrature_degree(case, 2, 12))
+    nc = spaces.mesh.num_cells
+    assert len(spaces.class_rep) == nc
+    calls = []
+
+    def counted_force(x):
+        calls.append(len(x))
+        return case.body_force(x)
+
+    solve_hybrid(spaces, case.nu, case.gamma, counted_force,
+                 case.mass_source)
+    assert len(calls) <= -(-nc // fespace.BLOCK_CELLS)
 
 
 def test_incompatible_mass_source_rejected():
@@ -556,7 +592,7 @@ def test_normal_trace_equals_facet_unknown():
     tabs = spaces.tab()
     for f in mesh.interior_facets:
         c = int(mesh.facet_cells[f, 0])
-        cls, lf = spaces.cell_class[c], spaces.local_facet(c, f)
+        cls, lf = spaces.cell_class[c], local_facet(mesh, c, f)
         vn = np.einsum("m,mcq,c->q", fields.u[c], tabs.facet_v[cls, lf],
                        tabs.normal[cls, lf])
         mom = np.einsum("jq,q,q->j", tabs.phi, vn,
@@ -646,7 +682,7 @@ def test_point_evaluation_on_perturbed_mesh():
     tabs = spaces.tab()
     for c in (5, 40, 101):
         cls = spaces.cell_class[c]
-        got = evaluate_fields(spaces, fields, spaces.vol_points(tabs, cls, c))
+        got = evaluate_fields(spaces, fields, spaces.vol_points(c, tabs.degree))
         want = {"u": np.einsum("m,mrq->qr", fields.u[c], tabs.v[cls]),
                 "p": fields.p[c] @ tabs.q_vals,
                 "l": np.einsum("ra,acq->qrc", fields.l[c], tabs.g[cls]),

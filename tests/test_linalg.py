@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
@@ -84,6 +85,48 @@ def test_dense_stack_matches_each_matrix():
         factor.solve(b[:3])
     with pytest.raises(ValueError, match="nonempty square matrix"):
         DenseFactor(np.zeros((0, 3, 3)))
+
+
+def test_dense_factor_matches_scipy_lu():
+    # getrf and getrs called directly give scipy's factors and solutions
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((3, 53, 53))
+    b = rng.standard_normal((3, 53, 4))
+    factor = DenseFactor(a)
+    x = factor.solve(b)
+    for i in range(3):
+        lu, piv = sla.lu_factor(a[i])
+        assert np.array_equal(factor._lu[i][0], lu)
+        assert np.array_equal(factor._lu[i][1], piv)
+        assert np.array_equal(x[i], sla.lu_solve((lu, piv), b[i]))
+        assert np.array_equal(factor.solve(b[i, :, 0], i),
+                              sla.lu_solve((lu, piv), b[i, :, 0]))
+    singular = a.copy()
+    singular[2, -1] = singular[2, 0]
+    with pytest.raises(SingularMatrixError,
+                       match="^dense factorization of matrix 2: ") as err:
+        DenseFactor(singular)
+    assert err.value.index == 2
+
+
+def test_dense_stack_solves_with_an_index_per_column():
+    # column j of b is solved with matrix index[j]; columns that share a
+    # matrix are solved together
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((4, 7, 7)) + 7 * np.eye(7)
+    factor = DenseFactor(a)
+    index = np.array([2, 0, 2, 3, 0, 2])
+    b = rng.standard_normal((7, len(index)))
+    x = factor.solve(b, index)
+    for i in np.unique(index):
+        cols = np.flatnonzero(index == i)
+        assert np.array_equal(x[:, cols], factor.solve(b[:, cols], i))
+        assert np.abs(a[i] @ x[:, cols] - b[:, cols]).max() < 1e-12
+    same = np.full(3, 1)
+    assert np.array_equal(factor.solve(b[:, :3], same),
+                          factor.solve(b[:, :3], 1))
+    with pytest.raises(ValueError, match="index of shape"):
+        factor.solve(b, index[:-1])
 
 
 def test_dense_stack_names_first_singular_matrix():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, affine_map, build_structured_mesh,
+from affine_maps import affine_map
+from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
                            locate_cell, perturbed_triangles)
 from brinkhdg.refelem import REFERENCE_CELLS, SIMPLEX, SQUARE
 

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from affine_maps import affine_map
 from brinkhdg import fespace
 from brinkhdg.fespace import Spaces
 from brinkhdg.forms import (element_blocks, postprocess_factor,
                             postprocess_velocity, project_facet_tangent,
                             project_grad, project_pressure,
                             project_velocity_div)
-from brinkhdg.hybrid import SolutionFields, solve_hybrid
+from brinkhdg.hybrid import SolutionFields, evaluate_fields, solve_hybrid
 from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
                            perturbed_triangles)
 from brinkhdg.refelem import quadrature
@@ -187,10 +188,11 @@ def error_norms_per_cell(spaces, fields, case):
     kk = spaces.family.n_facet
     nu = case.nu
     sums = dict.fromkeys(ERROR_MEASURES, 0.0)
-    tabs = spaces.tab(fine=True)
+    # the class stack at the fine degree, pushed forward per class
+    tabs = Spaces(mesh, k, assembly_degree=spaces.fine_degree).tab()
     for c in range(mesh.num_cells):
         cls = spaces.cell_class[c]
-        x = spaces.vol_points(tabs, cls, c)
+        x = spaces.vol_points(c)
         w = tabs.wdet[cls]
 
         lv = np.einsum("ra,acq->qrc", fields.l[c], tabs.g[cls])
@@ -213,7 +215,7 @@ def error_norms_per_cell(spaces, fields, case):
         dgrad = np.einsum("m,mrcq->qrc", ducoef, tabs.v_grad[cls])
         sums["err_h1"] += np.einsum("qrc,q->", dgrad ** 2, w)
 
-        xf = spaces.facet_points(tabs, cls, c)
+        xf = spaces.facet_points(c)
         for lf in range(spaces.family.n_cell_facets):
             f = int(mesh.cell_facets[c, lf])
             fw, h = tabs.w[cls, lf], tabs.h[cls, lf]
@@ -256,12 +258,39 @@ def test_error_norms_match_per_cell_across_blocks(monkeypatch):
     case = make_case(3)
     spaces = Spaces(build_structured_mesh(8, QUAD), 1,
                     fine_degree=data_quadrature_degree(case, 1, 8))
-    sizes = [len(cells) for cells in spaces.class_cells]
-    assert max(sizes) > fespace.BLOCK_CELLS
-    blocks = list(spaces.class_blocks())
-    assert max(len(cells) for _, cells in blocks) == fespace.BLOCK_CELLS
+    sizes = np.bincount(spaces.cell_class)
+    assert sizes.max() > fespace.BLOCK_CELLS
+    blocks = list(spaces.cell_blocks())
+    assert max(len(cells) for cells in blocks) == fespace.BLOCK_CELLS
     assert len(blocks) > len(sizes)
+    assert any(len(np.unique(spaces.cell_class[cells])) > 1
+               for cells in blocks)
     assert_matches_per_cell(spaces, case)
+
+
+def test_error_norms_match_brute_force_point_values():
+    # the field errors against a quadrature of point values: the discrete
+    # fields from evaluate_fields at the fine rule's points mapped into
+    # each cell, the exact fields from the case's callables
+    case = make_case(1)
+    for mesh, k in ((perturbed_triangles(4, 0.2, seed=5), 2),
+                    (build_structured_mesh(3, QUAD), 2)):
+        spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(case, k, 4))
+        fields = solve_hybrid(spaces, case.nu, case.gamma,
+                              case.body_force, case.mass_source)
+        report = error_norms(spaces, fields, case)
+        rule = quadrature(spaces.family.ref_cell.name, spaces.fine_degree)
+        maps = [affine_map(mesh, c) for c in range(mesh.num_cells)]
+        x = np.concatenate([m.apply(rule.points) for m in maps])
+        w = np.concatenate([m.det * rule.weights for m in maps])
+        got = evaluate_fields(spaces, fields, x)
+        want = {"l": case.velocity_gradient(x), "u": case.velocity(x),
+                "p": case.pressure(x), "ustar": case.velocity(x)}
+        for key, exact in want.items():
+            sq = (got[key] - exact) ** 2
+            brute = np.sqrt(w @ sq.reshape(len(w), -1).sum(axis=1))
+            assert getattr(report, f"err_{key}") == pytest.approx(
+                brute, rel=1e-12), (mesh.cell_kind, key)
 
 
 def test_energy_identity_on_solve():
