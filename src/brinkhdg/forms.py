@@ -188,12 +188,13 @@ def velocity_div_coefficients(spaces, cells, facet_vals, vol_vals):
     un = np.einsum("efqr,efr->efq", facet_vals, mesh.facet_normals[f])
     un *= mesh.facet_lengths[f][..., None]
     seg_w = quadrature("segment", spaces.fine_degree).weights
-    alpha = [(un @ (ref.phi * seg_w).T).reshape(len(cells), -1)]
+    alpha = [(un @ (ref.phi * seg_w).T).reshape(
+        len(cells), fam.n_cell_facets * len(ref.phi))]
     if ref.int_div.shape[0]:
         w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
         mom = np.swapaxes(vol_vals, 1, 2) @ (ref.int_div * w).T
         alpha.append((mom * spaces.dets[cells, None, None]).reshape(
-            len(cells), -1))
+            len(cells), 2 * len(ref.int_div)))
     alpha = np.concatenate(alpha, axis=-1)
     trans = spaces.class_nodal_transforms()[spaces.cell_class[cells]]
     return np.einsum("emn,en->em", trans, alpha)

@@ -6,6 +6,7 @@ import pytest
 from brinkhdg import fespace
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
                               nodal_dof_matrices, normal_trace_jumps)
+from brinkhdg.forms import project_grad, project_velocity_div
 from brinkhdg.linalg import SingularMatrixError
 from affine_maps import affine_map, local_facet
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
@@ -313,6 +314,25 @@ def test_points_of_a_cell_array_stack_per_cell_points():
         for i, c in enumerate(cells):
             assert (batch[i] == spaces.vol_points(c, degree)).all()
             assert (facet_batch[i] == spaces.facet_points(c, degree)).all()
+
+
+def test_cell_array_of_mixed_classes_accepted():
+    spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
+    assert spaces.cell_class[0] != spaces.cell_class[1]
+
+    def grad_field(x):
+        return np.ones(x.shape[:-1] + (2, 2))
+
+    def field(x):
+        return np.stack([x[..., 0] * x[..., 1], np.cos(x[..., 0])], axis=-1)
+
+    for project, func in ((project_grad, grad_field),
+                          (project_velocity_div, field)):
+        coef = project(spaces, np.array([0, 1]), func)
+        for i in range(2):
+            assert (coef[i] == project(spaces, i, func)).all()
+        empty = project(spaces, np.array([], dtype=int), func)
+        assert empty.shape == (0,) + coef.shape[1:]
 
 
 def test_local_facet_lookup():
