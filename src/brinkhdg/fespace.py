@@ -6,17 +6,17 @@ bases (pressures, facet functions) map by composition with the inverse
 cell map.
 
 Reference bases are tabulated once per quadrature degree on the
-reference cell (`ElementFamily.reference_tab`).  Two kinds of consumer
-read them:
+reference cell (`ElementFamily.reference_tab`), and nothing is tabulated
+per cell.  Two kinds of consumer read them:
 
-* At the assembly degree, the element blocks, local solves and nodal
-  transforms are per geometry class.  Cells sharing jacobian, the
-  relative positions of their facets and the facet orientation signs
-  form one class; on the structured meshes built here this collapses
-  thousands of cells to a handful, and on perturbed meshes every cell is
-  its own class.  `Spaces.tab` pushes the reference values forward once
-  per class into a stack (`ClassTabs`) with a leading class axis, and
-  consumers gather from it with `Spaces.cell_class`.
+* At the assembly degree, the element blocks and nodal dof matrices are
+  reference integrals (`ReferenceTab`) contracted with a small factor of
+  each cell's jacobian (`forms.element_blocks`).  The solvers form them
+  once per geometry class: cells sharing jacobian, the relative
+  positions of their facets and the facet orientation signs form one
+  class; on the structured meshes built here this collapses thousands of
+  cells to a handful, and on perturbed meshes every cell is its own
+  class.  Consumers gather a cell's entry with `Spaces.cell_class`.
 * At the fine degree (data moments, projections of exact fields, error
   norms and trace checks), fields are pushed forward, not bases: a
   field's reference values come from its coefficients and the reference
@@ -82,7 +82,8 @@ class ElementFamily:
         self._reference = {}
 
     def reference_tab(self, degree):
-        """Reference-cell values at the rules of one degree, made on first use."""
+        """Reference-cell values and integrals (`ReferenceTab`) at the rules
+        of one degree, made on first use."""
         ref = self._reference.get(degree)
         if ref is None:
             ref = self._reference[degree] = _tabulate_reference(self, degree)
@@ -91,96 +92,112 @@ class ElementFamily:
 
 @dataclass(frozen=True)
 class ReferenceTab:
-    """Basis values on the reference cell, shared by every geometry class.
+    """Basis values and integrals on the reference cell, shared by every cell.
 
     Values are taken at the points of the volume and segment rules of one
     quadrature degree.  Facet arrays are indexed [local facet, direction]:
     direction 0 runs the reference facet from its first vertex to its
-    second, direction 1 the other way.  All arrays are read-only.
+    second, direction 1 the other way.
+
+    The integrals are the reference tensors of the element blocks and the
+    nodal dof matrices: on an affine cell each of those is a factor of the
+    cell's jacobian times one of them (`forms.element_blocks`).  With w
+    the volume weights, ws the segment weights and hn = hhat nhat_out the
+    outward normal of a reference facet scaled by its length:
+
+    * gram_g, gram_v, gram_post: [(c, d), (a, b)] = sum w f_ac f_bd of the
+      gradient rows, the velocities and the postprocessing gradients;
+    * divg [j, (m, b)] = sum w vhat_mj div ghat_b, grad [j, (a, m)] = sum w
+      ghat_a . grad-hat vhat_mj, vint [m, j] = sum w vhat_mj, int_mom
+      [j, (i, m)] = sum w vhat_mj int_div_i;
+    * qint, pint: the integrals of the pressure and postprocessing bases;
+    * bdiv [m, i] = sum w qhat_i div vhat_m, gp_cross [a, j] = sum w ghat_a
+      . grad-hat post_j, tq [m, i] = sum over facets of sum ws qhat_i vhat_m
+      . hn;
+    * per facet and direction, that [j, a] = sum ws phi_j ghat_a . hn,
+      tlam [m, j] = sum ws phi_j vhat_m . hn and tg [c, (a, m)] = sum ws
+      (ghat_a . hn) vhat_mc.
+
+    All arrays are read-only.
     """
 
     g: np.ndarray           # (n_g, 2, q)
-    g_div: np.ndarray       # (n_g, q)
     v: np.ndarray           # (n_v, 2, q)
     v_grad: np.ndarray      # (n_v, 2, 2, q)
-    v_div: np.ndarray       # (n_v, q)
     q_vals: np.ndarray      # (n_q, q)
     post: np.ndarray        # (n_post, q)
-    post_grad: np.ndarray   # (n_post, 2, q)
     int_div: np.ndarray     # (n_int_scalar, q)
     phi: np.ndarray         # (k+1, qf) facet Legendre values
     facet_g: np.ndarray     # (nfc, 2, n_g, 2, qf)
     facet_v: np.ndarray     # (nfc, 2, n_v, 2, qf)
-    facet_q: np.ndarray     # (nfc, 2, n_q, qf)
+    gram_g: np.ndarray      # (4, n_g * n_g)
+    gram_v: np.ndarray      # (4, n_v * n_v)
+    gram_post: np.ndarray   # (4, n_post * n_post)
+    divg: np.ndarray        # (2, n_v * n_g)
+    grad: np.ndarray        # (2, n_g * n_v)
+    vint: np.ndarray        # (n_v, 2)
+    int_mom: np.ndarray     # (2, n_int_scalar * n_v)
+    qint: np.ndarray        # (n_q,)
+    pint: np.ndarray        # (n_post,)
+    bdiv: np.ndarray        # (n_v, n_q)
+    gp_cross: np.ndarray    # (n_g, n_post)
+    tq: np.ndarray          # (n_v, n_q)
+    that: np.ndarray        # (nfc, 2, k+1, n_g)
+    tlam: np.ndarray        # (nfc, 2, n_v, k+1)
+    tg: np.ndarray          # (nfc, 2, 2, n_g * n_v)
 
 
 def _tabulate_reference(fam, degree):
-    pts = quadrature(fam.ref_cell.name, degree).points
-    s = quadrature("segment", degree).points[:, 0]
+    vol = quadrature(fam.ref_cell.name, degree)
+    pts, w = vol.points, vol.weights
+    seg = quadrature("segment", degree)
+    s, ws = seg.points[:, 0], seg.weights
     verts = fam.ref_cell.vertices
     ends = np.array([[(verts[a], verts[b]), (verts[b], verts[a])]
                      for a, b in fam.ref_cell.facets])   # (nfc, 2, 2 ends, 2)
     p0, p1 = ends[:, :, None, 0], ends[:, :, None, 1]
     fpts = p0 + s[:, None] * (p1 - p0)                  # (nfc, 2, qf, 2)
+    edge = ends[:, 0, 1] - ends[:, 0, 0]
+    hn = np.stack([edge[:, 1], -edge[:, 0]], axis=-1)   # (nfc, 2)
 
     def on_facets(basis):
         vals = basis.tabulate(fpts.reshape(-1, 2))
         vals = vals.reshape(vals.shape[:-1] + fpts.shape[:-1])
         return np.moveaxis(vals, (-3, -2), (0, 1))
 
+    g, v = fam.g_row.tabulate(pts), fam.v.tabulate(pts)
     g_div = fam.g_row.tabulate_div(pts)
+    v_grad = fam.v.tabulate_grad(pts)
+    q_vals, post = fam.q.tabulate(pts), fam.post.tabulate(pts)
+    post_grad = fam.post.tabulate_grad(pts)
+    int_div = fam.div_span @ g_div
+    phi = fam.seg.tabulate(s)
+    facet_g, facet_v = on_facets(fam.g_row), on_facets(fam.v)
+    gw, vw = g * w, v * w
+    gn = np.einsum("fdacq,fc->fdaq", facet_g, hn) * ws
+    vn = np.einsum("fdmcq,fc->fdmq", facet_v, hn) * ws
     ref = ReferenceTab(
-        g=fam.g_row.tabulate(pts), g_div=g_div,
-        v=fam.v.tabulate(pts), v_grad=fam.v.tabulate_grad(pts),
-        v_div=fam.v.tabulate_div(pts), q_vals=fam.q.tabulate(pts),
-        post=fam.post.tabulate(pts), post_grad=fam.post.tabulate_grad(pts),
-        int_div=fam.div_span @ g_div, phi=fam.seg.tabulate(s),
-        facet_g=on_facets(fam.g_row), facet_v=on_facets(fam.v),
-        facet_q=on_facets(fam.q))
+        g=g, v=v, v_grad=v_grad, q_vals=q_vals, post=post, int_div=int_div,
+        phi=phi, facet_g=facet_g, facet_v=facet_v,
+        gram_g=np.einsum("acq,bdq->cdab", gw, g).reshape(4, -1),
+        gram_v=np.einsum("mcq,ndq->cdmn", vw, v).reshape(4, -1),
+        gram_post=np.einsum("icq,jdq->cdij", post_grad * w,
+                            post_grad).reshape(4, -1),
+        divg=np.einsum("mjq,bq->jmb", vw, g_div).reshape(2, -1),
+        grad=np.einsum("akq,mjkq->jam", gw, v_grad).reshape(2, -1),
+        vint=vw.sum(axis=-1),
+        int_mom=np.einsum("mjq,iq->jim", vw, int_div).reshape(2, -1),
+        qint=q_vals @ w, pint=post @ w,
+        bdiv=fam.v.tabulate_div(pts) * w @ q_vals.T,
+        gp_cross=np.einsum("acq,jcq->aj", gw, post_grad),
+        tq=np.einsum("fiq,fmq->mi", on_facets(fam.q)[:, 0], vn[:, 0]),
+        that=np.einsum("jq,fdaq->fdja", phi, gn),
+        tlam=np.einsum("jq,fdmq->fdmj", phi, vn),
+        tg=np.einsum("fdaq,fdmcq->fdcam", gn, facet_v).reshape(
+            gn.shape[:2] + (2, -1)))
     for arr in vars(ref).values():
         arr.flags.writeable = False
     return ref
-
-
-@dataclass(frozen=True)
-class ClassTabs:
-    """Tabulations of a stack of geometry classes at one quadrature degree.
-
-    Arrays that depend on the geometry carry a leading class axis (S),
-    and facet arrays the local facet (f) next; the values of the
-    reference rules shared by every class (ref_points, q_vals, post,
-    int_div, s, phi) carry neither.  `cells` holds the cell each class
-    was tabulated from.  Facet values run in the direction of the stored
-    facet.  All arrays are read-only.
-    """
-
-    cells: np.ndarray       # (S,)
-    degree: int
-    ref_points: np.ndarray  # (q, 2)
-    jacobian: np.ndarray    # (S, 2, 2)
-    inverse_jacobian: np.ndarray
-    det: np.ndarray         # (S,)
-    wdet: np.ndarray        # (S, q)
-    g: np.ndarray           # (S, n_g, 2, q)
-    g_div: np.ndarray       # (S, n_g, q)
-    v: np.ndarray           # (S, n_v, 2, q)
-    v_grad: np.ndarray      # (S, n_v, 2, 2, q)
-    v_div: np.ndarray       # (S, n_v, q)
-    q_vals: np.ndarray      # (n_q, q)
-    post: np.ndarray        # (n_post, q)
-    post_grad: np.ndarray   # (S, n_post, 2, q)
-    int_div: np.ndarray     # (n_int_scalar, q)
-    sign: np.ndarray        # (S, f)
-    h: np.ndarray           # (S, f)
-    normal: np.ndarray      # (S, f, 2)
-    outward: np.ndarray     # (S, f, 2)
-    tangent: np.ndarray     # (S, f, 2)
-    s: np.ndarray           # (qf,)
-    w: np.ndarray           # (S, f, qf)
-    phi: np.ndarray         # (k+1, qf)
-    facet_g: np.ndarray     # (S, f, n_g, 2, qf)
-    facet_v: np.ndarray     # (S, f, n_v, 2, qf)
-    facet_q: np.ndarray     # (S, f, n_q, qf)
 
 
 def factor_classes(mats, cells, what, **options):
@@ -197,29 +214,32 @@ def factor_classes(mats, cells, what, **options):
                                   index=exc.index) from exc
 
 
-def nodal_dof_matrices(tabs):
-    """Velocity dof matrices B, (S, n_v, n_v), of a stack of classes.
+def nodal_dof_matrices(spaces, cells):
+    """Velocity dof matrices B, (C, n_v, n_v), of cells (C,).
 
     B[beta, m] = functional beta on basis m.  Rows: facet normal moments
     against the facet Legendre basis (global facet normal), then interior
     moments of each component against the orthonormalized divergence
-    span of the gradient rows.
+    span of the gradient rows.  The facet rows are the reference moments
+    `ReferenceTab.tlam` in the direction of the stored facet times its
+    sign, since the global normal is the outward one times the sign; the
+    interior rows are the jacobian times the reference moments.
     """
-    n_cls, n_v = tabs.v.shape[:2]
-    vn = np.einsum("sfmcq,sfc->sfmq", tabs.facet_v, tabs.normal)
-    b = np.einsum("jq,sfmq,sfq->sfjm", tabs.phi, vn, tabs.w)
-    b = b.reshape(n_cls, -1, n_v)
-    if tabs.int_div.shape[0]:
-        mom = np.einsum("smrq,iq,sq->srim", tabs.v, tabs.int_div, tabs.wdet)
-        b = np.concatenate([b, mom.reshape(n_cls, -1, n_v)], axis=1)
-    return b
+    ref = spaces.tab()
+    n, n_v = len(cells), spaces.family.n_v
+    back = spaces._facet_directions(cells)
+    sign = spaces.mesh.cell_facet_signs[cells, :, None, None]
+    b = (sign * ref.tlam[np.arange(back.shape[1]), back]).swapaxes(2, 3)
+    mom = spaces.jacobians[cells] @ ref.int_mom
+    return np.concatenate([b.reshape(n, -1, n_v), mom.reshape(n, -1, n_v)],
+                          axis=1)
 
 
-def nodal_transforms(tabs):
-    """T per class, (S, n_v, n_v): field = sum_m (T @ alpha)_m V_m for
+def nodal_transforms(spaces, cells):
+    """T of cells (C,), (C, n_v, n_v): field = sum_m (T @ alpha)_m V_m for
     nodal coefficients alpha."""
-    b = nodal_dof_matrices(tabs)
-    factor = factor_classes(b, tabs.cells, "nodal dof matrix")
+    b = nodal_dof_matrices(spaces, cells)
+    factor = factor_classes(b, cells, "nodal dof matrix")
     return factor.solve(np.broadcast_to(np.eye(b.shape[-1]), b.shape))
 
 
@@ -277,9 +297,9 @@ def build_dofmap(mesh, tag, k):
 class Spaces:
     """Mapped-element data for one (mesh, degree) pair.
 
-    Provides the cell geometry, the geometry classes and the stacked
-    tabulation of all classes at the assembly degree (`tab`), the nodal
-    (facet-moment / interior-moment) velocity transforms, the dof maps of
+    Provides the cell geometry, the geometry classes, the reference
+    tabulation at the assembly degree (`tab`), the nodal (facet-moment /
+    interior-moment) velocity transforms of the classes, the dof maps of
     all discrete spaces, and the per-cell points and push-forward that
     the fine-degree evaluations use.
     """
@@ -315,7 +335,6 @@ class Spaces:
         self.cell_class = rank[inverse.ravel()]
         self.class_rep = first[order].tolist()
         self._class_order = np.argsort(self.cell_class, kind="stable")
-        self._stack = None
         self._nodal = None
         self._dofmaps = {}
 
@@ -334,14 +353,10 @@ class Spaces:
             self._dofmaps[tag] = build_dofmap(self.mesh, tag, self.k)
         return self._dofmaps[tag]
 
-    # -- tabulation at the assembly degree --------------------------------
-
     def tab(self):
-        """Stacked tabulation (`ClassTabs`) of every class at the assembly
-        degree, in class order, made on first use."""
-        if self._stack is None:
-            self._stack = self.tabulate(self.class_rep)
-        return self._stack
+        """Reference values and integrals (`ReferenceTab`) at the assembly
+        degree."""
+        return self.family.reference_tab(self.assembly_degree)
 
     def _facet_directions(self, cells):
         """back[e, lf] = 1 where the stored facet of local facet lf of
@@ -350,63 +365,6 @@ class Spaces:
         loops = self.mesh.cells[cells]
         return (loops[..., ref_facets[:, 0]]
                 > loops[..., ref_facets[:, 1]]).astype(int)
-
-    def tabulate(self, cells):
-        """ClassTabs of the geometry of each given cell at the assembly degree.
-
-        The reference values are pushed forward with one array operation
-        per array over the stacked jacobians: vector bases by the
-        contravariant Piola transform, scalar bases by composition.  On
-        each local facet the reference values are taken in the direction
-        of the stored facet, which runs from its lower-numbered vertex to
-        the higher one.
-        """
-        fam = self.family
-        degree = self.assembly_degree
-        ref = fam.reference_tab(degree)
-        vol = quadrature(fam.ref_cell.name, degree)
-        seg = quadrature("segment", degree)
-        mesh = self.mesh
-        cells = np.array(cells, dtype=int)
-        jac, inv = self.jacobians[cells], self.inverse_jacobians[cells]
-        det = self.dets[cells]
-
-        def piola(jac_b, vhat):
-            """jac_b @ vhat / det, with jac_b the jacobians shaped to
-            broadcast against the reference values vhat (..., 2, q)."""
-            out = jac_b @ vhat
-            out /= det.reshape((-1,) + (1,) * (out.ndim - 1))
-            return out
-
-        v_grad = np.einsum("sab,nbcq,scd->snadq", jac, ref.v_grad, inv,
-                           optimize=True)
-        v_grad /= det[:, None, None, None, None]
-        back = self._facet_directions(cells)
-        lf = np.arange(back.shape[1])
-        f = mesh.cell_facets[cells]
-        sign = mesh.cell_facet_signs[cells].astype(int)
-        h = mesh.facet_lengths[f]
-        normal = mesh.facet_normals[f]
-        tabs = ClassTabs(
-            cells=cells, degree=degree, ref_points=vol.points,
-            jacobian=jac, inverse_jacobian=inv, det=det,
-            wdet=det[:, None] * vol.weights,
-            g=piola(jac[:, None], ref.g), g_div=ref.g_div / det[:, None, None],
-            v=piola(jac[:, None], ref.v), v_grad=v_grad,
-            v_div=ref.v_div / det[:, None, None],
-            q_vals=ref.q_vals, post=ref.post,
-            post_grad=np.einsum("sba,nbq->snaq", inv, ref.post_grad),
-            int_div=ref.int_div,
-            sign=sign, h=h, normal=normal, outward=sign[..., None] * normal,
-            tangent=mesh.facet_tangents[f],
-            s=seg.points[:, 0], w=h[..., None] * seg.weights, phi=ref.phi,
-            facet_g=piola(jac[:, None, None], ref.facet_g[lf, back]),
-            facet_v=piola(jac[:, None, None], ref.facet_v[lf, back]),
-            facet_q=ref.facet_q[lf, back])
-        for arr in vars(tabs).values():
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-        return tabs
 
     # -- per-cell points and push-forward -----------------------------------
 
@@ -462,7 +420,7 @@ class Spaces:
         """Nodal transforms of every class, (n_cls, n_v, n_v); see
         `nodal_transforms`."""
         if self._nodal is None:
-            self._nodal = nodal_transforms(self.tab())
+            self._nodal = nodal_transforms(self, self.class_rep)
             self._nodal.flags.writeable = False
         return self._nodal
 

@@ -1,12 +1,14 @@
 """Element integrals, projections, and local velocity postprocessing.
 
-Block matrices are computed for a stack of geometry classes at once,
-from their stacked tabulation; projections work on any cells, from the
-fine-degree reference tabulation and each cell's jacobian.  Index
-conventions: s runs over the classes, e over cells, f over local
-facets, a, b over gradient-row functions, m, n over velocity functions,
-i, j over pressure / facet-polynomial indices, r, c, t over spatial
-components, q over quadrature points.
+Block matrices are computed for many cells at once (one per geometry
+class in the solvers), each as reference-cell integrals contracted with
+a small factor of the cell's jacobian; projections work on any cells,
+from the fine-degree reference tabulation and each cell's jacobian.
+Index conventions: s runs over the cells of a block stack, e over the
+cells of a projection, f over local facets, a, b over gradient-row
+functions, m, n over velocity functions, i, j over pressure /
+facet-polynomial indices, r, c, t over spatial components, q over
+quadrature points.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ def as_gamma_matrix(gamma):
 
 @dataclass
 class ElementBlocks:
-    """Volume and facet block matrices of a stack of geometry classes.
+    """Volume and facet block matrices of some cells, one per geometry
+    class in the solvers.
 
-    Every array has a leading class axis; the facet arrays have the local
-    facet next.  `cells` holds a cell of each class.
+    Every array has a leading cell axis; the facet arrays have the local
+    facet next.  `cells` holds the cells.  bdiv, tq and gp_cross take no
+    geometry: their cell axis is a read-only broadcast view.
     """
 
     cells: np.ndarray    # (S,)
@@ -67,46 +71,77 @@ class ElementBlocks:
     tgt: np.ndarray      # (S, f, n_g, n_v)   (G.n)(V.t) facet coupling
 
 
-def class_element_blocks(spaces, nu, gamma):
-    """Element blocks of every geometry class, in class order."""
-    return element_blocks(spaces.tab(), nu, gamma)
+def element_blocks(spaces, cells, nu, gamma):
+    """All volume and facet blocks of cells (S,), typically
+    `spaces.class_rep`.
 
+    On an affine cell every block is a factor of the cell's geometry
+    times a reference integral of `Spaces.tab()` shared by every cell
+    (Kirby & Logg, ACM TOMS 32(3), 2006).  With J the jacobian and d its
+    determinant, g = J ghat / d, v = J vhat / d, and a gram contracted
+    with a 2x2 metric M as M : gram = M.reshape(4) @ gram:
 
-def element_blocks(tabs, nu, gamma):
-    """All volume and facet blocks of a stacked tabulation (`ClassTabs`).
+    * mg = (J^T J / d) : gram_g, mgam = (J^T gamma J / d) : gram_v and
+      kpp = (d J^-1 J^-T) : gram_post;
+    * divg, grad and tg are (J / d) times their reference integrals; in
+      grad the J^-1 of grad v cancels the J of g;
+    * vint is J times its reference integral, qint and pint d times
+      theirs;
+    * bdiv, tq and gp_cross are the reference integrals;
+    * on the facets, h n_out = d J^-T hhat nhat_out for counterclockwise
+      cells, so (g . n_out) w_F = (ghat . nhat_out) hhat ws: that and
+      tlam are the reference integrals in the direction of the stored
+      facet, and tgt is the facet's tg contracted with
+      +-(J^T J e / d) / h, with e the reference edge and + where the
+      stored facet runs the same way.
 
-    Each block is one array operation over the class axis; gamma is
-    checked once for all classes.  The quadrature weights are folded
-    into one factor of each product first.
+    Each contraction is one matmul over all the cells; gamma is checked
+    once.
     """
     gamma = as_gamma_matrix(gamma)
-    w = tabs.wdet[:, None, :]
-    gw = tabs.g * w[..., None, :]
-    vw = tabs.v * w[..., None, :]
-    fw = tabs.w[:, :, None, :]
-    gn = np.einsum("sfacq,sfc->sfaq", tabs.facet_g, tabs.outward) * fw
-    vn = np.einsum("sfmcq,sfc->sfmq", tabs.facet_v, tabs.outward) * fw
-    vt = np.einsum("sfmcq,sfc->sfmq", tabs.facet_v, tabs.tangent)
-    gam_v = np.einsum("rt,sntq->snrq", gamma, tabs.v)
+    ref = spaces.tab()
+    fam = spaces.family
+    mesh = spaces.mesh
+    cells = np.asarray(cells)
+    n, n_g, n_v = len(cells), fam.n_g, fam.n_v
+    jac, det = spaces.jacobians[cells], spaces.dets[cells]
+    inv = spaces.inverse_jacobians[cells]
+    jac_t = jac.swapaxes(1, 2)
+    jd = jac / det[:, None, None]
+    jtj = jac_t @ jac / det[:, None, None]
+
+    def metric(m, gram, size):
+        return (m.reshape(n, 4) @ gram).reshape(n, size, size)
+
+    def each(arr):
+        return np.broadcast_to(arr, (n,) + arr.shape)
+
+    back = spaces._facet_directions(cells)
+    lf = np.arange(back.shape[1])
+    f = mesh.cell_facets[cells]
+    h = mesh.facet_lengths[f]
+    verts = fam.ref_cell.vertices
+    edges = np.array([verts[b] - verts[a] for a, b in fam.ref_cell.facets])
+    along = ((jtj @ edges.T).swapaxes(1, 2) * (1 - 2 * back)[..., None]
+             / h[..., None])
+    facet_tg = ref.tg[lf, back]
     return ElementBlocks(
-        cells=tabs.cells, nu=float(nu), gamma=gamma,
-        mg=np.einsum("sacq,sbcq->sab", gw, tabs.g),
-        divg=np.einsum("smrq,sbq->srmb", vw, tabs.g_div),
-        grad=np.einsum("sacq,smrcq->sram", gw, tabs.v_grad),
-        tg=np.einsum("sfaq,sfmrq->sram", gn, tabs.facet_v),
-        mgam=np.einsum("smrq,snrq->smn", vw, gam_v),
-        bdiv=np.einsum("iq,smq->smi", tabs.q_vals, tabs.v_div * w),
-        tq=np.einsum("sfiq,sfmq->smi", tabs.facet_q, vn),
-        qint=tabs.wdet @ tabs.q_vals.T,
-        vint=vw.sum(axis=-1),
-        kpp=np.einsum("sicq,sjcq->sij", tabs.post_grad * w[..., None, :],
-                      tabs.post_grad),
-        pint=tabs.wdet @ tabs.post.T,
-        gp_cross=np.einsum("sacq,sjcq->saj", gw, tabs.post_grad),
-        sign=tabs.sign, h=tabs.h, normal=tabs.normal, tangent=tabs.tangent,
-        that=np.einsum("jq,sfaq->sfja", tabs.phi, gn),
-        tlam=np.einsum("jq,sfmq->sfmj", tabs.phi, vn),
-        tgt=np.einsum("sfaq,sfmq->sfam", gn, vt))
+        cells=cells, nu=float(nu), gamma=gamma,
+        mg=metric(jtj, ref.gram_g, n_g),
+        divg=(jd @ ref.divg).reshape(n, 2, n_v, n_g),
+        grad=(jd @ ref.grad).reshape(n, 2, n_g, n_v),
+        tg=(jd @ facet_tg.sum(axis=1)).reshape(n, 2, n_g, n_v),
+        mgam=metric(jac_t @ gamma @ jac / det[:, None, None], ref.gram_v,
+                    n_v),
+        bdiv=each(ref.bdiv), tq=each(ref.tq),
+        qint=np.outer(det, ref.qint), vint=ref.vint @ jac_t,
+        kpp=metric(inv @ inv.swapaxes(1, 2) * det[:, None, None],
+                   ref.gram_post, fam.n_post),
+        pint=np.outer(det, ref.pint), gp_cross=each(ref.gp_cross),
+        sign=mesh.cell_facet_signs[cells].astype(int), h=h,
+        normal=mesh.facet_normals[f], tangent=mesh.facet_tangents[f],
+        that=ref.that[lf, back], tlam=ref.tlam[lf, back],
+        tgt=(along[:, :, None] @ facet_tg).reshape(n, len(lf), n_g, n_v))
 
 
 # -- projections ----------------------------------------------------------
@@ -133,16 +168,14 @@ def grad_coefficients(spaces, cells, vals):
     ghat_b and (v_r, g_a) = sum_q w (J^T v_r) . ghat_a.
     """
     fam = spaces.family
-    g = fam.reference_tab(spaces.fine_degree).g
-    gw = g * quadrature(fam.ref_cell.name, spaces.fine_degree).weights
-    n_g, n = len(g), len(cells)
+    ref = fam.reference_tab(spaces.fine_degree)
+    gw = ref.g * quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    n_g, n = len(gw), len(cells)
     jac = spaces.jacobians[cells]
-    # gram[(c, d), (a, b)] = sum_q w ghat_ac ghat_bd
-    gram = np.einsum("acq,bdq->cdab", gw, g).reshape(4, n_g * n_g)
     metric = np.swapaxes(jac, 1, 2) @ jac / spaces.dets[cells, None, None]
-    mg = (metric.reshape(n, 4) @ gram).reshape(n, n_g, n_g)
+    mg = (metric.reshape(n, 4) @ ref.gram_g).reshape(n, n_g, n_g)
     # (J^T v_r)[e, r, q, d] against (w ghat)[a, d, q], one product over (q, d)
-    nq = g.shape[-1]
+    nq = gw.shape[-1]
     jv = (vals.reshape(n, 2 * nq, 2) @ jac).reshape(vals.shape)
     jv = np.swapaxes(jv, 1, 2).reshape(2 * n, 2 * nq)
     rhs = jv @ np.moveaxis(gw, 0, -1).swapaxes(0, 1).reshape(2 * nq, n_g)

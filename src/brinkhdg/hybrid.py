@@ -17,13 +17,15 @@ plus the cell graph matrix B1 B1^T that gives the particular flux and
 the pressure averages; both factorizations pivot on the diagonal.  One
 refinement step against the full condensed system follows.
 
-The local matrices of all geometry classes are formed and factored as
-one stack with a leading class axis (`LocalSolver`).  Every cell-local
-step (data moments, source solves, the scatter of the energy blocks,
-recovery and the postprocessing of u*) runs on blocks of cells of any
-classes (`Spaces.cell_blocks`): each cell reads its class's entry of
-each stack through `Spaces.cell_class`, and the data moments push the
-fine-degree data forward per cell.
+The element blocks of one cell of each geometry class are reference
+integrals times that cell's geometry (`forms.element_blocks` on
+`Spaces.class_rep`), and the local matrices of all the classes are formed
+and factored from them as one stack with a leading class axis
+(`LocalSolver`).  Every cell-local step (data moments, source solves,
+the scatter of the energy blocks, recovery and the postprocessing of u*)
+runs on blocks of cells of any classes (`Spaces.cell_blocks`): each cell
+reads its class's entry of each stack through `Spaces.cell_class`, and
+the data moments push the fine-degree data forward per cell.
 
 `solve_direct` works on the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
@@ -42,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import factor_classes
-from .forms import (class_element_blocks, postprocess_factor,
-                    postprocess_velocity, values_at)
+from .fespace import factor_classes, reference_fields
+from .forms import (element_blocks, postprocess_factor, postprocess_velocity,
+                    values_at)
 from .linalg import (SparseBuilder, SparseFactor, block_triplets,
                      refined_solve, sparse_solve)
 from .mesh import locate_cell
@@ -150,7 +152,8 @@ class SolutionFields:
 
 def build_local_solvers(spaces, nu, gamma):
     """The LocalSolver of all the geometry classes, in class order."""
-    return LocalSolver(class_element_blocks(spaces, nu, gamma), spaces.family)
+    return LocalSolver(element_blocks(spaces, spaces.class_rep, nu, gamma),
+                       spaces.family)
 
 
 def _facet_columns(spaces):
@@ -537,7 +540,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     o_t = o_p + nc * n_q
     n_sys = o_t + mt.total
     q0v = _constant_pressure_value(spaces)
-    blocks = class_element_blocks(spaces, nu, gamma)
+    blocks = element_blocks(spaces, spaces.class_rep, nu, gamma)
     trans = spaces.class_nodal_transforms()
     mats, pattern, rec = _eliminate_gradient(*_direct_cell_matrix(
         blocks, trans, fam), n_g, blocks.cells)
@@ -609,17 +612,23 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
 
 
 def compare_fields(spaces, fa, fb):
-    """L2 distances between two solutions; keys dl, du, dp, dut."""
+    """L2 distances between two solutions; keys dl, du, dp, dut.
+
+    The differences are pushed forward per cell at the assembly degree.
+    """
     dl2 = du2 = dp2 = 0.0
-    tabs = spaces.tab()
+    ref = spaces.tab()
+    weights = quadrature(spaces.family.ref_cell.name,
+                         spaces.assembly_degree).weights
     for cells in spaces.cell_blocks():
-        cls = spaces.cell_class[cells]
-        w = tabs.wdet[cls]
-        dl = np.einsum("era,eacq->ercq", fa.l[cells] - fb.l[cells], tabs.g[cls])
-        dl2 += float(np.einsum("ercq,ercq,eq->", dl, dl, w))
-        du = np.einsum("em,emrq->erq", fa.u[cells] - fb.u[cells], tabs.v[cls])
-        du2 += float(np.einsum("erq,erq,eq->", du, du, w))
-        dp = (fa.p[cells] - fb.p[cells]) @ tabs.q_vals
+        w = np.outer(spaces.dets[cells], weights)
+        dl = spaces.piola(cells, reference_fields(fa.l[cells] - fb.l[cells],
+                                                  ref.g))
+        dl2 += float(np.einsum("eqrc,eqrc,eq->", dl, dl, w))
+        du = spaces.piola(cells, reference_fields(fa.u[cells] - fb.u[cells],
+                                                  ref.v))
+        du2 += float(np.einsum("eqr,eqr,eq->", du, du, w))
+        dp = (fa.p[cells] - fb.p[cells]) @ ref.q_vals
         dp2 += float(np.einsum("eq,eq,eq->", dp, dp, w))
     mesh = spaces.mesh
     dt = (fa.uhat_t - fb.uhat_t).reshape(len(mesh.interior_facets),
@@ -633,13 +642,11 @@ def compare_fields(spaces, fa, fb):
 def mass_balance_residual(spaces, fields, g_func):
     """Max cell residual of the divergence moments against the source.
 
-    The divergence moments (q_i, div v_m) = sum_q w qhat_i divhat vhat_m
-    take no geometry; the source moments are taken on the fine rule.
+    The divergence moments (q_i, div v_m) take no geometry
+    (`ReferenceTab.bdiv`); the source moments are taken on the fine rule.
     """
     fam = spaces.family
-    ref = fam.reference_tab(spaces.assembly_degree)
-    bdiv = np.einsum("iq,mq,q->mi", ref.q_vals, ref.v_div, quadrature(
-        fam.ref_cell.name, spaces.assembly_degree).weights)
+    bdiv = spaces.tab().bdiv
     q_vals = fam.reference_tab(spaces.fine_degree).q_vals
     w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
     worst = 0.0
@@ -652,24 +659,27 @@ def mass_balance_residual(spaces, fields, g_func):
 
 
 def pressure_integral(spaces, fields):
-    tabs = spaces.tab()
-    qint = tabs.wdet @ tabs.q_vals.T
-    return float(np.einsum("ci,ci->", fields.p, qint[spaces.cell_class]))
+    """Integral of the pressure: each cell's det times the reference
+    integrals of the pressure basis."""
+    return float(spaces.dets @ (fields.p @ spaces.tab().qint))
 
 
 def evaluate_fields(spaces, fields, points):
-    """Point values of velocity, pressure, gradient, postprocessed velocity."""
+    """Point values of velocity, pressure, gradient, postprocessed velocity.
+
+    Each field is combined from the coefficients and the basis values at
+    the pulled-back points, then pushed forward (`Spaces.piola`).
+    """
     fam = spaces.family
     pts = np.atleast_2d(np.asarray(points, float))
     cells = locate_cell(spaces.mesh, pts)
     ref = np.einsum("pij,pj->pi", spaces.inverse_jacobians[cells],
                     pts - spaces.offsets[cells])
-    jac, det = spaces.jacobians[cells], spaces.dets[cells, None, None]
-    vv = np.einsum("prc,ncp->pnr", jac, fam.v.tabulate(ref)) / det
-    gv = np.einsum("prc,ncp->pnr", jac, fam.g_row.tabulate(ref)) / det
-    return {"u": np.einsum("pm,pmr->pr", fields.u[cells], vv),
+    u = np.einsum("pm,mrp->pr", fields.u[cells], fam.v.tabulate(ref))
+    l = np.einsum("pra,acp->prc", fields.l[cells], fam.g_row.tabulate(ref))
+    return {"u": spaces.piola(cells, u),
             "p": np.einsum("pi,ip->p", fields.p[cells], fam.q.tabulate(ref)),
-            "l": np.einsum("pra,pac->prc", fields.l[cells], gv),
+            "l": spaces.piola(cells, l),
             "ustar": np.einsum("pri,ip->pr", fields.ustar[cells],
                                fam.post.tabulate(ref))}
 

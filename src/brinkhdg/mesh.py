@@ -63,32 +63,29 @@ class Mesh:
 
     def _build_facets(self):
         nc, npc = self.cells.shape
-        edge_ids = {}
-        fverts = []
-        fcells = []
-        cell_facets = np.empty((nc, npc), dtype=int)
-        for c in range(nc):
-            loop = self.cells[c]
-            for le in range(npc):
-                a, b = int(loop[le]), int(loop[(le + 1) % npc])
-                key = (a, b) if a < b else (b, a)
-                fid = edge_ids.get(key)
-                if fid is None:
-                    fid = len(fverts)
-                    edge_ids[key] = fid
-                    fverts.append(key)
-                    fcells.append([c, -1])
-                else:
-                    if fcells[fid][1] != -1:
-                        raise ValueError("facet shared by more than two cells")
-                    fcells[fid][1] = c
-                cell_facets[c, le] = fid
-        self.cell_facets = cell_facets
-        self.facet_vertices = np.array(fverts, dtype=int)
-        fcells = np.array(fcells, dtype=int)
-        # owner = lower incident cell index
-        swap = (fcells[:, 1] != -1) & (fcells[:, 1] < fcells[:, 0])
-        fcells[swap] = fcells[swap][:, ::-1]
+        # edge e of cell c is entry c * npc + e; a facet is keyed by its
+        # vertex pair (lower, higher) and numbered by first appearance
+        ends = np.stack([self.cells, np.roll(self.cells, -1, axis=1)])
+        lo, hi = ends.min(axis=0).ravel(), ends.max(axis=0).ravel()
+        keys = lo.astype(np.int64) * len(self.vertices) + hi
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        if (counts > 2).any():
+            raise ValueError("facet shared by more than two cells")
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        fid = rank[inverse.ravel()]
+        self.cell_facets = fid.reshape(nc, npc)
+        self.facet_vertices = np.column_stack([lo[first], hi[first]])
+        # owner: the cell of the first appearance, which is the lower one;
+        # neighbor: the cell of the second appearance, if any
+        fcells = np.column_stack([first // npc, np.full(len(first), -1)])
+        shared = counts == 2
+        second = np.argsort(fid, kind="stable")[
+            (np.cumsum(counts) - counts)[shared] + 1]
+        fcells[shared, 1] = second // npc
         self.facet_cells = fcells
 
         p0 = self.vertices[self.facet_vertices[:, 0]]
@@ -111,11 +108,11 @@ class Mesh:
 
         owner_of = fcells[:, 0]
         self.cell_facet_signs = np.where(
-            owner_of[cell_facets] == np.arange(nc)[:, None], 1, -1
+            owner_of[self.cell_facets] == np.arange(nc)[:, None], 1, -1
         ).astype(np.int8)
         self.interior_facets = np.nonzero(fcells[:, 1] != -1)[0]
         self.boundary_facets = np.nonzero(fcells[:, 1] == -1)[0]
-        interior_index = np.full(len(fverts), -1, dtype=int)
+        interior_index = np.full(len(fcells), -1, dtype=int)
         interior_index[self.interior_facets] = np.arange(len(self.interior_facets))
         self.interior_index = interior_index
 
@@ -188,19 +185,16 @@ def build_structured_mesh(n, cell_kind=QUAD):
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            if cell_kind == QUAD:
-                cells.append((v00, v10, v11, v01))
-            else:
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    if cell_kind == QUAD:
+        cells = np.column_stack([v00, v10, v11, v01])
+    else:
+        cells = np.stack([np.column_stack([v00, v10, v11]),
+                          np.column_stack([v00, v11, v01])],
+                         axis=1).reshape(-1, 3)
     return Mesh(vertices, cells, cell_kind)
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from brinkhdg import fespace
 from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
-                              nodal_dof_matrices, normal_trace_jumps)
+                              nodal_dof_matrices, normal_trace_jumps,
+                              reference_fields)
 from brinkhdg.forms import project_grad, project_velocity_div
 from brinkhdg.linalg import SingularMatrixError
-from affine_maps import affine_map, local_facet
+from affine_maps import affine_map, local_facet, pull_back_tab
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
                            perturbed_triangles)
 from brinkhdg.refelem import quadrature
@@ -109,14 +110,13 @@ def test_piola_divergence_theorem():
     # int_K div v = sum_F int_F v . n_out for every mapped velocity function
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(3, kind), 2)
-        tabs = spaces.tab()
         for c in (0, 4):
-            cls = spaces.cell_class[c]
-            vol = np.einsum("mq,q->m", tabs.v_div[cls], tabs.wdet[cls])
+            cell, facets = pull_back_tab(spaces, c, spaces.assembly_degree)
+            vol = np.einsum("mq,q->m", cell["v_div"], cell["wdet"])
             surf = np.zeros_like(vol)
-            for lf in range(spaces.family.n_cell_facets):
-                surf += np.einsum("mcq,c,q->m", tabs.facet_v[cls, lf],
-                                  tabs.outward[cls, lf], tabs.w[cls, lf])
+            for fac in facets:
+                surf += np.einsum("mcq,c,q->m", fac["facet_v"],
+                                  fac["sign"] * fac["normal"], fac["w"])
             assert np.abs(vol - surf).max() < 1e-12
 
 
@@ -125,33 +125,31 @@ def test_piola_divergence_scaling():
     # finite differences of the mapped values
     spaces = Spaces(build_structured_mesh(2, TRIANGLE), 1)
     c = 0
-    tabs = spaces.tab()
-    cls = spaces.cell_class[c]
+    v_div = pull_back_tab(spaces, c, spaces.assembly_degree)[0]["v_div"]
     amap = affine_map(spaces.mesh, c)
-    x = spaces.vol_points(c, tabs.degree)
+    x = spaces.vol_points(c, spaces.assembly_degree)
     h = 1e-6
     fam = spaces.family
-    fd = np.zeros_like(tabs.v_div[cls])
+    fd = np.zeros_like(v_div)
     for d in range(2):
         dx = np.zeros(2)
         dx[d] = h
         plus = piola_values(amap, fam.v, amap.pull_back(x + dx))
         minus = piola_values(amap, fam.v, amap.pull_back(x - dx))
         fd += (plus[:, d] - minus[:, d]) / (2 * h)
-    assert np.abs(tabs.v_div[cls] - fd).max() < 1e-5
+    assert np.abs(v_div - fd).max() < 1e-5
 
 
 def test_scalar_map_gradient_chain_rule():
     spaces = Spaces(build_structured_mesh(3, TRIANGLE), 2)
-    tabs = spaces.tab()
-    cls = spaces.cell_class[1]
     # numeric check of grad q = J^{-T} grad-hat q-hat at the volume points
     fam = spaces.family
-    ghat = fam.q.tabulate_grad(tabs.ref_points)
-    expect = np.einsum("ba,nbq->naq", tabs.inverse_jacobian[cls], ghat)
-    # the stack stores exactly this; verify against finite differences in x
+    rule = quadrature(fam.ref_cell.name, spaces.assembly_degree)
+    ghat = fam.q.tabulate_grad(rule.points)
+    expect = np.einsum("ba,nbq->naq", spaces.inverse_jacobians[1], ghat)
+    # verify against finite differences in x
     amap = affine_map(spaces.mesh, 1)
-    x = spaces.vol_points(1, tabs.degree)
+    x = spaces.vol_points(1, spaces.assembly_degree)
     h = 1e-6
     for d in range(2):
         dx = np.zeros(2)
@@ -165,19 +163,21 @@ def test_facet_tabulation_consistent_with_volume_basis():
     # facet point values are the same Piola functions sampled on the edge
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
     c = 3
-    tabs = spaces.tab()
-    cls = spaces.cell_class[c]
+    fam = spaces.family
     amap = affine_map(spaces.mesh, c)
-    xf = spaces.facet_points(c, tabs.degree)
-    for lf in range(spaces.family.n_cell_facets):
-        vals = piola_values(amap, spaces.family.v, amap.pull_back(xf[lf]))
-        assert np.abs(vals - tabs.facet_v[cls, lf]).max() < 1e-12
+    xf = spaces.facet_points(c, spaces.assembly_degree)
+    # the basis as fields of identity coefficients: (1, f, qf, n_v, 2)
+    basis = spaces.piola([c], spaces.facet_fields(
+        [c], np.eye(fam.n_v)[None], spaces.tab().facet_v))
+    for lf in range(fam.n_cell_facets):
+        vals = piola_values(amap, fam.v, amap.pull_back(xf[lf]))
+        assert np.abs(vals - np.moveaxis(basis[0, lf], 0, -1)).max() < 1e-12
 
 
 def test_nodal_transform_inverts_dof_matrix():
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(2, kind), 2)
-        dof_matrices = nodal_dof_matrices(spaces.tab())
+        dof_matrices = nodal_dof_matrices(spaces, spaces.class_rep)
         trans = spaces.class_nodal_transforms()
         for c in range(spaces.mesh.num_cells):
             b = dof_matrices[spaces.cell_class[c]]
@@ -189,8 +189,8 @@ def test_singular_nodal_dof_matrix_names_its_cell(monkeypatch):
     spaces = Spaces(perturbed_triangles(3, 0.2, seed=7), 1)
     inner = fespace.nodal_dof_matrices
 
-    def second_singular(tabs):
-        b = inner(tabs)
+    def second_singular(spaces, cells):
+        b = inner(spaces, cells)
         b[1, -1] = b[1, 0]
         return b
 
@@ -239,12 +239,13 @@ def test_geometry_classes_small_on_structured_meshes():
         for n in (3, 5):
             spaces = Spaces(build_structured_mesh(n, kind), 1)
             assert len(spaces.class_rep) <= 8
-            # one stack, at the assembly degree, made once, with one entry
-            # per class
+            # the reference tabulation at the assembly degree, made once;
+            # one nodal transform per class
             tabs = spaces.tab()
             assert spaces.tab() is tabs
-            assert tabs.degree == spaces.assembly_degree
-            assert tabs.v.shape[0] == len(spaces.class_rep)
+            assert tabs is spaces.family.reference_tab(spaces.assembly_degree)
+            assert (spaces.class_nodal_transforms().shape[0]
+                    == len(spaces.class_rep))
             with pytest.raises(TypeError):
                 spaces.tab(0)
 
@@ -262,24 +263,24 @@ def test_quadrature_degree_floors():
 def test_vol_points_match_affine_map():
     spaces = Spaces(build_structured_mesh(3, TRIANGLE), 1)
     c = 7
-    tabs = spaces.tab()
-    x = spaces.vol_points(c, tabs.degree)
-    assert np.allclose(x, affine_map(spaces.mesh, c).apply(tabs.ref_points))
+    x = spaces.vol_points(c, spaces.assembly_degree)
+    rule = quadrature(spaces.family.ref_cell.name, spaces.assembly_degree)
+    assert np.allclose(x, affine_map(spaces.mesh, c).apply(rule.points))
 
 
 def test_facet_points_run_p0_to_p1():
     mesh = build_structured_mesh(2, QUAD)
     spaces = Spaces(mesh, 1)
     c = 0
-    tabs = spaces.tab()
-    cls = spaces.cell_class[c]
-    xf = spaces.facet_points(c, tabs.degree)
+    seg = quadrature("segment", spaces.assembly_degree)
+    xf = spaces.facet_points(c, spaces.assembly_degree)
     for lf in range(spaces.family.n_cell_facets):
         f = mesh.cell_facets[c, lf]
         p0, p1 = mesh.vertices[mesh.facet_vertices[f]]
-        expect = p0 + tabs.s[:, None] * (p1 - p0)
+        expect = p0 + seg.points[:, :1] * (p1 - p0)
         assert np.allclose(xf[lf], expect)
-        assert np.allclose(tabs.w[cls, lf].sum(), tabs.h[cls, lf])
+        h = mesh.facet_lengths[f]
+        assert np.allclose((seg.weights * h).sum(), h)
 
 
 def test_class_cells_partition_cells(monkeypatch):
@@ -344,67 +345,6 @@ def test_local_facet_lookup():
         local_facet(mesh, 0, 9999)
 
 
-def pull_back_tab(spaces, c, degree):
-    """Expected tabulation of cell c, every basis evaluated directly at
-    the pulled-back physical points: {stack field: array} for the cell and
-    a list of such dicts for its facets."""
-    fam = spaces.family
-    am = affine_map(spaces.mesh, c)
-    mesh = spaces.mesh
-
-    def piola(vhat):
-        return np.einsum("rc,ncq->nrq", am.jacobian, vhat) / am.det
-
-    vol = quadrature(fam.ref_cell.name, degree)
-    pts = vol.points
-    cell = {
-        "jacobian": am.jacobian,
-        "inverse_jacobian": am.inverse_jacobian,
-        "ref_points": pts,
-        "wdet": vol.weights * am.det,
-        "g": piola(fam.g_row.tabulate(pts)),
-        "g_div": fam.g_row.tabulate_div(pts) / am.det,
-        "v": piola(fam.v.tabulate(pts)),
-        "v_grad": np.einsum("ab,nbcq,cd->nadq", am.jacobian,
-                            fam.v.tabulate_grad(pts),
-                            am.inverse_jacobian) / am.det,
-        "v_div": fam.v.tabulate_div(pts) / am.det,
-        "q_vals": fam.q.tabulate(pts),
-        "post": fam.post.tabulate(pts),
-        "post_grad": np.einsum("ba,nbq->naq", am.inverse_jacobian,
-                               fam.post.tabulate_grad(pts)),
-        "int_div": fam.div_span @ fam.g_row.tabulate_div(pts),
-    }
-    seg = quadrature("segment", degree)
-    s = seg.points[:, 0]
-    facets = []
-    for lf in range(fam.n_cell_facets):
-        f = mesh.cell_facets[c, lf]
-        p0, p1 = mesh.vertices[mesh.facet_vertices[f]]
-        xref = am.pull_back(p0 + s[:, None] * (p1 - p0))
-        facets.append({
-            "facet_g": piola(fam.g_row.tabulate(xref)),
-            "facet_v": piola(fam.v.tabulate(xref)),
-            "facet_q": fam.q.tabulate(xref),
-            "phi": fam.seg.tabulate(s),
-            "w": seg.weights * mesh.facet_lengths[f],
-            "s": s,
-        })
-    return cell, facets
-
-
-# ClassTabs fields of the reference rules, which carry no class axis
-SHARED_TAB_FIELDS = {"ref_points", "q_vals", "post", "int_div", "s", "phi"}
-
-
-def stack_entry(tabs, name, cls, lf=None):
-    """Field name of class cls (and local facet lf) of a ClassTabs stack."""
-    arr = getattr(tabs, name)
-    if name in SHARED_TAB_FIELDS:
-        return arr
-    return arr[cls] if lf is None else arr[cls, lf]
-
-
 def assert_close(got, want, what):
     scale = max(1.0, float(np.abs(want).max(initial=0.0)))
     assert got.shape == want.shape, what
@@ -412,7 +352,7 @@ def assert_close(got, want, what):
 
 
 def test_reference_tabulation_matches_pull_back():
-    # the cached reference values pushed forward per class equal a direct
+    # the cached reference values pushed forward per cell equal a direct
     # tabulation at pulled-back points, on facets run either way, at the
     # assembly degree and at the fine one
     meshes = [perturbed_triangles(3, 0.2, seed=7),
@@ -420,22 +360,42 @@ def test_reference_tabulation_matches_pull_back():
     for mesh in meshes:
         for k in (1, 2):
             spaces = Spaces(mesh, k)
-            fine = Spaces(mesh, k, assembly_degree=spaces.fine_degree)
+            fam = spaces.family
             directions = set()
-            for cls, rep in enumerate(spaces.class_rep):
+            for rep in spaces.class_rep:
                 loop = mesh.cells[rep]
                 directions |= {bool(loop[a] > loop[b])
-                               for a, b in spaces.family.ref_cell.facets}
-                for tabs in (spaces.tab(), fine.tab()):
-                    cell, facets = pull_back_tab(spaces, rep, tabs.degree)
-                    for name, want in cell.items():
-                        assert_close(stack_entry(tabs, name, cls), want,
-                                     (mesh.cell_kind, k, rep, name))
-                    for lf, expected in enumerate(facets):
-                        for name, want in expected.items():
-                            assert_close(stack_entry(tabs, name, cls, lf),
-                                         want,
-                                         (mesh.cell_kind, k, rep, lf, name))
+                               for a, b in fam.ref_cell.facets}
+                cells = np.array([rep])
+                for degree in (spaces.assembly_degree, spaces.fine_degree):
+                    ref = fam.reference_tab(degree)
+                    cell, facets = pull_back_tab(spaces, rep, degree)
+
+                    def pushed(basis):
+                        # the basis as fields of identity coefficients,
+                        # pushed forward; (n, 2, q) like pull_back_tab's
+                        n = len(basis)
+                        vals = spaces.piola(cells, reference_fields(
+                            np.eye(n)[None], basis))
+                        return np.moveaxis(vals[0], 0, -1)
+
+                    got = {"g": pushed(ref.g), "v": pushed(ref.v),
+                           "q_vals": ref.q_vals, "post": ref.post,
+                           "int_div": ref.int_div}
+                    for name, val in got.items():
+                        assert_close(val, cell[name],
+                                     (mesh.cell_kind, k, rep, degree, name))
+                    for name, basis in (("facet_g", ref.facet_g),
+                                        ("facet_v", ref.facet_v)):
+                        n = basis.shape[2]
+                        vals = spaces.piola(cells, spaces.facet_fields(
+                            cells, np.eye(n)[None], basis))[0]
+                        for lf, fac in enumerate(facets):
+                            assert_close(np.moveaxis(vals[lf], 0, -1),
+                                         fac[name], (mesh.cell_kind, k, rep,
+                                                     degree, lf, name))
+                    for fac in facets:
+                        assert_close(ref.phi, fac["phi"], (rep, "phi"))
             assert directions == {False, True}
 
 

@@ -4,22 +4,61 @@ import numpy as np
 import pytest
 
 from brinkhdg import forms
-from brinkhdg.fespace import Spaces
-from brinkhdg.forms import (as_gamma_matrix, class_element_blocks,
-                            element_blocks, postprocess_factor,
-                            postprocess_velocity, project_facet_tangent,
-                            project_grad, project_pressure,
-                            project_velocity_div)
-from affine_maps import affine_map
-from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
+from brinkhdg.fespace import Spaces, nodal_dof_matrices
+from brinkhdg.forms import (as_gamma_matrix, element_blocks,
+                            postprocess_factor, postprocess_velocity,
+                            project_facet_tangent, project_grad,
+                            project_pressure, project_velocity_div)
+from affine_maps import (affine_map, pull_back_tab, pushed_blocks,
+                         pushed_nodal_dof_matrix)
+from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
                            perturbed_triangles)
 from brinkhdg.refelem import make_basis, quadrature
 
 
 def make_blocks(kind, k, n=2, nu=1.0, gamma=1.0, c=0):
-    """Spaces and the element blocks of the class of cell c, a one-class stack."""
+    """Spaces and the element blocks of cell c, a one-cell stack."""
     spaces = Spaces(build_structured_mesh(n, kind), k)
-    return spaces, element_blocks(spaces.tabulate([c]), nu, gamma)
+    return spaces, element_blocks(spaces, [c], nu, gamma)
+
+
+def sheared_quads(n, seed):
+    """n-by-n parallelograms of a sheared unit square, with the vertices
+    renumbered at random and each cell's loop started at a random vertex,
+    so that stored facets run both ways against the reference facets."""
+    base = build_structured_mesh(n, QUAD)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(base.num_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices @ np.array([[1.0, 0.0], [0.35, 0.8]])
+    cells = np.array([np.roll(loop, -shift) for loop, shift in zip(
+        perm[base.cells], rng.integers(0, 4, base.num_cells))])
+    return Mesh(vertices, cells, QUAD)
+
+
+def test_blocks_match_pushed_basis_reference():
+    # every cell's blocks and nodal dof matrix equal those integrated from
+    # bases evaluated at its pulled-back points, on facets run either way
+    nu, gamma = 0.5, np.array([[2.0, 0.3], [0.3, 1.0]])
+    cases = [(sheared_quads(3, 1), k) for k in (0, 1, 2, 3)]
+    cases += [(perturbed_triangles(3, 0.2, seed=7), k) for k in (1, 2, 3)]
+    for mesh, k in cases:
+        spaces = Spaces(mesh, k)
+        cells = np.arange(mesh.num_cells)
+        blocks = element_blocks(spaces, cells, nu, gamma)
+        dof = nodal_dof_matrices(spaces, cells)
+        assert np.unique(spaces._facet_directions(cells)).tolist() == [0, 1]
+        for c in cells:
+            for name, want in pushed_blocks(spaces, c, nu, gamma).items():
+                got = np.asarray(getattr(blocks, name))
+                if name not in ("nu", "gamma"):
+                    got = got[c]
+                assert got.shape == np.shape(want), (k, c, name)
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-13 * scale, (k, c, name)
+            want = pushed_nodal_dof_matrix(spaces, c)
+            scale = np.abs(want).max()
+            assert np.abs(dof[c] - want).max() <= 1e-13 * scale, (k, c)
 
 
 def test_gamma_normalization():
@@ -43,10 +82,8 @@ def test_gradient_row_mass_matrix():
     assert np.abs(blocks.mg[0] - np.eye(spaces.family.n_g)).max() < 1e-12
 
     spaces, blocks = make_blocks(TRIANGLE, 1, n=2)
-    tabs = spaces.tab()
-    cls = spaces.cell_class[0]
-    jac = tabs.jacobian[cls]
-    weight = jac.T @ jac / tabs.det[cls]
+    jac = spaces.jacobians[0]
+    weight = jac.T @ jac / spaces.dets[0]
     ref = make_basis("Pvec", 1)
     rule = quadrature("simplex", 6)
     vals = ref.tabulate(rule.points)
@@ -91,16 +128,14 @@ def test_facet_sum_consistency():
     # tg aggregates the per-facet (g n)(v)_r couplings; rebuild it from the
     # tangential/normal decomposition v = (v.t) t + (v.n) n
     spaces, blocks = make_blocks(TRIANGLE, 1)
-    tabs = spaces.tab()
-    cls = spaces.cell_class[0]
+    _, facets = pull_back_tab(spaces, 0, spaces.assembly_degree)
     rebuilt = np.zeros_like(blocks.tg[0])
-    for lf in range(spaces.family.n_cell_facets):
-        gn = np.einsum("acq,c->aq", tabs.facet_g[cls, lf],
-                       tabs.outward[cls, lf])
+    for fac in facets:
+        gn = np.einsum("acq,c->aq", fac["facet_g"],
+                       fac["sign"] * fac["normal"])
         for r in range(2):
             rebuilt[r] += np.einsum("aq,mq,q->am", gn,
-                                    tabs.facet_v[cls, lf, :, r],
-                                    tabs.w[cls, lf])
+                                    fac["facet_v"][:, r], fac["w"])
     assert np.abs(rebuilt - blocks.tg[0]).max() < 1e-12
 
 
@@ -168,11 +203,9 @@ def test_project_velocity_reproduces_polynomials():
 
             c = 2
             coef = project_velocity_div(spaces, c, poly)
-            tabs = Spaces(spaces.mesh, k,
-                          assembly_degree=spaces.fine_degree).tab()
-            cls = spaces.cell_class[c]
+            v = pull_back_tab(spaces, c, spaces.fine_degree)[0]["v"]
             x = spaces.vol_points(c)
-            recon = np.einsum("m,mrq->qr", coef, tabs.v[cls])
+            recon = np.einsum("m,mrq->qr", coef, v)
             assert np.abs(recon - poly(x)).max() < 1e-10
 
 
@@ -187,15 +220,14 @@ def test_interpolant_commutes_with_divergence():
 
     for kind in (QUAD, TRIANGLE):
         spaces = Spaces(build_structured_mesh(2, kind), 1)
-        tabs = Spaces(spaces.mesh, 1, assembly_degree=spaces.fine_degree).tab()
         for c in (0, 3):
             coef = project_velocity_div(spaces, c, func)
-            cls = spaces.cell_class[c]
+            cell = pull_back_tab(spaces, c, spaces.fine_degree)[0]
             x = spaces.vol_points(c)
-            w = tabs.wdet[cls]
-            div_interp = np.einsum("m,mq->q", coef, tabs.v_div[cls])
-            lhs = np.einsum("q,iq,q->i", div_interp, tabs.q_vals, w)
-            rhs = np.einsum("q,iq,q->i", dfunc(x), tabs.q_vals, w)
+            w = cell["wdet"]
+            div_interp = np.einsum("m,mq->q", coef, cell["v_div"])
+            lhs = np.einsum("q,iq,q->i", div_interp, cell["q_vals"], w)
+            rhs = np.einsum("q,iq,q->i", dfunc(x), cell["q_vals"], w)
             assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -224,7 +256,7 @@ def test_projections_of_a_cell_array_match_per_cell():
         u_all = project_velocity_div(spaces, cells, field)
         l_all = project_grad(spaces, cells, grad_field)
         p_all = project_pressure(spaces, cells, field_x)
-        blocks = class_element_blocks(spaces, 1.0, 1.0)
+        blocks = element_blocks(spaces, spaces.class_rep, 1.0, 1.0)
         factor = postprocess_factor(blocks)
         s_all = postprocess_velocity(blocks, factor, spaces.cell_class[cells],
                                      l_all, u_all)
@@ -287,7 +319,7 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
         for k in (1, 2):
             spaces = Spaces(build_structured_mesh(2, kind), k)
             c = 1
-            blocks = element_blocks(spaces.tabulate([c]), 1.0, 1.0)
+            blocks = element_blocks(spaces, [c], 1.0, 1.0)
 
             def target(x):
                 u = x[:, 0] ** (k + 1) - 2.0 * x[:, 1] + 1.0
@@ -315,7 +347,7 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
 
 def test_postprocessing_mean_matches_velocity_mean():
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
-    blocks = element_blocks(spaces.tabulate([0]), 1.0, 1.0)
+    blocks = element_blocks(spaces, [0], 1.0, 1.0)
     rng = np.random.default_rng(5)
     l_coef = rng.standard_normal((2, spaces.family.n_g))
     u_coef = rng.standard_normal(spaces.family.n_v)
@@ -332,14 +364,14 @@ def test_class_blocks_check_gamma_once(monkeypatch):
     calls = []
     monkeypatch.setattr(forms, "as_gamma_matrix",
                         lambda g: calls.append(g) or as_gamma_matrix(g))
-    blocks = class_element_blocks(spaces, 1.0, 2.0)
+    blocks = element_blocks(spaces, spaces.class_rep, 1.0, 2.0)
     assert len(calls) == 1
     assert blocks.mgam.shape[0] == len(spaces.class_rep)
     for cls, rep in enumerate(spaces.class_rep):
-        want = element_blocks(spaces.tabulate([rep]), 1.0, 2.0)
+        want = element_blocks(spaces, [rep], 1.0, 2.0)
         assert np.array_equal(blocks.mgam[cls], want.mgam[0])
     for gamma, message in ((np.array([[1.0, 0.3], [0.0, 1.0]]), "symmetric"),
                            (np.array([[-1.0, 0.0], [0.0, 1.0]]), "semidefinite"),
                            (np.ones(3), "scalar or a 2x2")):
         with pytest.raises(ValueError, match=message):
-            class_element_blocks(spaces, 1.0, gamma)
+            element_blocks(spaces, spaces.class_rep, 1.0, gamma)

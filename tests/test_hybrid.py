@@ -8,16 +8,16 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from affine_maps import local_facet
+from affine_maps import holed_quads, local_facet, pull_back_tab
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
-from brinkhdg.forms import class_element_blocks, element_blocks
+from brinkhdg.forms import element_blocks
 from brinkhdg.hybrid import (SolutionFields, build_local_solvers,
                              compare_fields, evaluate_fields,
                              mass_balance_residual, pressure_integral,
                              solve_direct, solve_hybrid, write_solution_text)
 from brinkhdg.linalg import DenseFactor, SingularMatrixError, SparseFactor
-from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
+from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
                            perturbed_triangles)
 from brinkhdg.verify import data_quadrature_degree, error_norms, make_case
 
@@ -55,11 +55,6 @@ def test_local_solver_counts_match_classes():
         assert arr.shape[0] == n_cls
 
 
-# ClassTabs fields of the reference rules, which carry no class axis
-SHARED_TAB_FIELDS = {"degree", "ref_points", "q_vals", "post", "int_div",
-                     "s", "phi"}
-
-
 def assert_slice_matches(got, want, what):
     """got equals want to 1e-14 relative to the largest entry of want."""
     got, want = np.asarray(got), np.asarray(want)
@@ -79,36 +74,26 @@ def test_class_stack_slices_match_one_class_stacks():
         fam = spaces.family
         n_cls = len(spaces.class_rep)
         assert n_cls == (2 if mesh.num_cells == 2 else mesh.num_cells)
-        blocks = class_element_blocks(spaces, nu, gamma)
+        blocks = element_blocks(spaces, spaces.class_rep, nu, gamma)
         solvers = build_local_solvers(spaces, nu, gamma)
         trans = spaces.class_nodal_transforms()
         direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
             blocks, trans, fam), fam.n_g, blocks.cells)
-        fine = Spaces(mesh, k, assembly_degree=spaces.fine_degree)
         for cls, rep in enumerate(spaces.class_rep):
             what = (mesh.num_cells, k, cls)
-            for stacked in (spaces, fine):
-                tabs, one = stacked.tab(), stacked.tabulate([rep])
-                for field in dataclass_fields(tabs):
-                    got = getattr(tabs, field.name)
-                    want = getattr(one, field.name)
-                    if field.name in SHARED_TAB_FIELDS:
-                        assert np.array_equal(got, want), (what, field.name)
-                    else:
-                        assert got.shape[0] == n_cls
-                        assert_slice_matches(got[cls], want[0],
-                                             (what, tabs.degree, field.name))
-            one_blocks = element_blocks(spaces.tabulate([rep]), nu, gamma)
+            one_blocks = element_blocks(spaces, [rep], nu, gamma)
             for field in dataclass_fields(blocks):
                 if field.name not in ("nu", "gamma"):
-                    assert_slice_matches(getattr(blocks, field.name)[cls],
+                    got = getattr(blocks, field.name)
+                    assert got.shape[0] == n_cls
+                    assert_slice_matches(got[cls],
                                          getattr(one_blocks, field.name)[0],
                                          (what, field.name))
             one_solver = hybrid.LocalSolver(one_blocks, fam)
             for name in ("lift", "zlift", "energy"):
                 assert_slice_matches(getattr(solvers, name)[cls],
                                      getattr(one_solver, name)[0], (what, name))
-            one_trans = fespace.nodal_transforms(spaces.tabulate([rep]))
+            one_trans = fespace.nodal_transforms(spaces, [rep])
             assert_slice_matches(trans[cls], one_trans[0], (what, "nodal"))
             one_direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
                 one_blocks, one_trans, fam), fam.n_g, one_blocks.cells)
@@ -181,9 +166,8 @@ def test_hybrid_matches_direct_on_perturbed_mesh():
     spaces = Spaces(perturbed_triangles(4, 0.2, seed=2016), 1,
                     fine_degree=data_quadrature_degree(case, 1, 4))
     assert len(spaces.class_rep) == spaces.mesh.num_cells
-    tabs = spaces.tab()
-    areas = np.array([tabs.wdet[spaces.cell_class[c]].sum()
-                      for c in range(spaces.mesh.num_cells)])
+    areas = np.array([pull_back_tab(spaces, c, spaces.assembly_degree)[0][
+        "wdet"].sum() for c in range(spaces.mesh.num_cells)])
     assert np.ptp(areas) > 0.1 * areas.mean()
     fields = solve_hybrid(spaces, case.nu, case.gamma,
                           case.body_force, case.mass_source)
@@ -192,17 +176,6 @@ def test_hybrid_matches_direct_on_perturbed_mesh():
     diffs = compare_fields(spaces, fields, direct)
     assert max(diffs.values()) <= 1e-9, diffs
     assert abs(pressure_integral(spaces, fields)) <= 1e-10
-
-
-def holed_quads(n, holes):
-    """n-by-n quads of the unit square without the cells (i, j) in holes;
-    vertices that no cell uses are dropped."""
-    mesh = build_structured_mesh(n, QUAD)
-    drop = np.zeros(mesh.num_cells, dtype=bool)
-    for i, j in holes:
-        drop[j * n + i] = True
-    used, cells = np.unique(mesh.cells[~drop], return_inverse=True)
-    return Mesh(mesh.vertices[used], cells.reshape(-1, 4), QUAD)
 
 
 def test_stream_function_spans_kernel_of_mass_balances():
@@ -361,7 +334,7 @@ def test_direct_eliminates_gradient_rows(monkeypatch):
 
     trace_dofs = spaces.dofmap("Mt0").facet_dofs[mesh.cell_facets]
     uhat_pad = np.append(fields.uhat_t, 0.0)
-    blocks = class_element_blocks(spaces, case.nu, case.gamma)
+    blocks = element_blocks(spaces, spaces.class_rep, case.nu, case.gamma)
     class_trans = spaces.class_nodal_transforms()
     mats, _ = hybrid._direct_cell_matrix(blocks, class_trans, fam)
     n_l = 2 * fam.n_g
@@ -397,15 +370,14 @@ def test_direct_mean_mult_matches_hybrid():
 def compare_fields_per_cell(spaces, fa, fb):
     """The per-cell and per-facet loops compare_fields replaces."""
     dl2 = du2 = dp2 = dut2 = 0.0
-    tabs = spaces.tab()
     for c in range(spaces.mesh.num_cells):
-        cls = spaces.cell_class[c]
-        w = tabs.wdet[cls]
-        dl = np.einsum("ra,acq->rcq", fa.l[c] - fb.l[c], tabs.g[cls])
+        cell = pull_back_tab(spaces, c, spaces.assembly_degree)[0]
+        w = cell["wdet"]
+        dl = np.einsum("ra,acq->rcq", fa.l[c] - fb.l[c], cell["g"])
         dl2 += float(np.einsum("rcq,rcq,q->", dl, dl, w))
-        du = np.einsum("m,mrq->rq", fa.u[c] - fb.u[c], tabs.v[cls])
+        du = np.einsum("m,mrq->rq", fa.u[c] - fb.u[c], cell["v"])
         du2 += float(np.einsum("rq,rq,q->", du, du, w))
-        dp = np.einsum("i,iq->q", fa.p[c] - fb.p[c], tabs.q_vals)
+        dp = np.einsum("i,iq->q", fa.p[c] - fb.p[c], cell["q_vals"])
         dp2 += float(np.dot(dp ** 2, w))
     dt = fa.uhat_t - fb.uhat_t
     kk = spaces.family.n_facet
@@ -418,18 +390,18 @@ def compare_fields_per_cell(spaces, fa, fb):
 
 
 def normal_trace_jumps_per_facet(spaces, u_modal):
-    """The per-facet loop normal_trace_jumps replaces, on the class stack
-    at the fine degree."""
+    """The per-facet loop normal_trace_jumps replaces, on bases evaluated
+    at pulled-back points of the fine rule."""
     mesh = spaces.mesh
-    tabs = Spaces(mesh, spaces.k, assembly_degree=spaces.fine_degree).tab()
 
     def normal_trace(c, f):
         """u.n against the stored normal of facet f, from cell c, and the
         facet weights."""
-        cls, lf = spaces.cell_class[c], local_facet(mesh, c, f)
-        vn = np.einsum("m,mcq,c->q", u_modal[c], tabs.facet_v[cls, lf],
-                       tabs.normal[cls, lf])
-        return vn, tabs.w[cls, lf]
+        fac = pull_back_tab(spaces, c, spaces.fine_degree)[1][
+            local_facet(mesh, c, f)]
+        vn = np.einsum("m,mcq,c->q", u_modal[c], fac["facet_v"],
+                       fac["normal"])
+        return vn, fac["w"]
 
     int_max = bnd_max = 0.0
     for f in range(mesh.num_facets):
@@ -589,14 +561,13 @@ def test_normal_trace_equals_facet_unknown():
     spaces, fields = solve_case(QUAD, 2, 1, case)
     mesh = spaces.mesh
     kk = spaces.family.n_facet
-    tabs = spaces.tab()
     for f in mesh.interior_facets:
         c = int(mesh.facet_cells[f, 0])
-        cls, lf = spaces.cell_class[c], local_facet(mesh, c, f)
-        vn = np.einsum("m,mcq,c->q", fields.u[c], tabs.facet_v[cls, lf],
-                       tabs.normal[cls, lf])
-        mom = np.einsum("jq,q,q->j", tabs.phi, vn,
-                        tabs.w[cls, lf]) / tabs.h[cls, lf]
+        fac = pull_back_tab(spaces, c, spaces.assembly_degree)[1][
+            local_facet(mesh, c, f)]
+        vn = np.einsum("m,mcq,c->q", fields.u[c], fac["facet_v"],
+                       fac["normal"])
+        mom = np.einsum("jq,q,q->j", fac["phi"], vn, fac["w"]) / fac["h"]
         rank = mesh.interior_index[f]
         assert np.abs(mom - fields.uhat_n[rank * kk:(rank + 1) * kk]).max() < 1e-11
 
@@ -604,10 +575,10 @@ def test_normal_trace_equals_facet_unknown():
 def test_cell_pressure_average_consistent():
     case = make_case(1)
     spaces, fields = solve_case(QUAD, 2, 1, case)
-    tabs = spaces.tab()
     for c in range(spaces.mesh.num_cells):
-        w = tabs.wdet[spaces.cell_class[c]]
-        mean = np.einsum("i,iq,q->", fields.p[c], tabs.q_vals, w) / w.sum()
+        cell = pull_back_tab(spaces, c, spaces.assembly_degree)[0]
+        w = cell["wdet"]
+        mean = np.einsum("i,iq,q->", fields.p[c], cell["q_vals"], w) / w.sum()
         assert abs(mean - fields.pbar[c]) < 1e-12
 
 
@@ -636,7 +607,7 @@ def test_reference_table_value():
 def test_degenerate_coefficients_detected():
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
     # no viscosity, no resistance
-    blocks = element_blocks(spaces.tabulate([3]), 0.0, 0.0)
+    blocks = element_blocks(spaces, [3], 0.0, 0.0)
     from brinkhdg.hybrid import LocalSolver
     with pytest.raises(SingularMatrixError,
                        match="^local solver matrix of cell 3: "):
@@ -679,14 +650,14 @@ def test_point_evaluation_on_perturbed_mesh():
     assert np.abs(out["l"] - case.velocity_gradient(pts)).max() < 0.25
     # at the quadrature points of a cell the values are the tabulated
     # fields of that cell (measured 2.1e-15)
-    tabs = spaces.tab()
     for c in (5, 40, 101):
-        cls = spaces.cell_class[c]
-        got = evaluate_fields(spaces, fields, spaces.vol_points(c, tabs.degree))
-        want = {"u": np.einsum("m,mrq->qr", fields.u[c], tabs.v[cls]),
-                "p": fields.p[c] @ tabs.q_vals,
-                "l": np.einsum("ra,acq->qrc", fields.l[c], tabs.g[cls]),
-                "ustar": np.einsum("ri,iq->qr", fields.ustar[c], tabs.post)}
+        cell = pull_back_tab(spaces, c, spaces.assembly_degree)[0]
+        got = evaluate_fields(spaces, fields,
+                              spaces.vol_points(c, spaces.assembly_degree))
+        want = {"u": np.einsum("m,mrq->qr", fields.u[c], cell["v"]),
+                "p": fields.p[c] @ cell["q_vals"],
+                "l": np.einsum("ra,acq->qrc", fields.l[c], cell["g"]),
+                "ustar": np.einsum("ri,iq->qr", fields.ustar[c], cell["post"])}
         for key, val in want.items():
             assert np.abs(got[key] - val).max() < 1e-13, (c, key)
 

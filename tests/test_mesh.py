@@ -3,10 +3,103 @@
 import numpy as np
 import pytest
 
-from affine_maps import affine_map
+from affine_maps import affine_map, holed_quads
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
                            locate_cell, perturbed_triangles)
 from brinkhdg.refelem import REFERENCE_CELLS, SIMPLEX, SQUARE
+
+
+def facets_by_loop(vertices, cells):
+    """Facet connectivity and geometry from a walk over every cell's edge
+    loop, numbering facets by first appearance: the reference for
+    `Mesh`."""
+    nc, npc = cells.shape
+    edge_ids = {}
+    fverts, fcells = [], []
+    cell_facets = np.empty((nc, npc), dtype=int)
+    for c in range(nc):
+        for le in range(npc):
+            a, b = int(cells[c, le]), int(cells[c, (le + 1) % npc])
+            key = (a, b) if a < b else (b, a)
+            fid = edge_ids.get(key)
+            if fid is None:
+                fid = edge_ids[key] = len(fverts)
+                fverts.append(key)
+                fcells.append([c, -1])
+            else:
+                if fcells[fid][1] != -1:
+                    raise ValueError("facet shared by more than two cells")
+                fcells[fid][1] = c
+            cell_facets[c, le] = fid
+    fverts = np.array(fverts, dtype=int)
+    fcells = np.array(fcells, dtype=int)
+    swap = (fcells[:, 1] != -1) & (fcells[:, 1] < fcells[:, 0])
+    fcells[swap] = fcells[swap][:, ::-1]
+    p0, p1 = vertices[fverts[:, 0]], vertices[fverts[:, 1]]
+    d = p1 - p0
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    tangents = d / lengths[:, None]
+    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    mids = 0.5 * (p0 + p1)
+    centroid = vertices[cells[fcells[:, 0]]].mean(axis=1)
+    normals[np.einsum("fi,fi->f", normals, mids - centroid) < 0.0] *= -1.0
+    signs = np.where(fcells[:, 0][cell_facets] == np.arange(nc)[:, None],
+                     1, -1).astype(np.int8)
+    return {"cell_facets": cell_facets, "facet_vertices": fverts,
+            "facet_cells": fcells, "facet_normals": normals,
+            "facet_tangents": tangents, "facet_lengths": lengths,
+            "cell_facet_signs": signs}
+
+
+def structured_cells_by_loop(n, kind):
+    """Cells of build_structured_mesh from a loop over the squares (i, j)."""
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            v11, v01 = v10 + n + 1, v00 + n + 1
+            if kind == QUAD:
+                cells.append((v00, v10, v11, v01))
+            else:
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+    return np.array(cells)
+
+
+def test_facets_match_edge_loop_walk():
+    meshes = [build_structured_mesh(n, kind) for n in (1, 2, 5)
+              for kind in (QUAD, TRIANGLE)]
+    for mesh in meshes:
+        n = int(round(np.sqrt(mesh.num_cells // (2 if mesh.cell_kind
+                                                  == TRIANGLE else 1))))
+        want = structured_cells_by_loop(n, mesh.cell_kind)
+        assert mesh.cells.dtype == want.dtype
+        assert np.array_equal(mesh.cells, want)
+    meshes += [perturbed_triangles(6, 0.2, seed=3),
+               holed_quads(6, [(1, 1), (4, 3)])]
+    # a relabelled mesh: facets met in another order than their vertices
+    base = build_structured_mesh(4, TRIANGLE)
+    perm = np.random.default_rng(0).permutation(base.num_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    meshes.append(Mesh(vertices, perm[base.cells], TRIANGLE))
+    for mesh in meshes:
+        for name, want in facets_by_loop(mesh.vertices, mesh.cells).items():
+            got = getattr(mesh, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+
+def test_facet_of_three_cells_rejected():
+    # a fan of three triangles around the edge from vertex 0 to vertex 1
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                [0.6, 2.0]]
+    cells = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+    with pytest.raises(ValueError, match="^facet shared by more than two "
+                                         "cells$"):
+        Mesh(vertices, cells, TRIANGLE)
+    with pytest.raises(ValueError, match="^facet shared by more than two "
+                                         "cells$"):
+        facets_by_loop(np.array(vertices), np.array(cells))
 
 
 def test_structured_counts():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from affine_maps import affine_map
+from affine_maps import affine_map, pull_back_tab
 from brinkhdg import fespace
 from brinkhdg.fespace import Spaces
 from brinkhdg.forms import (element_blocks, postprocess_factor,
@@ -134,16 +134,16 @@ def projected_fields(spaces, case):
     p = np.zeros((nc, fam.n_q))
     ustar = np.zeros((nc, 2, fam.n_post))
     pbar = np.zeros(nc)
-    tabs = spaces.tab()
     for c in range(nc):
         l[c] = project_grad(spaces, c, case.velocity_gradient)
         u[c] = project_velocity_div(spaces, c, case.velocity)
         p[c] = project_pressure(spaces, c, case.pressure)
-        blocks = element_blocks(spaces.tabulate([c]), case.nu, case.gamma)
+        blocks = element_blocks(spaces, [c], case.nu, case.gamma)
         ustar[c] = postprocess_velocity(blocks, postprocess_factor(blocks), 0,
                                         l[c], u[c])
-        w = tabs.wdet[spaces.cell_class[c]]
-        pbar[c] = np.einsum("i,iq,q->", p[c], tabs.q_vals, w) / w.sum()
+        cell = pull_back_tab(spaces, c, spaces.assembly_degree)[0]
+        w = cell["wdet"]
+        pbar[c] = np.einsum("i,iq,q->", p[c], cell["q_vals"], w) / w.sum()
     nif = len(mesh.interior_facets)
     uhat_t = np.zeros(nif * kk)
     uhat_n = np.zeros(nif * kk)
@@ -188,50 +188,49 @@ def error_norms_per_cell(spaces, fields, case):
     kk = spaces.family.n_facet
     nu = case.nu
     sums = dict.fromkeys(ERROR_MEASURES, 0.0)
-    # the class stack at the fine degree, pushed forward per class
-    tabs = Spaces(mesh, k, assembly_degree=spaces.fine_degree).tab()
     for c in range(mesh.num_cells):
-        cls = spaces.cell_class[c]
+        # the bases at the pulled-back fine points
+        cell, facets = pull_back_tab(spaces, c, spaces.fine_degree)
         x = spaces.vol_points(c)
-        w = tabs.wdet[cls]
+        w = cell["wdet"]
 
-        lv = np.einsum("ra,acq->qrc", fields.l[c], tabs.g[cls])
+        lv = np.einsum("ra,acq->qrc", fields.l[c], cell["g"])
         sums["err_l"] += np.einsum("qrc,q->", (lv - case.velocity_gradient(x)) ** 2, w)
         uex = case.velocity(x)
-        uv = np.einsum("m,mrq->qr", fields.u[c], tabs.v[cls])
+        uv = np.einsum("m,mrq->qr", fields.u[c], cell["v"])
         sums["err_u"] += np.einsum("qr,q->", (uv - uex) ** 2, w)
-        pv = np.einsum("i,iq->q", fields.p[c], tabs.q_vals)
+        pv = np.einsum("i,iq->q", fields.p[c], cell["q_vals"])
         sums["err_p"] += np.dot((pv - case.pressure(x)) ** 2, w)
-        sv = np.einsum("ri,iq->qr", fields.ustar[c], tabs.post)
+        sv = np.einsum("ri,iq->qr", fields.ustar[c], cell["post"])
         sums["err_ustar"] += np.einsum("qr,q->", (sv - uex) ** 2, w)
 
         proj_u = project_velocity_div(spaces, c, case.velocity)
         ducoef = proj_u - fields.u[c]
-        duv = np.einsum("m,mrq->qr", ducoef, tabs.v[cls])
+        duv = np.einsum("m,mrq->qr", ducoef, cell["v"])
         sums["err_eu"] += np.einsum("qr,q->", duv ** 2, w)
         proj_l = project_grad(spaces, c, case.velocity_gradient)
-        dlv = np.einsum("ra,acq->qrc", proj_l - fields.l[c], tabs.g[cls])
+        dlv = np.einsum("ra,acq->qrc", proj_l - fields.l[c], cell["g"])
         sums["err_el"] += np.einsum("qrc,q->", dlv ** 2, w)
-        dgrad = np.einsum("m,mrcq->qrc", ducoef, tabs.v_grad[cls])
+        dgrad = np.einsum("m,mrcq->qrc", ducoef, cell["v_grad"])
         sums["err_h1"] += np.einsum("qrc,q->", dgrad ** 2, w)
 
         xf = spaces.facet_points(c)
-        for lf in range(spaces.family.n_cell_facets):
+        for lf, fac in enumerate(facets):
             f = int(mesh.cell_facets[c, lf])
-            fw, h = tabs.w[cls, lf], tabs.h[cls, lf]
+            fw, h = fac["w"], fac["h"]
             pcoef = project_facet_tangent(mesh, f, k, case.velocity,
                                           spaces.fine_degree)
             rank = mesh.interior_index[f]
             hcoef = (fields.uhat_t[rank * kk:(rank + 1) * kk]
                      if rank >= 0 else np.zeros(kk))
-            ehat = np.einsum("j,jq->q", pcoef - hcoef, tabs.phi)
-            eut = np.einsum("m,mcq,c->q", ducoef, tabs.facet_v[cls, lf],
-                            tabs.tangent[cls, lf])
+            ehat = np.einsum("j,jq->q", pcoef - hcoef, fac["phi"])
+            eut = np.einsum("m,mcq,c->q", ducoef, fac["facet_v"],
+                            fac["tangent"])
             sums["err_h1"] += np.dot(fw, (eut - ehat) ** 2) / h
 
             dl_f = case.velocity_gradient(xf[lf]) \
-                - np.einsum("ra,acq->qrc", proj_l, tabs.facet_g[cls, lf])
-            dln = np.einsum("qrc,c->qr", dl_f, tabs.outward[cls, lf])
+                - np.einsum("ra,acq->qrc", proj_l, fac["facet_g"])
+            dln = np.einsum("qrc,c->qr", dl_f, fac["sign"] * fac["normal"])
             sums["err_dl_facet"] += nu * h * np.einsum("qr,q->", dln ** 2, fw)
     return {key: np.sqrt(val) for key, val in sums.items()}
 
