@@ -12,17 +12,22 @@ first modes that satisfy the mass balances are a particular flux plus
 the differences of a vertex potential psi (the discrete exact sequence
 vertex potentials -> facet fluxes -> cell constants), with psi zero on
 one boundary loop and one unknown on each other loop.  So the solver
-factors an SPD system in the traces other than the first modes and psi,
-plus the cell graph matrix B1 B1^T that gives the particular flux and
-the pressure averages; both factorizations pivot on the diagonal.  One
-refinement step against the full condensed system follows.
+factors an SPD system Z^T K Z in the traces other than the first modes
+and psi, plus the cell graph matrix B1 B1^T that gives the particular
+flux and the pressure averages; both factorizations pivot on the
+diagonal.  A cell has as many vertices as facets, so Z restricted to a
+cell's traces is a square per-cell map Z_e, and the SPD matrix is
+assembled from the per-cell blocks R_e = Z_e^T E_e Z_e of the cells'
+energy blocks E_e, every entry kept, so its pattern does not depend on
+the data.  The trace energy K is never assembled: the one refinement
+step against the full condensed system applies it cell by cell.
 
 The element blocks of one cell of each geometry class are reference
 integrals times that cell's geometry (`forms.element_blocks` on
 `Spaces.class_rep`), and the local matrices of all the classes are formed
 and factored from them as one stack with a leading class axis
 (`LocalSolver`).  Every cell-local step (data moments, source solves,
-the scatter of the energy blocks, recovery and the postprocessing of u*)
+the scatter of the reduced blocks, recovery and the postprocessing of u*)
 runs on blocks of cells of any classes (`Spaces.cell_blocks`): each cell
 reads its class's entry of each stack through `Spaces.cell_class`, and
 the data moments push the fine-degree data forward per cell.
@@ -236,28 +241,18 @@ def _facet_incidence(mesh):
                          shape=(mesh.num_cells, len(mesh.interior_facets)))
 
 
-def _vertex_flux_map(mesh):
-    """C: first normal modes of the interior facets from vertex potentials.
+def _vertex_columns(mesh):
+    """The psi column of each vertex, and the number of columns.
 
-    Row r, for interior facet r, holds +-o/h at the facet's two vertices,
-    with o = 1 when the stored normal is the tangent turned clockwise and
-    -1 otherwise.  The fluxes h * (C psi) out of a cell are then the
-    differences of psi along its edge loop, which sum to zero, so
-    B C = 0.  Columns: the vertices of interior facets that lie on no
-    boundary facet, then one shared potential per boundary loop after
-    the first, whose potential is zero; the boundary normal flux is zero
-    and so psi is constant along each loop.  With these columns C is
-    injective and its range is the kernel of B: a mesh with holes has one
-    loop per hole besides the outer boundary.
+    Vertices of interior facets that lie on no boundary facet come first,
+    then one shared potential per boundary loop after the first, whose
+    potential is zero (column -1); the boundary normal flux is zero and
+    so psi is constant along each loop.
     """
     # imported here: scipy.sparse.csgraph adds about 4 ms to the import
     # of the package, which nothing else needs
     from scipy.sparse.csgraph import connected_components
 
-    fi = mesh.interior_facets
-    fv = mesh.facet_vertices[fi]
-    t, n = mesh.facet_tangents[fi], mesh.facet_normals[fi]
-    val = (t[:, 1] * n[:, 0] - t[:, 0] * n[:, 1]) / mesh.facet_lengths[fi]
     nv = mesh.num_vertices
     bv = mesh.facet_vertices[mesh.boundary_facets]
     graph = sp.csr_matrix((np.ones(len(bv)), (bv[:, 0], bv[:, 1])),
@@ -266,42 +261,144 @@ def _vertex_flux_map(mesh):
     on_boundary = np.zeros(nv, dtype=bool)
     on_boundary[bv] = True
     inner = np.zeros(nv, dtype=bool)
-    inner[fv] = True
+    inner[mesh.facet_vertices[mesh.interior_facets]] = True
     inner &= ~on_boundary
     n_inner = int(inner.sum())
     loops, loop = np.unique(label[on_boundary], return_inverse=True)
     col = np.full(nv, -1)
     col[inner] = np.arange(n_inner)
     col[on_boundary] = np.where(loop > 0, n_inner + loop - 1, -1)
+    return col, n_inner + len(loops) - 1
+
+
+def _flux_weights(mesh, facets):
+    """o/h of an index array of facets, with o = 1 when the stored normal
+    is the tangent turned clockwise and -1 otherwise."""
+    t, n = mesh.facet_tangents[facets], mesh.facet_normals[facets]
+    return ((t[..., 1] * n[..., 0] - t[..., 0] * n[..., 1])
+            / mesh.facet_lengths[facets])
+
+
+def _vertex_flux_map(mesh):
+    """C: first normal modes of the interior facets from vertex potentials.
+
+    Row r, for interior facet r, holds -o/h at the facet's lower vertex
+    and o/h at its higher one (`_flux_weights`).  The fluxes h * (C psi)
+    out of a cell are then the differences of psi along its edge loop,
+    which sum to zero, so B C = 0.  Its columns are those of
+    `_vertex_columns`.  With them C is injective and its range is the
+    kernel of B: a mesh with holes has one loop per hole besides the
+    outer boundary.
+    """
+    fi = mesh.interior_facets
+    col, n_psi = _vertex_columns(mesh)
+    val = _flux_weights(mesh, fi)
     rows = np.repeat(np.arange(len(fi)), 2)
-    cols = col[fv].ravel()
+    cols = col[mesh.facet_vertices[fi]].ravel()
     vals = np.column_stack([-val, val]).ravel()
     keep = cols >= 0
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(len(fi), n_inner + len(loops) - 1))
+                         shape=(len(fi), n_psi))
 
 
-def _solve_condensed(energy, incidence, n0, curl, rhs):
+def _reduced_columns(mesh, cols, m, n0, first):
+    """Per cell: the columns of its reduced block, and its flux map M.
+
+    cols holds each cell's global columns of the m traces
+    (`_facet_columns`), n0 the global first normal modes and first their
+    local slots, one per local facet.  The reduction replaces the first
+    modes by vertex potentials.  A cell has as many vertices as facets,
+    so its slot first[lf] stands for the potential of its vertex lf, and
+    M (nc, f, f) gives the first modes of its facets from those
+    potentials: local facet lf runs from vertex lf to vertex lf+1, and
+    its row holds C's two coefficients there (`_vertex_flux_map`); it is
+    zero on a boundary facet.  The other slots map to their rank among
+    the traces that are not first modes, and the vertex slots to that
+    count plus their psi column (`_vertex_columns`); -1 marks a slot with
+    no column.
+    """
+    free = np.ones(m, dtype=bool)
+    free[n0] = False
+    n_free = m - len(n0)
+    # the last entry is the rank of column -1
+    rank = np.full(m + 1, -1)
+    rank[np.flatnonzero(free)] = np.arange(n_free)
+    red = rank[cols]
+    vcol = _vertex_columns(mesh)[0][mesh.cells]
+    red[:, first] = np.where(vcol >= 0, n_free + vcol, -1)
+
+    facets = mesh.cell_facets
+    w = np.where(mesh.interior_index[facets] >= 0,
+                 _flux_weights(mesh, facets), 0.0)
+    # C puts -o/h at a facet's lower vertex and o/h at its higher one
+    w *= np.where(mesh.cells < np.roll(mesh.cells, -1, axis=1), 1.0, -1.0)
+    nc, nfc = facets.shape
+    lf = np.arange(nfc)
+    flux = np.zeros((nc, nfc, nfc))
+    flux[:, lf, lf] = -w
+    flux[:, lf, (lf + 1) % nfc] = w
+    return red, flux
+
+
+def _reduced_blocks(energy, flux, first):
+    """Z_e^T E_e Z_e of a stack of cell energy blocks, in place.
+
+    Z_e is the identity but on the first-mode slots, where it is the
+    cell's flux map M_e (`_reduced_columns`): the first-mode columns
+    become E_e[:, first] @ M_e, then the first-mode rows M_e^T times
+    those rows.
+    """
+    energy[:, :, first] = energy[:, :, first] @ flux
+    energy[:, first] = flux.swapaxes(1, 2) @ energy[:, first]
+    return energy
+
+
+def _cellwise_product(energy, cols, m):
+    """x -> K x for the m traces, with K the sum of the cells' energy
+    blocks, never assembled.
+
+    energy (nc, n, n) holds each cell's block and cols (nc, n) its trace
+    columns, -1 off the traces: one gather, one stacked product and one
+    scatter per call.
+    """
+    # slots off the traces scatter into an extra bin, dropped after
+    bins = np.where(cols >= 0, cols, m).ravel()
+
+    def apply(x):
+        xe = np.append(x, 0.0)[cols]
+        return np.bincount(bins, (energy @ xe[..., None]).ravel(),
+                           minlength=m + 1)[:m]
+
+    return apply
+
+
+def _solve_condensed(reduced, energy, cols, incidence, n0, curl, rhs):
     """Solve the pinned condensed saddle point through an SPD reduction.
 
     The system, in [eta, pbar], is K eta + P^T pbar = F and P eta = G,
-    with K = energy on the traces eta and P = incidence acting on the
-    first normal modes n0 of eta; cell 0's row and column are replaced
-    by the pin pbar[0] = rhs[len(eta)].  Writing the first modes as
-    n0_p + C psi, with B1 n0_p equal to the mass balances G of cells
-    1..nc-1 and C = curl (B1 C = 0), leaves Z^T K Z y = Z^T (F - K eta_p)
-    in the other traces and psi, which is SPD; pbar then follows from
-    the n0 rows.  B1 B1^T and Z^T K Z, the latter scaled symmetrically by
-    powers of two, are factored without pivoting.  That reduced solve is
-    the approximate inverse of one refinement step against the full
-    matrix.
+    with K the sum of the cells' energy blocks on the traces eta and
+    P = incidence acting on the first normal modes n0 of eta; cell 0's
+    row and column are replaced by the pin pbar[0] = rhs[len(eta)].
+    Writing the first modes as n0_p + C psi, with B1 n0_p equal to the
+    mass balances G of cells 1..nc-1 and C = curl (B1 C = 0), leaves
+    Z^T K Z y = Z^T (F - K eta_p) in the other traces and psi, which is
+    SPD; pbar then follows from the n0 rows.  `reduced` is Z^T K Z,
+    assembled from the per-cell blocks R_e = Z_e^T E_e Z_e
+    (`_reduced_blocks`); it is scaled in place.  energy (nc, n, n) holds
+    each cell's block E_e and cols (nc, n) its trace columns, from which
+    K is applied cell by cell and never assembled (`_cellwise_product`);
+    Z serves only the right-hand side and the prolongation.  B1 B1^T and
+    the reduced matrix, the latter scaled symmetrically by powers of two,
+    are factored without pivoting.  That reduced solve is the approximate
+    inverse of one refinement step against the full matrix.
     """
-    m = energy.shape[0]
     b1 = incidence[1:]
+    m = len(rhs) - b1.shape[0] - 1
     n_fac, n_psi = curl.shape
+    apply_energy = _cellwise_product(energy, cols, m)
 
     def full(x):
-        out = np.concatenate([energy @ x[:m], x[m:m + 1], b1 @ x[n0]])
+        out = np.concatenate([apply_energy(x[:m]), x[m:m + 1], b1 @ x[n0]])
         out[n0] += b1.T @ x[m + 1:]
         return out
 
@@ -314,7 +411,6 @@ def _solve_condensed(energy, incidence, n0, curl, rhs):
          (np.concatenate([np.flatnonzero(free), n0[curl.row]]),
           np.concatenate([np.arange(n_free), n_free + curl.col]))),
         shape=(m, n_free + n_psi))
-    reduced = (z.T @ energy @ z).tocsc()
     scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(reduced.diagonal())))[1])
     reduced.data *= (scale[reduced.indices]
                      * np.repeat(scale, np.diff(reduced.indptr)))
@@ -324,9 +420,10 @@ def _solve_condensed(energy, incidence, n0, curl, rhs):
     def approx(b):
         eta = np.zeros(m)
         eta[n0] = b1.T @ graph_lu.solve(b[m + 1:])
-        y = scale * reduced_lu.solve(scale * (z.T @ (b[:m] - energy @ eta)))
+        y = scale * reduced_lu.solve(
+            scale * (z.T @ (b[:m] - apply_energy(eta))))
         eta += z @ y
-        pbar = graph_lu.solve(b1 @ (b[:m] - energy @ eta)[n0])
+        pbar = graph_lu.solve(b1 @ (b[:m] - apply_energy(eta))[n0])
         return np.concatenate([eta, b[m:m + 1], pbar])
 
     return refined_solve(full, approx, rhs, rtol=0.0)
@@ -355,10 +452,15 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     o_u, o_p, o_lam = ls.offsets[1:]
     cols, ntt = _facet_columns(spaces)
     q0v = _constant_pressure_value(spaces)
-
     n_sys = 2 * ntt + nc
     o_pbar = 2 * ntt
-    builder = SparseBuilder(o_pbar, o_pbar)
+    n0 = ntt + kk * np.arange(len(mesh.interior_facets))
+    curl = _vertex_flux_map(mesh)
+    # the first-mode slot of each local facet
+    first = nfc * kk + kk * np.arange(nfc)
+    red_cols, flux = _reduced_columns(mesh, cols, o_pbar, n0, first)
+    n_red = o_pbar - len(n0) + curl.shape[1]
+    builder = SparseBuilder(n_red, n_red)
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
@@ -376,7 +478,8 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         f_loc = (_class_rows(fmom, ls.lift[:, o_u:o_p], cls)
                  - _class_rows(xs, ls.zlift, cls))
         cc = cols[cells]
-        builder.add(*block_triplets(cc, ls.energy[cls]))
+        builder.add(*block_triplets(red_cols[cells], _reduced_blocks(
+            ls.energy[cls], flux[cells], first)))
         keep = cc >= 0
         np.add.at(rhs, cc[keep], f_loc[keep])
         rhs[o_pbar + cells] = -gmom[:, 0] / q0v
@@ -401,9 +504,11 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     rhs[o_pbar:] += mean_mult * areas
     rhs[o_pbar] = 0.0
 
-    sol = _solve_condensed(builder.finalize(), _facet_incidence(mesh),
-                           ntt + kk * np.arange(len(mesh.interior_facets)),
-                           _vertex_flux_map(mesh), rhs)
+    # the builder's triplets are dropped before the factorization
+    reduced = builder.finalize()
+    del builder
+    sol = _solve_condensed(reduced, ls.energy[spaces.cell_class], cols,
+                           _facet_incidence(mesh), n0, curl, rhs)
     uhat_t = sol[:ntt]
     uhat_n = sol[ntt:2 * ntt]
     pbar = sol[o_pbar:]

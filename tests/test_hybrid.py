@@ -16,10 +16,12 @@ from brinkhdg.hybrid import (SolutionFields, build_local_solvers,
                              compare_fields, evaluate_fields,
                              mass_balance_residual, pressure_integral,
                              solve_direct, solve_hybrid, write_solution_text)
-from brinkhdg.linalg import DenseFactor, SingularMatrixError, SparseFactor
+from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
+                             SparseFactor, block_triplets)
 from brinkhdg.mesh import (QUAD, TRIANGLE, build_structured_mesh,
                            perturbed_triangles)
-from brinkhdg.verify import data_quadrature_degree, error_norms, make_case
+from brinkhdg.verify import (BrinkmanCase, data_quadrature_degree, error_norms,
+                             make_case)
 
 
 def zero_vec(x):
@@ -201,23 +203,25 @@ def test_stream_function_spans_kernel_of_mass_balances():
     assert hybrid._vertex_flux_map(meshes[-2][0]).shape[1] == 1
 
 
+def holed_force(x):
+    return np.column_stack([np.sin(np.pi * x[:, 1]), x[:, 0] ** 2])
+
+
+def holed_source(x):
+    # int g = 0 on meshes symmetric about x = y
+    return x[:, 0] - x[:, 1]
+
+
 def test_holed_mesh_solves_agree():
-    def force(x):
-        return np.column_stack([np.sin(np.pi * x[:, 1]), x[:, 0] ** 2])
-
-    def source(x):
-        # int g = 0 by the mesh's symmetry about x = y
-        return x[:, 0] - x[:, 1]
-
     mesh = holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)])
     for k in (1, 2):
         spaces = Spaces(mesh, k)
-        a = solve_hybrid(spaces, 1.0, 1.0, force, source)
-        b = solve_direct(spaces, 1.0, 1.0, force, source)
+        a = solve_hybrid(spaces, 1.0, 1.0, holed_force, holed_source)
+        b = solve_direct(spaces, 1.0, 1.0, holed_force, holed_source)
         assert max(compare_fields(spaces, a, b).values()) <= 1e-9
         assert np.abs(a.u).max() > 1e-3
         for fields in (a, b):
-            assert mass_balance_residual(spaces, fields, source) <= 1e-10
+            assert mass_balance_residual(spaces, fields, holed_source) <= 1e-10
             assert max(normal_trace_jumps(spaces, fields.u)) <= 1e-10
 
 
@@ -235,24 +239,139 @@ def test_hybrid_matches_direct_on_seeded_perturbed_meshes(n, k, seed):
     assert max(compare_fields(spaces, a, b).values()) <= 1e-9
 
 
-def test_condensed_residual_no_worse_than_general_lu(monkeypatch):
-    # the reduced SPD solve, refined once against the pinned saddle point,
-    # leaves a residual on that saddle point no larger than a general LU
-    # of it with COLAMD ordering and its own refinement step
-    seen = {}
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), k=st.sampled_from((1, 2)),
+       seed=st.integers(0, 2**32 - 1), nu=st.sampled_from((1e-4, 1e-6)),
+       gamma=st.sampled_from((0.0, ((2.0, 0.4), (0.4, 1.0)))))
+def test_parameter_extremes_on_seeded_perturbed_meshes(n, k, seed, nu, gamma):
+    # small nu, the Stokes limit gamma = 0 and an anisotropic SPD gamma;
+    # the data are exact for each (nu, gamma)
+    case = BrinkmanCase(nu, gamma, 2)
+    spaces = Spaces(perturbed_triangles(n, 0.2, seed), k,
+                    fine_degree=data_quadrature_degree(case, k, n))
+    a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    assert max(compare_fields(spaces, a, b).values()) <= 1e-9
+    for fields in (a, b):
+        assert mass_balance_residual(spaces, fields,
+                                     case.mass_source) <= 1e-10
+        assert max(normal_trace_jumps(spaces, fields.u)) <= 1e-10
+
+
+@pytest.fixture
+def condensed_calls(monkeypatch):
+    """The arguments and solution of each `_solve_condensed` call, by name;
+    the reduced matrix is copied before the solve scales it in place."""
+    calls = []
     solve = hybrid._solve_condensed
+    names = ("reduced", "energy", "cols", "incidence", "n0", "curl", "rhs")
 
     def spy(*args):
+        seen = SimpleNamespace(**dict(zip(names, args)))
+        seen.reduced = seen.reduced.copy()
         x = solve(*args)
         # solve_hybrid shifts the pressure averages of x in place
-        seen["args"], seen["x"] = args, x.copy()
+        seen.x = x.copy()
+        calls.append(seen)
         return x
 
     monkeypatch.setattr(hybrid, "_solve_condensed", spy)
+    return calls
+
+
+def assembled_energy(call):
+    """K on the traces, assembled: every cell's energy block scattered by
+    its trace columns, duplicates summed."""
+    m = len(call.rhs) - call.incidence.shape[0]
+    builder = SparseBuilder(m, m)
+    builder.add(*block_triplets(call.cols, call.energy))
+    return builder.finalize()
+
+
+def stream_function_basis(call, m):
+    """Z: the identity on the traces that are not first normal modes, then
+    the first modes C psi of the vertex potentials."""
+    n0 = call.n0
+    first = sp.csr_matrix((np.ones(len(n0)), (n0, np.arange(len(n0)))),
+                          shape=(m, len(n0)))
+    free = np.ones(m, dtype=bool)
+    free[n0] = False
+    return sp.hstack([sp.identity(m, format="csc")[:, free],
+                      first @ call.curl]).tocsc()
+
+
+def test_reduced_matrix_matches_triple_product(condensed_calls):
+    # the reduced matrix assembled from per-cell blocks Z_e^T E_e Z_e is
+    # Z^T K Z with K assembled, also with hole loops whose potential is
+    # shared by several vertices of a cell, and with no interior facet;
+    # the second holed mesh is symmetric about x = y only without its
+    # holes, so it gets a source of zero mean
+    case = make_case(1)
+    data = (case.body_force, case.mass_source)
+    runs = [(build_structured_mesh(16, TRIANGLE), 3, data),
+            (build_structured_mesh(32, QUAD), 1, data),
+            (perturbed_triangles(6, 0.2, seed=0), 2, data),
+            (holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)]), 2,
+             (holed_force, holed_source)),
+            (holed_quads(6, [(1, 1), (4, 3)]), 1, (holed_force, zero_scalar)),
+            (build_structured_mesh(1, QUAD), 2, data)]
+    for mesh, k, (force, source) in runs:
+        spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(
+            case, k, 6))
+        solve_hybrid(spaces, case.nu, case.gamma, force, source)
+        call = condensed_calls[-1]
+        energy = assembled_energy(call)
+        z = stream_function_basis(call, energy.shape[0])
+        want = z.T @ energy @ z
+        assert call.reduced.shape == want.shape
+        if want.nnz:
+            gap = abs(call.reduced - want).max()
+            assert gap <= 1e-13 * abs(want).max(), (mesh.num_cells, k, gap)
+    assert condensed_calls[-1].reduced.shape == (0, 0)
+
+
+def test_reduced_pattern_independent_of_data(condensed_calls):
+    # exact zeros are stored, so the pattern SuperLU orders is the same for
+    # every test case on one mesh (nu 1, 1 and 1e-4)
+    mesh = build_structured_mesh(16, TRIANGLE)
+    for test in (1, 2, 3):
+        case = make_case(test)
+        spaces = Spaces(mesh, 3, fine_degree=data_quadrature_degree(
+            case, 3, 16))
+        solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                     case.mass_source)
+    first = condensed_calls[0].reduced
+    for call in condensed_calls[1:]:
+        assert np.array_equal(call.reduced.indptr, first.indptr)
+        assert np.array_equal(call.reduced.indices, first.indices)
+
+
+def test_cellwise_energy_product_matches_assembled(condensed_calls):
+    case = make_case(1)
+    rng = np.random.default_rng(0)
+    for kind, n, k in ((TRIANGLE, 8, 3), (QUAD, 6, 1)):
+        solve_case(kind, n, k, case)
+        call = condensed_calls[-1]
+        energy = assembled_energy(call)
+        m = energy.shape[0]
+        x = rng.standard_normal(m)
+        want = energy @ x
+        got = hybrid._cellwise_product(call.energy, call.cols, m)(x)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_condensed_residual_no_worse_than_general_lu(condensed_calls):
+    # the reduced SPD solve, refined once against the pinned saddle point,
+    # leaves a residual on that saddle point no larger than a general LU
+    # of it with COLAMD ordering and its own refinement step
     case = make_case(1)
     for kind, n, k in ((QUAD, 32, 1), (TRIANGLE, 8, 3)):
         solve_case(kind, n, k, case)
-        energy, incidence, n0, _, rhs = seen["args"]
+        call = condensed_calls[-1]
+        energy = assembled_energy(call)
+        incidence, n0, rhs = call.incidence, call.n0, call.rhs
         m = energy.shape[0]
         select = sp.csr_matrix((np.ones(len(n0)), (np.arange(len(n0)), n0)),
                                shape=(len(n0), m))
@@ -261,7 +380,7 @@ def test_condensed_residual_no_worse_than_general_lu(monkeypatch):
                         [p1, None, None]], format="csc")
         lu_x = SparseFactor(full).solve(rhs)
         res = [np.linalg.norm(rhs - full @ x) / np.linalg.norm(rhs)
-               for x in (seen["x"], lu_x)]
+               for x in (call.x, lu_x)]
         assert res[0] <= res[1], (kind, n, k, res)
 
 
