@@ -107,6 +107,8 @@ class ReferenceTab:
 
     * gram_g, gram_v, gram_post: [(c, d), (a, b)] = sum w f_ac f_bd of the
       gradient rows, the velocities and the postprocessing gradients;
+      gram_v_grad [(r, c, s, e), (m, n)] = sum w (d vhat_mr / d xhat_c)
+      (d vhat_ns / d xhat_e) of the velocity gradients;
     * divg [j, (m, b)] = sum w vhat_mj div ghat_b, grad [j, (a, m)] = sum w
       ghat_a . grad-hat vhat_mj, vint [m, j] = sum w vhat_mj, int_mom
       [j, (i, m)] = sum w vhat_mj int_div_i;
@@ -133,6 +135,7 @@ class ReferenceTab:
     gram_g: np.ndarray      # (4, n_g * n_g)
     gram_v: np.ndarray      # (4, n_v * n_v)
     gram_post: np.ndarray   # (4, n_post * n_post)
+    gram_v_grad: np.ndarray  # (16, n_v * n_v)
     divg: np.ndarray        # (2, n_v * n_g)
     grad: np.ndarray        # (2, n_g * n_v)
     vint: np.ndarray        # (n_v, 2)
@@ -183,6 +186,8 @@ def _tabulate_reference(fam, degree):
         gram_v=np.einsum("mcq,ndq->cdmn", vw, v).reshape(4, -1),
         gram_post=np.einsum("icq,jdq->cdij", post_grad * w,
                             post_grad).reshape(4, -1),
+        gram_v_grad=np.einsum("mrcq,nseq->rcsemn", v_grad * w,
+                              v_grad).reshape(16, -1),
         divg=np.einsum("mjq,bq->jmb", vw, g_div).reshape(2, -1),
         grad=np.einsum("akq,mjkq->jam", gw, v_grad).reshape(2, -1),
         vint=vw.sum(axis=-1),

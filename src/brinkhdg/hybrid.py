@@ -34,12 +34,15 @@ the data moments push the fine-degree data forward per cell.
 
 `solve_direct` works on the uncondensed system over broken gradient,
 divergence-conforming velocity, broken pressure, and tangential trace
-unknowns.  It eliminates only the gradient rows, cell by cell, before
-its sparse solve, which is a general LU with COLAMD ordering, and pins
-the last cell's constant pressure coefficient.  It shares the quadrature
-data but neither the condensation path nor its SPD reduction, and it
-pins another cell and another unknown, so agreement between the two is
-a meaningful consistency check.
+unknowns.  Before its sparse solve it eliminates the unknowns private to
+each cell, the gradient rows and the interior velocity moments, in one
+Schur step per class, and condenses their load onto the kept rows.  Its
+sparse system keeps the facet velocity moments, all the pressures and
+the traces; it is a general LU with COLAMD ordering, and it pins the
+last cell's constant pressure coefficient.  It shares the quadrature
+data but neither the local solver, the facet multiplier nor the SPD
+reduction, and it pins another cell and another unknown, so agreement
+between the two is a meaningful consistency check.
 """
 
 from __future__ import annotations
@@ -150,8 +153,9 @@ class SolutionFields:
     ustar: np.ndarray    # (nc, 2, n_post)
     n_global: int        # unknowns of the global system: the condensed
                          # facet system (not the SPD system factored in
-                         # its place), or for the oracle its velocity,
-                         # pressure and trace unknowns
+                         # its place), or for the oracle its sparse
+                         # system of facet velocity moments, pressures
+                         # and traces
     n_local: int
 
 
@@ -279,19 +283,19 @@ def _flux_weights(mesh, facets):
             / mesh.facet_lengths[facets])
 
 
-def _vertex_flux_map(mesh):
+def _vertex_flux_map(mesh, vertex_columns):
     """C: first normal modes of the interior facets from vertex potentials.
 
     Row r, for interior facet r, holds -o/h at the facet's lower vertex
     and o/h at its higher one (`_flux_weights`).  The fluxes h * (C psi)
     out of a cell are then the differences of psi along its edge loop,
-    which sum to zero, so B C = 0.  Its columns are those of
-    `_vertex_columns`.  With them C is injective and its range is the
-    kernel of B: a mesh with holes has one loop per hole besides the
-    outer boundary.
+    which sum to zero, so B C = 0.  Its columns are vertex_columns, the
+    pair `_vertex_columns` returns.  With them C is injective and its
+    range is the kernel of B: a mesh with holes has one loop per hole
+    besides the outer boundary.
     """
     fi = mesh.interior_facets
-    col, n_psi = _vertex_columns(mesh)
+    col, n_psi = vertex_columns
     val = _flux_weights(mesh, fi)
     rows = np.repeat(np.arange(len(fi)), 2)
     cols = col[mesh.facet_vertices[fi]].ravel()
@@ -301,7 +305,7 @@ def _vertex_flux_map(mesh):
                          shape=(len(fi), n_psi))
 
 
-def _reduced_columns(mesh, cols, m, n0, first):
+def _reduced_columns(mesh, vcol, cols, m, n0, first):
     """Per cell: the columns of its reduced block, and its flux map M.
 
     cols holds each cell's global columns of the m traces
@@ -314,8 +318,8 @@ def _reduced_columns(mesh, cols, m, n0, first):
     its row holds C's two coefficients there (`_vertex_flux_map`); it is
     zero on a boundary facet.  The other slots map to their rank among
     the traces that are not first modes, and the vertex slots to that
-    count plus their psi column (`_vertex_columns`); -1 marks a slot with
-    no column.
+    count plus their psi column vcol (`_vertex_columns`); -1 marks a slot
+    with no column.
     """
     free = np.ones(m, dtype=bool)
     free[n0] = False
@@ -324,8 +328,8 @@ def _reduced_columns(mesh, cols, m, n0, first):
     rank = np.full(m + 1, -1)
     rank[np.flatnonzero(free)] = np.arange(n_free)
     red = rank[cols]
-    vcol = _vertex_columns(mesh)[0][mesh.cells]
-    red[:, first] = np.where(vcol >= 0, n_free + vcol, -1)
+    corner = vcol[mesh.cells]
+    red[:, first] = np.where(corner >= 0, n_free + corner, -1)
 
     facets = mesh.cell_facets
     w = np.where(mesh.interior_index[facets] >= 0,
@@ -455,10 +459,12 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     n_sys = 2 * ntt + nc
     o_pbar = 2 * ntt
     n0 = ntt + kk * np.arange(len(mesh.interior_facets))
-    curl = _vertex_flux_map(mesh)
+    vertex_columns = _vertex_columns(mesh)
+    curl = _vertex_flux_map(mesh, vertex_columns)
     # the first-mode slot of each local facet
     first = nfc * kk + kk * np.arange(nfc)
-    red_cols, flux = _reduced_columns(mesh, cols, o_pbar, n0, first)
+    red_cols, flux = _reduced_columns(mesh, vertex_columns[0], cols, o_pbar,
+                                      n0, first)
     n_red = o_pbar - len(n0) + curl.shape[1]
     builder = SparseBuilder(n_red, n_red)
     rhs = np.zeros(n_sys)
@@ -544,10 +550,11 @@ def _direct_cell_matrix(blocks, trans, family):
 
     blocks and trans (the nodal transforms) hold a stack of classes; the
     blocks come back as (S, n, n), one per class, and the (n, n) pattern
-    is shared.  Local layout: gradient rows (row-major), nodal velocity,
-    pressure, tangential traces per local facet.  The pattern marks the
-    couplings that exist, so entries that happen to be zero are kept as
-    entries.
+    is shared.  Local layout: the dofs private to the cell, gradient rows
+    (row-major) and interior velocity moments, then facet velocity
+    moments, pressure, tangential traces per local facet.  The pattern
+    marks the couplings that exist, so entries that happen to be zero are
+    kept as entries.
     """
     nu = blocks.nu
     n_cls = len(blocks.cells)
@@ -558,6 +565,8 @@ def _direct_cell_matrix(blocks, trans, family):
     o_t = o_p + n_q
     n_t = family.n_cell_facets * kk
     n = o_t + n_t
+    # nodal velocity columns with the interior moments first
+    trans = np.roll(trans, family.n_v_interior, axis=2)
     mat = np.zeros((n_cls, n, n))
     pattern = np.zeros((n, n), dtype=bool)
     trans_t = trans.swapaxes(1, 2)
@@ -583,25 +592,34 @@ def _direct_cell_matrix(blocks, trans, family):
     return mat, pattern
 
 
-def _eliminate_gradient(mat, pattern, n_g, cells):
-    """Schur complements of stacked direct cell blocks on their non-gradient dofs.
+def _eliminate_private(mat, pattern, n_d, n_load, cells):
+    """Schur complements of stacked direct cell blocks on their kept dofs.
 
-    The gradient rows couple to each other only through nu M_G, one copy
-    per row, which is factored once per class; cells[i] names the class
-    of mat[i] if its mass is singular.  Returns the reduced blocks, their
-    pattern (the old one on the kept dofs, plus the couplings among the
-    dofs the gradient rows touch) and the recovery matrices R, with
-    l = R @ x_kept since the gradient rows carry no load.
+    The first n_d dofs of each block are private to its cell, and the
+    last n_load of them carry load.  Their block A_dd is factored once
+    per class; cells[i] names the class of mat[i] if it is singular.
+    With E the identity columns of the loaded private rows, returns:
+
+    * the Schur complements A_kk - A_kd A_dd^-1 A_dk on the kept dofs;
+    * their pattern: the old one on the kept dofs, plus the couplings
+      among the dofs the private ones touch;
+    * the load maps -A_kd A_dd^-1 E, which take a cell's private load b
+      to the kept rows of the right-hand side;
+    * the recovery matrices A_dd^-1 [A_dk, E], with x_d = A_dd^-1 (b -
+      A_dk x_k) their product with [-x_k, b].
     """
-    n_l = 2 * n_g
-    mass = factor_classes(mat[:, :n_g, :n_g], cells, "gradient mass")
-    lk = mat[:, :n_l, n_l:]
-    rec = -np.concatenate([mass.solve(lk[:, :n_g]), mass.solve(lk[:, n_g:])],
-                          axis=1)
-    reduced = mat[:, n_l:, n_l:] + mat[:, n_l:, :n_l] @ rec
-    fill = np.outer(pattern[n_l:, :n_l].any(axis=1),
-                    pattern[:n_l, n_l:].any(axis=0))
-    return reduced, pattern[n_l:, n_l:] | fill, rec
+    n_k = mat.shape[1] - n_d
+    private = factor_classes(mat[:, :n_d, :n_d], cells, "private block")
+    rhs = np.zeros((len(mat), n_d, n_k + n_load))
+    rhs[:, :, :n_k] = mat[:, :n_d, n_d:]
+    rhs[:, n_d - n_load + np.arange(n_load), n_k + np.arange(n_load)] = 1.0
+    rec = private.solve(rhs)
+    schur = -(mat[:, n_d:, :n_d] @ rec)
+    schur[:, :, :n_k] += mat[:, n_d:, n_d:]
+    fill = np.outer(pattern[n_d:, :n_d].any(axis=1),
+                    pattern[:n_d, n_d:].any(axis=0))
+    return (schur[:, :, :n_k], pattern[n_d:, n_d:] | fill, schur[:, :, n_k:],
+            rec)
 
 
 def _power_of_two_scales(idx, vals, n):
@@ -619,18 +637,20 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
 
     Unknowns: broken gradient rows, divergence-conforming velocity in
     nodal form, broken pressure, and tangential facet traces on interior
-    facets.  The gradient rows, which carry no load and couple only
-    within their cell, are eliminated cell by cell before the sparse
-    solve and recovered from the other unknowns after it; the cell
-    blocks, their gradient masses and the eliminations are formed for
-    all classes as one stack.  The sparse system holds the velocity,
-    pressure and trace unknowns and is equilibrated by power-of-two row
-    and column scales.  The mean of the mass source, in closed form, is
-    removed from the pressure rows, which makes the constant-test rows
-    sum to zero; the last cell's constant pressure coefficient is pinned
-    to zero in place of its constant-test row.  After the solve the
-    constant coefficients are shifted so that p has zero mean.  Cell
-    blocks are scattered one block of cells at a time.
+    facets.  The unknowns private to a cell, its gradient rows and its
+    interior velocity moments, couple only within the cell; they are
+    eliminated cell by cell before the sparse solve, their load
+    condensed onto the kept rows, and recovered from the kept unknowns
+    and their load after it.  The cell blocks, their private blocks and
+    the eliminations are formed for all classes as one stack.  The
+    sparse system holds the facet velocity moments, all the pressures
+    and the traces, and is equilibrated by power-of-two row and column
+    scales.  The mean of the mass source, in closed form, is removed from
+    the pressure rows, which makes the constant-test rows sum to zero;
+    the last cell's constant pressure coefficient is pinned to zero in
+    place of its constant-test row.  After the solve the constant
+    coefficients are shifted so that p has zero mean.  Cell blocks are
+    scattered one block of cells at a time.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -638,41 +658,54 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     kk = fam.n_facet
     nfc = fam.n_cell_facets
     n_g, n_v, n_q = fam.n_g, fam.n_v, fam.n_q
+    n_fv = nfc * kk
+    n_l = 2 * n_g
+    n_int = fam.n_v_interior
 
     vd = spaces.dofmap("V_div0")
     mt = spaces.dofmap("Mt0")
-    o_p = vd.total
+    # the facet velocity moments come first in V_div0's numbering
+    o_p = vd.total - nc * n_int
     o_t = o_p + nc * n_q
     n_sys = o_t + mt.total
     q0v = _constant_pressure_value(spaces)
     blocks = element_blocks(spaces, spaces.class_rep, nu, gamma)
     trans = spaces.class_nodal_transforms()
-    mats, pattern, rec = _eliminate_gradient(*_direct_cell_matrix(
-        blocks, trans, fam), n_g, blocks.cells)
+    mats, pattern, load, rec = _eliminate_private(
+        *_direct_cell_matrix(blocks, trans, fam), n_l + n_int, n_int,
+        blocks.cells)
     trace_dofs = mt.facet_dofs[mesh.cell_facets].reshape(nc, -1)
-    # per cell: velocity, pressure and trace rows of the reduced system
-    kept = np.hstack([vd.cell_dofs,
+    # per cell: facet velocity, pressure and trace rows of the sparse system
+    kept = np.hstack([vd.cell_dofs[:, :n_fv],
                       o_p + np.arange(nc * n_q).reshape(nc, n_q),
                       np.where(trace_dofs >= 0, o_t + trace_dofs, -1)])
 
     triplets = []
     rhs = np.zeros(n_sys)
     gmom = np.zeros((nc, n_q))
+    # the load of the interior velocity rows
+    f_int = np.zeros((nc, n_int))
     qint = blocks.qint[spaces.cell_class]
+    load_t = load.swapaxes(1, 2)
     for cells in spaces.cell_blocks():
         cls = spaces.cell_class[cells]
         triplets.append(block_triplets(kept[cells], mats[cls], pattern))
 
         fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
-        udofs = vd.cell_dofs[cells]
-        ukeep = udofs >= 0
-        np.add.at(rhs, udofs[ukeep], _class_rows(fmom, trans, cls)[ukeep])
+        f_nodal = _class_rows(fmom, trans, cls)
+        f_int[cells] = f_nodal[:, n_fv:]
+        f_kept = _class_rows(f_int[cells], load_t, cls)
+        f_kept[:, :n_fv] += f_nodal[:, :n_fv]
+        kc = kept[cells]
+        keep = kc >= 0
+        np.add.at(rhs, kc[keep], f_kept[keep])
 
-    # the constant-test rows sum to int g (the divergence terms cancel),
-    # so remove the mean of g; the last cell's constant-test row is then
-    # redundant and carries the pin of its constant coefficient
+    # the constant-test rows sum to int g (the divergence terms cancel, and
+    # the interior moments have no flux), so remove the mean of g; the
+    # last cell's constant-test row is then redundant and carries the pin
+    # of its constant coefficient
     mean_mult = float(gmom[:, 0].sum() / qint[:, 0].sum())
-    rhs[o_p:o_t] = (gmom - mean_mult * qint).ravel()
+    rhs[o_p:o_t] += (gmom - mean_mult * qint).ravel()
     pin = o_p + (nc - 1) * n_q
     rhs[pin] = 0.0
     rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
@@ -680,8 +713,8 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     rows = np.append(rows[free], pin)
     cols = np.append(cols[free], pin)
     vals = np.append(vals[free], 1.0)
-    # equilibrate: on 8x8 quads at k=1 the eliminated system has condition
-    # number 1.2e9 unscaled (4.4e6 before elimination) and 1.4e3 scaled
+    # equilibrate: on 8x8 quads at k=1 the sparse system has condition
+    # number 7.9e6 unscaled and 8.5e2 scaled
     rscale = _power_of_two_scales(rows, vals, n_sys)
     vals = vals * rscale[rows]
     cscale = _power_of_two_scales(cols, vals, n_sys)
@@ -697,16 +730,18 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     rec_t, trans_t = rec.swapaxes(1, 2), trans.swapaxes(1, 2)
     for cells in spaces.cell_blocks():
         cls = spaces.cell_class[cells]
-        l[cells] = _class_rows(sol_pad[kept[cells]], rec_t,
-                               cls).reshape(-1, 2, n_g)
-        u[cells] = _class_rows(sol_pad[vd.cell_dofs[cells]], trans_t, cls)
+        x_k = sol_pad[kept[cells]]
+        x_d = _class_rows(np.hstack([-x_k, f_int[cells]]), rec_t, cls)
+        l[cells] = x_d[:, :n_l].reshape(-1, 2, n_g)
+        u[cells] = _class_rows(np.hstack([x_k[:, :n_fv], x_d[:, n_l:]]),
+                               trans_t, cls)
         ustar[cells] = postprocess_velocity(blocks, post_factor, cls,
                                             l[cells], u[cells])
     p = sol[o_p:o_t].reshape(nc, n_q).copy()
     p[:, 0] -= np.einsum("ci,ci->", p, qint) / qint[:, 0].sum()
     uhat_t = sol[o_t:]
-    n_int = len(mesh.interior_facets)
-    uhat_n = (sol[:n_int * kk].reshape(n_int, kk)
+    n_if = len(mesh.interior_facets)
+    uhat_n = (sol[:n_if * kk].reshape(n_if, kk)
               / mesh.facet_lengths[mesh.interior_facets, None]).ravel()
 
     return SolutionFields(

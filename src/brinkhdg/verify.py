@@ -15,7 +15,10 @@ geometry classes (`Spaces.cell_blocks`).  The exact fields are called
 once per block on all its points, and the discrete fields are formed
 from the fine-degree reference tabulation and pushed forward with each
 cell's jacobian; only the nodal transforms of the interpolant are read
-per class.
+per class.  The norms of the discrete errors `err_eu`, `err_el` and the
+volume part of `err_h1` push nothing forward: they are the coefficients'
+quadratic forms with reference Grams contracted with each cell's metric,
+as in `forms.element_blocks`.
 """
 
 from __future__ import annotations
@@ -233,14 +236,15 @@ def _pushed(spaces, cells, coef, basis):
     return spaces.piola(cells, reference_fields(coef, basis))
 
 
-def _velocity_gradients(spaces, cells, ref, coef):
-    """Gradients of the velocity fields of coef (C, n_v) at the points of
-    ref; (C, q, 2, 2) with [r, c] = d u_r / d x_c.  Piola maps them to
-    J (grad-hat vhat) J^{-1} / det."""
-    grad_hat = reference_fields(coef, ref.v_grad)
-    right = (grad_hat.reshape(len(cells), -1, 2)
-             @ spaces.inverse_jacobians[cells]).reshape(grad_hat.shape)
-    return np.swapaxes(spaces.piola(cells, np.swapaxes(right, 2, 3)), 2, 3)
+def _gram_norm2(metric, gram, coef):
+    """Squared L2 norm, summed over the cells (C,), of the fields of
+    coefficients coef (C, *lead, n): each cell's Gram is its metric
+    (C, ...) contracted with the reference Gram gram (K, n * n), as in
+    `forms.element_blocks`."""
+    n = coef.shape[-1]
+    c = coef.reshape(len(coef), -1, n)
+    pairs = (c.swapaxes(1, 2) @ c).reshape(len(c), -1)
+    return float(np.sum(metric.reshape(len(c), -1) * (pairs @ gram.T)))
 
 
 def _error_blocks(spaces, fields, case):
@@ -322,14 +326,17 @@ def error_norms(spaces, fields, case):
         sv = np.einsum("eri,iq->eqr", fields.ustar[cells], ref.post)
         estar2 += float(np.einsum("eqr,eq->", (sv - blk.u) ** 2, w))
 
-        duv = _pushed(spaces, cells, blk.du, ref.v)
-        eeu2 += float(np.einsum("eqr,eq->", duv ** 2, w))
-
-        dlv = _pushed(spaces, cells, blk.dl, ref.g)
-        eel2 += float(np.einsum("eqrc,eq->", dlv ** 2, w))
-
-        dgrad = _velocity_gradients(spaces, cells, ref, blk.du)
-        eh1 += float(np.einsum("eqrc,eq->", dgrad ** 2, w))
+        # the discrete errors from reference Grams: with P = J^T J and
+        # Q = J^-1 J^-T, |v|^2 takes P / det and |grad v|^2, grad v being
+        # J (grad-hat vhat) J^-1 / det, takes P_rs Q_ce / det
+        jac, det = spaces.jacobians[cells], spaces.dets[cells, None, None]
+        inv = spaces.inverse_jacobians[cells]
+        jtj = jac.swapaxes(1, 2) @ jac / det
+        eeu2 += _gram_norm2(jtj, ref.gram_v, blk.du)
+        eel2 += _gram_norm2(jtj, ref.gram_g, blk.dl)
+        inv2 = inv @ inv.swapaxes(1, 2)
+        eh1 += _gram_norm2(jtj[:, :, None, :, None] * inv2[:, None, :, None],
+                           ref.gram_v_grad, blk.du)
 
         fw, h = blk.facet_w, blk.h
         eh1 += float(np.einsum("efq,efq,ef->", blk.facet_gap ** 2, fw, 1.0 / h))

@@ -79,8 +79,9 @@ def test_class_stack_slices_match_one_class_stacks():
         blocks = element_blocks(spaces, spaces.class_rep, nu, gamma)
         solvers = build_local_solvers(spaces, nu, gamma)
         trans = spaces.class_nodal_transforms()
-        direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
-            blocks, trans, fam), fam.n_g, blocks.cells)
+        n_d = 2 * fam.n_g + fam.n_v_interior
+        direct = hybrid._eliminate_private(*hybrid._direct_cell_matrix(
+            blocks, trans, fam), n_d, fam.n_v_interior, blocks.cells)
         for cls, rep in enumerate(spaces.class_rep):
             what = (mesh.num_cells, k, cls)
             one_blocks = element_blocks(spaces, [rep], nu, gamma)
@@ -97,9 +98,10 @@ def test_class_stack_slices_match_one_class_stacks():
                                      getattr(one_solver, name)[0], (what, name))
             one_trans = fespace.nodal_transforms(spaces, [rep])
             assert_slice_matches(trans[cls], one_trans[0], (what, "nodal"))
-            one_direct = hybrid._eliminate_gradient(*hybrid._direct_cell_matrix(
-                one_blocks, one_trans, fam), fam.n_g, one_blocks.cells)
-            for j, name in ((0, "reduced"), (2, "recovery")):
+            one_direct = hybrid._eliminate_private(*hybrid._direct_cell_matrix(
+                one_blocks, one_trans, fam), n_d, fam.n_v_interior,
+                one_blocks.cells)
+            for j, name in ((0, "reduced"), (2, "load"), (3, "recovery")):
                 assert_slice_matches(direct[j][cls], one_direct[j][0],
                                      (what, name))
             assert np.array_equal(direct[1], one_direct[1])
@@ -116,18 +118,25 @@ def test_zero_data_gives_zero_solution():
 
 def test_hybrid_matches_direct():
     # every supported degree, in the Stokes regime and at the Darcy-
-    # dominated end, where the gradient rows are scaled by a small nu
-    case = make_case(1)
+    # dominated end, where the gradient rows are scaled by a small nu,
+    # and with no resistance (gamma = 0), where the interior velocity rows
+    # of the oracle's private blocks carry only nu-scaled couplings.  At
+    # gamma = 0 the data are those of the exact solution for (nu, 0), so
+    # the fields are of order one: with case 1's data they grow as 1/nu
+    # (|L| is 3e4 at nu = 1e-4), and a relative perturbation of 1e-16 in
+    # the element blocks then moves either solver by up to 1.4e-10
     for nu in (1.0, 1e-4):
-        for kind, degrees in ((QUAD, (0, 1, 2, 3)), (TRIANGLE, (1, 2, 3))):
-            for k in degrees:
-                spaces = Spaces(build_structured_mesh(2, kind), k)
-                a = solve_hybrid(spaces, nu, case.gamma, case.body_force,
-                                 case.mass_source)
-                b = solve_direct(spaces, nu, case.gamma, case.body_force,
-                                 case.mass_source)
-                diffs = compare_fields(spaces, a, b)
-                assert max(diffs.values()) < 1e-10, (nu, kind, k, diffs)
+        for case in (make_case(1), BrinkmanCase(nu, 0.0, 2)):
+            for kind, degrees in ((QUAD, (0, 1, 2, 3)), (TRIANGLE, (1, 2, 3))):
+                for k in degrees:
+                    spaces = Spaces(build_structured_mesh(2, kind), k)
+                    a = solve_hybrid(spaces, nu, case.gamma, case.body_force,
+                                     case.mass_source)
+                    b = solve_direct(spaces, nu, case.gamma, case.body_force,
+                                     case.mass_source)
+                    diffs = compare_fields(spaces, a, b)
+                    assert max(diffs.values()) < 1e-10, (nu, case.gamma_max,
+                                                         kind, k, diffs)
 
 
 def test_hybrid_matches_direct_anisotropic_gamma():
@@ -194,13 +203,15 @@ def test_stream_function_spans_kernel_of_mass_balances():
                (holed_quads(6, [(1, 1), (4, 3)]), 0.0)]
     for mesh, bound in meshes:
         b1 = hybrid._facet_incidence(mesh)[1:]
-        curl = hybrid._vertex_flux_map(mesh)
+        curl = hybrid._vertex_flux_map(mesh, hybrid._vertex_columns(mesh))
         assert abs(b1 @ curl).max() <= bound
         n_facets, n_psi = curl.shape
         assert n_psi == n_facets - b1.shape[0]
         assert np.linalg.matrix_rank(curl.toarray()) == n_psi
     # one potential per hole: none is interior on the 4x4 mesh
-    assert hybrid._vertex_flux_map(meshes[-2][0]).shape[1] == 1
+    holed = meshes[-2][0]
+    assert hybrid._vertex_flux_map(
+        holed, hybrid._vertex_columns(holed)).shape[1] == 1
 
 
 def holed_force(x):
@@ -397,12 +408,14 @@ def test_direct_factors_postprocessing_once_per_class(monkeypatch):
     spaces = Spaces(build_structured_mesh(8, QUAD), 1)
     solve_direct(spaces, case.nu, case.gamma, case.body_force, case.mass_source)
     # one stacked factorization each of the nodal dof matrices, the
-    # gradient masses and the postprocessing matrices of all the classes
+    # private blocks (gradient rows and interior velocity moments) and
+    # the postprocessing matrices of all the classes
     fam = spaces.family
     n_cls = len(spaces.class_rep)
+    n_d = 2 * fam.n_g + fam.n_v_interior
     assert n_cls < spaces.mesh.num_cells
     assert sorted(made) == sorted([(n_cls, fam.n_v, fam.n_v),
-                                   (n_cls, fam.n_g, fam.n_g),
+                                   (n_cls, n_d, n_d),
                                    (n_cls, fam.n_post + 1, fam.n_post + 1)])
 
 
@@ -428,8 +441,10 @@ def test_direct_system_has_no_dense_row(monkeypatch):
 
 
 def test_direct_eliminates_gradient_rows(monkeypatch):
-    # the sparse system holds only velocity, pressure and trace unknowns,
-    # and the recovered gradient satisfies the uncondensed gradient rows
+    # the sparse system holds only the facet velocity, pressure and trace
+    # unknowns, and the recovered private unknowns satisfy the
+    # uncondensed cell rows: the gradient rows, and the interior velocity
+    # rows with their load
     seen = []
     inner = hybrid.sparse_solve
 
@@ -446,7 +461,11 @@ def test_direct_eliminates_gradient_rows(monkeypatch):
     mesh = spaces.mesh
     fam = spaces.family
     nc = mesh.num_cells
-    n_kept = (spaces.dofmap("V_div0").total + nc * fam.n_q
+    n_int = fam.n_v_interior
+    n_fv = fam.n_cell_facets * fam.n_facet
+    assert spaces.dofmap("V_div0").total == len(mesh.interior_facets) * \
+        fam.n_facet + nc * n_int
+    n_kept = (len(mesh.interior_facets) * fam.n_facet + nc * fam.n_q
               + spaces.dofmap("Mt0").total)
     assert seen == [(n_kept, n_kept)]
     assert fields.n_global == n_kept
@@ -456,15 +475,21 @@ def test_direct_eliminates_gradient_rows(monkeypatch):
     blocks = element_blocks(spaces, spaces.class_rep, case.nu, case.gamma)
     class_trans = spaces.class_nodal_transforms()
     mats, _ = hybrid._direct_cell_matrix(blocks, class_trans, fam)
+    fmom = hybrid._data_moments(spaces, np.arange(nc), case.body_force,
+                                case.mass_source)[0]
     n_l = 2 * fam.n_g
+    n_d = n_l + n_int
+    assert n_int > 0
     for c in range(nc):
         trans = class_trans[spaces.cell_class[c]]
         mat = mats[spaces.cell_class[c]]
-        x = np.concatenate([fields.l[c].ravel(),
-                            np.linalg.solve(trans, fields.u[c]),
+        alpha = np.linalg.solve(trans, fields.u[c])
+        x = np.concatenate([fields.l[c].ravel(), alpha[n_fv:], alpha[:n_fv],
                             fields.p[c], uhat_pad[trace_dofs[c].ravel()]])
-        scale = np.abs(mat[:n_l]).max() * np.abs(x).max()
-        assert np.abs(mat[:n_l] @ x).max() <= 1e-13 * scale
+        load = np.zeros(n_d)
+        load[n_l:] = (fmom[c] @ trans)[n_fv:]
+        scale = np.abs(mat[:n_d]).max() * np.abs(x).max()
+        assert np.abs(mat[:n_d] @ x - load).max() <= 1e-13 * scale
 
 
 def test_direct_mean_mult_matches_hybrid():
@@ -735,6 +760,12 @@ def test_degenerate_coefficients_detected():
     with pytest.raises(SingularMatrixError,
                        match="^local solver matrix of cell 0: "):
         build_local_solvers(spaces, 0.0, 0.0)
+    # the oracle's private blocks (gradient rows and interior velocity
+    # moments) are then zero, and the first class's cell is named
+    case = make_case(1)
+    with pytest.raises(SingularMatrixError,
+                       match="^private block of cell 0: "):
+        solve_direct(spaces, 0.0, 0.0, case.body_force, case.mass_source)
 
 
 def test_point_evaluation_matches_projection_error():
