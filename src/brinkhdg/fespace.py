@@ -384,10 +384,16 @@ class Spaces:
         """Points (f, qf, 2) of the segment rule of one degree (default:
         the fine degree) on every local facet of cell c, run from the
         stored facet's first vertex to its second; (C, f, qf, 2) for an
-        index array of cells."""
+        index array of cells.  They are `points_on_facets` of the cell's
+        facets, bit for bit."""
+        return self.points_on_facets(self.mesh.cell_facets[c], degree)
+
+    def points_on_facets(self, facets, degree=None):
+        """Points (..., qf, 2) of the segment rule of one degree (default:
+        the fine degree) on facets (...), each run from its first vertex
+        to its second."""
         s = quadrature("segment", degree or self.fine_degree).points[:, 0]
-        mesh = self.mesh
-        ends = mesh.vertices[mesh.facet_vertices[mesh.cell_facets[c]]]
+        ends = self.mesh.vertices[self.mesh.facet_vertices[facets]]
         p0, p1 = ends[..., :1, :], ends[..., 1:, :]
         return p0 + s[:, None] * (p1 - p0)
 

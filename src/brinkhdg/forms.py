@@ -148,10 +148,11 @@ def element_blocks(spaces, cells, nu, gamma):
 #
 # project_grad, project_pressure and project_velocity_div take one cell
 # c, or an index array of cells of any classes, and work at the fine
-# degree on reference values and per-cell geometry;
-# project_facet_tangent takes one facet or an index array.  An index
-# array gives the result a leading axis.  Callables are evaluated once
-# on all points of all the cells or facets.
+# degree on reference values and per-cell geometry (the gradient Gram
+# and the nodal transform per class); project_facet_tangent takes one
+# facet or an index array.  An index array gives the result a leading
+# axis.  Callables are evaluated once on all points of all the cells or
+# facets.
 
 
 def values_at(func, x):
@@ -166,21 +167,37 @@ def grad_coefficients(spaces, cells, vals):
 
     With g_a = J ghat_a / det, (g_a, g_b) = sum_q w ghat_a . (J^T J / det)
     ghat_b and (v_r, g_a) = sum_q w (J^T v_r) . ghat_a.
+
+    The Gram depends only on the geometry class, so it is formed from
+    each class's jacobian and solved once per class: one batched LAPACK
+    call takes every class of the cells, with the right-hand sides of a
+    class's cells side by side as its columns (zero columns pad the
+    smaller classes).
     """
     fam = spaces.family
     ref = fam.reference_tab(spaces.fine_degree)
     gw = ref.g * quadrature(fam.ref_cell.name, spaces.fine_degree).weights
     n_g, n = len(gw), len(cells)
     jac = spaces.jacobians[cells]
-    metric = np.swapaxes(jac, 1, 2) @ jac / spaces.dets[cells, None, None]
-    mg = (metric.reshape(n, 4) @ ref.gram_g).reshape(n, n_g, n_g)
     # (J^T v_r)[e, r, q, d] against (w ghat)[a, d, q], one product over (q, d)
     nq = gw.shape[-1]
-    jv = (vals.reshape(n, 2 * nq, 2) @ jac).reshape(vals.shape)
-    jv = np.swapaxes(jv, 1, 2).reshape(2 * n, 2 * nq)
+    jv = (np.swapaxes(vals, 1, 2) @ jac[:, None]).reshape(2 * n, 2 * nq)
     rhs = jv @ np.moveaxis(gw, 0, -1).swapaxes(0, 1).reshape(2 * nq, n_g)
-    return np.swapaxes(np.linalg.solve(mg, rhs.reshape(n, 2, n_g).swapaxes(
-        1, 2)), 1, 2)
+    # column slot of each cell among the cells of its class
+    cls, inv, counts = np.unique(spaces.cell_class[cells], return_inverse=True,
+                                 return_counts=True)
+    slot = np.empty(n, dtype=int)
+    slot[np.argsort(inv, kind="stable")] = (
+        np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+    reps = np.asarray(spaces.class_rep, dtype=int)[cls]
+    rjac = spaces.jacobians[reps]
+    metric = np.swapaxes(rjac, 1, 2) @ rjac / spaces.dets[reps, None, None]
+    mg = (metric.reshape(len(cls), 4) @ ref.gram_g).reshape(-1, n_g, n_g)
+    width = 2 * counts.max(initial=0)
+    cols = np.zeros((len(cls), n_g, width // 2, 2))
+    cols[inv, :, slot] = rhs.reshape(n, 2, n_g).swapaxes(1, 2)
+    sol = np.linalg.solve(mg, cols.reshape(len(cls), n_g, width))
+    return sol.reshape(cols.shape)[inv, :, slot].swapaxes(1, 2)
 
 
 def project_grad(spaces, c, grad_func):
@@ -263,12 +280,19 @@ def project_facet_tangent(mesh, facet, k, func, degree):
 
     facet may be one facet, (k+1,), or an index array, (..., k+1).
     """
-    s, weights, phi = _segment_rule(k, degree)
+    s = _segment_rule(k, degree)[0]
     ends = mesh.vertices[mesh.facet_vertices[facet]]
     p0, p1 = ends[..., :1, :], ends[..., 1:, :]
     x = p0 + s[:, None] * (p1 - p0)
-    ut = np.einsum("...qr,...r->...q", values_at(func, x),
-                   mesh.facet_tangents[facet])
+    return facet_tangent_moments(mesh, facet, k, values_at(func, x), degree)
+
+
+def facet_tangent_moments(mesh, facet, k, vals, degree):
+    """`project_facet_tangent` from the field's values (..., qf, 2) at the
+    points of the degree's segment rule on facet, run from each facet's
+    first vertex to its second."""
+    _, weights, phi = _segment_rule(k, degree)
+    ut = np.einsum("...qr,...r->...q", vals, mesh.facet_tangents[facet])
     return np.einsum("jq,...q,q->...j", phi, ut, weights)
 
 

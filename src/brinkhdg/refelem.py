@@ -29,8 +29,6 @@ SQUARE = "square"
 
 # divergence Gram eigenvalues below this share of the largest are dropped
 DIV_SPAN_RTOL = 1e-10
-# normal-trace fit residual, relative to 1 + the largest trace, of roundoff
-NORMAL_TRACE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +301,3 @@ def divergence_span_coeffs(basis):
     if not np.any(keep):
         return np.zeros((0, basis.num_funcs))
     return (evecs[:, keep] / np.sqrt(evals[keep])).T
-
-
-def normal_trace_degree_check(basis, k):
-    """True when every facet normal trace of the basis has degree <= k.
-
-    The trace is sampled along each reference facet and fitted with a
-    polynomial of degree k; the check fails when some fit residual is
-    nonzero beyond roundoff.
-    """
-    ref = REFERENCE_CELLS[basis.cell]
-    s = np.linspace(0.05, 0.95, k + 4)
-    vander = np.vander(s, k + 1)
-    for (i0, i1), normal in zip(ref.facets, ref.normals):
-        p0, p1 = ref.vertices[i0], ref.vertices[i1]
-        pts = p0 + s[:, None] * (p1 - p0)
-        vn = np.einsum("ncp,c->np", basis.tabulate(pts), normal)
-        coef = np.linalg.lstsq(vander, vn.T, rcond=None)[0]
-        if (np.abs(vander @ coef - vn.T).max()
-                > NORMAL_TRACE_TOL * (1.0 + np.abs(vn).max())):
-            return False
-    return True

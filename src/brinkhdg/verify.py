@@ -11,14 +11,17 @@ points and against the algebraic composition of the other callables, so
 a sign slip in any derivative cannot survive.
 
 Error measures integrate on the fine rule over blocks of cells of any
-geometry classes (`Spaces.cell_blocks`).  The exact fields are called
-once per block on all its points, and the discrete fields are formed
-from the fine-degree reference tabulation and pushed forward with each
-cell's jacobian; only the nodal transforms of the interpolant are read
-per class.  The norms of the discrete errors `err_eu`, `err_el` and the
-volume part of `err_h1` push nothing forward: they are the coefficients'
-quadratic forms with reference Grams contracted with each cell's metric,
-as in `forms.element_blocks`.
+geometry classes (`Spaces.cell_blocks`).  They read the exact solution
+through `BrinkmanCase.exact_fields`, which returns u, grad u and p from
+one evaluation of the sines and cosines, once per fine point: once on
+the points of every facet, gathered for both cells of a facet, and once
+per block on the volume points.  The discrete fields are formed from the
+fine-degree reference tabulation and pushed forward with each cell's
+jacobian; only the nodal transforms of the interpolant and the Gram of
+the gradient projection are read per class.  The norms of the discrete
+errors `err_eu`, `err_el` and the volume part of `err_h1` push nothing
+forward: they are the coefficients' quadratic forms with reference Grams
+contracted with each cell's metric, as in `forms.element_blocks`.
 """
 
 from __future__ import annotations
@@ -29,11 +32,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import Spaces, reference_fields
-from .forms import (as_gamma_matrix, grad_coefficients, project_facet_tangent,
-                    values_at, velocity_div_coefficients)
+from .forms import (as_gamma_matrix, facet_tangent_moments, grad_coefficients,
+                    velocity_div_coefficients)
 from .hybrid import compare_fields, solve_direct, solve_hybrid
 from .mesh import build_structured_mesh
 from .refelem import quadrature
+
+
+def _velocity_gradient(sin2, cos2):
+    """grad u (n, 2, 2) from the sines and cosines (n, 2) of 2 pi x."""
+    tp = 2 * np.pi
+    dx = tp * cos2[:, 0] * sin2[:, 1]
+    dy = tp * sin2[:, 0] * cos2[:, 1]
+    out = np.empty((len(dx), 2, 2))
+    out[:, 0, 0] = dx
+    out[:, 0, 1] = dy
+    out[:, 1, 0] = dx
+    out[:, 1, 1] = dy
+    return out
 
 
 class BrinkmanCase:
@@ -55,53 +71,69 @@ class BrinkmanCase:
         self._validate()
 
     # -- exact fields -----------------------------------------------------
+    #
+    # Each callable takes points x (n, 2) and computes every sine and
+    # cosine it needs once, on both coordinates together.  With m = 2 the
+    # pressure's arguments m pi x are the velocity's 2 pi x bit for bit,
+    # so the pressure terms reuse the velocity's sines and cosines.
 
     def velocity(self, x):
-        s = np.sin(2 * np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])
+        s = np.sin(2 * np.pi * x)
+        s = s[:, 0] * s[:, 1]
         return np.stack([s, s], axis=-1)
 
     def velocity_gradient(self, x):
         tp = 2 * np.pi
-        dx = tp * np.cos(tp * x[:, 0]) * np.sin(tp * x[:, 1])
-        dy = tp * np.sin(tp * x[:, 0]) * np.cos(tp * x[:, 1])
-        out = np.empty((x.shape[0], 2, 2))
-        out[:, 0, 0] = dx
-        out[:, 0, 1] = dy
-        out[:, 1, 0] = dx
-        out[:, 1, 1] = dy
-        return out
+        return _velocity_gradient(np.sin(tp * x), np.cos(tp * x))
 
     def velocity_laplacian(self, x):
         tp = 2 * np.pi
-        lap = -2 * tp ** 2 * np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
+        s = np.sin(tp * x)
+        lap = -2 * tp ** 2 * s[:, 0] * s[:, 1]
         return np.stack([lap, lap], axis=-1)
 
     def pressure(self, x):
-        mp = self.m * np.pi
-        return np.sin(mp * x[:, 0]) * np.sin(mp * x[:, 1]) - self.pressure_mean
+        s = np.sin(self.m * np.pi * x)
+        return s[:, 0] * s[:, 1] - self.pressure_mean
 
     def pressure_gradient(self, x):
         mp = self.m * np.pi
-        gx = mp * np.cos(mp * x[:, 0]) * np.sin(mp * x[:, 1])
-        gy = mp * np.sin(mp * x[:, 0]) * np.cos(mp * x[:, 1])
-        return np.stack([gx, gy], axis=-1)
+        s, c = np.sin(mp * x), np.cos(mp * x)
+        return np.stack([mp * c[:, 0] * s[:, 1], mp * s[:, 0] * c[:, 1]],
+                        axis=-1)
+
+    def exact_fields(self, x):
+        """Velocity (n, 2), velocity gradient (n, 2, 2) and pressure (n,) at
+        points x (n, 2), each bit for bit the value of its own callable,
+        from one evaluation of the sines and cosines."""
+        tp = 2 * np.pi
+        sin2, cos2 = np.sin(tp * x), np.cos(tp * x)
+        s = sin2[:, 0] * sin2[:, 1]
+        sm = sin2 if self.m == 2 else np.sin(self.m * np.pi * x)
+        return (np.stack([s, s], axis=-1), _velocity_gradient(sin2, cos2),
+                sm[:, 0] * sm[:, 1] - self.pressure_mean)
 
     def body_force(self, x):
         tp = 2 * np.pi
         mp = self.m * np.pi
-        s = np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
+        sin2 = np.sin(tp * x)
+        if self.m == 2:
+            sm, cm = sin2, np.cos(tp * x)
+        else:
+            sm, cm = np.sin(mp * x), np.cos(mp * x)
+        s = sin2[:, 0] * sin2[:, 1]
         visc = 8 * np.pi ** 2 * self.nu * s
         u = np.stack([s, s], axis=-1)
         gu = u @ self.gamma.T
         out = np.empty_like(u)
-        out[:, 0] = visc + gu[:, 0] + mp * np.cos(mp * x[:, 0]) * np.sin(mp * x[:, 1])
-        out[:, 1] = visc + gu[:, 1] + mp * np.sin(mp * x[:, 0]) * np.cos(mp * x[:, 1])
+        out[:, 0] = visc + gu[:, 0] + mp * cm[:, 0] * sm[:, 1]
+        out[:, 1] = visc + gu[:, 1] + mp * sm[:, 0] * cm[:, 1]
         return out
 
     def mass_source(self, x):
         tp = 2 * np.pi
-        return tp * (np.cos(tp * x[:, 0]) * np.sin(tp * x[:, 1])
-                     + np.sin(tp * x[:, 0]) * np.cos(tp * x[:, 1]))
+        s, c = np.sin(tp * x), np.cos(tp * x)
+        return tp * (c[:, 0] * s[:, 1] + s[:, 0] * c[:, 1])
 
     # -- derived scalars ---------------------------------------------------
 
@@ -146,6 +178,13 @@ class BrinkmanCase:
         scale = max(1.0, np.abs(fd).max())
         if np.abs(self.pressure_gradient(x) - fd).max() > 1e-6 * scale:
             raise RuntimeError("pressure_gradient disagrees with finite differences")
+
+        u, grad, p = self.exact_fields(x)
+        if not (np.array_equal(u, self.velocity(x))
+                and np.array_equal(grad, lex)
+                and np.array_equal(p, self.pressure(x))):
+            raise RuntimeError("exact_fields disagrees with velocity, "
+                               "velocity_gradient or pressure")
 
         g = self.mass_source(x)
         tr = lex[:, 0, 0] + lex[:, 1, 1]
@@ -215,10 +254,10 @@ class _ErrorBlock:
     """
 
     cells: np.ndarray
-    x: np.ndarray           # (C, q, 2) fine volume points
     wdet: np.ndarray        # (C, q) fine volume weights
     u: np.ndarray           # (C, q, 2) exact velocity
     grad: np.ndarray        # (C, q, 2, 2) exact velocity gradient
+    p: np.ndarray           # (C, q) exact pressure
     proj_u: np.ndarray      # (C, n_v) interpolant Pi_V u
     du: np.ndarray          # (C, n_v) e_u = Pi_V u - u^h
     dl: np.ndarray          # (C, 2, n_g) e_L = P_G grad u - L^h
@@ -236,25 +275,41 @@ def _pushed(spaces, cells, coef, basis):
     return spaces.piola(cells, reference_fields(coef, basis))
 
 
-def _gram_norm2(metric, gram, coef):
-    """Squared L2 norm, summed over the cells (C,), of the fields of
-    coefficients coef (C, *lead, n): each cell's Gram is its metric
-    (C, ...) contracted with the reference Gram gram (K, n * n), as in
-    `forms.element_blocks`."""
+def _coef_pairs(coef):
+    """Products c_a c_b of coefficients coef (C, *lead, n), summed over
+    the lead axes; (C, n * n)."""
     n = coef.shape[-1]
     c = coef.reshape(len(coef), -1, n)
-    pairs = (c.swapaxes(1, 2) @ c).reshape(len(c), -1)
-    return float(np.sum(metric.reshape(len(c), -1) * (pairs @ gram.T)))
+    return (c.swapaxes(1, 2) @ c).reshape(len(c), -1)
+
+
+def _gram_norm2(metric, gram, pairs):
+    """Squared L2 norm, summed over the cells (C,), of the fields whose
+    coefficient products are pairs (C, n * n) (`_coef_pairs`): each
+    cell's Gram is its metric (C, ...) contracted with the reference Gram
+    gram (K, n * n), as in `forms.element_blocks`."""
+    return float(np.sum(metric.reshape(len(pairs), -1) * (pairs @ gram.T)))
+
+
+def _exact_at(case, x):
+    """`case.exact_fields` at points x (..., 2): u (..., 2), grad u
+    (..., 2, 2) and p (...)."""
+    lead = x.shape[:-1]
+    u, grad, p = case.exact_fields(x.reshape(-1, 2))
+    return (u.reshape(lead + (2,)), grad.reshape(lead + (2, 2)),
+            p.reshape(lead))
 
 
 def _error_blocks(spaces, fields, case):
     """Yield an _ErrorBlock per block of `Spaces.cell_blocks`.
 
-    The exact velocity and gradient are evaluated once per block on the
-    stacked volume and facet points, and the interpolants are formed from
-    those values.  The tangential moments of u come from one call over
-    all facets.  Discrete fields are reference values pushed forward
-    with each cell's jacobian.
+    The exact fields are evaluated once per fine point: on the facets
+    once for all facets before the blocks, and gathered per cell side,
+    since `Spaces.facet_points` runs a cell's facet points as the
+    stored facet runs; in the cells once per block.  The interpolants
+    and the tangential moments of u are formed from those values.
+    Discrete fields are reference values pushed forward with each
+    cell's jacobian.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -262,33 +317,32 @@ def _error_blocks(spaces, fields, case):
     ref = fam.reference_tab(spaces.fine_degree)
     weights = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
     seg_weights = quadrature("segment", spaces.fine_degree).weights
+    every = np.arange(mesh.num_facets)
+    u_facet, grad_facet, _ = _exact_at(case, spaces.points_on_facets(every))
     # per facet: moments of u . t minus the discrete trace (0 on the boundary)
-    dhat = project_facet_tangent(mesh, np.arange(mesh.num_facets), spaces.k,
-                                 case.velocity, spaces.fine_degree)
+    dhat = facet_tangent_moments(mesh, every, spaces.k, u_facet,
+                                 spaces.fine_degree)
     rank = mesh.interior_index
     inner = rank >= 0
     dhat[inner] -= fields.uhat_t.reshape(-1, kk)[rank[inner]]
 
     for cells in spaces.cell_blocks():
         x = spaces.vol_points(cells)
-        xf = spaces.facet_points(cells)
-        u = values_at(case.velocity, x)
-        grad = values_at(case.velocity_gradient, x)
-        proj_u = velocity_div_coefficients(
-            spaces, cells, values_at(case.velocity, xf), u)
+        u, grad, p = _exact_at(case, x)
+        f = mesh.cell_facets[cells]
+        proj_u = velocity_div_coefficients(spaces, cells, u_facet[f], u)
         proj_l = grad_coefficients(spaces, cells, grad)
         du = proj_u - fields.u[cells]
         facet_l = spaces.piola(cells, spaces.facet_fields(cells, proj_l,
                                                           ref.facet_g))
-        f = mesh.cell_facets[cells]
         h = mesh.facet_lengths[f]
         tangent = mesh.facet_tangents[f]
         eut = np.einsum("efqc,efc->efq", spaces.piola(
             cells, spaces.facet_fields(cells, du, ref.facet_v)), tangent)
         yield _ErrorBlock(
-            cells=cells, x=x, wdet=np.outer(spaces.dets[cells], weights),
-            u=u, grad=grad, proj_u=proj_u, du=du, dl=proj_l - fields.l[cells],
-            facet_dl=values_at(case.velocity_gradient, xf) - facet_l,
+            cells=cells, wdet=np.outer(spaces.dets[cells], weights),
+            u=u, grad=grad, p=p, proj_u=proj_u, du=du,
+            dl=proj_l - fields.l[cells], facet_dl=grad_facet[f] - facet_l,
             facet_gap=eut - dhat[f] @ ref.phi, h=h,
             facet_w=h[..., None] * seg_weights,
             outward=mesh.cell_facet_signs[cells, :, None] * mesh.facet_normals[f],
@@ -297,6 +351,9 @@ def _error_blocks(spaces, fields, case):
 
 def error_norms(spaces, fields, case):
     """All error measures for one solution; fine-rule integration.
+
+    case gives nu, gamma and the exact solution through `exact_fields`,
+    as a `BrinkmanCase` does.
 
     `err_eu`, `err_el`, `err_h1` and `err_ustar` are norms of differences
     of fields of the size of u whose gap is 1e-3 to 1e-5 of them at k=3,
@@ -320,8 +377,7 @@ def error_norms(spaces, fields, case):
         eu2 += float(np.einsum("eqr,eq->", (uv - blk.u) ** 2, w))
 
         pv = fields.p[cells] @ ref.q_vals
-        pex = values_at(case.pressure, blk.x)
-        ep2 += float(np.einsum("eq,eq->", (pv - pex) ** 2, w))
+        ep2 += float(np.einsum("eq,eq->", (pv - blk.p) ** 2, w))
 
         sv = np.einsum("eri,iq->eqr", fields.ustar[cells], ref.post)
         estar2 += float(np.einsum("eqr,eq->", (sv - blk.u) ** 2, w))
@@ -332,11 +388,12 @@ def error_norms(spaces, fields, case):
         jac, det = spaces.jacobians[cells], spaces.dets[cells, None, None]
         inv = spaces.inverse_jacobians[cells]
         jtj = jac.swapaxes(1, 2) @ jac / det
-        eeu2 += _gram_norm2(jtj, ref.gram_v, blk.du)
-        eel2 += _gram_norm2(jtj, ref.gram_g, blk.dl)
+        du_pairs = _coef_pairs(blk.du)
+        eeu2 += _gram_norm2(jtj, ref.gram_v, du_pairs)
+        eel2 += _gram_norm2(jtj, ref.gram_g, _coef_pairs(blk.dl))
         inv2 = inv @ inv.swapaxes(1, 2)
         eh1 += _gram_norm2(jtj[:, :, None, :, None] * inv2[:, None, :, None],
-                           ref.gram_v_grad, blk.du)
+                           ref.gram_v_grad, du_pairs)
 
         fw, h = blk.facet_w, blk.h
         eh1 += float(np.einsum("efq,efq,ef->", blk.facet_gap ** 2, fw, 1.0 / h))

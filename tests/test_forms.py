@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from brinkhdg import forms
+from brinkhdg import fespace, forms
 from brinkhdg.fespace import Spaces, nodal_dof_matrices
 from brinkhdg.forms import (as_gamma_matrix, element_blocks,
                             postprocess_factor, postprocess_velocity,
@@ -277,6 +277,53 @@ def test_projections_of_a_cell_array_match_per_cell():
         for f in range(mesh.num_facets):
             t_one = project_facet_tangent(mesh, f, 2, field, spaces.fine_degree)
             assert np.abs(t_all[f] - t_one).max() < 1e-14
+
+
+def grad_coefficients_per_cell(spaces, cells, vals):
+    """Reference for `forms.grad_coefficients`: each cell's Gram from its
+    own jacobian, solved for that cell alone with `np.linalg.solve`."""
+    ref = spaces.family.reference_tab(spaces.fine_degree)
+    w = quadrature(spaces.family.ref_cell.name, spaces.fine_degree).weights
+    n_g, nq = spaces.family.n_g, len(w)
+    gw = np.moveaxis(ref.g * w, 0, -1).swapaxes(0, 1).reshape(2 * nq, n_g)
+    out = np.empty((len(cells), 2, n_g))
+    for i, c in enumerate(cells):
+        jac = spaces.jacobians[c]
+        mg = ((jac.T @ jac / spaces.dets[c]).reshape(4) @ ref.gram_g).reshape(
+            n_g, n_g)
+        # (J^T v_r)[r, q, d] against (w ghat)[a, d, q]
+        jv = (vals[i].reshape(2 * nq, 2) @ jac).reshape(nq, 2, 2)
+        rhs = jv.swapaxes(0, 1).reshape(2, 2 * nq) @ gw
+        out[i] = np.linalg.solve(mg, rhs.T).T
+    return out
+
+
+def test_grad_coefficients_match_per_cell_solves(monkeypatch):
+    # one factorization per class, with the cells of a class as columns,
+    # gives each cell's own solve: on one-cell classes (perturbed), and on
+    # structured meshes in blocks that mix classes and in shuffled order
+    monkeypatch.setattr(fespace, "BLOCK_CELLS", 7)
+    rng = np.random.default_rng(3)
+
+    def grad_field(x):
+        return np.stack([np.cos(3 * x), np.sin(2 * x) * x[:, ::-1]],
+                        axis=1) + x[:, :, None]
+
+    perturbed = perturbed_triangles(4, 0.2, seed=5)
+    assert len(Spaces(perturbed, 2).class_rep) == perturbed.num_cells
+    # 3x3 quads: a class's cells share the jacobian only to roundoff
+    for mesh, k in ((perturbed, 2), (build_structured_mesh(8, TRIANGLE), 3),
+                    (build_structured_mesh(3, QUAD), 2)):
+        spaces = Spaces(mesh, k)
+        blocks = list(spaces.cell_blocks())
+        assert any(len(np.unique(spaces.cell_class[cells])) > 1
+                   for cells in blocks)
+        for cells in blocks + [rng.permutation(mesh.num_cells)]:
+            vals = forms.values_at(grad_field, spaces.vol_points(cells))
+            got = forms.grad_coefficients(spaces, cells, vals)
+            want = grad_coefficients_per_cell(spaces, cells, vals)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_project_facet_tangent_unit_parameter():

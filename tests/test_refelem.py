@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from brinkhdg.refelem import (REFERENCE_CELLS, SegmentBasis,
-                              divergence_span_coeffs, make_basis,
-                              normal_trace_degree_check, quadrature)
+                              divergence_span_coeffs, make_basis, quadrature)
+
+# normal-trace fit residual, relative to 1 + the largest trace, of roundoff
+NORMAL_TRACE_TOL = 1e-9
 
 
 def monomial_integral_simplex(i, j):
@@ -126,6 +128,27 @@ def test_divergence_tabulation_consistent_with_gradient():
 def test_scalar_basis_has_no_divergence():
     with pytest.raises(ValueError):
         make_basis("P", 1, "simplex").tabulate_div(np.zeros((1, 2)))
+
+
+def normal_trace_degree_check(basis, k):
+    """True when every facet normal trace of the basis has degree <= k.
+
+    The trace is sampled along each reference facet and fitted with a
+    polynomial of degree k; the check fails when some fit residual is
+    nonzero beyond roundoff.
+    """
+    ref = REFERENCE_CELLS[basis.cell]
+    s = np.linspace(0.05, 0.95, k + 4)
+    vander = np.vander(s, k + 1)
+    for (i0, i1), normal in zip(ref.facets, ref.normals):
+        p0, p1 = ref.vertices[i0], ref.vertices[i1]
+        pts = p0 + s[:, None] * (p1 - p0)
+        vn = np.einsum("ncp,c->np", basis.tabulate(pts), normal)
+        coef = np.linalg.lstsq(vander, vn.T, rcond=None)[0]
+        if (np.abs(vander @ coef - vn.T).max()
+                > NORMAL_TRACE_TOL * (1.0 + np.abs(vn).max())):
+            return False
+    return True
 
 
 def test_normal_trace_degrees():

@@ -292,6 +292,111 @@ def test_error_norms_match_brute_force_point_values():
                 brute, rel=1e-12), (mesh.cell_kind, key)
 
 
+def reference_callables(case):
+    """The closed forms of the case's callables, each sine and cosine
+    taken one coordinate at a time."""
+    tp, mp = 2 * np.pi, case.m * np.pi
+
+    def velocity(x):
+        s = np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
+        return np.stack([s, s], axis=-1)
+
+    def velocity_gradient(x):
+        dx = tp * np.cos(tp * x[:, 0]) * np.sin(tp * x[:, 1])
+        dy = tp * np.sin(tp * x[:, 0]) * np.cos(tp * x[:, 1])
+        return np.stack([dx, dy, dx, dy], axis=-1).reshape(-1, 2, 2)
+
+    def pressure(x):
+        return (np.sin(mp * x[:, 0]) * np.sin(mp * x[:, 1])
+                - case.pressure_mean)
+
+    def body_force(x):
+        s = np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
+        visc = 8 * np.pi ** 2 * case.nu * s
+        gu = np.stack([s, s], axis=-1) @ case.gamma.T
+        return np.stack([
+            visc + gu[:, 0] + mp * np.cos(mp * x[:, 0]) * np.sin(mp * x[:, 1]),
+            visc + gu[:, 1] + mp * np.sin(mp * x[:, 0]) * np.cos(mp * x[:, 1])],
+            axis=-1)
+
+    def mass_source(x):
+        return tp * (np.cos(tp * x[:, 0]) * np.sin(tp * x[:, 1])
+                     + np.sin(tp * x[:, 0]) * np.cos(tp * x[:, 1]))
+
+    return dict(velocity=velocity, velocity_gradient=velocity_gradient,
+                pressure=pressure, body_force=body_force,
+                mass_source=mass_source)
+
+
+def test_shared_trig_matches_closed_forms_bit_for_bit():
+    # exact_fields gives the public callables' values, and the callables,
+    # which share sines and cosines (across u and p when m = 2), give the
+    # closed forms evaluated one coordinate at a time, bit for bit
+    x = np.random.default_rng(11).uniform(-0.2, 1.2, size=(257, 2))
+    aniso = np.array([[2.0, 0.7], [0.7, 0.5]])
+    for case in (make_case(1), make_case(2), make_case(3),
+                 BrinkmanCase(0.3, aniso, 3)):
+        u, grad, p = case.exact_fields(x)
+        for name, want in (("velocity", u), ("velocity_gradient", grad),
+                           ("pressure", p)):
+            assert np.array_equal(getattr(case, name)(x), want), \
+                (case.label, name)
+        for name, ref in reference_callables(case).items():
+            assert np.array_equal(getattr(case, name)(x), ref(x)), \
+                (case.label, name)
+
+
+def test_validation_rejects_fused_fields_that_disagree():
+    class ShiftedPressure(BrinkmanCase):
+        def exact_fields(self, x):
+            u, grad, p = super().exact_fields(x)
+            return u, grad, p + 1e-3
+
+    with pytest.raises(RuntimeError, match="exact_fields"):
+        ShiftedPressure(1.0, 1.0, 2)
+
+
+def test_error_norms_evaluate_exact_fields_once_per_point(monkeypatch):
+    # each fine volume point once and each fine facet point once, however
+    # the cells are cut into blocks
+    class Counting(BrinkmanCase):
+        def __init__(self, *args):
+            self.reset()
+            super().__init__(*args)
+
+        def reset(self):
+            self.points = {"u": 0, "grad": 0}
+
+        def exact_fields(self, x):
+            for key in self.points:
+                self.points[key] += len(x)
+            return super().exact_fields(x)
+
+        def velocity(self, x):
+            self.points["u"] += len(x)
+            return super().velocity(x)
+
+        def velocity_gradient(self, x):
+            self.points["grad"] += len(x)
+            return super().velocity_gradient(x)
+
+    monkeypatch.setattr(fespace, "BLOCK_CELLS", 5)
+    for kind, k in ((TRIANGLE, 2), (QUAD, 1)):
+        case = Counting(1.0, 1.0, 2)
+        spaces = Spaces(build_structured_mesh(4, kind), k)
+        assert len(list(spaces.cell_blocks())) > 2
+        fields = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                              case.mass_source)
+        mesh = spaces.mesh
+        q = len(quadrature(spaces.family.ref_cell.name,
+                           spaces.fine_degree).weights)
+        qf = len(quadrature("segment", spaces.fine_degree).weights)
+        case.reset()
+        error_norms(spaces, fields, case)
+        want = mesh.num_cells * q + mesh.num_facets * qf
+        assert case.points["u"] == case.points["grad"] == want, kind
+
+
 def test_energy_identity_on_solve():
     case = make_case(1)
     for kind in (QUAD, TRIANGLE):
