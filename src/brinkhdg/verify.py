@@ -261,11 +261,10 @@ class _ErrorBlock:
     proj_u: np.ndarray      # (C, n_v) interpolant Pi_V u
     du: np.ndarray          # (C, n_v) e_u = Pi_V u - u^h
     dl: np.ndarray          # (C, 2, n_g) e_L = P_G grad u - L^h
-    facet_dl: np.ndarray    # (C, f, qf, 2, 2) grad u - P_G grad u
+    facet_dln: np.ndarray   # (C, f, qf, 2) (grad u - P_G grad u) n_out
     facet_gap: np.ndarray   # (C, f, qf) e_u . t - e_uhat
     h: np.ndarray           # (C, f) facet lengths
     facet_w: np.ndarray     # (C, f, qf) fine facet weights
-    outward: np.ndarray     # (C, f, 2) outward unit normals
     tangent: np.ndarray     # (C, f, 2)
 
 
@@ -339,14 +338,15 @@ def _error_blocks(spaces, fields, case):
         tangent = mesh.facet_tangents[f]
         eut = np.einsum("efqc,efc->efq", spaces.piola(
             cells, spaces.facet_fields(cells, du, ref.facet_v)), tangent)
+        outward = mesh.cell_facet_signs[cells, :, None] * mesh.facet_normals[f]
         yield _ErrorBlock(
             cells=cells, wdet=np.outer(spaces.dets[cells], weights),
             u=u, grad=grad, p=p, proj_u=proj_u, du=du,
-            dl=proj_l - fields.l[cells], facet_dl=grad_facet[f] - facet_l,
+            dl=proj_l - fields.l[cells],
+            facet_dln=np.einsum("efqrc,efc->efqr", grad_facet[f] - facet_l,
+                                outward),
             facet_gap=eut - dhat[f] @ ref.phi, h=h,
-            facet_w=h[..., None] * seg_weights,
-            outward=mesh.cell_facet_signs[cells, :, None] * mesh.facet_normals[f],
-            tangent=tangent)
+            facet_w=h[..., None] * seg_weights, tangent=tangent)
 
 
 def error_norms(spaces, fields, case):
@@ -397,8 +397,8 @@ def error_norms(spaces, fields, case):
 
         fw, h = blk.facet_w, blk.h
         eh1 += float(np.einsum("efq,efq,ef->", blk.facet_gap ** 2, fw, 1.0 / h))
-        dln = np.einsum("efqrc,efc->efqr", blk.facet_dl, blk.outward)
-        edl2 += nu * float(np.einsum("efqr,efq,ef->", dln ** 2, fw, h))
+        edl2 += nu * float(np.einsum("efqr,efq,ef->", blk.facet_dln ** 2, fw,
+                                     h))
 
     theta = case.solution_norm_bound(spaces.k) \
         if hasattr(case, "solution_norm_bound") else float("nan")
@@ -429,16 +429,17 @@ def energy_identity_terms(spaces, fields, case):
         elv = _pushed(spaces, cells, blk.dl, ref.g)
         euv = _pushed(spaces, cells, blk.du, ref.v)
         energy += nu * float(np.einsum("eqrc,eq->", elv ** 2, w))
-        energy += float(np.einsum("eqr,rs,eqs,eq->", euv, gamma, euv, w))
-
+        # gamma e_u (gamma is symmetric) and the weighted point sums as
+        # matmuls on reshaped arrays
+        geu = (euv.reshape(-1, 2) @ gamma).reshape(euv.shape)
+        energy += float(np.sum(euv * geu, axis=-1).ravel() @ w.ravel())
         delta_u = blk.u - _pushed(spaces, cells, blk.proj_u, ref.v)
-        volume_term -= float(np.einsum("eqr,rs,eqs,eq->", delta_u, gamma, euv,
-                                       w))
+        volume_term -= float(np.sum(delta_u * geu, axis=-1).ravel()
+                             @ w.ravel())
 
-        dlnt = np.einsum("efqrc,efc,efr->efq", blk.facet_dl, blk.outward,
-                         blk.tangent)
-        facet_term += nu * float(np.einsum("efq,efq,efq->", dlnt,
-                                           blk.facet_gap, blk.facet_w))
+        dlnt = np.sum(blk.facet_dln * blk.tangent[:, :, None], axis=-1)
+        facet_term += nu * float((dlnt * blk.facet_gap).ravel()
+                                 @ blk.facet_w.ravel())
     return energy, facet_term, volume_term
 
 
