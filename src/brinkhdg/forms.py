@@ -193,10 +193,10 @@ def grad_coefficients(spaces, cells, vals):
     rjac = spaces.jacobians[reps]
     metric = np.swapaxes(rjac, 1, 2) @ rjac / spaces.dets[reps, None, None]
     mg = (metric.reshape(len(cls), 4) @ ref.gram_g).reshape(-1, n_g, n_g)
-    width = 2 * counts.max(initial=0)
-    cols = np.zeros((len(cls), n_g, width // 2, 2))
+    most = counts.max(initial=0)
+    cols = np.zeros((len(cls), n_g, most, 2))
     cols[inv, :, slot] = rhs.reshape(n, 2, n_g).swapaxes(1, 2)
-    sol = np.linalg.solve(mg, cols.reshape(len(cls), n_g, width))
+    sol = np.linalg.solve(mg, cols.reshape(len(cls), n_g, 2 * most))
     return sol.reshape(cols.shape)[inv, :, slot].swapaxes(1, 2)
 
 
