@@ -168,11 +168,9 @@ def grad_coefficients(spaces, cells, vals):
     With g_a = J ghat_a / det, (g_a, g_b) = sum_q w ghat_a . (J^T J / det)
     ghat_b and (v_r, g_a) = sum_q w (J^T v_r) . ghat_a.
 
-    The Gram depends only on the geometry class, so it is formed from
-    each class's jacobian and solved once per class: one batched LAPACK
-    call takes every class of the cells, with the right-hand sides of a
-    class's cells side by side as its columns (zero columns pad the
-    smaller classes).
+    The Gram depends only on the geometry class, so it is formed and
+    inverted once per class of the cells, in one batched LAPACK call, and
+    each cell's right-hand sides are multiplied by its class's inverse.
     """
     fam = spaces.family
     ref = fam.reference_tab(spaces.fine_degree)
@@ -183,21 +181,13 @@ def grad_coefficients(spaces, cells, vals):
     nq = gw.shape[-1]
     jv = (np.swapaxes(vals, 1, 2) @ jac[:, None]).reshape(2 * n, 2 * nq)
     rhs = jv @ np.moveaxis(gw, 0, -1).swapaxes(0, 1).reshape(2 * nq, n_g)
-    # column slot of each cell among the cells of its class
-    cls, inv, counts = np.unique(spaces.cell_class[cells], return_inverse=True,
-                                 return_counts=True)
-    slot = np.empty(n, dtype=int)
-    slot[np.argsort(inv, kind="stable")] = (
-        np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+    cls, inv = np.unique(spaces.cell_class[cells], return_inverse=True)
     reps = np.asarray(spaces.class_rep, dtype=int)[cls]
     rjac = spaces.jacobians[reps]
     metric = np.swapaxes(rjac, 1, 2) @ rjac / spaces.dets[reps, None, None]
     mg = (metric.reshape(len(cls), 4) @ ref.gram_g).reshape(-1, n_g, n_g)
-    most = counts.max(initial=0)
-    cols = np.zeros((len(cls), n_g, most, 2))
-    cols[inv, :, slot] = rhs.reshape(n, 2, n_g).swapaxes(1, 2)
-    sol = np.linalg.solve(mg, cols.reshape(len(cls), n_g, 2 * most))
-    return sol.reshape(cols.shape)[inv, :, slot].swapaxes(1, 2)
+    # M^-1 r for each row r of a cell, as the row r M^-T
+    return rhs.reshape(n, 2, n_g) @ np.linalg.inv(mg)[inv].swapaxes(1, 2)
 
 
 def project_grad(spaces, c, grad_func):

@@ -299,8 +299,8 @@ def grad_coefficients_per_cell(spaces, cells, vals):
 
 
 def test_grad_coefficients_match_per_cell_solves(monkeypatch):
-    # one factorization per class, with the cells of a class as columns,
-    # gives each cell's own solve: on one-cell classes (perturbed), and on
+    # one inverse per class, applied to each of its cells, gives each
+    # cell's own solve to roundoff: on one-cell classes (perturbed), and on
     # structured meshes in blocks that mix classes and in shuffled order
     monkeypatch.setattr(fespace, "BLOCK_CELLS", 7)
     rng = np.random.default_rng(3)
