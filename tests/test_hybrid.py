@@ -376,7 +376,8 @@ def test_cellwise_energy_product_matches_assembled(condensed_calls):
 def test_condensed_residual_no_worse_than_general_lu(condensed_calls):
     # the reduced SPD solve, refined once against the pinned saddle point,
     # leaves a residual on that saddle point no larger than a general LU
-    # of it with COLAMD ordering and its own refinement step
+    # of it with COLAMD ordering, threshold partial pivoting and its own
+    # refinement step
     case = make_case(1)
     for kind, n, k in ((QUAD, 32, 1), (TRIANGLE, 8, 3)):
         solve_case(kind, n, k, case)

@@ -265,6 +265,31 @@ def test_symmetric_mode_matches_general_lu():
     assert np.abs(x_sym - x_gen).max() <= 1e-12 * np.abs(x_gen).max()
 
 
+def test_general_lu_keeps_diagonal_pivots_above_threshold():
+    # every diagonal entry is at least 0.1 of its column's largest entry
+    # but not the largest: threshold partial pivoting keeps it, where full
+    # partial pivoting would swap rows
+    mat = sp.csc_matrix(np.array([[0.5, 1.0, 0.0],
+                                  [1.0, 0.6, 1.0],
+                                  [0.0, 1.0, 0.7]]))
+    factor = SparseFactor(mat)
+    assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+    b = np.array([1.0, -2.0, 3.0])
+    x = factor.solve(b)
+    assert np.linalg.norm(b - mat @ x) <= 1e-14 * np.linalg.norm(b)
+    # a saddle point with a zero diagonal block, as in the oracle's
+    # pressure rows, still factors and solves
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((6, 6))
+    a = a @ a.T + 6 * np.eye(6)
+    bt = rng.standard_normal((6, 2))
+    saddle = sp.csc_matrix(np.block([[a, bt], [bt.T, np.zeros((2, 2))]]))
+    factor = SparseFactor(saddle)
+    b = np.sin(np.arange(8.0))
+    x = factor.solve(b)
+    assert np.linalg.norm(b - saddle @ x) <= 1e-14 * np.linalg.norm(b)
+
+
 def test_refined_solve_refines_once_and_checks_residual():
     # an approximate inverse off by a factor 1 + 1e-4 leaves a relative
     # residual of 1e-4, and 1e-8 after one refinement step
