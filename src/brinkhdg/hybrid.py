@@ -38,11 +38,12 @@ unknowns.  Before its sparse solve it eliminates the unknowns private to
 each cell, the gradient rows and the interior velocity moments, in one
 Schur step per class, and condenses their load onto the kept rows.  Its
 sparse system keeps the facet velocity moments, all the pressures and
-the traces; it is a general LU with COLAMD ordering, and it pins the
-last cell's constant pressure coefficient.  It shares the quadrature
-data but neither the local solver, the facet multiplier nor the SPD
-reduction, and it pins another cell and another unknown, so agreement
-between the two is a meaningful consistency check.
+the traces; it is a general LU with COLAMD ordering and threshold
+partial pivoting, and it pins the last cell's constant pressure
+coefficient.  It shares the quadrature data but neither the local
+solver, the facet multiplier nor the SPD reduction, and it pins another
+cell and another unknown, so agreement between the two is a meaningful
+consistency check.
 """
 
 from __future__ import annotations

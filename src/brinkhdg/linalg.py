@@ -7,9 +7,9 @@ Every sparse factorization is a `SparseFactor`: general LU with COLAMD
 ordering and threshold partial pivoting, which keeps a diagonal pivot of
 at least `_DIAG_PIVOT_THRESH` times its column's largest entry, or, for
 symmetric positive definite matrices, a minimum-degree ordering of
-A^T + A with diagonal pivots.  `refined_solve` applies one
-refinement step against a matrix with an exact or approximate inverse
-and checks the residual.
+A^T + A with diagonal pivots.  `refined_solve` applies one refinement
+step against a matrix with an exact or approximate inverse and checks
+the residual.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class SingularMatrixError(RuntimeError):
 _PIVOT_RTOL = 1e-13
 # threshold partial pivoting of the general sparse LU (Duff, Erisman &
 # Reid, Direct Methods for Sparse Matrices, ch. 7): on the oracle's
-# 4,176-unknown system it cuts fill from 1.07M (full partial pivoting)
-# to 0.70M; 0.01 and 0.001 give the same fill, 0.5 gives 0.81M
+# 4,176-unknown system it gives 0.70M fill against 1.07M with full
+# partial pivoting (a threshold of 1)
 _DIAG_PIVOT_THRESH = 0.1
 
 
@@ -57,9 +57,9 @@ class DenseFactor:
     called directly, so factors and solutions are those of
     `scipy.linalg.lu_factor` and `lu_solve`.  The factors of a stack are
     kept in one array of column-major matrices, so the pivots of all of
-    them are checked at once.  With overwrite_a, a matrix stored in
-    column-major order is factored in place, as in `lu_factor`; others
-    are copied.
+    them are checked at once.  With overwrite_a, a writable matrix
+    stored in column-major order is factored in place, as in
+    `lu_factor`; others are copied.
     """
 
     def __init__(self, a, overwrite_a=False):
@@ -73,9 +73,11 @@ class DenseFactor:
         # each matrix's pivots against its own largest entry; max and min
         # rather than abs, which would copy the stack
         scale = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
-        # one stack of column-major matrices that getrf overwrites in place
+        # one stack of column-major matrices that getrf overwrites in place;
+        # getrf would also write into a read-only array, so that is copied
         lu = stack
-        if not (overwrite_a and stack[0].flags.f_contiguous):
+        if not (overwrite_a and stack.flags.writeable
+                and stack[0].flags.f_contiguous):
             lu = np.empty(stack.shape).swapaxes(1, 2)
             lu[...] = stack
         getrf = _lapack()[0]

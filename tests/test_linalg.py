@@ -109,6 +109,29 @@ def test_dense_factor_matches_scipy_lu():
     assert err.value.index == 2
 
 
+def test_dense_factor_overwrites_only_writable_column_major_input():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((3, 6, 6)) + 6 * np.eye(6)
+    want = [sla.lu_factor(m)[0] for m in a]
+    # a stack of column-major matrices and one such matrix: factored in place
+    stack = np.zeros(a.shape).swapaxes(1, 2)
+    stack[...] = a
+    DenseFactor(stack, overwrite_a=True)
+    one = np.asfortranarray(a[1])
+    DenseFactor(one, overwrite_a=True)
+    assert all(np.array_equal(stack[i], want[i]) for i in range(3))
+    assert np.array_equal(one, want[1])
+    # row-major, read-only, or without overwrite_a: copied, input unchanged
+    frozen = np.asfortranarray(a[2])
+    frozen.flags.writeable = False
+    for mat, overwrite in ((a.copy(), True), (a[0].copy(), True),
+                           (frozen, True), (np.asfortranarray(a[0]), False)):
+        before = mat.copy()
+        factor = DenseFactor(mat, overwrite_a=overwrite)
+        assert np.array_equal(mat, before)
+        assert np.array_equal(factor._lu[0][0], want[2 if mat is frozen else 0])
+
+
 def test_dense_stack_solves_with_an_index_per_column():
     # column j of b is solved with matrix index[j]; columns that share a
     # matrix are solved together
