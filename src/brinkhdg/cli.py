@@ -8,6 +8,7 @@ configurations produce bit-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -73,10 +74,11 @@ def _resolve_case(args, parser):
         parser.error("provide --test or both --nu and --m")
     if args.gamma is None:
         args.gamma = 1.0
-    if args.nu <= 0:
-        parser.error("--nu must be positive")
-    if args.gamma <= 0:
-        parser.error("--gamma must be positive")
+    # written so that NaN fails too
+    if not 0 < args.nu < math.inf:
+        parser.error("--nu must be finite and positive")
+    if not 0 < args.gamma < math.inf:
+        parser.error("--gamma must be finite and positive")
     if args.m < 1:
         parser.error("--m must be a positive integer")
     return BrinkmanCase(args.nu, args.gamma, args.m,

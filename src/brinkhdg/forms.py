@@ -29,6 +29,8 @@ def as_gamma_matrix(gamma):
         g = float(g) * np.eye(2)
     if g.shape != (2, 2):
         raise ValueError("gamma must be a scalar or a 2x2 array")
+    if not np.isfinite(g).all():
+        raise ValueError("gamma must be finite")
     if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
         raise ValueError("gamma must be symmetric")
     evals = np.linalg.eigvalsh(g)
@@ -95,9 +97,11 @@ def element_blocks(spaces, cells, nu, gamma):
       +-(J^T J e / d) / h, with e the reference edge and + where the
       stored facet runs the same way.
 
-    Each contraction is one matmul over all the cells; gamma is checked
-    once.
+    Each contraction is one matmul over all the cells; nu and gamma are
+    checked once.
     """
+    if not 0 < nu < np.inf:
+        raise ValueError(f"nu must be finite and positive, not {nu}")
     gamma = as_gamma_matrix(gamma)
     ref = spaces.tab()
     fam = spaces.family

@@ -19,8 +19,12 @@ diagonal.  A cell has as many vertices as facets, so Z restricted to a
 cell's traces is a square per-cell map Z_e, and the SPD matrix is
 assembled from the per-cell blocks R_e = Z_e^T E_e Z_e of the cells'
 energy blocks E_e, every entry kept, so its pattern does not depend on
-the data.  The trace energy K is never assembled: the one refinement
-step against the full condensed system applies it cell by cell.
+the data.  Neither Z nor the map C from potentials to first modes is
+formed: each interior facet's first mode is -o/h times the potential
+of its lower vertex plus o/h times that of its higher one, so Z^T r is
+one bincount and Z y one difference per facet.  The trace energy K is
+never assembled: the one refinement step against the full condensed
+system applies it cell by cell.
 
 The element blocks of one cell of each geometry class are reference
 integrals times that cell's geometry (`forms.element_blocks` on
@@ -252,7 +256,10 @@ def _vertex_columns(mesh):
     Vertices of interior facets that lie on no boundary facet come first,
     then one shared potential per boundary loop after the first, whose
     potential is zero (column -1); the boundary normal flux is zero and
-    so psi is constant along each loop.
+    so psi is constant along each loop.  The fluxes out of a cell, the
+    differences of psi around it, sum to zero; with these columns the map
+    from psi to the first modes is injective and its range is the kernel
+    of the mass balances, since a mesh has one loop per hole.
     """
     # imported here: scipy.sparse.csgraph adds about 4 ms to the import
     # of the package, which nothing else needs
@@ -284,50 +291,26 @@ def _flux_weights(mesh, facets):
             / mesh.facet_lengths[facets])
 
 
-def _vertex_flux_map(mesh, vertex_columns):
-    """C: first normal modes of the interior facets from vertex potentials.
-
-    Row r, for interior facet r, holds -o/h at the facet's lower vertex
-    and o/h at its higher one (`_flux_weights`).  The fluxes h * (C psi)
-    out of a cell are then the differences of psi along its edge loop,
-    which sum to zero, so B C = 0.  Its columns are vertex_columns, the
-    pair `_vertex_columns` returns.  With them C is injective and its
-    range is the kernel of B: a mesh with holes has one loop per hole
-    besides the outer boundary.
-    """
-    fi = mesh.interior_facets
-    col, n_psi = vertex_columns
-    val = _flux_weights(mesh, fi)
-    rows = np.repeat(np.arange(len(fi)), 2)
-    cols = col[mesh.facet_vertices[fi]].ravel()
-    vals = np.column_stack([-val, val]).ravel()
-    keep = cols >= 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(len(fi), n_psi))
-
-
-def _reduced_columns(mesh, vcol, cols, m, n0, first):
+def _reduced_columns(mesh, vcol, cols, m, free, first):
     """Per cell: the columns of its reduced block, and its flux map M.
 
     cols holds each cell's global columns of the m traces
-    (`_facet_columns`), n0 the global first normal modes and first their
-    local slots, one per local facet.  The reduction replaces the first
-    modes by vertex potentials.  A cell has as many vertices as facets,
-    so its slot first[lf] stands for the potential of its vertex lf, and
-    M (nc, f, f) gives the first modes of its facets from those
-    potentials: local facet lf runs from vertex lf to vertex lf+1, and
-    its row holds C's two coefficients there (`_vertex_flux_map`); it is
-    zero on a boundary facet.  The other slots map to their rank among
-    the traces that are not first modes, and the vertex slots to that
-    count plus their psi column vcol (`_vertex_columns`); -1 marks a slot
-    with no column.
+    (`_facet_columns`), free the traces that are not first normal modes
+    and first the local slots of the first modes, one per local facet.
+    The reduction replaces the first modes by vertex potentials.  A cell
+    has as many vertices as facets, so its slot first[lf] stands for the
+    potential of its vertex lf, and M (nc, f, f) gives the first modes of
+    its facets from those potentials: local facet lf runs from vertex lf
+    to vertex lf+1, and its row holds -o/h at the facet's lower vertex
+    and o/h at its higher one (`_flux_weights`); it is zero on a boundary
+    facet.  The free slots map to their rank in free, and the vertex
+    slots to len(free) plus their psi column vcol (`_vertex_columns`); -1
+    marks a slot with no column.
     """
-    free = np.ones(m, dtype=bool)
-    free[n0] = False
-    n_free = m - len(n0)
+    n_free = len(free)
     # the last entry is the rank of column -1
     rank = np.full(m + 1, -1)
-    rank[np.flatnonzero(free)] = np.arange(n_free)
+    rank[free] = np.arange(n_free)
     red = rank[cols]
     corner = vcol[mesh.cells]
     red[:, first] = np.where(corner >= 0, n_free + corner, -1)
@@ -335,7 +318,7 @@ def _reduced_columns(mesh, vcol, cols, m, n0, first):
     facets = mesh.cell_facets
     w = np.where(mesh.interior_index[facets] >= 0,
                  _flux_weights(mesh, facets), 0.0)
-    # C puts -o/h at a facet's lower vertex and o/h at its higher one
+    # -o/h at the facet's lower vertex and o/h at its higher one
     w *= np.where(mesh.cells < np.roll(mesh.cells, -1, axis=1), 1.0, -1.0)
     nc, nfc = facets.shape
     lf = np.arange(nfc)
@@ -377,7 +360,8 @@ def _cellwise_product(energy, cols, m):
     return apply
 
 
-def _solve_condensed(reduced, energy, cols, incidence, n0, curl, rhs):
+def _solve_condensed(reduced, energy, cols, incidence, n0, free, psi,
+                     weights, rhs):
     """Solve the pinned condensed saddle point through an SPD reduction.
 
     The system, in [eta, pbar], is K eta + P^T pbar = F and P eta = G,
@@ -385,21 +369,26 @@ def _solve_condensed(reduced, energy, cols, incidence, n0, curl, rhs):
     P = incidence acting on the first normal modes n0 of eta; cell 0's
     row and column are replaced by the pin pbar[0] = rhs[len(eta)].
     Writing the first modes as n0_p + C psi, with B1 n0_p equal to the
-    mass balances G of cells 1..nc-1 and C = curl (B1 C = 0), leaves
-    Z^T K Z y = Z^T (F - K eta_p) in the other traces and psi, which is
-    SPD; pbar then follows from the n0 rows.  `reduced` is Z^T K Z,
-    assembled from the per-cell blocks R_e = Z_e^T E_e Z_e
-    (`_reduced_blocks`); it is scaled in place.  energy (nc, n, n) holds
-    each cell's block E_e and cols (nc, n) its trace columns, from which
-    K is applied cell by cell and never assembled (`_cellwise_product`);
-    Z serves only the right-hand side and the prolongation.  B1 B1^T and
-    the reduced matrix, the latter scaled symmetrically by powers of two,
-    are factored without pivoting.  That reduced solve is the approximate
-    inverse of one refinement step against the full matrix.
+    mass balances G of cells 1..nc-1 and B1 C = 0, leaves
+    Z^T K Z y = Z^T (F - K eta_p) in the traces that are not first modes
+    (free) and psi, which is SPD; pbar then follows from the n0 rows.  Row f of C
+    holds -weights[f] at the psi column psi[f, 0] of the facet's lower
+    vertex and weights[f] at psi[f, 1], its higher one, where -1 is a
+    potential fixed at zero; so Z^T r is r[free] and one bincount of the
+    first-mode residual, and Z y sets eta[free] and one difference per
+    facet.  `reduced` is Z^T K Z, assembled from the per-cell blocks
+    R_e = Z_e^T E_e Z_e (`_reduced_blocks`); it is scaled in place.
+    energy (nc, n, n) holds each cell's block E_e and cols (nc, n) its
+    trace columns, from which K is applied cell by cell and never
+    assembled (`_cellwise_product`).  B1 B1^T and the reduced matrix, the
+    latter scaled symmetrically by powers of two, are factored without
+    pivoting.  That reduced solve is the approximate inverse of one
+    refinement step against the full matrix.
     """
     b1 = incidence[1:]
     m = len(rhs) - b1.shape[0] - 1
-    n_fac, n_psi = curl.shape
+    n_free = len(free)
+    n_psi = reduced.shape[0] - n_free
     apply_energy = _cellwise_product(energy, cols, m)
 
     def full(x):
@@ -407,15 +396,9 @@ def _solve_condensed(reduced, energy, cols, incidence, n0, curl, rhs):
         out[n0] += b1.T @ x[m + 1:]
         return out
 
-    free = np.ones(m, dtype=bool)
-    free[n0] = False
-    n_free = m - n_fac
-    curl = curl.tocoo()
-    z = sp.csc_matrix(
-        (np.concatenate([np.ones(n_free), curl.data]),
-         (np.concatenate([np.flatnonzero(free), n0[curl.row]]),
-          np.concatenate([np.arange(n_free), n_free + curl.col]))),
-        shape=(m, n_free + n_psi))
+    # potentials fixed at zero take their terms into an extra bin
+    bins = np.where(psi >= 0, psi, n_psi).ravel()
+    signed = np.column_stack([-weights, weights])
     scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(reduced.diagonal())))[1])
     reduced.data *= (scale[reduced.indices]
                      * np.repeat(scale, np.diff(reduced.indptr)))
@@ -425,9 +408,13 @@ def _solve_condensed(reduced, energy, cols, incidence, n0, curl, rhs):
     def approx(b):
         eta = np.zeros(m)
         eta[n0] = b1.T @ graph_lu.solve(b[m + 1:])
-        y = scale * reduced_lu.solve(
-            scale * (z.T @ (b[:m] - apply_energy(eta))))
-        eta += z @ y
+        r = b[:m] - apply_energy(eta)
+        flux = np.bincount(bins, (signed * r[n0, None]).ravel(),
+                           minlength=n_psi + 1)[:-1]
+        y = scale * reduced_lu.solve(scale * np.concatenate([r[free], flux]))
+        eta[free] = y[:n_free]
+        pot = np.append(y[n_free:], 0.0)[psi]
+        eta[n0] += signed[:, 0] * pot[:, 0] + signed[:, 1] * pot[:, 1]
         pbar = graph_lu.solve(b1 @ (b[:m] - apply_energy(eta))[n0])
         return np.concatenate([eta, b[m:m + 1], pbar])
 
@@ -459,14 +446,14 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     q0v = _constant_pressure_value(spaces)
     n_sys = 2 * ntt + nc
     o_pbar = 2 * ntt
-    n0 = ntt + kk * np.arange(len(mesh.interior_facets))
-    vertex_columns = _vertex_columns(mesh)
-    curl = _vertex_flux_map(mesh, vertex_columns)
+    fi = mesh.interior_facets
+    n0 = ntt + kk * np.arange(len(fi))
+    free = np.delete(np.arange(o_pbar), n0)
+    vcol, n_psi = _vertex_columns(mesh)
     # the first-mode slot of each local facet
     first = nfc * kk + kk * np.arange(nfc)
-    red_cols, flux = _reduced_columns(mesh, vertex_columns[0], cols, o_pbar,
-                                      n0, first)
-    n_red = o_pbar - len(n0) + curl.shape[1]
+    red_cols, flux = _reduced_columns(mesh, vcol, cols, o_pbar, free, first)
+    n_red = len(free) + n_psi
     builder = SparseBuilder(n_red, n_red)
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, ls.n))
@@ -515,7 +502,9 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     reduced = builder.finalize()
     del builder
     sol = _solve_condensed(reduced, ls.energy[spaces.cell_class], cols,
-                           _facet_incidence(mesh), n0, curl, rhs)
+                           _facet_incidence(mesh), n0, free,
+                           vcol[mesh.facet_vertices[fi]],
+                           _flux_weights(mesh, fi), rhs)
     uhat_t = sol[:ntt]
     uhat_n = sol[ntt:2 * ntt]
     pbar = sol[o_pbar:]

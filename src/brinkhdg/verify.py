@@ -43,8 +43,8 @@ class BrinkmanCase:
     """One manufactured problem instance; all callables vectorized."""
 
     def __init__(self, nu, gamma, m, label=None):
-        if nu <= 0:
-            raise ValueError("nu must be positive")
+        if not 0 < nu < np.inf:
+            raise ValueError(f"nu must be finite and positive, not {nu}")
         self.nu = float(nu)
         self.gamma = as_gamma_matrix(gamma)
         self.m = int(m)
@@ -466,35 +466,31 @@ class ConvergenceTable:
                 out.append(None)
         return out
 
-    def to_csv(self):
-        header = "level,n_ele,n_global,n_local," + ",".join(
-            f"{name},ord_{name.split('_', 1)[1]}" for name, _ in _CSV_COLS)
-        lines = [header]
+    def _cells(self, no_order):
+        """The cells of each row; no_order stands for a missing order."""
         ords = {attr: self.orders(attr) for _, attr in _CSV_COLS}
+        rows = []
         for i, row in enumerate(self.rows):
             cells = [str(row.level), str(row.n_ele), str(row.n_global),
                      str(row.n_local)]
             for _, attr in _CSV_COLS:
-                cells.append(f"{getattr(row.report, attr):.6e}")
                 o = ords[attr][i]
-                cells.append("" if o is None else f"{o:.2f}")
-            lines.append(",".join(cells))
+                cells += [f"{getattr(row.report, attr):.6e}",
+                          no_order if o is None else f"{o:.2f}"]
+            rows.append(cells)
+        return rows
+
+    def to_csv(self):
+        header = "level,n_ele,n_global,n_local," + ",".join(
+            f"{name},ord_{name.split('_', 1)[1]}" for name, _ in _CSV_COLS)
+        lines = [header] + [",".join(cells) for cells in self._cells("")]
         return "\n".join(lines) + "\n"
 
     def to_markdown(self):
         headers = ["level", "n_ele", "n_global", "n_local"]
         for name, _ in _CSV_COLS:
             headers += [name, "ord"]
-        rows = []
-        ords = {attr: self.orders(attr) for _, attr in _CSV_COLS}
-        for i, row in enumerate(self.rows):
-            cells = [str(row.level), str(row.n_ele), str(row.n_global),
-                     str(row.n_local)]
-            for _, attr in _CSV_COLS:
-                cells.append(f"{getattr(row.report, attr):.6e}")
-                o = ords[attr][i]
-                cells.append("--" if o is None else f"{o:.2f}")
-            rows.append(cells)
+        rows = self._cells("--")
         widths = [max(len(h), *(len(r[j]) for r in rows)) if rows else len(h)
                   for j, h in enumerate(headers)]
         def fmt(cells):

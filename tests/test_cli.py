@@ -42,6 +42,8 @@ def test_help_lists_flags(capsys):
     ["solve", "--test", "1", "--k", "4"],                   # above quad range
     ["solve", "--test", "1", "--cells", "tri", "--k", "0"],  # below tri range
     ["solve", "--test", "1", "--gamma", "5"],               # tests fix gamma
+    ["solve", "--nu", "nan", "--m", "2"],
+    ["solve", "--nu", "1", "--m", "2", "--gamma", "nan"],
 ])
 def test_rejected_arguments(argv, capsys):
     with pytest.raises(SystemExit) as info:

@@ -72,6 +72,9 @@ def test_gamma_normalization():
         as_gamma_matrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))  # indefinite
     with pytest.raises(ValueError):
         as_gamma_matrix(np.ones(3))
+    for bad in (np.nan, np.inf, np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            as_gamma_matrix(bad)
 
 
 def test_gradient_row_mass_matrix():
@@ -417,8 +420,15 @@ def test_class_blocks_check_gamma_once(monkeypatch):
     for cls, rep in enumerate(spaces.class_rep):
         want = element_blocks(spaces, [rep], 1.0, 2.0)
         assert np.array_equal(blocks.mgam[cls], want.mgam[0])
-    for gamma, message in ((np.array([[1.0, 0.3], [0.0, 1.0]]), "symmetric"),
-                           (np.array([[-1.0, 0.0], [0.0, 1.0]]), "semidefinite"),
-                           (np.ones(3), "scalar or a 2x2")):
+    for nu, gamma, message in (
+            (1.0, np.array([[1.0, 0.3], [0.0, 1.0]]), "symmetric"),
+            (1.0, np.array([[-1.0, 0.0], [0.0, 1.0]]), "semidefinite"),
+            (1.0, np.ones(3), "scalar or a 2x2"),
+            (1.0, np.nan, "gamma must be finite"),
+            (1.0, np.array([[1.0, 0.0], [0.0, np.inf]]), "gamma must be finite"),
+            (-1.0, 2.0, "nu must be finite and positive"),
+            (0.0, 2.0, "nu must be finite and positive"),
+            (np.nan, 2.0, "nu must be finite and positive"),
+            (np.inf, 2.0, "nu must be finite and positive")):
         with pytest.raises(ValueError, match=message):
-            element_blocks(spaces, spaces.class_rep, 1.0, gamma)
+            element_blocks(spaces, spaces.class_rep, nu, gamma)

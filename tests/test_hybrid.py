@@ -1,6 +1,6 @@
 """Condensed solver, uncondensed reference solver, and their equivalence."""
 
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,6 +189,26 @@ def test_hybrid_matches_direct_on_perturbed_mesh():
     assert abs(pressure_integral(spaces, fields)) <= 1e-10
 
 
+def vertex_flux_map(psi, weights, n_psi):
+    """C: the first normal modes of the interior facets from the vertex
+    potentials, sparse.  Row f holds -weights[f] at the psi column
+    psi[f, 0] of the facet's lower vertex and weights[f] at psi[f, 1], its
+    higher one; -1 marks a potential fixed at zero."""
+    rows = np.repeat(np.arange(len(psi)), 2)
+    vals = np.column_stack([-weights, weights]).ravel()
+    keep = psi.ravel() >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], psi.ravel()[keep])),
+                         shape=(len(psi), n_psi))
+
+
+def mesh_flux_map(mesh):
+    """C of a mesh, from the ingredients `solve_hybrid` passes on."""
+    fi = mesh.interior_facets
+    col, n_psi = hybrid._vertex_columns(mesh)
+    return vertex_flux_map(col[mesh.facet_vertices[fi]],
+                           hybrid._flux_weights(mesh, fi), n_psi)
+
+
 def test_stream_function_spans_kernel_of_mass_balances():
     # C maps vertex potentials onto the first normal modes with B C = 0:
     # exactly on structured quads; on triangles h * (1/h) is 1 only to
@@ -203,15 +223,13 @@ def test_stream_function_spans_kernel_of_mass_balances():
                (holed_quads(6, [(1, 1), (4, 3)]), 0.0)]
     for mesh, bound in meshes:
         b1 = hybrid._facet_incidence(mesh)[1:]
-        curl = hybrid._vertex_flux_map(mesh, hybrid._vertex_columns(mesh))
+        curl = mesh_flux_map(mesh)
         assert abs(b1 @ curl).max() <= bound
         n_facets, n_psi = curl.shape
         assert n_psi == n_facets - b1.shape[0]
         assert np.linalg.matrix_rank(curl.toarray()) == n_psi
     # one potential per hole: none is interior on the 4x4 mesh
-    holed = meshes[-2][0]
-    assert hybrid._vertex_flux_map(
-        holed, hybrid._vertex_columns(holed)).shape[1] == 1
+    assert mesh_flux_map(meshes[-2][0]).shape[1] == 1
 
 
 def holed_force(x):
@@ -277,7 +295,8 @@ def condensed_calls(monkeypatch):
     the reduced matrix is copied before the solve scales it in place."""
     calls = []
     solve = hybrid._solve_condensed
-    names = ("reduced", "energy", "cols", "incidence", "n0", "curl", "rhs")
+    names = ("reduced", "energy", "cols", "incidence", "n0", "free", "psi",
+             "weights", "rhs")
 
     def spy(*args):
         seen = SimpleNamespace(**dict(zip(names, args)))
@@ -303,14 +322,17 @@ def assembled_energy(call):
 
 def stream_function_basis(call, m):
     """Z: the identity on the traces that are not first normal modes, then
-    the first modes C psi of the vertex potentials."""
+    the first modes C psi of the vertex potentials, with C built from the
+    psi columns and weights the solver was given."""
     n0 = call.n0
     first = sp.csr_matrix((np.ones(len(n0)), (n0, np.arange(len(n0)))),
                           shape=(m, len(n0)))
     free = np.ones(m, dtype=bool)
     free[n0] = False
+    curl = vertex_flux_map(call.psi, call.weights,
+                           call.reduced.shape[0] - free.sum())
     return sp.hstack([sp.identity(m, format="csc")[:, free],
-                      first @ call.curl]).tocsc()
+                      first @ curl]).tocsc()
 
 
 def test_reduced_matrix_matches_triple_product(condensed_calls):
@@ -749,21 +771,29 @@ def test_reference_table_value():
     assert report.err_u == pytest.approx(4.211e-03, rel=0.05)
 
 
-def test_degenerate_coefficients_detected():
+def test_degenerate_coefficients_detected(monkeypatch):
     spaces = Spaces(build_structured_mesh(2, QUAD), 1)
-    # no viscosity, no resistance
-    blocks = element_blocks(spaces, [3], 0.0, 0.0)
+    case = make_case(1)
+    # a nu that is not positive is refused before any local solve
+    for solve in (solve_hybrid, solve_direct):
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            solve(spaces, -1.0, 1.0, case.body_force, case.mass_source)
+    # no viscosity, no resistance: element_blocks refuses nu = 0, so the
+    # blocks are made with nu = 1 (no block depends on it) and given nu = 0
+    def inviscid(spaces, cells, nu, gamma):
+        return replace(element_blocks(spaces, cells, 1.0, gamma), nu=0.0)
+
     from brinkhdg.hybrid import LocalSolver
     with pytest.raises(SingularMatrixError,
                        match="^local solver matrix of cell 3: "):
-        LocalSolver(blocks, spaces.family)
+        LocalSolver(inviscid(spaces, [3], 0.0, 0.0), spaces.family)
+    monkeypatch.setattr(hybrid, "element_blocks", inviscid)
     # on every class at once, the first class's cell is named
     with pytest.raises(SingularMatrixError,
                        match="^local solver matrix of cell 0: "):
         build_local_solvers(spaces, 0.0, 0.0)
     # the oracle's private blocks (gradient rows and interior velocity
     # moments) are then zero, and the first class's cell is named
-    case = make_case(1)
     with pytest.raises(SingularMatrixError,
                        match="^private block of cell 0: "):
         solve_direct(spaces, 0.0, 0.0, case.body_force, case.mass_source)

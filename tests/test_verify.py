@@ -85,6 +85,12 @@ def test_validation_rejects_corrupted_data():
 def test_case_parameter_validation():
     with pytest.raises(ValueError):
         BrinkmanCase(0.0, 1.0, 2)
+    for nu in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            BrinkmanCase(nu, 1.0, 2)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            BrinkmanCase(1.0, gamma, 2)
     with pytest.raises(ValueError):
         BrinkmanCase(1.0, 1.0, 0)
 
