@@ -1,4 +1,4 @@
-"""Physical-element spaces and global degree-of-freedom maps.
+"""Physical-element spaces and the global numbering of the facet unknowns.
 
 Vector bases (gradient rows and velocities) map with the contravariant
 Piola transform, which preserves facet normal-trace integrals; scalar
@@ -248,17 +248,6 @@ def nodal_transforms(spaces, cells):
     return factor.solve(np.broadcast_to(np.eye(b.shape[-1]), b.shape))
 
 
-@dataclass
-class DofMap:
-    """Global numbering for one discrete space."""
-
-    tag: str
-    k: int
-    total: int
-    cell_dofs: np.ndarray = None
-    facet_dofs: np.ndarray = None
-
-
 _FAMILY_CACHE = {}
 
 
@@ -269,44 +258,21 @@ def element_family(cell_kind, k):
     return _FAMILY_CACHE[key]
 
 
-def build_dofmap(mesh, tag, k):
-    """Dof map for a space tag.
-
-    Tags: Mt0 (tangential facet traces) and V_div0 (divergence-conforming
-    velocities).  Both carry facet dofs on interior facets only; boundary
-    entries are -1.
-    """
-    fam = element_family(mesh.cell_kind, k)
-    nc, nf = mesh.num_cells, mesh.num_facets
-    kk = k + 1
-    nif = len(mesh.interior_facets)
-
-    if tag == "Mt0":
-        fd = np.full((nf, kk), -1, dtype=int)
-        ranks = mesh.interior_index
-        mask = ranks >= 0
-        fd[mask] = ranks[mask, None] * kk + np.arange(kk)
-        return DofMap(tag, k, nif * kk, facet_dofs=fd)
-    if tag == "V_div0":
-        nint = fam.n_v_interior
-        facet_block = nif * kk
-        ranks = mesh.interior_index[mesh.cell_facets][..., None]
-        facet_part = np.where(ranks >= 0, ranks * kk + np.arange(kk), -1)
-        interior_part = (facet_block + np.arange(nc)[:, None] * nint
-                         + np.arange(nint))
-        cd = np.hstack([facet_part.reshape(nc, -1), interior_part])
-        return DofMap(tag, k, facet_block + nc * nint, cell_dofs=cd)
-    raise ValueError(f"unknown space tag: {tag!r}")
-
-
 class Spaces:
     """Mapped-element data for one (mesh, degree) pair.
 
     Provides the cell geometry, the geometry classes, the reference
     tabulation at the assembly degree (`tab`), the nodal (facet-moment /
-    interior-moment) velocity transforms of the classes, the dof maps of
-    all discrete spaces, and the per-cell points and push-forward that
-    the fine-degree evaluations use.
+    interior-moment) velocity transforms of the classes, the numbering of
+    the facet unknowns, and the per-cell points and push-forward that the
+    fine-degree evaluations use.
+
+    `facet_dofs` (nc, f * (k+1)), read-only, numbers the k+1 modes of each
+    local facet of each cell: rank * (k+1) + j on the interior facet of
+    rank `mesh.interior_index`, -1 on a boundary facet.  The tangential
+    traces and the normal velocity moments, which both cells of a facet
+    share, use this one numbering, so each global block of them has
+    len(mesh.interior_facets) * (k+1) unknowns.
     """
 
     def __init__(self, mesh, k, assembly_degree=None, fine_degree=None):
@@ -340,8 +306,12 @@ class Spaces:
         self.cell_class = rank[inverse.ravel()]
         self.class_rep = first[order].tolist()
         self._class_order = np.argsort(self.cell_class, kind="stable")
+        kk = k + 1
+        ranks = mesh.interior_index[mesh.cell_facets][..., None]
+        self.facet_dofs = np.where(ranks >= 0, ranks * kk + np.arange(kk),
+                                   -1).reshape(nc, -1)
+        self.facet_dofs.flags.writeable = False
         self._nodal = None
-        self._dofmaps = {}
 
     # -- lookups --------------------------------------------------------
 
@@ -352,11 +322,6 @@ class Spaces:
         order = self._class_order
         for start in range(0, len(order), BLOCK_CELLS):
             yield order[start:start + BLOCK_CELLS]
-
-    def dofmap(self, tag):
-        if tag not in self._dofmaps:
-            self._dofmaps[tag] = build_dofmap(self.mesh, tag, self.k)
-        return self._dofmaps[tag]
 
     def tab(self):
         """Reference values and integrals (`ReferenceTab`) at the assembly
@@ -449,8 +414,8 @@ def normal_trace_jumps(spaces, u_modal):
     """Facet-normal continuity of a broken velocity field.
 
     Returns (max interior facet L2 jump of u.n, max boundary facet L2 norm
-    of u.n) on the fine rule.  Fields in V_div0 should give both at
-    roundoff level.
+    of u.n) on the fine rule.  A divergence-conforming field with zero
+    normal trace on the boundary gives both at roundoff level.
     """
     mesh = spaces.mesh
     ref = spaces.family.reference_tab(spaces.fine_degree)

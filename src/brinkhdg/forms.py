@@ -294,32 +294,34 @@ def facet_tangent_moments(mesh, facet, k, vals, degree):
 
 
 def postprocess_factor(blocks):
-    """Factors of the gradient-matching systems, with a mean constraint,
-    of every class of the stacked blocks."""
+    """What `postprocess_velocity` reads of the stacked blocks: the
+    factors of the gradient-matching systems, with a mean constraint, of
+    every class, and the gp_cross and vint stacks of the blocks."""
     n_cls, n = blocks.pint.shape
     aug = np.zeros((n_cls, n + 1, n + 1))
     aug[:, :n, :n] = blocks.kpp
     aug[:, :n, n] = blocks.pint
     aug[:, n, :n] = blocks.pint
-    return factor_classes(aug, blocks.cells, "postprocessing matrix")
+    return (factor_classes(aug, blocks.cells, "postprocessing matrix"),
+            blocks.gp_cross, blocks.vint)
 
 
-def postprocess_velocity(blocks, factor, cls, l_coef, u_coef):
+def postprocess_velocity(post, cls, l_coef, u_coef):
     """Componentwise higher-degree velocity from the gradient field.
 
     Each component solves a Neumann-type local problem: its gradient
     matches the corresponding gradient-field row in the L2 sense and its
-    cell mean matches the velocity mean.  cls picks the class of the
-    stacked blocks and factor; blocks may be anything holding the
-    gp_cross and vint stacks of the `ElementBlocks`.  l_coef (2, n_g) and
-    u_coef (n_v,) give (2, n_post); with a leading cell axis, (C, 2, n_g)
-    and (C, n_v) give (C, 2, n_post), and cls may then be an index array
-    (C,) with each cell's class.
+    cell mean matches the velocity mean.  post is `postprocess_factor`
+    of the stacked blocks, and cls picks their class.  l_coef (2, n_g)
+    and u_coef (n_v,) give (2, n_post); with a leading cell axis,
+    (C, 2, n_g) and (C, n_v) give (C, 2, n_post), and cls may then be an
+    index array (C,) with each cell's class.
     """
+    factor, gp_cross, vint = post
     cls = np.asarray(cls)
     rhs = np.concatenate([
-        np.einsum("...ra,...aj->...rj", l_coef, blocks.gp_cross[cls]),
-        np.einsum("...m,...mr->...r", u_coef, blocks.vint[cls])[..., None]],
+        np.einsum("...ra,...aj->...rj", l_coef, gp_cross[cls]),
+        np.einsum("...m,...mr->...r", u_coef, vint[cls])[..., None]],
         axis=-1)
     index = np.repeat(cls, 2) if cls.ndim else cls
     sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T, index)

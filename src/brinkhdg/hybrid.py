@@ -74,9 +74,8 @@ class LocalSolver:
     local facet, then normal facet data.  The local matrices of all the
     classes are filled by slice assignment over the class axis and
     factored together; `lift`, `zlift` and `energy` have a leading class
-    axis.  Of the element blocks only the stacks the postprocessing reads
-    are kept (`gp_cross`, `vint`), so a LocalSolver stands in for them
-    in `postprocess_velocity`; `cells` holds a cell of each class.
+    axis.  `post` is what `postprocess_velocity` reads of the classes'
+    blocks, and `cells` holds a cell of each class.
     """
 
     def __init__(self, blocks, family):
@@ -95,7 +94,6 @@ class LocalSolver:
         self.n = n
         self.offsets = (0, o_u, o_p, o_lam)
         self.cells = blocks.cells
-        self.gp_cross, self.vint = blocks.gp_cross, blocks.vint
 
         # each matrix in column-major order, so it is factored in place
         mat = np.zeros((n_cls, n, n)).swapaxes(1, 2)
@@ -137,7 +135,7 @@ class LocalSolver:
         zlift[:, o_u:o_p] = blocks.mgam @ self.lift[:, o_u:o_p]
         self.zlift = zlift
         self.energy = self.lift.swapaxes(1, 2) @ zlift
-        self.post_factor = postprocess_factor(blocks)
+        self.post = postprocess_factor(blocks)
 
 
 @dataclass
@@ -168,19 +166,6 @@ def build_local_solvers(spaces, nu, gamma):
     """The LocalSolver of all the geometry classes, in class order."""
     return LocalSolver(element_blocks(spaces, spaces.class_rep, nu, gamma),
                        spaces.family)
-
-
-def _facet_columns(spaces):
-    """Per cell: global columns of its [tangential, normal] facet dofs.
-
-    Boundary facet dofs carry -1; tangential dofs come first globally,
-    normal dofs are offset by the tangential block size.
-    """
-    mesh = spaces.mesh
-    mt = spaces.dofmap("Mt0")
-    ntt = mt.total
-    tang = mt.facet_dofs[mesh.cell_facets].reshape(mesh.num_cells, -1)
-    return np.hstack([tang, np.where(tang >= 0, tang + ntt, -1)]), ntt
 
 
 def _class_rows(x, stack, cls):
@@ -294,18 +279,19 @@ def _flux_weights(mesh, facets):
 def _reduced_columns(mesh, vcol, cols, m, free, first):
     """Per cell: the columns of its reduced block, and its flux map M.
 
-    cols holds each cell's global columns of the m traces
-    (`_facet_columns`), free the traces that are not first normal modes
-    and first the local slots of the first modes, one per local facet.
-    The reduction replaces the first modes by vertex potentials.  A cell
-    has as many vertices as facets, so its slot first[lf] stands for the
-    potential of its vertex lf, and M (nc, f, f) gives the first modes of
-    its facets from those potentials: local facet lf runs from vertex lf
-    to vertex lf+1, and its row holds -o/h at the facet's lower vertex
-    and o/h at its higher one (`_flux_weights`); it is zero on a boundary
-    facet.  The free slots map to their rank in free, and the vertex
-    slots to len(free) plus their psi column vcol (`_vertex_columns`); -1
-    marks a slot with no column.
+    cols holds each cell's global columns of the m traces, tangential
+    then normal (`Spaces.facet_dofs`), free the traces that are not
+    first normal modes and first the local slots of the first modes, one
+    per local facet.  The reduction replaces the first modes by vertex
+    potentials.  A cell has as many vertices as facets, so its slot
+    first[lf] stands for the potential of its vertex lf, and M (nc, f, f)
+    gives the first modes of its facets from those potentials: local
+    facet lf runs from vertex lf to vertex lf+1, and its row holds -o/h
+    at the facet's lower vertex and o/h at its higher one
+    (`_flux_weights`); it is zero on a boundary facet.  The free slots
+    map to their rank in free, and the vertex slots to len(free) plus
+    their psi column vcol (`_vertex_columns`); -1 marks a slot with no
+    column.
     """
     n_free = len(free)
     # the last entry is the rank of column -1
@@ -442,11 +428,14 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     nfc = fam.n_cell_facets
     ls = build_local_solvers(spaces, nu, gamma)
     o_u, o_p, o_lam = ls.offsets[1:]
-    cols, ntt = _facet_columns(spaces)
+    fi = mesh.interior_facets
+    ntt = len(fi) * kk
+    # per cell: global columns of its tangential, then normal, facet dofs
+    fd = spaces.facet_dofs
+    cols = np.hstack([fd, np.where(fd >= 0, fd + ntt, -1)])
     q0v = _constant_pressure_value(spaces)
     n_sys = 2 * ntt + nc
     o_pbar = 2 * ntt
-    fi = mesh.interior_facets
     n0 = ntt + kk * np.arange(len(fi))
     free = np.delete(np.arange(o_pbar), n0)
     vcol, n_psi = _vertex_columns(mesh)
@@ -524,8 +513,7 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         u[cells] = xi[:, o_u:o_p]
         p[cells, 1:] = xi[:, o_p:o_lam]
         lam[cells] = xi[:, o_lam:]
-        ustar[cells] = postprocess_velocity(ls, ls.post_factor, cls,
-                                            l[cells], u[cells])
+        ustar[cells] = postprocess_velocity(ls.post, cls, l[cells], u[cells])
     p[:, 0] = pbar / q0v
 
     n_local = nc * ls.n
@@ -652,23 +640,20 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     n_l = 2 * n_g
     n_int = fam.n_v_interior
 
-    vd = spaces.dofmap("V_div0")
-    mt = spaces.dofmap("Mt0")
-    # the facet velocity moments come first in V_div0's numbering
-    o_p = vd.total - nc * n_int
+    # the facet velocity moments and the traces share one numbering
+    fd = spaces.facet_dofs
+    o_p = len(mesh.interior_facets) * kk
     o_t = o_p + nc * n_q
-    n_sys = o_t + mt.total
+    n_sys = o_t + o_p
     q0v = _constant_pressure_value(spaces)
     blocks = element_blocks(spaces, spaces.class_rep, nu, gamma)
     trans = spaces.class_nodal_transforms()
     mats, pattern, load, rec = _eliminate_private(
         *_direct_cell_matrix(blocks, trans, fam), n_l + n_int, n_int,
         blocks.cells)
-    trace_dofs = mt.facet_dofs[mesh.cell_facets].reshape(nc, -1)
     # per cell: facet velocity, pressure and trace rows of the sparse system
-    kept = np.hstack([vd.cell_dofs[:, :n_fv],
-                      o_p + np.arange(nc * n_q).reshape(nc, n_q),
-                      np.where(trace_dofs >= 0, o_t + trace_dofs, -1)])
+    kept = np.hstack([fd, o_p + np.arange(nc * n_q).reshape(nc, n_q),
+                      np.where(fd >= 0, o_t + fd, -1)])
 
     triplets = []
     rhs = np.zeros(n_sys)
@@ -715,7 +700,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     l = np.zeros((nc, 2, n_g))
     u = np.zeros((nc, n_v))
     ustar = np.zeros((nc, 2, fam.n_post))
-    post_factor = postprocess_factor(blocks)
+    post = postprocess_factor(blocks)
     sol_pad = np.append(sol, 0.0)
     rec_t, trans_t = rec.swapaxes(1, 2), trans.swapaxes(1, 2)
     for cells in spaces.cell_blocks():
@@ -725,13 +710,11 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
         l[cells] = x_d[:, :n_l].reshape(-1, 2, n_g)
         u[cells] = _class_rows(np.hstack([x_k[:, :n_fv], x_d[:, n_l:]]),
                                trans_t, cls)
-        ustar[cells] = postprocess_velocity(blocks, post_factor, cls,
-                                            l[cells], u[cells])
+        ustar[cells] = postprocess_velocity(post, cls, l[cells], u[cells])
     p = sol[o_p:o_t].reshape(nc, n_q).copy()
     p[:, 0] -= np.einsum("ci,ci->", p, qint) / qint[:, 0].sum()
     uhat_t = sol[o_t:]
-    n_if = len(mesh.interior_facets)
-    uhat_n = (sol[:n_if * kk].reshape(n_if, kk)
+    uhat_n = (sol[:o_p].reshape(-1, kk)
               / mesh.facet_lengths[mesh.interior_facets, None]).ravel()
 
     return SolutionFields(
@@ -779,13 +762,14 @@ def mass_balance_residual(spaces, fields, g_func):
     bdiv = spaces.tab().bdiv
     q_vals = fam.reference_tab(spaces.fine_degree).q_vals
     w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
-    worst = 0.0
+    worst = []
     for cells in spaces.cell_blocks():
         gv = values_at(g_func, spaces.vol_points(cells))
         gmom = (gv * np.outer(spaces.dets[cells], w)) @ q_vals.T
         res = fields.u[cells] @ bdiv - gmom
-        worst = max(worst, float(np.abs(res).max()))
-    return worst
+        worst.append(np.abs(res).max())
+    # np.max keeps a NaN, which Python's max may drop
+    return float(np.max(worst))
 
 
 def pressure_integral(spaces, fields):

@@ -12,11 +12,12 @@ DRIVEN = {
     "fespace": ("normal_trace_jumps",),
 }
 
-# every span perfbench/spans.py reads per-layer metrics from by name; it
-# wraps only plain functions defined in the layer module (methods: in the
-# class body), and a span name that no longer resolves reads as 0, not as
-# an error
+# every span perfbench/ reads per-layer metrics from by name (spans.py,
+# and worker.py for fespace.element_family); it wraps only plain
+# functions defined in the layer module (methods: in the class body), and
+# a span name that no longer resolves reads as 0, not as an error
 SPANS = ("fespace.Spaces.__init__", "fespace.Spaces.tab",
+         "fespace.element_family",
          "forms.postprocess_velocity", "forms.project_grad",
          "forms.project_pressure", "forms.project_velocity_div",
          "forms.project_facet_tangent",

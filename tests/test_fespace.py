@@ -1,12 +1,11 @@
-"""Mapped elements, dof maps, and the nodal velocity transform."""
+"""Mapped elements, the facet numbering, and the nodal velocity transform."""
 
 import numpy as np
 import pytest
 
 from brinkhdg import fespace
-from brinkhdg.fespace import (Spaces, build_dofmap, element_family,
-                              nodal_dof_matrices, normal_trace_jumps,
-                              reference_fields)
+from brinkhdg.fespace import (Spaces, element_family, nodal_dof_matrices,
+                              normal_trace_jumps, reference_fields)
 from brinkhdg.forms import project_grad, project_velocity_div
 from brinkhdg.linalg import SingularMatrixError
 from affine_maps import affine_map, local_facet, pull_back_tab
@@ -66,44 +65,28 @@ def test_family_cached():
     assert element_family(QUAD, 1) is element_family(QUAD, 1)
 
 
-def test_dofmap_counts_small_quad():
-    mesh = build_structured_mesh(2, QUAD)  # 4 cells, 4 interior facets
-    assert build_dofmap(mesh, "Mt0", 1).total == 8
-    assert build_dofmap(mesh, "V_div0", 1).total == 8 + 4 * 2
-
-
-def test_dofmap_counts_small_triangle():
-    mesh = build_structured_mesh(2, TRIANGLE)  # 8 cells, 8 interior facets
-    assert build_dofmap(mesh, "Mt0", 1).total == 16
-    assert build_dofmap(mesh, "V_div0", 1).total == 16 + 8 * 2
-
-
 def test_facet_dofs_interior_only():
-    mesh = build_structured_mesh(3, TRIANGLE)
-    dm = build_dofmap(mesh, "Mt0", 2)
-    assert np.all(dm.facet_dofs[mesh.boundary_facets] == -1)
-    inter = dm.facet_dofs[mesh.interior_facets]
-    assert np.array_equal(np.sort(inter.ravel()), np.arange(dm.total))
-
-
-def test_v_div0_shares_facet_dofs():
-    mesh = build_structured_mesh(2, QUAD)
-    dm = build_dofmap(mesh, "V_div0", 1)
-    fam = element_family(QUAD, 1)
-    kk = fam.n_facet
-    for f in mesh.interior_facets:
-        a, b = mesh.facet_cells[f]
-        lfa = list(mesh.cell_facets[a]).index(f)
-        lfb = list(mesh.cell_facets[b]).index(f)
-        da = dm.cell_dofs[a, lfa * kk:(lfa + 1) * kk]
-        db = dm.cell_dofs[b, lfb * kk:(lfb + 1) * kk]
-        assert np.array_equal(da, db)  # one shared dof per facet moment
-
-
-def test_unknown_tag_rejected():
-    mesh = build_structured_mesh(2, QUAD)
-    with pytest.raises(ValueError):
-        build_dofmap(mesh, "W", 1)
+    # the traces and the normal velocity moments share this one numbering
+    for n, kind, k, total in ((2, QUAD, 1, 8), (2, TRIANGLE, 1, 16),
+                              (3, TRIANGLE, 2, 63)):
+        mesh = build_structured_mesh(n, kind)
+        kk = k + 1
+        fd = Spaces(mesh, k).facet_dofs
+        assert fd.shape == (mesh.num_cells, mesh.cell_facets.shape[1] * kk)
+        assert not fd.flags.writeable
+        per_facet = fd.reshape(mesh.num_cells, -1, kk)
+        boundary = np.isin(mesh.cell_facets, mesh.boundary_facets)
+        assert np.all(per_facet[boundary] == -1)
+        assert np.all(per_facet[~boundary] >= 0)
+        assert total == len(mesh.interior_facets) * kk
+        assert np.array_equal(np.unique(fd[fd >= 0]), np.arange(total))
+        for f in mesh.interior_facets:
+            a, b = mesh.facet_cells[f]
+            lfa = list(mesh.cell_facets[a]).index(f)
+            lfb = list(mesh.cell_facets[b]).index(f)
+            want = mesh.interior_index[f] * kk + np.arange(kk)
+            assert np.array_equal(per_facet[a, lfa], want)
+            assert np.array_equal(per_facet[b, lfb], want)
 
 
 def test_piola_divergence_theorem():
@@ -450,20 +433,3 @@ def test_spaces_name_the_first_bad_cell():
     with pytest.raises(ValueError, match=r"^cell 3 is degenerate or inverted "
                        r"\(det=-2\.500e-01\)"):
         Spaces(Mesh(base.vertices, cells, TRIANGLE), 1)
-
-
-def test_v_div0_matches_per_cell_numbering():
-    for kind, k in ((QUAD, 1), (TRIANGLE, 2)):
-        mesh = build_structured_mesh(3, kind)
-        fam = element_family(kind, k)
-        kk = k + 1
-        dm = build_dofmap(mesh, "V_div0", k)
-        facet_block = len(mesh.interior_facets) * kk
-        for c in range(mesh.num_cells):
-            want = []
-            for f in mesh.cell_facets[c]:
-                rank = mesh.interior_index[f]
-                want += list(rank * kk + np.arange(kk)) if rank >= 0 else [-1] * kk
-            want += list(facet_block + c * fam.n_v_interior
-                         + np.arange(fam.n_v_interior))
-            assert list(dm.cell_dofs[c]) == want

@@ -260,9 +260,9 @@ def test_projections_of_a_cell_array_match_per_cell():
         l_all = project_grad(spaces, cells, grad_field)
         p_all = project_pressure(spaces, cells, field_x)
         blocks = element_blocks(spaces, spaces.class_rep, 1.0, 1.0)
-        factor = postprocess_factor(blocks)
-        s_all = postprocess_velocity(blocks, factor, spaces.cell_class[cells],
-                                     l_all, u_all)
+        post = postprocess_factor(blocks)
+        s_all = postprocess_velocity(post, spaces.cell_class[cells], l_all,
+                                     u_all)
         assert s_all.shape == (len(cells), 2, spaces.family.n_post)
         for i, c in enumerate(cells):
             u_one = project_velocity_div(spaces, c, field)
@@ -271,8 +271,8 @@ def test_projections_of_a_cell_array_match_per_cell():
             assert np.abs(u_all[i] - u_one).max() < 1e-13 * np.abs(u_one).max()
             assert np.abs(l_all[i] - l_one).max() < 1e-13 * np.abs(l_one).max()
             assert np.abs(p_all[i] - p_one).max() < 1e-13 * np.abs(p_one).max()
-            s_one = postprocess_velocity(blocks, factor, spaces.cell_class[c],
-                                         l_one, u_one)
+            s_one = postprocess_velocity(post, spaces.cell_class[c], l_one,
+                                         u_one)
             assert np.abs(s_all[i] - s_one).max() < 1e-13 * np.abs(s_one).max()
 
         t_all = project_facet_tangent(mesh, np.arange(mesh.num_facets), 2,
@@ -386,8 +386,8 @@ def test_postprocessing_reproduces_higher_degree_polynomials():
 
             l_coef = project_grad(spaces, c, target_grad)
             u_coef = project_velocity_div(spaces, c, target)
-            factor = postprocess_factor(blocks)
-            star = postprocess_velocity(blocks, factor, 0, l_coef, u_coef)
+            star = postprocess_velocity(postprocess_factor(blocks), 0,
+                                        l_coef, u_coef)
 
             ref = spaces.family.reference_tab(spaces.fine_degree)
             x = spaces.vol_points(c)
@@ -401,8 +401,8 @@ def test_postprocessing_mean_matches_velocity_mean():
     rng = np.random.default_rng(5)
     l_coef = rng.standard_normal((2, spaces.family.n_g))
     u_coef = rng.standard_normal(spaces.family.n_v)
-    star = postprocess_velocity(blocks, postprocess_factor(blocks), 0,
-                                l_coef, u_coef)
+    star = postprocess_velocity(postprocess_factor(blocks), 0, l_coef,
+                                u_coef)
     mean_star = np.einsum("rj,j->r", star, blocks.pint[0])
     mean_u = u_coef @ blocks.vint[0]
     assert np.abs(mean_star - mean_u).max() < 1e-11

@@ -145,8 +145,8 @@ def projected_fields(spaces, case):
         u[c] = project_velocity_div(spaces, c, case.velocity)
         p[c] = project_pressure(spaces, c, case.pressure)
         blocks = element_blocks(spaces, [c], case.nu, case.gamma)
-        ustar[c] = postprocess_velocity(blocks, postprocess_factor(blocks), 0,
-                                        l[c], u[c])
+        ustar[c] = postprocess_velocity(postprocess_factor(blocks), 0, l[c],
+                                        u[c])
         cell = pull_back_tab(spaces, c, spaces.assembly_degree)[0]
         w = cell["wdet"]
         pbar[c] = np.einsum("i,iq,q->", p[c], cell["q_vals"], w) / w.sum()
