@@ -65,8 +65,22 @@ def test_family_cached():
     assert element_family(QUAD, 1) is element_family(QUAD, 1)
 
 
+def facet_count(mesh, k):
+    fd = Spaces(mesh, k).facet_dofs
+    return len(np.unique(fd[fd >= 0]))
+
+
+def test_dofmap_counts_small_quad():
+    mesh = build_structured_mesh(2, QUAD)  # 4 cells, 4 interior facets
+    assert facet_count(mesh, 1) == 8
+
+
+def test_dofmap_counts_small_triangle():
+    mesh = build_structured_mesh(2, TRIANGLE)  # 8 cells, 8 interior facets
+    assert facet_count(mesh, 1) == 16
+
+
 def test_facet_dofs_interior_only():
-    # the traces and the normal velocity moments share this one numbering
     for n, kind, k, total in ((2, QUAD, 1, 8), (2, TRIANGLE, 1, 16),
                               (3, TRIANGLE, 2, 63)):
         mesh = build_structured_mesh(n, kind)
@@ -80,13 +94,20 @@ def test_facet_dofs_interior_only():
         assert np.all(per_facet[~boundary] >= 0)
         assert total == len(mesh.interior_facets) * kk
         assert np.array_equal(np.unique(fd[fd >= 0]), np.arange(total))
-        for f in mesh.interior_facets:
-            a, b = mesh.facet_cells[f]
-            lfa = list(mesh.cell_facets[a]).index(f)
-            lfb = list(mesh.cell_facets[b]).index(f)
-            want = mesh.interior_index[f] * kk + np.arange(kk)
-            assert np.array_equal(per_facet[a, lfa], want)
-            assert np.array_equal(per_facet[b, lfb], want)
+
+
+def test_v_div0_shares_facet_dofs():
+    # the normal velocity moments of a facet are one unknown of both cells
+    mesh = build_structured_mesh(2, QUAD)
+    fd = Spaces(mesh, 1).facet_dofs
+    kk = element_family(QUAD, 1).n_facet
+    for f in mesh.interior_facets:
+        a, b = mesh.facet_cells[f]
+        lfa = list(mesh.cell_facets[a]).index(f)
+        lfb = list(mesh.cell_facets[b]).index(f)
+        da = fd[a, lfa * kk:(lfa + 1) * kk]
+        db = fd[b, lfb * kk:(lfb + 1) * kk]
+        assert np.array_equal(da, db)  # one shared dof per facet moment
 
 
 def test_piola_divergence_theorem():
@@ -433,3 +454,17 @@ def test_spaces_name_the_first_bad_cell():
     with pytest.raises(ValueError, match=r"^cell 3 is degenerate or inverted "
                        r"\(det=-2\.500e-01\)"):
         Spaces(Mesh(base.vertices, cells, TRIANGLE), 1)
+
+
+def test_v_div0_matches_per_cell_numbering():
+    # the traces and the normal velocity moments share this one numbering
+    for kind, k in ((QUAD, 1), (TRIANGLE, 2)):
+        mesh = build_structured_mesh(3, kind)
+        kk = k + 1
+        fd = Spaces(mesh, k).facet_dofs
+        for c in range(mesh.num_cells):
+            want = []
+            for f in mesh.cell_facets[c]:
+                rank = mesh.interior_index[f]
+                want += list(rank * kk + np.arange(kk)) if rank >= 0 else [-1] * kk
+            assert list(fd[c]) == want
