@@ -134,7 +134,16 @@ class DenseFactor:
 
 
 class SparseBuilder:
-    """Triplet accumulator for a sparse matrix; duplicates sum on finalize."""
+    """Triplet accumulator for a sparse matrix; duplicates sum on finalize.
+
+    finalize sums duplicates as after a sort by (row, col, value), so the
+    result does not depend on insertion order.  It sorts one int64 key per
+    triplet: the column-major position col * nrows + row, shifted left to
+    make room for the triplet's insertion index, so that all keys differ
+    and an unstable sort gives the stable order.  Position and index must
+    fit in 63 bits together; a larger matrix or triplet count raises
+    ValueError.
+    """
 
     def __init__(self, nrows, ncols):
         self.shape = (int(nrows), int(ncols))
@@ -153,42 +162,70 @@ class SparseBuilder:
         self._vals.append(vals)
 
     def finalize(self):
-        if self._rows:
-            rows = np.concatenate(self._rows)
-            cols = np.concatenate(self._cols)
-            vals = np.concatenate(self._vals)
-        else:
-            rows = np.zeros(0, dtype=np.int64)
-            cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]
-                          or cols.min() < 0 or cols.max() >= self.shape[1]):
+        nrows, ncols = self.shape
+        n = sum(v.size for v in self._vals)
+        shift = max(n - 1, 0).bit_length()
+        if max(nrows * ncols - 1, 0).bit_length() + shift > 63:
+            raise ValueError(f"a {nrows} x {ncols} matrix with {n} triplets "
+                             "does not fit a 63-bit sort key")
+        rows = np.concatenate(self._rows or [np.zeros(0, dtype=np.int64)])
+        cols = np.concatenate(self._cols or [np.zeros(0, dtype=np.int64)])
+        vals = np.concatenate(self._vals or [np.zeros(0)])
+        if n and (rows.min() < 0 or rows.max() >= nrows
+                  or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("triplet index out of range")
-        # sort by (row, col, value) so duplicate summation order does not
-        # depend on insertion order, with one argsort on a combined key.
-        # Rows and columns are read back from the key; each array is
-        # dropped once the next one holds its data, which keeps the peak
-        # memory below that of a 3-key lexsort
-        key = rows * self.shape[1] + cols
-        del rows, cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
+        # sort the column-major positions, each with its insertion index in
+        # the low bits; each array is dropped once the next one holds its
+        # data, which keeps the peak memory low
+        key = cols
+        del cols
+        key *= nrows
+        key += rows
+        del rows
+        key <<= shift
+        key |= np.arange(n)
+        key.sort()
+        order = key & ((1 << shift) - 1)
+        key >>= shift
+        vals = vals[order]
         del order
-        _sort_repeated_values(key, vals)
-        rows, cols = np.divmod(key, self.shape[1])
-        del key
-        return sp.coo_matrix((vals, (rows, cols)), shape=self.shape).tocsc()
+        new = np.empty(n, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        del new
+        counts = np.diff(first, append=n)
+        _sort_repeated_values(key, vals, first, counts)
+        # sum each run left to right, as scipy's csr_sum_duplicates does
+        data = vals[first]
+        runs = np.flatnonzero(counts > 1)
+        j = 1
+        while runs.size:
+            data[runs] += vals[first[runs] + j]
+            j += 1
+            runs = runs[counts[runs] > j]
+        del vals
+        cols, rows = np.divmod(key[first], nrows)
+        del key, first
+        indptr = np.zeros(ncols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+        mat = sp.csc_matrix((data, rows, indptr), shape=self.shape)
+        mat.has_canonical_format = True
+        return mat
 
 
-def _sort_repeated_values(key, vals):
+def _sort_repeated_values(key, vals, first, counts):
     """Sort vals in place within each run of equal sorted keys.
 
-    Only runs of three or more entries are touched: two summands give
-    the same sum in either order.
+    The runs start at first and have the given counts.  Only runs of
+    three or more entries are touched: two summands give the same sum in
+    either order.
     """
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    counts = np.diff(first, append=key.size)
-    many = np.flatnonzero(np.repeat(counts >= 3, counts))
+    big = counts >= 3
+    starts, lens = first[big], counts[big]
+    # the positions of the entries of those runs
+    many = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(
+        lens.sum())
     vals[many] = vals[many[np.lexsort((vals[many], key[many]))]]
 
 
@@ -210,9 +247,11 @@ def block_triplets(dofs, block, pattern=None):
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
     if pattern is not None:
         keep &= pattern
-    e, i, j = np.nonzero(keep)
-    vals = block[i, j] if block.ndim == 2 else block[e, i, j]
-    return dofs[e, i], dofs[e, j], vals
+    # masks of broadcast views gather in (cell, row, column) order without
+    # forming the index arrays of np.nonzero
+    return (np.broadcast_to(dofs[:, :, None], keep.shape)[keep],
+            np.broadcast_to(dofs[:, None, :], keep.shape)[keep],
+            np.broadcast_to(block, keep.shape)[keep])
 
 
 class SparseFactor:

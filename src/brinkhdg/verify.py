@@ -546,7 +546,8 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
             direct = solve_direct(spaces, case.nu, case.gamma,
                                   case.body_force, case.mass_source)
             diffs = compare_fields(spaces, fields, direct)
-            disc = max(diffs.values())
+            # np.max keeps a NaN gap, which Python's max would drop
+            disc = float(np.max(list(diffs.values())))
         table.add_row(LevelRow(
             level=lev, n=n, n_ele=mesh.num_cells, n_global=fields.n_global,
             n_local=fields.n_local, report=report, seconds=seconds,

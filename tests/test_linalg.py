@@ -1,5 +1,7 @@
 """Dense/sparse factorization wrappers and triplet assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -267,6 +269,95 @@ def test_finalize_matches_lexsort_reference():
     got = builder.finalize()
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def lexsort_reference(shape, rows, cols, vals):
+    """The CSC that a sort by (row, col, value) and scipy's COO-to-CSC
+    conversion give."""
+    order = np.lexsort((vals, cols, rows))
+    return sp.coo_matrix((vals[order], (rows[order], cols[order])),
+                         shape=shape).tocsc()
+
+
+def assert_same_csc(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_finalize_bytes_with_zeros_and_long_runs():
+    # runs of 1 to 8 duplicates (vertex-potential rows of the reduced
+    # triangle system repeat up to 6 times), explicit zeros that stay
+    # stored, a lone -0.0 and a run of signed zeros, on a non-square shape
+    rng = np.random.default_rng(20)
+    shape = (37, 23)
+    cells = rng.choice(shape[0] * shape[1], size=150, replace=False)
+    rows, cols = np.divmod(np.repeat(cells, rng.integers(1, 9, cells.size)),
+                           shape[1])
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(
+        -16, 3, rows.size)
+    vals[rng.random(rows.size) < 0.1] = 0.0
+    rows = np.append(rows, [5, 7, 7, 7])
+    cols = np.append(cols, [22, 0, 0, 0])
+    vals = np.append(vals, [-0.0, -0.0, 0.0, -0.0])
+    cells = rows * shape[1] + cols
+    assert np.unique(cells, return_counts=True)[1].max() == 8
+    assert np.signbit(vals[(rows == 5) & (cols == 22)]).all()
+    shuffle = rng.permutation(rows.size)
+    rows, cols, vals = rows[shuffle], cols[shuffle], vals[shuffle]
+    builder = SparseBuilder(*shape)
+    for part in np.array_split(np.arange(rows.size), 5):
+        builder.add(rows[part], cols[part], vals[part])
+    got = builder.finalize()
+    assert_same_csc(got, lexsort_reference(shape, rows, cols, vals))
+    # explicit zeros stay stored, and the lone -0.0 keeps its sign
+    zeros = got.data[got.data == 0.0]
+    assert zeros.size > 1 and np.signbit(zeros).any()
+    for shape in ((0, 0), (3, 3)):
+        empty = np.zeros(0, dtype=np.int64)
+        assert_same_csc(SparseBuilder(*shape).finalize(),
+                        lexsort_reference(shape, empty, empty, np.zeros(0)))
+
+
+def test_finalize_rejects_keys_beyond_63_bits():
+    # a 2**31-square matrix needs 62 bits of position and four triplets
+    # two more; the check comes before any array of that size
+    builder = SparseBuilder(2 ** 31, 2 ** 31)
+    builder.add([0, 1, 2, 3], [3, 2, 1, 0], np.ones(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                r"^a 2147483648 x 2147483648 matrix with 4 triplets ")):
+            builder.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def nonzero_triplets(dofs, block, pattern=None):
+    """block_triplets through np.nonzero and fancy-index gathers."""
+    keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+    if pattern is not None:
+        keep &= pattern
+    e, i, j = np.nonzero(keep)
+    vals = block[i, j] if block.ndim == 2 else block[e, i, j]
+    return dofs[e, i], dofs[e, j], vals
+
+
+def test_block_triplets_matches_nonzero_reference():
+    rng = np.random.default_rng(21)
+    dofs = rng.integers(0, 30, size=(6, 5))
+    dofs[rng.random(dofs.shape) < 0.3] = -1
+    pattern = rng.random((5, 5)) < 0.6
+    for block in (rng.standard_normal((5, 5)),
+                  rng.standard_normal((6, 5, 5))):
+        for pat in (None, pattern):
+            got = block_triplets(dofs, block, pat)
+            want = nonzero_triplets(dofs, block, pat)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_sparse_factor_once_solve_many():

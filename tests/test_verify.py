@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from affine_maps import affine_map, pull_back_tab
-from brinkhdg import fespace
+from brinkhdg import fespace, verify
 from brinkhdg.fespace import Spaces
 from brinkhdg.forms import (element_blocks, postprocess_factor,
                             postprocess_velocity, project_facet_tangent,
@@ -405,6 +405,16 @@ def test_run_convergence_rows_and_oracle():
     assert table.rows[0].oracle_discrepancy < 1e-10
     assert table.rows[1].oracle_discrepancy is None
     assert table.rows[0].report.err_u > table.rows[1].report.err_u
+
+
+def test_run_convergence_keeps_nan_oracle_gap(monkeypatch):
+    # Python's max(1e-12, nan, 2e-12) is 2e-12: a NaN field gap that
+    # follows a finite one must not read finite
+    monkeypatch.setattr(verify, "compare_fields", lambda *args: {
+        "dl": 1e-12, "du": np.nan, "dp": 2e-12})
+    table = run_convergence(make_case(1), QUAD, 1, 1, base_n=2,
+                            check_oracle=True)
+    assert np.isnan(table.rows[0].oracle_discrepancy)
 
 
 def test_csv_layout_and_determinism():
