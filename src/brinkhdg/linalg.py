@@ -10,6 +10,14 @@ symmetric positive definite matrices, a minimum-degree ordering of
 A^T + A with diagonal pivots.  `refined_solve` applies one refinement
 step against a matrix with an exact or approximate inverse and checks
 the residual.
+
+Sparse matrices are assembled from triplets by `SparseBuilder`, which
+converts them to CSC with one in-place sort of distinct int64 keys, the
+column-major position above the insertion index (the triplet-to-
+compressed conversion of Davis, Direct Methods for Sparse Linear
+Systems, ch. 2).  Position and index must fit in 63 bits together: a
+matrix of nrows * ncols entries takes bit_length(nrows * ncols - 1)
+bits and N triplets bit_length(N - 1).
 """
 
 from __future__ import annotations
@@ -178,10 +186,9 @@ class SparseBuilder:
         # the low bits; each array is dropped once the next one holds its
         # data, which keeps the peak memory low
         key = cols
-        del cols
         key *= nrows
         key += rows
-        del rows
+        del rows, cols
         key <<= shift
         key |= np.arange(n)
         key.sort()
@@ -210,6 +217,7 @@ class SparseBuilder:
         indptr = np.zeros(ncols + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
         mat = sp.csc_matrix((data, rows, indptr), shape=self.shape)
+        # sorted, with no duplicates, so SuperLU need not check again
         mat.has_canonical_format = True
         return mat
 
