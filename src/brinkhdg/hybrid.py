@@ -24,7 +24,20 @@ formed: each interior facet's first mode is -o/h times the potential
 of its lower vertex plus o/h times that of its higher one, so Z^T r is
 one bincount and Z y one difference per facet.  The trace energy K is
 never assembled: the one refinement step against the full condensed
-system applies it cell by cell.
+system applies it cell by cell, from the class stack.
+
+Nor is Z^T K Z factored whole: its vertex-star interiors are eliminated
+first, the static condensation one level up (the first level of a
+nested dissection).  The stars are the cells of vertices on no boundary
+facet, taken greedily in vertex order so that no two share a cell
+(`_vertex_stars`): the 2 x 2 squares of structured quads, 6 of every 8
+cells of diagonal-split triangles.  A star's interior, the reduced
+traces of the facets at its centre and the centre's potential, couples
+to no other star, so it is eliminated by a dense Schur step, one
+stacked factor per star class (`_StarSchur`), and SuperLU factors only
+the skeleton matrix, assembled from the stars' Schur blocks and the
+blocks R_e of the cells in no star.  Per solve each star only condenses
+its right-hand side onto the skeleton and recovers its interior.
 
 The element blocks of one cell of each geometry class are reference
 integrals times that cell's geometry (`forms.element_blocks` on
@@ -172,7 +185,7 @@ def _class_rows(x, stack, cls):
     """Rows x[e] @ stack[cls[e]] for the cells e of a block, with cls the
     class of each cell; one product with the class's matrix when the
     block holds a single class."""
-    if (cls == cls[0]).all():
+    if cls.size and (cls == cls[0]).all():
         return x @ stack[cls[0]]
     return (x[:, None] @ stack[cls])[:, 0]
 
@@ -327,55 +340,223 @@ def _reduced_blocks(energy, flux, first):
     return energy
 
 
-def _cellwise_product(energy, cols, m):
+def _vertex_stars(mesh):
+    """Cell-disjoint vertex stars: their centres (S,) and cells (S, w).
+
+    A vertex on no boundary facet becomes a centre, in vertex order, when
+    none of its cells lies in a star taken before; its star is all its
+    cells, ascending, padded with -1 to the widest star.  The 2 x 2
+    squares of structured quads are such stars, and on diagonal-split
+    triangles they hold 6 of every 8 cells.
+    """
+    npc = mesh.cells.shape[1]
+    flat = mesh.cells.ravel()
+    order = np.argsort(flat, kind="stable")
+    count = np.bincount(flat, minlength=mesh.num_vertices)
+    start = np.cumsum(count) - count
+    # (vertices, most cells of a vertex): the cells of each vertex
+    around = np.full((len(count), count.max(initial=0)), -1)
+    around[flat[order], np.arange(flat.size) - np.repeat(start, count)] = (
+        order // npc)
+    # the vertices of each vertex's cells, the vertex itself in padding
+    corners = np.where(around[..., None] >= 0, mesh.cells[around],
+                       np.arange(len(count))[:, None, None])
+    # a vertex is blocked once it lies on a cell of a star, or if it lies
+    # on a boundary facet or on no cell; find scans for the next free one
+    blocked = bytearray(len(count))
+    mark = np.frombuffer(blocked, dtype=np.uint8)
+    mark[count == 0] = 1
+    mark[mesh.facet_vertices[mesh.boundary_facets]] = 1
+    centres = []
+    v = blocked.find(0)
+    while v >= 0:
+        centres.append(v)
+        mark[corners[v]] = 1
+        v = blocked.find(0, v + 1)
+    width = count[centres].max(initial=0)
+    return np.array(centres, dtype=int), around[centres, :width]
+
+
+class _StarSchur:
+    """The star interiors of the reduced system, eliminated densely.
+
+    stars (S, w) holds the cells of each star (`_vertex_stars`), red
+    (nc, n) the reduced columns of each cell's slots (`_reduced_columns`)
+    and inner flags the reduced columns that only one star touches: the
+    reduced traces of the facets at its centre and the centre's
+    potential.  A star's columns are numbered by their first slot among
+    its cells' slots, interior ones first, so stars whose cells share
+    classes and whose slots share that pattern share their flux maps
+    too, and form one star class (`cls`).  The star matrix of each class,
+    the sum of the blocks R_e (`_reduced_blocks`) of one star's cells, is
+    scaled symmetrically by powers of two, and the interior blocks A_ii
+    of all the classes are factored as one stack (`factor_classes`).
+    Per class this leaves the Schur complement A_bb - A_bi A_ii^-1 A_ib
+    on the star's skeleton columns (`schur`), W = A_ii^-1 A_ib (`w`) and
+    the rows [A_ii^-T; -W^T] that recover the interior (`recover_rows`),
+    all unscaled.  The layout is padded to the most interior and
+    skeleton columns of any class: a padded interior column has a unit
+    diagonal in the factored block, and a padded skeleton column is zero.
+
+    `skeleton` lists the reduced columns that are not interior, and
+    `skeleton_index` maps each reduced column to its rank there, or to
+    -1, also at index -1; `inner` holds each star's interior reduced
+    columns and `outer` its skeleton ranks, -1 in padding.
+    """
+
+    def __init__(self, stars, red, inner, cell_class, energy, flux, first):
+        n_s, width = stars.shape
+        n_slot = width * red.shape[1]
+        # each star's reduced columns, slot by slot, -1 for none
+        col = np.where(stars[..., None] >= 0, red[stars], -1).reshape(
+            n_s, n_slot)
+        # the first slot of each slot's column in its star
+        _, at, back = np.unique(np.arange(n_s)[:, None] * (len(inner) + 1)
+                                + col, return_index=True, return_inverse=True)
+        first_slot = at[back].reshape(col.shape) % n_slot
+        # 0 interior, 1 skeleton, 2 no column
+        kind = np.where(col < 0, 2, ~inner[col])
+        # one row of bytes per star: its cells' classes and its pattern
+        key = np.hstack([np.where(stars >= 0, cell_class[stars], -1),
+                         3 * first_slot + kind]).astype(np.int32)
+        _, rep, self.cls = np.unique(
+            key.view(np.dtype((np.void, 4 * key.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+
+        # each class's columns, each at its first slot: interior ones first
+        opens = first_slot[rep] == np.arange(n_slot)
+        is_i = opens & (kind[rep] == 0)
+        is_b = opens & (kind[rep] == 1)
+        n_i = is_i.sum(axis=1).max(initial=0)
+        n_b = is_b.sum(axis=1).max(initial=0)
+        n = n_i + n_b
+        pos = np.where(is_i, np.cumsum(is_i, axis=1) - 1,
+                       np.where(is_b, n_i + np.cumsum(is_b, axis=1) - 1, -1))
+        slot = np.full((len(rep), n), n_slot)
+        rows, slots = np.nonzero(pos >= 0)
+        slot[rows, pos[rows, slots]] = slots
+        # the reduced column of each star's local column, -1 for padding
+        local_col = np.take_along_axis(
+            np.pad(col, ((0, 0), (0, 1)), constant_values=-1),
+            slot[self.cls], axis=1)
+        self.n = len(inner)
+        self.skeleton = np.flatnonzero(~inner)
+        # the skeleton column of each reduced column, -1 for an interior
+        # one, and -1 at index -1
+        self.skeleton_index = np.full(self.n + 1, -1)
+        self.skeleton_index[self.skeleton] = np.arange(len(self.skeleton))
+        self.inner = local_col[:, :n_i]
+        self.outer = self.skeleton_index[local_col[:, n_i:]]
+
+        # the star matrix of each class from the blocks of its first star
+        cells = stars[rep]
+        local = np.take_along_axis(pos, first_slot[rep], axis=1).reshape(
+            cells.shape + red.shape[1:])
+        cls = np.broadcast_to(np.arange(len(rep))[:, None], cells.shape)
+        local, cls, cells = local[cells >= 0], cls[cells >= 0], cells[cells >= 0]
+        blocks = _reduced_blocks(energy[cell_class[cells]], flux[cells], first)
+        keep = (local[:, :, None] >= 0) & (local[:, None, :] >= 0)
+        at = (cls[:, None, None] * n + local[:, :, None]) * n + local[:, None, :]
+        a = np.bincount(at[keep], blocks[keep], minlength=len(rep) * n * n
+                        ).reshape(len(rep), n, n)
+        scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
+            np.diagonal(a, axis1=1, axis2=2))))[1])
+        a = a * (scale[:, :, None] * scale[:, None, :])
+        pad_c, pad_i = np.nonzero(np.arange(n_i) >= is_i.sum(axis=1)[:, None])
+        a[pad_c, pad_i, pad_i] = 1.0
+        # A_ii^-1 [I, A_ib] of the scaled matrices
+        rhs = np.concatenate([np.broadcast_to(np.eye(n_i), (len(rep), n_i, n_i)),
+                              a[:, :n_i, n_i:]], axis=2)
+        sol = (factor_classes(a[:, :n_i, :n_i], stars[rep, 0],
+                              "star interior matrix").solve(rhs)
+               if len(rep) else rhs)
+        s_i, s_b = scale[:, :n_i], scale[:, n_i:]
+        self.schur = ((a[:, n_i:, n_i:] - a[:, n_i:, :n_i] @ sol[:, :, n_i:])
+                      / (s_b[:, :, None] * s_b[:, None, :]))
+        # W = A_ii^-1 A_ib, unscaled; row products take its transposes
+        w = s_i[:, :, None] * sol[:, :, n_i:] / s_b[:, None, :]
+        self.w = w
+        self.recover_rows = np.concatenate(
+            [(s_i[:, :, None] * sol[:, :, :n_i] * s_i[:, None, :]).swapaxes(1, 2),
+             -w.swapaxes(1, 2)], axis=1)
+
+    def condense(self, b):
+        """The skeleton rows of a reduced right-hand side b, less
+        A_bi A_ii^-1 b_i of each star."""
+        n_sk = len(self.skeleton)
+        bins = np.where(self.outer >= 0, self.outer, n_sk)
+        load = _class_rows(np.append(b, 0.0)[self.inner], self.w, self.cls)
+        return b[self.skeleton] - np.bincount(bins.ravel(), load.ravel(),
+                                              minlength=n_sk + 1)[:n_sk]
+
+    def recover(self, b, y_skeleton):
+        """The reduced solution y from its skeleton part: each star's
+        interior y_i = A_ii^-1 (b_i - A_ib y_b)."""
+        known = np.hstack([np.append(b, 0.0)[self.inner],
+                           np.append(y_skeleton, 0.0)[self.outer]])
+        y = np.zeros(self.n + 1)
+        y[self.skeleton] = y_skeleton
+        # padded interior columns write into the last entry, dropped
+        y[self.inner] = _class_rows(known, self.recover_rows, self.cls)
+        return y[:-1]
+
+
+def _cellwise_product(spaces, energy, cols, m):
     """x -> K x for the m traces, with K the sum of the cells' energy
     blocks, never assembled.
 
-    energy (nc, n, n) holds each cell's block and cols (nc, n) its trace
-    columns, -1 off the traces: one gather, one stacked product and one
-    scatter per call.
+    energy (n_cls, n, n) holds each geometry class's block and cols
+    (nc, n) each cell's trace columns, -1 off the traces: one gather, one
+    product per block of cells (`Spaces.cell_blocks`, one with the
+    class's matrix when the block holds one class) and one scatter per
+    call.
     """
     # slots off the traces scatter into an extra bin, dropped after
     bins = np.where(cols >= 0, cols, m).ravel()
+    energy_t = energy.swapaxes(1, 2)
 
     def apply(x):
         xe = np.append(x, 0.0)[cols]
-        return np.bincount(bins, (energy @ xe[..., None]).ravel(),
-                           minlength=m + 1)[:m]
+        for cells in spaces.cell_blocks():
+            xe[cells] = _class_rows(xe[cells], energy_t,
+                                    spaces.cell_class[cells])
+        return np.bincount(bins, xe.ravel(), minlength=m + 1)[:m]
 
     return apply
 
 
-def _solve_condensed(reduced, energy, cols, incidence, n0, free, psi,
+def _solve_condensed(skeleton, stars, spaces, energy, cols, n0, free, psi,
                      weights, rhs):
     """Solve the pinned condensed saddle point through an SPD reduction.
 
     The system, in [eta, pbar], is K eta + P^T pbar = F and P eta = G,
-    with K the sum of the cells' energy blocks on the traces eta and
-    P = incidence acting on the first normal modes n0 of eta; cell 0's
-    row and column are replaced by the pin pbar[0] = rhs[len(eta)].
-    Writing the first modes as n0_p + C psi, with B1 n0_p equal to the
-    mass balances G of cells 1..nc-1 and B1 C = 0, leaves
-    Z^T K Z y = Z^T (F - K eta_p) in the traces that are not first modes
-    (free) and psi, which is SPD; pbar then follows from the n0 rows.  Row f of C
-    holds -weights[f] at the psi column psi[f, 0] of the facet's lower
-    vertex and weights[f] at psi[f, 1], its higher one, where -1 is a
-    potential fixed at zero; so Z^T r is r[free] and one bincount of the
-    first-mode residual, and Z y sets eta[free] and one difference per
-    facet.  `reduced` is Z^T K Z, assembled from the per-cell blocks
-    R_e = Z_e^T E_e Z_e (`_reduced_blocks`); it is scaled in place.
-    energy (nc, n, n) holds each cell's block E_e and cols (nc, n) its
-    trace columns, from which K is applied cell by cell and never
-    assembled (`_cellwise_product`).  B1 B1^T and the reduced matrix, the
-    latter scaled symmetrically by powers of two, are factored without
+    with K the sum of the cells' energy blocks on the traces eta and P
+    the cell-facet incidence (`_facet_incidence`) acting on the first
+    normal modes n0 of eta; cell 0's row and column are replaced by the
+    pin pbar[0] = rhs[len(eta)].  Writing the first modes as
+    n0_p + C psi, with B1 n0_p equal to the mass balances G of cells
+    1..nc-1 and B1 C = 0, leaves Z^T K Z y = Z^T (F - K eta_p) in the
+    traces that are not first modes (free) and psi, which is SPD; pbar
+    then follows from the n0 rows.  Row f of C holds -weights[f] at the
+    psi column psi[f, 0] of the facet's lower vertex and weights[f] at
+    psi[f, 1], its higher one, where -1 is a potential fixed at zero; so
+    Z^T r is r[free] and one bincount of the first-mode residual, and
+    Z y sets eta[free] and one difference per facet.  Z^T K Z is not
+    formed either: `stars` (`_StarSchur`) eliminates the star interiors,
+    and `skeleton` is the Schur complement on the other columns,
+    `stars.skeleton`; it is scaled in place.  energy (n_cls, n, n) holds
+    each geometry class's block E_e and cols (nc, n) each cell's trace
+    columns, from which K is applied cell by cell and never assembled
+    (`_cellwise_product`).  B1 B1^T and the skeleton matrix, the latter
+    scaled symmetrically by powers of two, are factored without
     pivoting.  That reduced solve is the approximate inverse of one
     refinement step against the full matrix.
     """
-    b1 = incidence[1:]
+    b1 = _facet_incidence(spaces.mesh)[1:]
     m = len(rhs) - b1.shape[0] - 1
     n_free = len(free)
-    n_psi = reduced.shape[0] - n_free
-    apply_energy = _cellwise_product(energy, cols, m)
+    n_psi = stars.n - n_free
+    apply_energy = _cellwise_product(spaces, energy, cols, m)
 
     def full(x):
         out = np.concatenate([apply_energy(x[:m]), x[m:m + 1], b1 @ x[n0]])
@@ -385,10 +566,10 @@ def _solve_condensed(reduced, energy, cols, incidence, n0, free, psi,
     # potentials fixed at zero take their terms into an extra bin
     bins = np.where(psi >= 0, psi, n_psi).ravel()
     signed = np.column_stack([-weights, weights])
-    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(reduced.diagonal())))[1])
-    reduced.data *= (scale[reduced.indices]
-                     * np.repeat(scale, np.diff(reduced.indptr)))
-    reduced_lu = SparseFactor(reduced, symmetric=True)
+    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(skeleton.diagonal())))[1])
+    skeleton.data *= (scale[skeleton.indices]
+                      * np.repeat(scale, np.diff(skeleton.indptr)))
+    skeleton_lu = SparseFactor(skeleton, symmetric=True)
     graph_lu = SparseFactor((b1 @ b1.T).tocsc(), symmetric=True)
 
     def approx(b):
@@ -397,7 +578,9 @@ def _solve_condensed(reduced, energy, cols, incidence, n0, free, psi,
         r = b[:m] - apply_energy(eta)
         flux = np.bincount(bins, (signed * r[n0, None]).ravel(),
                            minlength=n_psi + 1)[:-1]
-        y = scale * reduced_lu.solve(scale * np.concatenate([r[free], flux]))
+        reduced = np.concatenate([r[free], flux])
+        y = stars.recover(reduced, scale * skeleton_lu.solve(
+            scale * stars.condense(reduced)))
         eta[free] = y[:n_free]
         pot = np.append(y[n_free:], 0.0)[psi]
         eta[n0] += signed[:, 0] * pot[:, 0] + signed[:, 1] * pot[:, 1]
@@ -415,7 +598,9 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     in place of its (redundant) mass balance.  The condensed system is
     not factored as such: the first normal modes are written as a flux
     that meets the mass balances plus the facet differences of a vertex
-    potential, which leaves an SPD system (`_solve_condensed`).  After
+    potential, which leaves an SPD system (`_solve_condensed`), and the
+    interiors of cell-disjoint vertex stars are eliminated from it
+    densely (`_StarSchur`) before SuperLU factors the rest.  After
     the solve the averages are shifted to zero area-weighted mean, which
     fixes the pressure in L2_0 and changes no other field.  Raises
     ValueError when the mass source does not integrate to zero, since
@@ -442,8 +627,22 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     # the first-mode slot of each local facet
     first = nfc * kk + kk * np.arange(nfc)
     red_cols, flux = _reduced_columns(mesh, vcol, cols, o_pbar, free, first)
-    n_red = len(free) + n_psi
-    builder = SparseBuilder(n_red, n_red)
+    # the reduced columns only one star touches: the reduced traces of
+    # the facets at its centre, and the centre's potential
+    centres, star_cells = _vertex_stars(mesh)
+    at_centre = np.zeros(mesh.num_vertices, dtype=bool)
+    at_centre[centres] = True
+    inner = np.append(at_centre[mesh.facet_vertices[fi]].any(axis=1)[
+        free % ntt // kk], np.zeros(n_psi, dtype=bool))
+    inner[len(free) + vcol[centres]] = True
+    stars = _StarSchur(star_cells, red_cols, inner, spaces.cell_class,
+                       ls.energy, flux, first)
+    red_cols = stars.skeleton_index[red_cols]
+    in_star = np.zeros(nc, dtype=bool)
+    in_star[star_cells[star_cells >= 0]] = True
+    n_sk = len(stars.skeleton)
+    builder = SparseBuilder(n_sk, n_sk)
+    builder.add(*block_triplets(stars.outer, stars.schur[stars.cls]))
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
@@ -461,8 +660,9 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         f_loc = (_class_rows(fmom, ls.lift[:, o_u:o_p], cls)
                  - _class_rows(xs, ls.zlift, cls))
         cc = cols[cells]
-        builder.add(*block_triplets(red_cols[cells], _reduced_blocks(
-            ls.energy[cls], flux[cells], first)))
+        loose = cells[~in_star[cells]]
+        builder.add(*block_triplets(red_cols[loose], _reduced_blocks(
+            ls.energy[cls[~in_star[cells]]], flux[loose], first)))
         keep = cc >= 0
         np.add.at(rhs, cc[keep], f_loc[keep])
         rhs[o_pbar + cells] = -gmom[:, 0] / q0v
@@ -488,10 +688,9 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     rhs[o_pbar] = 0.0
 
     # the builder's triplets are dropped before the factorization
-    reduced = builder.finalize()
+    skeleton = builder.finalize()
     del builder
-    sol = _solve_condensed(reduced, ls.energy[spaces.cell_class], cols,
-                           _facet_incidence(mesh), n0, free,
+    sol = _solve_condensed(skeleton, stars, spaces, ls.energy, cols, n0, free,
                            vcol[mesh.facet_vertices[fi]],
                            _flux_weights(mesh, fi), rhs)
     uhat_t = sol[:ntt]

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from affine_maps import holed_quads, local_facet, pull_back_tab
@@ -301,18 +302,98 @@ def test_parameter_extremes_on_seeded_perturbed_meshes(n, k, seed, nu, gamma):
         assert max(normal_trace_jumps(spaces, fields.u)) <= 1e-10
 
 
+def star_meshes():
+    """Structured, perturbed and holed meshes for the vertex stars."""
+    meshes = [build_structured_mesh(n, kind) for n in (1, 2, 3, 4, 7, 8)
+              for kind in (QUAD, TRIANGLE)]
+    return meshes + [perturbed_triangles(6, 0.2, seed=3),
+                     holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)]),
+                     holed_quads(6, [(1, 1), (4, 3)])]
+
+
+def test_vertex_stars_disjoint_and_off_every_boundary():
+    # each star is every cell of its centre, no cell is in two stars, no
+    # centre lies on a boundary facet (hole loops included), and each
+    # vertex passed over in vertex order shares a cell with a star
+    for mesh in star_meshes():
+        centres, stars = hybrid._vertex_stars(mesh)
+        cells = stars[stars >= 0]
+        assert len(np.unique(cells)) == len(cells)
+        on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
+        on_boundary[mesh.facet_vertices[mesh.boundary_facets]] = True
+        assert not on_boundary[centres].any()
+        taken = np.zeros(mesh.num_cells, dtype=bool)
+        for v in range(mesh.num_vertices):
+            around = np.flatnonzero((mesh.cells == v).any(axis=1))
+            if v in centres:
+                row = stars[list(centres).index(v)]
+                assert np.array_equal(row[row >= 0], around)
+                taken[around] = True
+            elif not on_boundary[v] and around.size:
+                assert taken[around].any(), v
+    # the second holed mesh has stars next to both holes
+    assert len(centres) == 7
+
+
+def test_vertex_stars_of_structured_meshes():
+    # n x n quads, n even, give (n/2)^2 stars, each a 2 x 2 square
+    # centred on a vertex of odd row and column; diagonal-split
+    # triangles put 6 of every 8 cells in stars
+    for n in (2, 4, 8):
+        centres, stars = hybrid._vertex_stars(build_structured_mesh(n, QUAD))
+        j, i = np.divmod(centres, n + 1)
+        assert len(centres) == (n // 2) ** 2
+        assert (i % 2 == 1).all() and (j % 2 == 1).all()
+        lower_left = (j - 1) * n + i - 1
+        squares = lower_left[:, None] + np.array([0, 1, n, n + 1])
+        assert np.array_equal(stars, squares)
+        _, stars = hybrid._vertex_stars(build_structured_mesh(n, TRIANGLE))
+        assert stars.shape == ((n // 2) ** 2, 6) and (stars >= 0).all()
+    for kind in (QUAD, TRIANGLE):
+        centres, stars = hybrid._vertex_stars(build_structured_mesh(1, kind))
+        assert centres.shape == (0,) and stars.shape == (0, 0)
+
+
+def test_star_classes_stack_congruent_stars(condensed_calls):
+    # congruent stars share one class, hence one interior factor and one
+    # Schur block: at most 9 classes on structured meshes (interior, edge
+    # and corner stars), one per star on perturbed meshes; a mesh with no
+    # eligible vertex runs the same path with no star and no class, and
+    # its skeleton is every reduced column
+    case = make_case(1)
+    runs = [(build_structured_mesh(16, QUAD), 1, 9),
+            (build_structured_mesh(9, TRIANGLE), 2, 4),
+            (perturbed_triangles(6, 0.2, seed=3), 1, 9),
+            (build_structured_mesh(1, QUAD), 2, 0)]
+    for mesh, k, n_cls in runs:
+        spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(
+            case, k, 16))
+        a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                         case.mass_source)
+        stars = condensed_calls[-1].stars
+        assert len(np.unique(stars.cls)) == len(stars.w) == n_cls
+        assert len(stars.cls) == len(hybrid._vertex_stars(mesh)[0])
+        b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                         case.mass_source)
+        assert max(compare_fields(spaces, a, b).values()) <= 1e-10
+    assert stars.inner.shape == (0, 0)
+    assert np.array_equal(stars.skeleton, np.arange(stars.n))
+
+
 @pytest.fixture
 def condensed_calls(monkeypatch):
-    """The arguments and solution of each `_solve_condensed` call, by name;
-    the reduced matrix is copied before the solve scales it in place."""
+    """The arguments and solution of each `_solve_condensed` call, by name,
+    and the facet incidence of its mesh; the skeleton matrix is copied
+    before the solve scales it in place."""
     calls = []
     solve = hybrid._solve_condensed
-    names = ("reduced", "energy", "cols", "incidence", "n0", "free", "psi",
-             "weights", "rhs")
+    names = ("skeleton", "stars", "spaces", "energy", "cols", "n0", "free",
+             "psi", "weights", "rhs")
 
     def spy(*args):
         seen = SimpleNamespace(**dict(zip(names, args)))
-        seen.reduced = seen.reduced.copy()
+        seen.skeleton = seen.skeleton.copy()
+        seen.incidence = hybrid._facet_incidence(seen.spaces.mesh)
         x = solve(*args)
         # solve_hybrid shifts the pressure averages of x in place
         seen.x = x.copy()
@@ -328,7 +409,8 @@ def assembled_energy(call):
     its trace columns, duplicates summed."""
     m = len(call.rhs) - call.incidence.shape[0]
     builder = SparseBuilder(m, m)
-    builder.add(*block_triplets(call.cols, call.energy))
+    builder.add(*block_triplets(call.cols,
+                                call.energy[call.spaces.cell_class]))
     return builder.finalize()
 
 
@@ -341,18 +423,31 @@ def stream_function_basis(call, m):
                           shape=(m, len(n0)))
     free = np.ones(m, dtype=bool)
     free[n0] = False
-    curl = vertex_flux_map(call.psi, call.weights,
-                           call.reduced.shape[0] - free.sum())
+    curl = vertex_flux_map(call.psi, call.weights, call.stars.n - free.sum())
     return sp.hstack([sp.identity(m, format="csc")[:, free],
                       first @ curl]).tocsc()
 
 
+def skeleton_schur_complement(reduced, skeleton):
+    """The Schur complement of a sparse SPD matrix onto the columns
+    skeleton, the others eliminated by a sparse LU."""
+    inner = np.setdiff1d(np.arange(reduced.shape[0]), skeleton)
+    rows = reduced.tocsr()[skeleton].tocsc()
+    schur = rows[:, skeleton]
+    if inner.size:
+        inner_block = reduced.tocsr()[inner].tocsc()[:, inner]
+        schur = schur - rows[:, inner] @ spla.spsolve(
+            inner_block, rows[:, inner].T.tocsc())
+    return sp.csc_matrix(schur)
+
+
 def test_reduced_matrix_matches_triple_product(condensed_calls):
-    # the reduced matrix assembled from per-cell blocks Z_e^T E_e Z_e is
-    # Z^T K Z with K assembled, also with hole loops whose potential is
-    # shared by several vertices of a cell, and with no interior facet;
-    # the second holed mesh is symmetric about x = y only without its
-    # holes, so it gets a source of zero mean
+    # the skeleton matrix, assembled from the stars' dense Schur
+    # complements and the blocks Z_e^T E_e Z_e of the other cells, is the
+    # Schur complement of Z^T K Z onto the skeleton with K assembled, also
+    # with hole loops whose potential is shared by several vertices of a
+    # cell, and with no interior facet; the second holed mesh is symmetric
+    # about x = y only without its holes, so it gets a source of zero mean
     case = make_case(1)
     data = (case.body_force, case.mass_source)
     runs = [(build_structured_mesh(16, TRIANGLE), 3, data),
@@ -369,12 +464,13 @@ def test_reduced_matrix_matches_triple_product(condensed_calls):
         call = condensed_calls[-1]
         energy = assembled_energy(call)
         z = stream_function_basis(call, energy.shape[0])
-        want = z.T @ energy @ z
-        assert call.reduced.shape == want.shape
+        want = skeleton_schur_complement(z.T @ energy @ z,
+                                         call.stars.skeleton)
+        assert call.skeleton.shape == want.shape
         if want.nnz:
-            gap = abs(call.reduced - want).max()
+            gap = abs(call.skeleton - want).max()
             assert gap <= 1e-13 * abs(want).max(), (mesh.num_cells, k, gap)
-    assert condensed_calls[-1].reduced.shape == (0, 0)
+    assert condensed_calls[-1].skeleton.shape == (0, 0)
 
 
 def test_reduced_pattern_independent_of_data(condensed_calls):
@@ -387,10 +483,10 @@ def test_reduced_pattern_independent_of_data(condensed_calls):
             case, 3, 16))
         solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
                      case.mass_source)
-    first = condensed_calls[0].reduced
+    first = condensed_calls[0].skeleton
     for call in condensed_calls[1:]:
-        assert np.array_equal(call.reduced.indptr, first.indptr)
-        assert np.array_equal(call.reduced.indices, first.indices)
+        assert np.array_equal(call.skeleton.indptr, first.indptr)
+        assert np.array_equal(call.skeleton.indices, first.indices)
 
 
 def test_cellwise_energy_product_matches_assembled(condensed_calls):
@@ -403,7 +499,8 @@ def test_cellwise_energy_product_matches_assembled(condensed_calls):
         m = energy.shape[0]
         x = rng.standard_normal(m)
         want = energy @ x
-        got = hybrid._cellwise_product(call.energy, call.cols, m)(x)
+        got = hybrid._cellwise_product(call.spaces, call.energy, call.cols,
+                                       m)(x)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
