@@ -31,10 +31,11 @@ import scipy.sparse.linalg as spla
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a factorization meets a numerically singular matrix.
+    """Raised when a factorization meets a numerically singular matrix, or
+    one with a non-finite entry.
 
-    For a stack of matrices, `index` is the position of the first
-    singular one; it is None otherwise.
+    For a stack of matrices, `index` is the position of the first such
+    matrix; it is None otherwise.
     """
 
     def __init__(self, message, index=None):
@@ -81,6 +82,16 @@ class DenseFactor:
         # each matrix's pivots against its own largest entry; max and min
         # rather than abs, which would copy the stack
         scale = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+        # max and min keep a NaN, and an infinity of either sign shows
+        # in one of them
+        bad = ~np.isfinite(scale)
+        if bad.any():
+            i = int(np.argmax(bad))
+            which = f" of matrix {i}" if a.ndim == 3 else ""
+            raise SingularMatrixError(
+                f"dense factorization{which}: non-finite entry "
+                f"{stack[i][~np.isfinite(stack[i])][0]}",
+                index=i if a.ndim == 3 else None)
         # one stack of column-major matrices that getrf overwrites in place;
         # getrf would also write into a read-only array, so that is copied
         lu = stack
@@ -273,6 +284,12 @@ class SparseFactor:
     """
 
     def __init__(self, csc, symmetric=False):
+        bad = np.flatnonzero(~np.isfinite(csc.data))
+        if bad.size:
+            coo = csc.tocoo(copy=False)
+            raise SingularMatrixError(
+                f"sparse factorization: non-finite entry {coo.data[bad[0]]} at "
+                f"({coo.row[bad[0]]}, {coo.col[bad[0]]}), one of {bad.size}")
         self._mat = csc
         opts = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True)) if symmetric else

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from brinkhdg.fespace import factor_classes
 from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
                              SparseFactor, block_triplets, refined_solve,
                              sparse_solve)
@@ -169,6 +170,42 @@ def test_dense_stack_names_first_singular_matrix():
                        match="^dense factorization: ") as err:
         DenseFactor(singular)
     assert err.value.index is None
+
+
+def test_dense_refuses_non_finite_entries():
+    # a NaN or an infinity is named as such, with its stack index, rather
+    # than factored into NaN solutions or reported as a small pivot
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for value in (np.nan, np.inf, -np.inf):
+        stack = np.stack([good, good, good])
+        stack[1, 0, 1] = value
+        with pytest.raises(SingularMatrixError,
+                           match=rf"^dense factorization of matrix 1: "
+                                 rf"non-finite entry {value}$") as err:
+            DenseFactor(stack)
+        assert err.value.index == 1
+        with pytest.raises(SingularMatrixError,
+                           match="^dense factorization: non-finite") as err:
+            DenseFactor(stack[1])
+        assert err.value.index is None
+        # factor_classes names the cell of the class
+        with pytest.raises(SingularMatrixError,
+                           match="^local block of cell 17: dense "
+                                 "factorization of matrix 1: non-finite"):
+            factor_classes(stack, [4, 17, 9], "local block")
+
+
+def test_sparse_refuses_non_finite_entries():
+    for value in (np.nan, np.inf):
+        mat = laplacian_1d(5).finalize()
+        mat.data[np.flatnonzero((mat.indices == 3)
+                                & (np.repeat(np.arange(5), np.diff(mat.indptr))
+                                   == 2))] = value
+        for symmetric in (False, True):
+            with pytest.raises(SingularMatrixError,
+                               match=rf"^sparse factorization: non-finite "
+                                     rf"entry {value} at \(3, 2\), one of 1$"):
+                SparseFactor(mat, symmetric=symmetric)
 
 
 def test_sparse_diagonal():
