@@ -120,9 +120,10 @@ class BrinkmanCase:
         return out
 
     def mass_source(self, x):
+        # div u = 2 pi (cos 2 pi x sin 2 pi y + sin 2 pi x cos 2 pi y),
+        # one sine of the summed angle
         tp = 2 * np.pi
-        s, c = np.sin(tp * x), np.cos(tp * x)
-        return tp * (c[:, 0] * s[:, 1] + s[:, 0] * c[:, 1])
+        return tp * np.sin(tp * (x[:, 0] + x[:, 1]))
 
     # -- derived scalars ---------------------------------------------------
 
