@@ -46,11 +46,35 @@ class Mesh:
         if cell_kind not in (QUAD, TRIANGLE):
             raise ValueError(f"unknown cell kind: {cell_kind!r}")
         self.vertices = np.array(vertices, dtype=float)
-        self.cells = np.array(cells, dtype=int)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise ValueError("vertex array must have shape (nv, 2), not "
+                             f"{self.vertices.shape}")
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"vertex {i} is not finite: {self.vertices[i]}")
+        cells = np.asarray(cells)
+        if cells.dtype.kind not in "iu":
+            # floats pass only when they hold integers
+            flat = cells.ravel()
+            bad = np.ones(flat.size, dtype=bool)
+            if cells.dtype.kind == "f":
+                bad = ~np.isfinite(flat) | (flat != np.round(flat))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError("cell vertex indices must be integers: entry "
+                                 f"{i} is {flat[i].item()!r} ({cells.dtype})")
+        self.cells = cells.astype(int)
         self.cell_kind = cell_kind
         npc = 3 if cell_kind == TRIANGLE else 4
         if self.cells.ndim != 2 or self.cells.shape[1] != npc:
             raise ValueError("cell array shape does not match cell kind")
+        nv = len(self.vertices)
+        bad = ((self.cells < 0) | (self.cells >= nv)).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"cell {i} has vertex indices {self.cells[i]}, "
+                             f"outside [0, {nv})")
         self._build_facets()
         for arr in (self.vertices, self.cells, self.facet_vertices,
                     self.facet_cells, self.facet_normals, self.facet_tangents,

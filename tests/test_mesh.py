@@ -259,6 +259,56 @@ def test_bad_construction_args():
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], QUAD)  # 3 vertices per quad
 
 
+def corrupted_inputs(mesh):
+    """(vertices, cells, expected message) of one corruption each of a
+    valid mesh's arrays."""
+    v, c = mesh.vertices.copy(), mesh.cells.copy()
+    nv = len(v)
+    nan_v, inf_v = v.copy(), v.copy()
+    nan_v[nv // 2, 1] = np.nan
+    inf_v[nv - 1, 0] = np.inf
+    neg, high, top = c.copy(), c.copy(), c.copy()
+    neg[1, 2] = -1
+    high[2, 0] = nv
+    top[3, 1] = nv + 7
+    half = c + 0.5
+    partly = c.astype(float)
+    partly[1, 1] += 0.25
+    return [
+        (nan_v, c, rf"vertex {nv // 2} is not finite"),
+        (inf_v, c, rf"vertex {nv - 1} is not finite"),
+        (np.hstack([v, np.zeros((nv, 1))]), c,
+         r"vertex array must have shape \(nv, 2\), not \({nv}, 3\)".format(
+             nv=nv)),
+        (v[:, 0], c, r"vertex array must have shape \(nv, 2\)"),
+        (v, half, r"must be integers: entry 0 is 0\.5 \(float64\)"),
+        (v, partly, rf"must be integers: entry {c.shape[1] + 1} is "),
+        (v, np.full(c.shape, np.nan), r"must be integers: entry 0 is nan"),
+        (v, c.astype(bool), r"must be integers: entry 0 is False \(bool\)"),
+        (v, neg, rf"cell 1 has vertex indices .*, outside \[0, {nv}\)"),
+        (v, high, rf"cell 2 has vertex indices .*, outside \[0, {nv}\)"),
+        (v, top, rf"cell 3 has vertex indices .*, outside \[0, {nv}\)"),
+    ]
+
+
+def test_bad_vertices_and_cell_indices_named_before_facets():
+    # a NaN vertex, a wrong vertex shape, non-integral cell indices and
+    # indices outside [0, nv) fail in Mesh with the cause named, rather
+    # than as a wrapped index, a truncation or a numpy error downstream
+    meshes = [build_structured_mesh(2, QUAD), build_structured_mesh(3, TRIANGLE),
+              perturbed_triangles(4, 0.2, seed=1),
+              holed_quads(4, [(1, 1), (2, 2)])]
+    for mesh in meshes:
+        for vertices, cells, message in corrupted_inputs(mesh):
+            with pytest.raises(ValueError, match=message):
+                Mesh(vertices, cells, mesh.cell_kind)
+        # integral floats and lists are still accepted, and give the mesh
+        again = Mesh(mesh.vertices.tolist(), mesh.cells.astype(float),
+                     mesh.cell_kind)
+        assert np.array_equal(again.cells, mesh.cells)
+        assert np.array_equal(again.facet_vertices, mesh.facet_vertices)
+
+
 def structured_cell(n, kind, p):
     """Cell of build_structured_mesh(n, kind) holding p, by index arithmetic."""
     i, j = min(int(p[0] * n), n - 1), min(int(p[1] * n), n - 1)
