@@ -637,9 +637,10 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     inner[len(free) + vcol[centres]] = True
     stars = _StarSchur(star_cells, red_cols, inner, spaces.cell_class,
                        ls.energy, flux, first)
-    red_cols = stars.skeleton_index[red_cols]
-    in_star = np.zeros(nc, dtype=bool)
-    in_star[star_cells[star_cells >= 0]] = True
+    # the skeleton columns of each cell; only cells in no star use them
+    sk_cols = stars.skeleton_index[red_cols]
+    loose = np.ones(nc, dtype=bool)
+    loose[star_cells[star_cells >= 0]] = False
     n_sk = len(stars.skeleton)
     builder = SparseBuilder(n_sk, n_sk)
     builder.add(*block_triplets(stars.outer, stars.schur[stars.cls]))
@@ -660,9 +661,9 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         f_loc = (_class_rows(fmom, ls.lift[:, o_u:o_p], cls)
                  - _class_rows(xs, ls.zlift, cls))
         cc = cols[cells]
-        loose = cells[~in_star[cells]]
-        builder.add(*block_triplets(red_cols[loose], _reduced_blocks(
-            ls.energy[cls[~in_star[cells]]], flux[loose], first)))
+        own = loose[cells]
+        builder.add(*block_triplets(sk_cols[cells[own]], _reduced_blocks(
+            ls.energy[cls[own]], flux[cells[own]], first)))
         keep = cc >= 0
         np.add.at(rhs, cc[keep], f_loc[keep])
         rhs[o_pbar + cells] = -gmom[:, 0] / q0v
