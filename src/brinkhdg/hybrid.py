@@ -455,10 +455,13 @@ class _StarSchur:
         cls = np.broadcast_to(np.arange(len(rep))[:, None], cells.shape)
         local, cls, cells = local[cells >= 0], cls[cells >= 0], cells[cells >= 0]
         blocks = _reduced_blocks(energy[cell_class[cells]], flux[cells], first)
-        keep = (local[:, :, None] >= 0) & (local[:, None, :] >= 0)
-        at = (cls[:, None, None] * n + local[:, :, None]) * n + local[:, None, :]
-        a = np.bincount(at[keep], blocks[keep], minlength=len(rep) * n * n
-                        ).reshape(len(rep), n, n)
+        # slots with no column sum into an extra row and column, dropped
+        local = np.where(local >= 0, local, n)
+        at = ((cls[:, None, None] * (n + 1) + local[:, :, None]) * (n + 1)
+              + local[:, None, :])
+        a = np.bincount(at.ravel(), blocks.ravel(),
+                        minlength=len(rep) * (n + 1) ** 2).reshape(
+                            len(rep), n + 1, n + 1)[:, :n, :n]
         scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
             np.diagonal(a, axis1=1, axis2=2))))[1])
         a = a * (scale[:, :, None] * scale[:, None, :])
