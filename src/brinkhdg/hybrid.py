@@ -392,11 +392,12 @@ class _StarSchur:
     scaled symmetrically by powers of two, and the interior blocks A_ii
     of all the classes are factored as one stack (`factor_classes`).
     Per class this leaves the Schur complement A_bb - A_bi A_ii^-1 A_ib
-    on the star's skeleton columns (`schur`), W = A_ii^-1 A_ib (`w`) and
-    the rows [A_ii^-T; -W^T] that recover the interior (`recover_rows`),
-    all unscaled.  The layout is padded to the most interior and
-    skeleton columns of any class: a padded interior column has a unit
-    diagonal in the factored block, and a padded skeleton column is zero.
+    on the star's skeleton columns (`schur`, unscaled), and the products
+    with A_bi and with W = A_ii^-1 A_ib that condense a right-hand side
+    and recover the interior (`solve`).  The layout is padded to the most
+    interior and skeleton columns of any class: a padded interior column
+    has a unit diagonal in the factored block, and a padded skeleton
+    column is zero.
 
     `skeleton` lists the reduced columns that are not interior, and
     `skeleton_index` maps each reduced column to its rank there, or to
@@ -453,7 +454,8 @@ class _StarSchur:
         local = np.take_along_axis(pos, first_slot[rep], axis=1).reshape(
             cells.shape + red.shape[1:])
         cls = np.broadcast_to(np.arange(len(rep))[:, None], cells.shape)
-        local, cls, cells = local[cells >= 0], cls[cells >= 0], cells[cells >= 0]
+        used = cells >= 0
+        local, cls, cells = local[used], cls[used], cells[used]
         blocks = _reduced_blocks(energy[cell_class[cells]], flux[cells], first)
         # slots with no column sum into an extra row and column, dropped
         local = np.where(local >= 0, local, n)
@@ -467,40 +469,45 @@ class _StarSchur:
         a = a * (scale[:, :, None] * scale[:, None, :])
         pad_c, pad_i = np.nonzero(np.arange(n_i) >= is_i.sum(axis=1)[:, None])
         a[pad_c, pad_i, pad_i] = 1.0
-        # A_ii^-1 [I, A_ib] of the scaled matrices
-        rhs = np.concatenate([np.broadcast_to(np.eye(n_i), (len(rep), n_i, n_i)),
-                              a[:, :n_i, n_i:]], axis=2)
-        sol = (factor_classes(a[:, :n_i, :n_i], stars[rep, 0],
-                              "star interior matrix").solve(rhs)
-               if len(rep) else rhs)
-        s_i, s_b = scale[:, :n_i], scale[:, n_i:]
-        self.schur = ((a[:, n_i:, n_i:] - a[:, n_i:, :n_i] @ sol[:, :, n_i:])
+        self.factor = (factor_classes(a[:, :n_i, :n_i], stars[rep, 0],
+                                      "star interior matrix")
+                       if len(rep) else None)
+        # W = A_ii^-1 A_ib of the scaled matrices
+        w = a[:, :n_i, n_i:]
+        if len(rep):
+            w = self.factor.solve(w)
+        self.scale, s_b = scale[:, :n_i], scale[:, n_i:]
+        self.schur = ((a[:, n_i:, n_i:] - a[:, n_i:, :n_i] @ w)
                       / (s_b[:, :, None] * s_b[:, None, :]))
-        # W = A_ii^-1 A_ib, unscaled; row products take its transposes
-        w = s_i[:, :, None] * sol[:, :, n_i:] / s_b[:, None, :]
-        self.w = w
-        self.recover_rows = np.concatenate(
-            [(s_i[:, :, None] * sol[:, :, :n_i] * s_i[:, None, :]).swapaxes(1, 2),
-             -w.swapaxes(1, 2)], axis=1)
+        # the rows that condense (A_bi) and recover (W), with the skeleton
+        # scales undone; solve applies the interior ones
+        self.load_rows = a[:, n_i:, :n_i].swapaxes(1, 2) / s_b[:, None, :]
+        self.recover_rows = (w / s_b[:, None, :]).swapaxes(1, 2)
 
-    def condense(self, b):
-        """The skeleton rows of a reduced right-hand side b, less
-        A_bi A_ii^-1 b_i of each star."""
+    def solve(self, b, solve_skeleton):
+        """y with A y = b for the reduced matrix A.
+
+        Each star condenses its interior rows b_i onto the skeleton,
+        solve_skeleton solves the skeleton matrix for the condensed
+        skeleton rows b_b - sum A_bi A_ii^-1 b_i, and each star recovers
+        y_i = A_ii^-1 (b_i - A_ib y_b).
+        """
+        scale = self.scale[self.cls]
+        # z = A_ii^-1 b_i of the scaled interior blocks
+        z = scale * np.append(b, 0.0)[self.inner]
+        if self.cls.size:
+            z = self.factor.solve(z.T, self.cls).T
         n_sk = len(self.skeleton)
         bins = np.where(self.outer >= 0, self.outer, n_sk)
-        load = _class_rows(np.append(b, 0.0)[self.inner], self.w, self.cls)
-        return b[self.skeleton] - np.bincount(bins.ravel(), load.ravel(),
-                                              minlength=n_sk + 1)[:n_sk]
-
-    def recover(self, b, y_skeleton):
-        """The reduced solution y from its skeleton part: each star's
-        interior y_i = A_ii^-1 (b_i - A_ib y_b)."""
-        known = np.hstack([np.append(b, 0.0)[self.inner],
-                           np.append(y_skeleton, 0.0)[self.outer]])
+        load = _class_rows(z, self.load_rows, self.cls)
         y = np.zeros(self.n + 1)
-        y[self.skeleton] = y_skeleton
+        y[self.skeleton] = solve_skeleton(
+            b[self.skeleton] - np.bincount(bins.ravel(), load.ravel(),
+                                           minlength=n_sk + 1)[:n_sk])
+        y_b = np.append(y[self.skeleton], 0.0)[self.outer]
         # padded interior columns write into the last entry, dropped
-        y[self.inner] = _class_rows(known, self.recover_rows, self.cls)
+        y[self.inner] = scale * (z - _class_rows(y_b, self.recover_rows,
+                                                 self.cls))
         return y[:-1]
 
 
@@ -581,9 +588,8 @@ def _solve_condensed(skeleton, stars, spaces, energy, cols, n0, free, psi,
         r = b[:m] - apply_energy(eta)
         flux = np.bincount(bins, (signed * r[n0, None]).ravel(),
                            minlength=n_psi + 1)[:-1]
-        reduced = np.concatenate([r[free], flux])
-        y = stars.recover(reduced, scale * skeleton_lu.solve(
-            scale * stars.condense(reduced)))
+        y = stars.solve(np.concatenate([r[free], flux]),
+                        lambda rows: scale * skeleton_lu.solve(scale * rows))
         eta[free] = y[:n_free]
         pot = np.append(y[n_free:], 0.0)[psi]
         eta[n0] += signed[:, 0] * pot[:, 0] + signed[:, 1] * pot[:, 1]

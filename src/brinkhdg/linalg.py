@@ -287,9 +287,10 @@ class SparseFactor:
         bad = np.flatnonzero(~np.isfinite(csc.data))
         if bad.size:
             coo = csc.tocoo(copy=False)
+            i = bad[0]
             raise SingularMatrixError(
-                f"sparse factorization: non-finite entry {coo.data[bad[0]]} at "
-                f"({coo.row[bad[0]]}, {coo.col[bad[0]]}), one of {bad.size}")
+                f"sparse factorization: non-finite entry {coo.data[i]} at "
+                f"({coo.row[i]}, {coo.col[i]}), one of {bad.size}")
         self._mat = csc
         opts = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True)) if symmetric else

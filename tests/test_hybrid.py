@@ -371,7 +371,7 @@ def test_star_classes_stack_congruent_stars(condensed_calls):
         a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
                          case.mass_source)
         stars = condensed_calls[-1].stars
-        assert len(np.unique(stars.cls)) == len(stars.w) == n_cls
+        assert len(np.unique(stars.cls)) == len(stars.schur) == n_cls
         assert len(stars.cls) == len(hybrid._vertex_stars(mesh)[0])
         b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
                          case.mass_source)

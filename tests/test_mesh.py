@@ -295,7 +295,8 @@ def test_bad_vertices_and_cell_indices_named_before_facets():
     # a NaN vertex, a wrong vertex shape, non-integral cell indices and
     # indices outside [0, nv) fail in Mesh with the cause named, rather
     # than as a wrapped index, a truncation or a numpy error downstream
-    meshes = [build_structured_mesh(2, QUAD), build_structured_mesh(3, TRIANGLE),
+    meshes = [build_structured_mesh(2, QUAD),
+              build_structured_mesh(3, TRIANGLE),
               perturbed_triangles(4, 0.2, seed=1),
               holed_quads(4, [(1, 1), (2, 2)])]
     for mesh in meshes:
