@@ -117,13 +117,24 @@ class DenseFactor:
         lu, piv = self._lu[i]
         return _lapack()[1](lu, piv, b)[0]
 
+    def _getrs_into(self, i, b):
+        """Solve with matrix i into b, a column-major buffer of this
+        factor's own, which getrs overwrites."""
+        lu, piv = self._lu[i]
+        x = _lapack()[1](lu, piv, b, overwrite_b=True)[0]
+        if x is not b:
+            b[...] = x
+
     def solve(self, b, index=None):
         """x with a @ x = b.
 
         For a stack, b[i] goes with matrix i; with an integer index, all
         of b goes with that matrix; with an index array, b is (n, m) and
         column j goes with matrix index[j].  Columns that share a matrix
-        are solved together, one getrs per matrix.
+        are solved together, one getrs per matrix.  The right-hand sides
+        of a stack, or of several matrices, are gathered once into a
+        column-major buffer that getrs overwrites, rather than copied to
+        column-major order on each call.
         """
         b = np.asarray(b, dtype=float)
         if len(self.shape) == 2:
@@ -132,9 +143,10 @@ class DenseFactor:
             if len(b) != len(self._lu):
                 raise ValueError(f"{len(b)} right-hand sides for a stack of "
                                  f"{len(self._lu)} matrices")
-            x = np.empty_like(b)
-            for i, rhs in enumerate(b):
-                x[i] = self._getrs(i, rhs)
+            x = np.empty(b.shape[:1] + b.shape[:0:-1]).swapaxes(1, -1)
+            x[...] = b
+            for i, rhs in enumerate(x):
+                self._getrs_into(i, rhs)
             return x
         index = np.asarray(index)
         if index.ndim == 0:
@@ -146,10 +158,13 @@ class DenseFactor:
         mats, starts = np.unique(index[order], return_index=True)
         if len(mats) == 1:
             return self._getrs(mats[0], b)
-        x = np.empty_like(b)
-        for i, cols in zip(mats, np.split(order, starts[1:])):
-            x[:, cols] = self._getrs(i, b[:, cols])
-        return x
+        # the columns of each matrix side by side, column-major
+        x = b.T[order].T
+        for i, lo, hi in zip(mats, starts, np.append(starts[1:], len(order))):
+            self._getrs_into(i, x[:, lo:hi])
+        out = np.empty_like(x)
+        out[:, order] = x
+        return out
 
 
 class SparseBuilder:

@@ -96,14 +96,36 @@ def test_dense_factor_matches_scipy_lu():
     a = rng.standard_normal((3, 53, 53))
     b = rng.standard_normal((3, 53, 4))
     factor = DenseFactor(a)
-    x = factor.solve(b)
+    want, one = [], []
     for i in range(3):
         lu, piv = sla.lu_factor(a[i])
         assert np.array_equal(factor._lu[i][0], lu)
         assert np.array_equal(factor._lu[i][1], piv)
-        assert np.array_equal(x[i], sla.lu_solve((lu, piv), b[i]))
-        assert np.array_equal(factor.solve(b[i, :, 0], i),
-                              sla.lu_solve((lu, piv), b[i, :, 0]))
+        want.append(sla.lu_solve((lu, piv), b[i]))
+        # one column goes through another kernel than several
+        one.append(sla.lu_solve((lu, piv), b[i, :, 0]))
+    # C-ordered, F-ordered and non-contiguous right-hand sides, in each
+    # index mode: the stack, one matrix, and one matrix per column; the
+    # inputs are left as they were
+    wide = np.zeros((3, 53, 12))
+    wide[:, :, ::3] = b
+    index = np.repeat(np.arange(3), 4)
+    for rhs in (b, np.asfortranarray(b), wide[:, :, ::3]):
+        before = rhs.copy()
+        x = factor.solve(rhs)
+        # the matrices in reverse order
+        cols = factor.solve(np.hstack(rhs[::-1]), index[::-1])
+        for i in range(3):
+            assert np.array_equal(x[i], want[i])
+            assert np.array_equal(factor.solve(rhs[i], i), want[i])
+            assert np.array_equal(factor.solve(rhs[i, :, 0], i), one[i])
+            assert np.array_equal(factor.solve(rhs[:, :, 0])[i], one[i])
+            assert np.array_equal(cols[:, 8 - 4 * i:12 - 4 * i], want[i])
+        for layout in (np.ascontiguousarray, np.asfortranarray,
+                       lambda m: np.repeat(m, 2, axis=1)[:, ::2]):
+            got = factor.solve(layout(np.hstack(rhs)), index)
+            assert np.array_equal(got, np.hstack(want))
+        assert np.array_equal(rhs, before)
     singular = a.copy()
     singular[2, -1] = singular[2, 0]
     with pytest.raises(SingularMatrixError,
