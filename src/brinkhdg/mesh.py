@@ -18,7 +18,8 @@ _DEGENERATE_RTOL = 1e-12
 
 # most (point, cell) pairs locate_cell pulls back at once; keeps its
 # (points, cells) temporaries near cache size (on 8,192 cells, 0.09-0.14
-# ms per point against 0.25 ms at 2**20)
+# ms per point against 0.25 ms at 2**20).  Mesh tries as many (boundary
+# facet, vertex) pairs at once for hanging nodes
 LOCATE_CHUNK = 1 << 16
 
 
@@ -76,6 +77,8 @@ class Mesh:
             raise ValueError(f"cell {i} has vertex indices {self.cells[i]}, "
                              f"outside [0, {nv})")
         self._build_facets()
+        self._check_conforming()
+        self._check_connected()
         for arr in (self.vertices, self.cells, self.facet_vertices,
                     self.facet_cells, self.facet_normals, self.facet_tangents,
                     self.facet_lengths, self.facet_midpoints, self.cell_facets,
@@ -140,6 +143,54 @@ class Mesh:
         interior_index[self.interior_facets] = np.arange(len(self.interior_facets))
         self.interior_index = interior_index
 
+    def _check_conforming(self):
+        """Raise ValueError naming a vertex inside a boundary facet.
+
+        That is how a hanging node shows: the facet of the coarse cell
+        and the facets of the refined cells that meet at the node are
+        each seen by one cell only.  The node is then a vertex of
+        boundary facets itself, so only those vertices are tried.
+        """
+        ends = self.facet_vertices[self.boundary_facets]
+        tried = np.unique(ends)
+        step = max(1, LOCATE_CHUNK // max(len(tried), 1))
+        for lo in range(0, len(ends), step):
+            start = self.vertices[ends[lo:lo + step, 0]]
+            edge = self.vertices[ends[lo:lo + step, 1]] - start
+            # (facets, tried vertices): the position along the facet, in
+            # units of its length squared, and the area spanned with it
+            rel = self.vertices[tried] - start[:, None]
+            along = (rel @ edge[..., None])[..., 0]
+            across = rel[..., 1] * edge[:, :1] - rel[..., 0] * edge[:, 1:]
+            sq = (edge ** 2).sum(axis=1)[:, None]
+            inside = ((np.abs(across) <= _DEGENERATE_RTOL * sq)
+                      & (along > _DEGENERATE_RTOL * sq)
+                      & (along < (1 - _DEGENERATE_RTOL) * sq))
+            if inside.any():
+                f, v = np.unravel_index(np.argmax(inside), inside.shape)
+                a, b = ends[lo + f]
+                raise ValueError(
+                    f"vertex {tried[v]} lies inside boundary facet "
+                    f"{self.boundary_facets[lo + f]} (vertices {a} and {b}): "
+                    "a hanging node; the mesh is not conforming")
+
+    def _check_connected(self):
+        """Raise ValueError when the cells fall into parts that share no
+        facet."""
+        # imported here, as in hybrid._vertex_columns: scipy.sparse.csgraph
+        # adds about 4 ms to the import of the package
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        pairs = self.facet_cells[self.interior_facets]
+        nc = self.num_cells
+        graph = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                              shape=(nc, nc))
+        parts = connected_components(graph, directed=False)[0]
+        if parts > 1:
+            raise ValueError(f"the cells form {parts} parts that share no "
+                             "facet; a mesh must be connected")
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -194,17 +245,22 @@ def cell_geometry(mesh, cells=None):
     return verts[:, 0], jac, det, inv
 
 
-def build_structured_mesh(n, cell_kind=QUAD):
+def build_structured_mesh(n, cell_kind=QUAD, layout="diagonal"):
     """Uniform n-by-n partition of the unit square.
 
     For quads this gives n^2 square cells.  For triangles each square is
-    split along the diagonal running from its lower-left to its upper-right
-    corner, giving 2 n^2 congruent cells.
+    split in two congruent cells: with layout "diagonal" along the
+    diagonal from its lower-left to its upper-right corner, and with
+    layout "checkerboard" so along the other diagonal where the square's
+    column and row index have an odd sum.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
     if cell_kind not in (QUAD, TRIANGLE):
         raise ValueError(f"unknown cell kind: {cell_kind!r}")
+    if layout not in ("diagonal", "checkerboard") or (
+            cell_kind == QUAD and layout != "diagonal"):
+        raise ValueError(f"unknown layout {layout!r} for {cell_kind} cells")
     coords = np.arange(n + 1) / n
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -217,8 +273,13 @@ def build_structured_mesh(n, cell_kind=QUAD):
         cells = np.column_stack([v00, v10, v11, v01])
     else:
         cells = np.stack([np.column_stack([v00, v10, v11]),
-                          np.column_stack([v00, v11, v01])],
-                         axis=1).reshape(-1, 3)
+                          np.column_stack([v00, v11, v01])], axis=1)
+        if layout == "checkerboard":
+            other = (i + j) % 2 == 1
+            cells[other] = np.stack([np.column_stack([v00, v10, v01]),
+                                     np.column_stack([v10, v11, v01])],
+                                    axis=1)[other]
+        cells = cells.reshape(-1, 3)
     return Mesh(vertices, cells, cell_kind)
 
 

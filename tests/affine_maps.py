@@ -53,6 +53,17 @@ def holed_quads(n, holes):
     return Mesh(mesh.vertices[used], cells.reshape(-1, 4), QUAD)
 
 
+def strip_quads(n):
+    """One row of n quads, each 1/n wide and 1 high: a mesh of the unit
+    square with no interior vertex."""
+    x = np.arange(n + 1) / n
+    vertices = np.concatenate([np.column_stack([x, np.zeros(n + 1)]),
+                               np.column_stack([x, np.ones(n + 1)])])
+    i = np.arange(n)
+    return Mesh(vertices, np.column_stack([i, i + 1, i + n + 2, i + n + 1]),
+                QUAD)
+
+
 def pull_back_tab(spaces, c, degree):
     """Tabulation of cell c with every basis evaluated directly at the
     pulled-back physical points of the rules of one degree: a dict of

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affine_maps import affine_map, holed_quads
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
@@ -308,6 +309,112 @@ def test_bad_vertices_and_cell_indices_named_before_facets():
                      mesh.cell_kind)
         assert np.array_equal(again.cells, mesh.cells)
         assert np.array_equal(again.facet_vertices, mesh.facet_vertices)
+
+
+def cut_in_two(mesh, n, column):
+    """Vertices and cells of a structured or perturbed n x n mesh with the
+    cells right of vertex column `column` given their own copies of the
+    vertices on it: two parts that touch but share no facet."""
+    i = np.arange(mesh.num_vertices) % (n + 1)
+    on_line = np.flatnonzero(i == column)
+    copy = np.arange(mesh.num_vertices)
+    copy[on_line] = mesh.num_vertices + np.arange(len(on_line))
+    right = (i[mesh.cells] >= column).all(axis=1)
+    cells = mesh.cells.copy()
+    cells[right] = copy[cells[right]]
+    return np.vstack([mesh.vertices, mesh.vertices[on_line]]), cells
+
+
+def split_at_facet(mesh, facet):
+    """Vertices and cells with the owner of an interior facet split in two
+    through the facet's midpoint, which hangs on the facet of the
+    neighbour; a quad is split through the opposite facet's midpoint too.
+    The new vertices are numbered from num_vertices."""
+    cell = mesh.facet_cells[facet, 0]
+    lf = int(np.argmax(mesh.cell_facets[cell] == facet))
+    vs = np.roll(mesh.cells[cell], -lf)
+    nv = mesh.num_vertices
+    if mesh.cell_kind == TRIANGLE:
+        new = [0.5 * (mesh.vertices[vs[0]] + mesh.vertices[vs[1]])]
+        halves = [[vs[0], nv, vs[2]], [nv, vs[1], vs[2]]]
+    else:
+        new = [0.5 * (mesh.vertices[vs[0]] + mesh.vertices[vs[1]]),
+               0.5 * (mesh.vertices[vs[2]] + mesh.vertices[vs[3]])]
+        halves = [[vs[0], nv, nv + 1, vs[3]], [nv, vs[1], vs[2], nv + 1]]
+    cells = mesh.cells.copy()
+    cells[cell] = halves[0]
+    return (np.vstack([mesh.vertices, new]),
+            np.vstack([cells, [halves[1]]]))
+
+
+@st.composite
+def corrupted_mesh(draw):
+    """A valid structured or perturbed mesh and one corruption of it:
+    (vertices, cells, cell kind, expected message)."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("quad", "triangle", "checkerboard",
+                                 "perturbed")))
+    if kind == "perturbed":
+        mesh = perturbed_triangles(n, 0.2, draw(st.integers(0, 2**32 - 1)))
+    elif kind == "quad":
+        mesh = build_structured_mesh(n, QUAD)
+    else:
+        mesh = build_structured_mesh(
+            n, TRIANGLE, "diagonal" if kind == "triangle" else kind)
+    nv = mesh.num_vertices
+    which = draw(st.sampled_from(("array", "cut", "hanging", "three")))
+    if which == "array":
+        vertices, cells, message = draw(st.sampled_from(
+            corrupted_inputs(mesh)))
+    elif which == "cut":
+        vertices, cells = cut_in_two(mesh, n, draw(st.integers(1, n - 1)))
+        message = "^the cells form 2 parts that share no facet"
+    elif which == "hanging":
+        facet = draw(st.sampled_from(mesh.interior_facets.tolist()))
+        vertices, cells = split_at_facet(mesh, facet)
+        message = (rf"^vertex ({nv}|{nv + 1}) lies inside boundary facet "
+                   r"\d+ \(vertices \d+ and \d+\): a hanging node")
+    else:
+        vertices = mesh.vertices
+        cells = np.vstack([mesh.cells, mesh.cells[draw(st.integers(
+            0, mesh.num_cells - 1))]])
+        message = "^facet shared by more than two cells$"
+    return vertices, cells, mesh.cell_kind, message
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bad=corrupted_mesh())
+def test_one_corruption_named_by_mesh(bad):
+    # NaN vertices, bad cell indices, parts joined only at corners, hanging
+    # nodes and facets of three cells each fail in Mesh, with the cause
+    # named, rather than downstream in a factorization
+    vertices, cells, kind, message = bad
+    with pytest.raises(ValueError, match=message):
+        Mesh(vertices, cells, kind)
+
+
+def test_bad_meshes_that_used_to_fail_at_factorization_named():
+    # both used to fail only in the sparse factorization, "exactly
+    # singular": the 2 x 2 triangles with the centre vertex duplicated for
+    # the upper half, two halves joined only at corners, and the 2 x 2
+    # quads with the lower-left cell split into four
+    mesh = build_structured_mesh(2, TRIANGLE)
+    cells = mesh.cells.copy()
+    upper = mesh.vertices[cells].mean(axis=1)[:, 1] > 0.5
+    cells[upper] = np.where(cells[upper] == 4, 9, cells[upper])
+    with pytest.raises(ValueError, match="^the cells form 2 parts"):
+        Mesh(np.vstack([mesh.vertices, mesh.vertices[4]]), cells, TRIANGLE)
+    quads = build_structured_mesh(2, QUAD)
+    # midpoints of the lower-left cell's facets, from the bottom one
+    # counterclockwise, then its centre
+    fine = np.array([[0.25, 0.0], [0.5, 0.25], [0.25, 0.5], [0.0, 0.25],
+                     [0.25, 0.25]])
+    cells = np.vstack([[[0, 9, 13, 12], [9, 1, 10, 13], [13, 10, 4, 11],
+                        [12, 13, 11, 3]], quads.cells[1:]])
+    with pytest.raises(ValueError, match=r"^vertex 1[01] lies inside "
+                                         r"boundary facet \d+ \(vertices "
+                                         r"[134] and [134]\): a hanging node"):
+        Mesh(np.vstack([quads.vertices, fine]), cells, QUAD)
 
 
 def structured_cell(n, kind, p):
