@@ -12,40 +12,46 @@ first modes that satisfy the mass balances are a particular flux plus
 the differences of a vertex potential psi (the discrete exact sequence
 vertex potentials -> facet fluxes -> cell constants), with psi zero on
 one boundary loop and one unknown on each other loop.  So the solver
-factors an SPD system Z^T K Z in the traces other than the first modes
-and psi, plus the cell graph matrix B1 B1^T that gives the particular
-flux and the pressure averages; both factorizations pivot on the
-diagonal.  A cell has as many vertices as facets, so Z restricted to a
-cell's traces is a square per-cell map Z_e, and the SPD matrix is
-assembled from the per-cell blocks R_e = Z_e^T E_e Z_e of the cells'
-energy blocks E_e, every entry kept, so its pattern does not depend on
-the data.  Neither Z nor the map C from potentials to first modes is
+solves an SPD system Z^T K Z in the traces other than the first modes
+and psi, and factors the cell graph matrix B1 B1^T that gives the
+particular flux and the pressure averages, pivoting on the diagonal.  A
+cell has as many vertices as facets, so Z restricted to a cell's traces
+is a square per-cell map Z_e, and the SPD matrix is the sum of the
+per-cell blocks R_e = Z_e^T E_e Z_e of the cells' energy blocks E_e,
+every entry kept, so the elimination below does not depend on the
+data.  Neither Z nor the map C from potentials to first modes is
 formed: each interior facet's first mode is -o/h times the potential
 of its lower vertex plus o/h times that of its higher one, so Z^T r is
 one bincount and Z y one difference per facet.  The trace energy K is
 never assembled: the one refinement step against the full condensed
 system applies it cell by cell, from the class stack.
 
-Nor is Z^T K Z factored whole: its vertex-star interiors are eliminated
-first, the static condensation one level up (the first level of a
-nested dissection).  The stars are the cells of vertices on no boundary
-facet, taken greedily in vertex order so that no two share a cell
-(`_vertex_stars`): the 2 x 2 squares of structured quads, 6 of every 8
-cells of diagonal-split triangles.  A star's interior, the reduced
-traces of the facets at its centre and the centre's potential, couples
-to no other star, so it is eliminated by a dense Schur step, one
-stacked factor per star class (`_StarSchur`), and SuperLU factors only
-the skeleton matrix, assembled from the stars' Schur blocks and the
-blocks R_e of the cells in no star.  Per solve each star only condenses
-its right-hand side onto the skeleton and recovers its interior.
+Nor is Z^T K Z factored as a sparse matrix: it is eliminated by nested
+static condensation, the elimination of the cells' element unknowns
+carried through every level of a nested dissection (George, SINUM 10,
+1973; the multilevel static condensation of Sherwin & Karniadakis, OUP
+2005).  The patches are a quadtree built from the cells alone
+(`_patch_levels`): a patch of more than 8 cells is cut in half by
+centroid x and each half in half by centroid y, down to leaves of at
+most 8 cells, the 2 x 2 squares of structured quads and triangles; the
+root is the whole mesh.  Bottom-up, each patch sums its members' blocks,
+the blocks R_e of its cells at the leaves and the Schur blocks of its
+children above, and eliminates its interior, the reduced columns only
+its cells touch, by a dense Schur step (`_Front`).  Patches whose
+members have the same classes and whose columns the same pattern form
+one class, assembled from one patch and factored in one stack per level.
+The root's interior is all that is left.  Per solve the right-hand side
+is condensed up the levels, the root's front solved, and the interiors
+recovered down the levels (`_PatchTree`); SuperLU factors only the cell
+graph B1 B1^T.
 
 The element blocks of one cell of each geometry class are reference
 integrals times that cell's geometry (`forms.element_blocks` on
 `Spaces.class_rep`), and the local matrices of all the classes are formed
 and factored from them as one stack with a leading class axis
 (`LocalSolver`).  Every cell-local step (data moments, source solves,
-the scatter of the reduced blocks, recovery and the postprocessing of u*)
-runs on blocks of cells of any classes (`Spaces.cell_blocks`): each cell
+the scatter of the load, recovery and the postprocessing of u*) runs on
+blocks of cells of any classes (`Spaces.cell_blocks`): each cell
 reads its class's entry of each stack through `Spaces.cell_class`, and
 the data moments push the fine-degree data forward per cell.
 
@@ -128,7 +134,7 @@ class LocalSolver:
 
         # gradient rows against the tangential, then the normal, data of
         # each local facet; the multiplier rows against the normal data
-        lift_rhs = np.zeros((n_cls, n, 2 * n_lam))
+        lift_rhs = np.zeros((n_cls, 2 * n_lam, n)).swapaxes(1, 2)
         for col, vec in ((0, blocks.tangent), (n_lam, blocks.normal)):
             lift_rhs[:, :n_l, col:col + n_lam] = np.einsum(
                 "sfr,sfja->srafj", nu * vec, blocks.that).reshape(
@@ -136,7 +142,8 @@ class LocalSolver:
         diag = np.arange(n_lam)
         lift_rhs[:, o_lam + diag, n_lam + diag] = np.repeat(
             blocks.sign * blocks.h, kk, axis=1)
-        self.lift = self.factor.solve(lift_rhs)
+        # column-major, so solved in place
+        self.lift = self.factor.solve(lift_rhs, overwrite_b=True)
         del lift_rhs
 
         # energy-weighted lift: rows of Z @ lift with Z the block Gram
@@ -340,85 +347,116 @@ def _reduced_blocks(energy, flux, first):
     return energy
 
 
-def _vertex_stars(mesh):
-    """Cell-disjoint vertex stars: their centres (S,) and cells (S, w).
+# a patch is quartered while it holds more cells than this: the leaves are
+# the 2 x 2 squares of structured quads and of diagonal-split triangles
+_LEAF_CELLS = 8
 
-    A vertex on no boundary facet becomes a centre, in vertex order, when
-    none of its cells lies in a star taken before; its star is all its
-    cells, ascending, padded with -1 to the widest star.  The 2 x 2
-    squares of structured quads are such stars, and on diagonal-split
-    triangles they hold 6 of every 8 cells.
+
+def _patch_levels(mesh):
+    """The quadtree of cell patches: per level, root first, the patch of
+    each cell.
+
+    A patch of more than `_LEAF_CELLS` cells is sorted by centroid x and
+    cut in half, each half is sorted by centroid y and cut in half, ties
+    going by cell index, and the four quarters are its children; a patch
+    of fewer cells passes down whole while other patches of its level are
+    cut, so that every level partitions the cells.  The patches of a level
+    are numbered by parent, then quarter.
     """
-    npc = mesh.cells.shape[1]
-    flat = mesh.cells.ravel()
-    order = np.argsort(flat, kind="stable")
-    count = np.bincount(flat, minlength=mesh.num_vertices)
-    start = np.cumsum(count) - count
-    # (vertices, most cells of a vertex): the cells of each vertex
-    around = np.full((len(count), count.max(initial=0)), -1)
-    around[flat[order], np.arange(flat.size) - np.repeat(start, count)] = (
-        order // npc)
-    # the vertices of each vertex's cells, the vertex itself in padding
-    corners = np.where(around[..., None] >= 0, mesh.cells[around],
-                       np.arange(len(count))[:, None, None])
-    # a vertex is blocked once it lies on a cell of a star, or if it lies
-    # on a boundary facet or on no cell; find scans for the next free one
-    blocked = bytearray(len(count))
-    mark = np.frombuffer(blocked, dtype=np.uint8)
-    mark[count == 0] = 1
-    mark[mesh.facet_vertices[mesh.boundary_facets]] = 1
-    centres = []
-    v = blocked.find(0)
-    while v >= 0:
-        centres.append(v)
-        mark[corners[v]] = 1
-        v = blocked.find(0, v + 1)
-    width = count[centres].max(initial=0)
-    return np.array(centres, dtype=int), around[centres, :width]
+    nc = mesh.num_cells
+    centroid = mesh.vertices[mesh.cells].mean(axis=1)
+    index = np.arange(nc)
+
+    def upper_half(group, coord):
+        # the cells past the first half of their group in (coord, index)
+        order = np.lexsort((index, coord, group))
+        size = np.bincount(group)
+        rank = np.empty(nc, dtype=int)
+        rank[order] = index - np.repeat(np.cumsum(size) - size, size)
+        return rank >= size[group] // 2
+
+    patch = np.zeros(nc, dtype=int)
+    levels = [patch]
+    while np.bincount(patch).max(initial=0) > _LEAF_CELLS:
+        cut = np.bincount(patch)[patch] > _LEAF_CELLS
+        half = upper_half(patch, centroid[:, 0])
+        quarter = upper_half(2 * patch + half, centroid[:, 1])
+        patch = np.unique(4 * patch + cut * (2 * half + quarter),
+                          return_inverse=True)[1]
+        levels.append(patch)
+    return levels
 
 
-class _StarSchur:
-    """The star interiors of the reduced system, eliminated densely.
+def _elimination_levels(levels, red, n):
+    """The level that eliminates each of the n reduced columns: the
+    deepest at which every cell with a slot of the column (red, as in
+    `_reduced_columns`) lies in one patch; the root takes the rest."""
+    col = red.ravel()
+    cell = np.repeat(np.arange(len(red)), red.shape[1])[col >= 0]
+    col = col[col >= 0]
+    order = np.argsort(col, kind="stable")
+    cell = cell[order]
+    # every column has a slot: one run of cells per column
+    runs = np.flatnonzero(np.diff(col[order], prepend=-1))
+    depth = np.full(n, -1)
+    for patch in levels if n else ():
+        of = patch[cell]
+        depth += (np.minimum.reduceat(of, runs)
+                  == np.maximum.reduceat(of, runs))
+    return depth
 
-    stars (S, w) holds the cells of each star (`_vertex_stars`), red
-    (nc, n) the reduced columns of each cell's slots (`_reduced_columns`)
-    and inner flags the reduced columns that only one star touches: the
-    reduced traces of the facets at its centre and the centre's
-    potential.  A star's columns are numbered by their first slot among
-    its cells' slots, interior ones first, so stars whose cells share
-    classes and whose slots share that pattern share their flux maps
-    too, and form one star class (`cls`).  The star matrix of each class,
-    the sum of the blocks R_e (`_reduced_blocks`) of one star's cells, is
-    scaled symmetrically by powers of two, and the interior blocks A_ii
-    of all the classes are factored as one stack (`factor_classes`).
-    Per class this leaves the Schur complement A_bb - A_bi A_ii^-1 A_ib
-    on the star's skeleton columns (`schur`, unscaled), and the products
-    with A_bi and with W = A_ii^-1 A_ib that condense a right-hand side
-    and recover the interior (`solve`).  The layout is padded to the most
-    interior and skeleton columns of any class: a padded interior column
-    has a unit diagonal in the factored block, and a padded skeleton
-    column is zero.
 
-    `skeleton` lists the reduced columns that are not interior, and
-    `skeleton_index` maps each reduced column to its rank there, or to
-    -1, also at index -1; `inner` holds each star's interior reduced
-    columns and `outer` its skeleton ranks, -1 in padding.
+def _members(owner):
+    """The members of each group, ascending, -1 in padding: (G, w) for
+    owner (M,), the group of each member."""
+    order = np.argsort(owner, kind="stable")
+    count = np.bincount(owner)
+    groups = np.full((len(count), count.max(initial=0)), -1)
+    groups[owner[order], np.arange(len(owner))
+           - np.repeat(np.cumsum(count) - count, count)] = order
+    return groups
+
+
+class _Front:
+    """The patch interiors of one level of the tree, eliminated densely.
+
+    groups (P, w) holds the members of each patch, -1 in padding, cols
+    (M, s) the reduced columns of each member's slots, -1 for none, and
+    member_class (M,) each member's class; blocks(members) gives their
+    blocks.  inner flags the reduced columns the level eliminates, those
+    only one patch's cells touch.  A patch's columns are numbered by their
+    first slot among its members' slots, interior ones first, so patches
+    whose members share classes and whose slots share that pattern have
+    one matrix, the sum of their members' blocks, and form one class
+    (`cls`).  The matrix of each class is assembled from one patch, and
+    its interior block A_ii, scaled symmetrically by powers of two, S A_ii
+    S, is factored with those of all the classes as one stack
+    (`factor_classes`).  Per class this leaves the Schur complement A_bb -
+    A_bi A_ii^-1 A_ib on the patch's boundary columns (`schur`), the rows
+    S A_bi^T that condense a right-hand side (`load_rows`), and W^T with
+    W = A_ii^-1 A_ib, which recovers the interior (`recover_rows`).  The
+    layout is padded to the most interior and boundary columns of any
+    class: a padded interior column has a unit diagonal in the factored
+    block, and a padded boundary column is zero.  `inner` and `outer`
+    hold each patch's interior and boundary reduced columns, -1 in
+    padding, and `scale` each patch's S.  cells (P,) names a cell of each
+    patch if a block is singular.
     """
 
-    def __init__(self, stars, red, inner, cell_class, energy, flux, first):
-        n_s, width = stars.shape
-        n_slot = width * red.shape[1]
-        # each star's reduced columns, slot by slot, -1 for none
-        col = np.where(stars[..., None] >= 0, red[stars], -1).reshape(
-            n_s, n_slot)
-        # the first slot of each slot's column in its star
-        _, at, back = np.unique(np.arange(n_s)[:, None] * (len(inner) + 1)
+    def __init__(self, groups, cols, member_class, blocks, inner, cells):
+        n_p, width = groups.shape
+        n_slot = width * cols.shape[1]
+        # each patch's reduced columns, slot by slot, -1 for none
+        col = np.where(groups[..., None] >= 0, cols[groups], -1).reshape(
+            n_p, n_slot)
+        # the first slot of each slot's column in its patch
+        _, at, back = np.unique(np.arange(n_p)[:, None] * (len(inner) + 1)
                                 + col, return_index=True, return_inverse=True)
         first_slot = at[back].reshape(col.shape) % n_slot
-        # 0 interior, 1 skeleton, 2 no column
+        # 0 interior, 1 boundary, 2 no column
         kind = np.where(col < 0, 2, ~inner[col])
-        # one row of bytes per star: its cells' classes and its pattern
-        key = np.hstack([np.where(stars >= 0, cell_class[stars], -1),
+        # one row of bytes per patch: its members' classes and its pattern
+        key = np.hstack([np.where(groups >= 0, member_class[groups], -1),
                          3 * first_slot + kind]).astype(np.int32)
         _, rep, self.cls = np.unique(
             key.view(np.dtype((np.void, 4 * key.shape[1]))).ravel(),
@@ -436,79 +474,127 @@ class _StarSchur:
         slot = np.full((len(rep), n), n_slot)
         rows, slots = np.nonzero(pos >= 0)
         slot[rows, pos[rows, slots]] = slots
-        # the reduced column of each star's local column, -1 for padding
+        # the reduced column of each patch's local column, -1 for padding
         local_col = np.take_along_axis(
             np.pad(col, ((0, 0), (0, 1)), constant_values=-1),
             slot[self.cls], axis=1)
-        self.n = len(inner)
-        self.skeleton = np.flatnonzero(~inner)
-        # the skeleton column of each reduced column, -1 for an interior
-        # one, and -1 at index -1
-        self.skeleton_index = np.full(self.n + 1, -1)
-        self.skeleton_index[self.skeleton] = np.arange(len(self.skeleton))
         self.inner = local_col[:, :n_i]
-        self.outer = self.skeleton_index[local_col[:, n_i:]]
+        self.outer = local_col[:, n_i:]
 
-        # the star matrix of each class from the blocks of its first star
-        cells = stars[rep]
+        # the matrix of each class from the blocks of its first patch
+        members = groups[rep]
         local = np.take_along_axis(pos, first_slot[rep], axis=1).reshape(
-            cells.shape + red.shape[1:])
-        cls = np.broadcast_to(np.arange(len(rep))[:, None], cells.shape)
-        used = cells >= 0
-        local, cls, cells = local[used], cls[used], cells[used]
-        blocks = _reduced_blocks(energy[cell_class[cells]], flux[cells], first)
+            members.shape + cols.shape[1:])
+        cls = np.broadcast_to(np.arange(len(rep))[:, None], members.shape)
+        used = members >= 0
+        local, cls, members = local[used], cls[used], members[used]
         # slots with no column sum into an extra row and column, dropped
         local = np.where(local >= 0, local, n)
-        at = ((cls[:, None, None] * (n + 1) + local[:, :, None]) * (n + 1)
-              + local[:, None, :])
-        a = np.bincount(at.ravel(), blocks.ravel(),
+        row = (cls[:, None] * (n + 1) + local) * (n + 1)
+        a = np.bincount((row[:, :, None] + local[:, None, :]).ravel(),
+                        blocks(members).ravel(),
                         minlength=len(rep) * (n + 1) ** 2).reshape(
                             len(rep), n + 1, n + 1)[:, :n, :n]
+        # the interior blocks, scaled symmetrically by powers of two, in
+        # column-major order, so that they are factored in place
         scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
-            np.diagonal(a, axis1=1, axis2=2))))[1])
-        a = a * (scale[:, :, None] * scale[:, None, :])
+            np.diagonal(a, axis1=1, axis2=2)[:, :n_i])))[1])
+        a_ii = np.empty((len(rep), n_i, n_i)).swapaxes(1, 2)
+        np.multiply(a[:, :n_i, :n_i], scale[:, :, None] * scale[:, None, :],
+                    out=a_ii)
         pad_c, pad_i = np.nonzero(np.arange(n_i) >= is_i.sum(axis=1)[:, None])
-        a[pad_c, pad_i, pad_i] = 1.0
-        self.factor = (factor_classes(a[:, :n_i, :n_i], stars[rep, 0],
-                                      "star interior matrix")
-                       if len(rep) else None)
-        # W = A_ii^-1 A_ib of the scaled matrices
-        w = a[:, :n_i, n_i:]
-        if len(rep):
-            w = self.factor.solve(w)
-        self.scale, s_b = scale[:, :n_i], scale[:, n_i:]
-        self.schur = ((a[:, n_i:, n_i:] - a[:, n_i:, :n_i] @ w)
-                      / (s_b[:, :, None] * s_b[:, None, :]))
-        # the rows that condense (A_bi) and recover (W), with the skeleton
-        # scales undone; solve applies the interior ones
-        self.load_rows = a[:, n_i:, :n_i].swapaxes(1, 2) / s_b[:, None, :]
-        self.recover_rows = (w / s_b[:, None, :]).swapaxes(1, 2)
+        a_ii[pad_c, pad_i, pad_i] = 1.0
+        # the rows that condense a right-hand side, (S A_bi^T), and W =
+        # A_ii^-1 A_ib, which recovers the interior; per solve the scaled
+        # z = (S A_ii S)^-1 S b_i gives A_ii^-1 b_i = S z
+        self.load_rows = scale[:, :, None] * a[:, n_i:, :n_i].swapaxes(1, 2)
+        w = np.zeros((len(rep), n_i, n_b))
+        self.factor = None
+        if n_i:
+            self.factor = factor_classes(a_ii, cells[rep],
+                                         "patch interior matrix",
+                                         overwrite_a=True)
+            # solved in place in column-major order, then made row-major,
+            # which the Schur product below takes faster
+            rhs = np.empty((len(rep), n_b, n_i)).swapaxes(1, 2)
+            np.multiply(scale[:, :, None], a[:, :n_i, n_i:], out=rhs)
+            np.multiply(scale[:, :, None],
+                        self.factor.solve(rhs, overwrite_b=True), out=w)
+        self.scale = scale[self.cls]
+        self.schur = a[:, n_i:, n_i:] - a[:, n_i:, :n_i] @ w
+        self.recover_rows = w.swapaxes(1, 2)
 
-    def solve(self, b, solve_skeleton):
+
+class _PatchTree:
+    """Nested static condensation of the reduced matrix over the quadtree
+    of cell patches (`_patch_levels`).
+
+    red (nc, n) holds the reduced columns of each cell's slots
+    (`_reduced_columns`), and the blocks R_e of the cells follow from the
+    class energy blocks and the flux maps (`_reduced_blocks`).  The levels
+    are eliminated bottom-up (`_Front`): a leaf's members are its cells,
+    a patch's above are its children, with the Schur blocks of their
+    classes, and each level eliminates the columns that only one of its
+    patches touches (`_elimination_levels`).  The root's interior is
+    everything left, so no sparse factor of the reduced matrix remains.
+    `fronts` runs from the leaves to the root.
+    """
+
+    def __init__(self, mesh, red, n, cell_class, energy, flux, first):
+        self.n = n
+        self.levels = _patch_levels(mesh)
+        depth = _elimination_levels(self.levels, red, n)
+        inner = np.append(np.zeros(n, dtype=bool), False)
+        cols, member_class = red, cell_class
+
+        def blocks(cells):
+            return _reduced_blocks(energy[cell_class[cells]], flux[cells],
+                                   first)
+
+        self.fronts = []
+        owner = self.levels[-1]
+        for d in range(len(self.levels) - 1, -1, -1):
+            # the first cell of each patch
+            firsts = np.unique(self.levels[d], return_index=True)[1]
+            inner[:-1] = depth == d
+            front = _Front(_members(owner), cols, member_class, blocks, inner,
+                           firsts)
+            # padded boundary columns scatter into an extra bin, dropped
+            front.bins = np.where(front.outer >= 0, front.outer, n).ravel()
+            self.fronts.append(front)
+            cols, member_class = front.outer, front.cls
+
+            def blocks(patches, front=front):
+                return front.schur[front.cls[patches]]
+
+            # the parent of each patch of this level
+            owner = self.levels[d - 1][firsts] if d else None
+
+    def solve(self, b):
         """y with A y = b for the reduced matrix A.
 
-        Each star condenses its interior rows b_i onto the skeleton,
-        solve_skeleton solves the skeleton matrix for the condensed
-        skeleton rows b_b - sum A_bi A_ii^-1 b_i, and each star recovers
-        y_i = A_ii^-1 (b_i - A_ib y_b).
+        Up the levels each patch condenses its interior rows b_i onto its
+        boundary rows, b_b - A_bi A_ii^-1 b_i; the root solves its front;
+        down the levels each patch recovers y_i = A_ii^-1 (b_i - A_ib y_b).
         """
-        scale = self.scale[self.cls]
-        # z = A_ii^-1 b_i of the scaled interior blocks
-        z = scale * np.append(b, 0.0)[self.inner]
-        if self.cls.size:
-            z = self.factor.solve(z.T, self.cls).T
-        n_sk = len(self.skeleton)
-        bins = np.where(self.outer >= 0, self.outer, n_sk)
-        load = _class_rows(z, self.load_rows, self.cls)
-        y = np.zeros(self.n + 1)
-        y[self.skeleton] = solve_skeleton(
-            b[self.skeleton] - np.bincount(bins.ravel(), load.ravel(),
-                                           minlength=n_sk + 1)[:n_sk])
-        y_b = np.append(y[self.skeleton], 0.0)[self.outer]
-        # padded interior columns write into the last entry, dropped
-        y[self.inner] = scale * (z - _class_rows(y_b, self.recover_rows,
-                                                 self.cls))
-        return y[:-1]
+        n = self.n
+        # the last entry takes the padding's terms and is reset to zero
+        x = np.append(b, 0.0)
+        kept = []
+        for f in self.fronts:
+            # z = (S A_ii S)^-1 S b_i of the scaled interior blocks
+            z = f.scale * x[f.inner]
+            if f.factor is not None:
+                z = f.factor.solve(z.T, f.cls).T
+            x -= np.bincount(f.bins, _class_rows(z, f.load_rows, f.cls).ravel(),
+                             minlength=n + 1)
+            x[n] = 0.0
+            kept.append(z)
+        for f, z in zip(self.fronts[::-1], kept[::-1]):
+            x[f.inner] = f.scale * z - _class_rows(x[f.outer],
+                                                   f.recover_rows, f.cls)
+            x[n] = 0.0
+        return x[:n]
 
 
 def _cellwise_product(spaces, energy, cols, m):
@@ -535,8 +621,22 @@ def _cellwise_product(spaces, energy, cols, m):
     return apply
 
 
-def _solve_condensed(skeleton, stars, spaces, energy, cols, n0, free, psi,
-                     weights, rhs):
+def _cell_graph(mesh):
+    """B1 B1^T of the facet incidence B (`_facet_incidence`) without the
+    row of cell 0, assembled from one 2 x 2 block per interior facet."""
+    fi = mesh.interior_facets
+    h = mesh.facet_lengths[fi]
+    # the owner's entry is -h, the neighbour's h
+    b = np.column_stack([-h, h])
+    n = mesh.num_cells - 1
+    builder = SparseBuilder(n, n)
+    builder.add(*block_triplets(mesh.facet_cells[fi] - 1,
+                                b[:, :, None] * b[:, None, :]))
+    return builder.finalize()
+
+
+def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
+                     rhs):
     """Solve the pinned condensed saddle point through an SPD reduction.
 
     The system, in [eta, pbar], is K eta + P^T pbar = F and P eta = G,
@@ -551,21 +651,19 @@ def _solve_condensed(skeleton, stars, spaces, energy, cols, n0, free, psi,
     psi column psi[f, 0] of the facet's lower vertex and weights[f] at
     psi[f, 1], its higher one, where -1 is a potential fixed at zero; so
     Z^T r is r[free] and one bincount of the first-mode residual, and
-    Z y sets eta[free] and one difference per facet.  Z^T K Z is not
-    formed either: `stars` (`_StarSchur`) eliminates the star interiors,
-    and `skeleton` is the Schur complement on the other columns,
-    `stars.skeleton`; it is scaled in place.  energy (n_cls, n, n) holds
-    each geometry class's block E_e and cols (nc, n) each cell's trace
-    columns, from which K is applied cell by cell and never assembled
-    (`_cellwise_product`).  B1 B1^T and the skeleton matrix, the latter
-    scaled symmetrically by powers of two, are factored without
-    pivoting.  That reduced solve is the approximate inverse of one
-    refinement step against the full matrix.
+    Z y sets eta[free] and one difference per facet.  Z^T K Z is neither
+    formed nor factored as a sparse matrix: `tree` (`_PatchTree`)
+    eliminates it patch by patch up to the root.  energy (n_cls, n, n)
+    holds each geometry class's block E_e and cols (nc, n) each cell's
+    trace columns, from which K is applied cell by cell and never
+    assembled (`_cellwise_product`).  SuperLU factors only the cell graph
+    B1 B1^T (`_cell_graph`), without pivoting.  That reduced solve is the
+    approximate inverse of one refinement step against the full matrix.
     """
     b1 = _facet_incidence(spaces.mesh)[1:]
     m = len(rhs) - b1.shape[0] - 1
     n_free = len(free)
-    n_psi = stars.n - n_free
+    n_psi = tree.n - n_free
     apply_energy = _cellwise_product(spaces, energy, cols, m)
 
     def full(x):
@@ -576,11 +674,7 @@ def _solve_condensed(skeleton, stars, spaces, energy, cols, n0, free, psi,
     # potentials fixed at zero take their terms into an extra bin
     bins = np.where(psi >= 0, psi, n_psi).ravel()
     signed = np.column_stack([-weights, weights])
-    scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(skeleton.diagonal())))[1])
-    skeleton.data *= (scale[skeleton.indices]
-                      * np.repeat(scale, np.diff(skeleton.indptr)))
-    skeleton_lu = SparseFactor(skeleton, symmetric=True)
-    graph_lu = SparseFactor((b1 @ b1.T).tocsc(), symmetric=True)
+    graph_lu = SparseFactor(_cell_graph(spaces.mesh), symmetric=True)
 
     def approx(b):
         eta = np.zeros(m)
@@ -588,8 +682,7 @@ def _solve_condensed(skeleton, stars, spaces, energy, cols, n0, free, psi,
         r = b[:m] - apply_energy(eta)
         flux = np.bincount(bins, (signed * r[n0, None]).ravel(),
                            minlength=n_psi + 1)[:-1]
-        y = stars.solve(np.concatenate([r[free], flux]),
-                        lambda rows: scale * skeleton_lu.solve(scale * rows))
+        y = tree.solve(np.concatenate([r[free], flux]))
         eta[free] = y[:n_free]
         pot = np.append(y[n_free:], 0.0)[psi]
         eta[n0] += signed[:, 0] * pot[:, 0] + signed[:, 1] * pot[:, 1]
@@ -607,13 +700,12 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     in place of its (redundant) mass balance.  The condensed system is
     not factored as such: the first normal modes are written as a flux
     that meets the mass balances plus the facet differences of a vertex
-    potential, which leaves an SPD system (`_solve_condensed`), and the
-    interiors of cell-disjoint vertex stars are eliminated from it
-    densely (`_StarSchur`) before SuperLU factors the rest.  After
-    the solve the averages are shifted to zero area-weighted mean, which
-    fixes the pressure in L2_0 and changes no other field.  Raises
-    ValueError when the mass source does not integrate to zero, since
-    its mass balance cannot then hold.
+    potential, which leaves an SPD system (`_solve_condensed`), and that
+    system is eliminated patch by patch over a quadtree of the cells, up
+    to the root (`_PatchTree`).  After the solve the averages are
+    shifted to zero area-weighted mean, which fixes the pressure in L2_0
+    and changes no other field.  Raises ValueError when the mass source
+    does not integrate to zero, since its mass balance cannot then hold.
     """
     mesh = spaces.mesh
     fam = spaces.family
@@ -636,23 +728,8 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     # the first-mode slot of each local facet
     first = nfc * kk + kk * np.arange(nfc)
     red_cols, flux = _reduced_columns(mesh, vcol, cols, o_pbar, free, first)
-    # the reduced columns only one star touches: the reduced traces of
-    # the facets at its centre, and the centre's potential
-    centres, star_cells = _vertex_stars(mesh)
-    at_centre = np.zeros(mesh.num_vertices, dtype=bool)
-    at_centre[centres] = True
-    inner = np.append(at_centre[mesh.facet_vertices[fi]].any(axis=1)[
-        free % ntt // kk], np.zeros(n_psi, dtype=bool))
-    inner[len(free) + vcol[centres]] = True
-    stars = _StarSchur(star_cells, red_cols, inner, spaces.cell_class,
-                       ls.energy, flux, first)
-    # the skeleton columns of each cell; only cells in no star use them
-    sk_cols = stars.skeleton_index[red_cols]
-    loose = np.ones(nc, dtype=bool)
-    loose[star_cells[star_cells >= 0]] = False
-    n_sk = len(stars.skeleton)
-    builder = SparseBuilder(n_sk, n_sk)
-    builder.add(*block_triplets(stars.outer, stars.schur[stars.cls]))
+    tree = _PatchTree(mesh, red_cols, len(free) + n_psi, spaces.cell_class,
+                      ls.energy, flux, first)
     rhs = np.zeros(n_sys)
     x_src = np.zeros((nc, ls.n))
     areas = spaces.dets * fam.ref_cell.measure
@@ -670,9 +747,6 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
         f_loc = (_class_rows(fmom, ls.lift[:, o_u:o_p], cls)
                  - _class_rows(xs, ls.zlift, cls))
         cc = cols[cells]
-        own = loose[cells]
-        builder.add(*block_triplets(sk_cols[cells[own]], _reduced_blocks(
-            ls.energy[cls[own]], flux[cells[own]], first)))
         keep = cc >= 0
         np.add.at(rhs, cc[keep], f_loc[keep])
         rhs[o_pbar + cells] = -gmom[:, 0] / q0v
@@ -697,10 +771,7 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
     rhs[o_pbar:] += mean_mult * areas
     rhs[o_pbar] = 0.0
 
-    # the builder's triplets are dropped before the factorization
-    skeleton = builder.finalize()
-    del builder
-    sol = _solve_condensed(skeleton, stars, spaces, ls.energy, cols, n0, free,
+    sol = _solve_condensed(tree, spaces, ls.energy, cols, n0, free,
                            vcol[mesh.facet_vertices[fi]],
                            _flux_weights(mesh, fi), rhs)
     uhat_t = sol[:ntt]

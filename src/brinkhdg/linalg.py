@@ -125,7 +125,7 @@ class DenseFactor:
         if x is not b:
             b[...] = x
 
-    def solve(self, b, index=None):
+    def solve(self, b, index=None, overwrite_b=False):
         """x with a @ x = b.
 
         For a stack, b[i] goes with matrix i; with an integer index, all
@@ -134,7 +134,8 @@ class DenseFactor:
         are solved together, one getrs per matrix.  The right-hand sides
         of a stack, or of several matrices, are gathered once into a
         column-major buffer that getrs overwrites, rather than copied to
-        column-major order on each call.
+        column-major order on each call.  With overwrite_b, a writable
+        stack of column-major right-hand sides is that buffer itself.
         """
         b = np.asarray(b, dtype=float)
         if len(self.shape) == 2:
@@ -143,8 +144,11 @@ class DenseFactor:
             if len(b) != len(self._lu):
                 raise ValueError(f"{len(b)} right-hand sides for a stack of "
                                  f"{len(self._lu)} matrices")
-            x = np.empty(b.shape[:1] + b.shape[:0:-1]).swapaxes(1, -1)
-            x[...] = b
+            x = b
+            if not (overwrite_b and b.flags.writeable
+                    and b[0].flags.f_contiguous):
+                x = np.empty(b.shape[:1] + b.shape[:0:-1]).swapaxes(1, -1)
+                x[...] = b
             for i, rhs in enumerate(x):
                 self._getrs_into(i, rhs)
             return x

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from affine_maps import holed_quads, local_facet, pull_back_tab
+from affine_maps import holed_quads, local_facet, pull_back_tab, strip_quads
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
 from brinkhdg.forms import element_blocks
@@ -302,115 +302,120 @@ def test_parameter_extremes_on_seeded_perturbed_meshes(n, k, seed, nu, gamma):
         assert max(normal_trace_jumps(spaces, fields.u)) <= 1e-10
 
 
-def star_meshes():
-    """Structured, perturbed and holed meshes for the vertex stars."""
+def tree_meshes():
+    """Structured, perturbed, holed and strip meshes for the patch tree."""
     meshes = [build_structured_mesh(n, kind) for n in (1, 2, 3, 4, 7, 8)
               for kind in (QUAD, TRIANGLE)]
+    meshes += [build_structured_mesh(n, TRIANGLE, "checkerboard")
+               for n in (3, 8)]
     return meshes + [perturbed_triangles(6, 0.2, seed=3),
                      holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)]),
-                     holed_quads(6, [(1, 1), (4, 3)])]
+                     holed_quads(6, [(1, 1), (4, 3)]), strip_quads(5)]
 
 
-def test_vertex_stars_disjoint_and_off_every_boundary():
-    # each star is every cell of its centre, no cell is in two stars, no
-    # centre lies on a boundary facet (hole loops included), and each
-    # vertex passed over in vertex order shares a cell with a star
-    for mesh in star_meshes():
-        centres, stars = hybrid._vertex_stars(mesh)
-        cells = stars[stars >= 0]
-        assert len(np.unique(cells)) == len(cells)
-        on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
-        on_boundary[mesh.facet_vertices[mesh.boundary_facets]] = True
-        assert not on_boundary[centres].any()
-        taken = np.zeros(mesh.num_cells, dtype=bool)
-        for v in range(mesh.num_vertices):
-            around = np.flatnonzero((mesh.cells == v).any(axis=1))
-            if v in centres:
-                row = stars[list(centres).index(v)]
-                assert np.array_equal(row[row >= 0], around)
-                taken[around] = True
-            elif not on_boundary[v] and around.size:
-                assert taken[around].any(), v
-    # the second holed mesh has stars next to both holes
-    assert len(centres) == 7
+def test_patch_levels_nest_and_partition_cells():
+    # the root holds every cell; each level numbers its patches 0..P-1 in
+    # the order of their parents, so every level partitions the cells and
+    # each patch lies in one patch of the level above; a patch of more
+    # than 8 cells has four children of half its half, a smaller one
+    # passes down whole, and the leaves hold at most 8 cells
+    for mesh in tree_meshes():
+        levels = hybrid._patch_levels(mesh)
+        assert np.array_equal(levels[0], np.zeros(mesh.num_cells))
+        for upper, lower in zip(levels, levels[1:]):
+            assert np.array_equal(np.unique(lower), np.arange(lower.max() + 1))
+            # the parent of each patch, in patch order
+            parent = upper[np.unique(lower, return_index=True)[1]]
+            assert np.array_equal(upper, parent[lower])
+            assert (np.diff(parent) >= 0).all()
+            size = np.bincount(upper)
+            children = np.bincount(parent)
+            assert np.array_equal(children, np.where(size > 8, 4, 1))
+            assert size.max() > 8
+            whole = size[parent] <= 8
+            assert np.array_equal(np.bincount(lower)[whole], size[parent][whole])
+            cut = np.bincount(lower)[~whole]
+            assert (cut >= size[parent][~whole] // 4).all()
+            assert (cut <= -(-size[parent][~whole] // 4)).all()
+        assert np.bincount(levels[-1]).max() <= 8
 
 
-def test_vertex_stars_of_structured_meshes():
-    # n x n quads, n even, give (n/2)^2 stars, each a 2 x 2 square
-    # centred on a vertex of odd row and column; diagonal-split
-    # triangles put 6 of every 8 cells in stars
-    for n in (2, 4, 8):
-        centres, stars = hybrid._vertex_stars(build_structured_mesh(n, QUAD))
-        j, i = np.divmod(centres, n + 1)
-        assert len(centres) == (n // 2) ** 2
-        assert (i % 2 == 1).all() and (j % 2 == 1).all()
-        lower_left = (j - 1) * n + i - 1
-        squares = lower_left[:, None] + np.array([0, 1, n, n + 1])
-        assert np.array_equal(stars, squares)
-        _, stars = hybrid._vertex_stars(build_structured_mesh(n, TRIANGLE))
-        assert stars.shape == ((n // 2) ** 2, 6) and (stars >= 0).all()
+def test_patch_leaves_of_structured_meshes():
+    # on 2^m x 2^m squares the leaves are the 2 x 2 squares: 4 quads, or
+    # the 8 triangles of either layout; 1 x 1 has the root alone
+    for n in (2, 4, 8, 16):
+        for kind, layout, per in ((QUAD, "diagonal", 1),
+                                  (TRIANGLE, "diagonal", 2),
+                                  (TRIANGLE, "checkerboard", 2)):
+            mesh = build_structured_mesh(n, kind, layout)
+            levels = hybrid._patch_levels(mesh)
+            square = np.arange(mesh.num_cells) // per
+            j, i = np.divmod(square, n)
+            block = (j // 2) * n + i // 2
+            leaves = levels[-1]
+            assert len(levels) == 1 + max(n.bit_length() - 2, 0)
+            assert len(np.unique(leaves)) == (n // 2) ** 2
+            # each leaf is one 2 x 2 block of squares
+            assert np.array_equal(np.unique(np.column_stack([leaves, block]),
+                                            axis=0)[:, 0], np.unique(leaves))
     for kind in (QUAD, TRIANGLE):
-        centres, stars = hybrid._vertex_stars(build_structured_mesh(1, kind))
-        assert centres.shape == (0,) and stars.shape == (0, 0)
+        levels = hybrid._patch_levels(build_structured_mesh(1, kind))
+        assert len(levels) == 1
 
 
-def test_star_classes_stack_congruent_stars(condensed_calls):
-    # congruent stars share one class, hence one interior factor and one
-    # Schur block: at most 9 classes on structured meshes (interior, edge
-    # and corner stars), one per star on perturbed meshes; a mesh with no
-    # eligible vertex runs the same path with no star and no class, and
-    # its skeleton is every reduced column
-    case = make_case(1)
-    runs = [(build_structured_mesh(16, QUAD), 1, 9),
-            (build_structured_mesh(9, TRIANGLE), 2, 4),
-            (perturbed_triangles(6, 0.2, seed=3), 1, 9),
-            (build_structured_mesh(1, QUAD), 2, 0)]
-    for mesh, k, n_cls in runs:
-        spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(
-            case, k, 16))
-        a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
-                         case.mass_source)
-        stars = condensed_calls[-1].stars
-        assert len(np.unique(stars.cls)) == len(stars.schur) == n_cls
-        assert len(stars.cls) == len(hybrid._vertex_stars(mesh)[0])
-        b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
-                         case.mass_source)
-        assert max(compare_fields(spaces, a, b).values()) <= 1e-10
-    assert stars.inner.shape == (0, 0)
-    assert np.array_equal(stars.skeleton, np.arange(stars.n))
+class TreeSpy:
+    """Records each `_PatchTree` that `solve_hybrid` builds, with its
+    arguments by name, and each `_solve_condensed` call, with its
+    arguments and solution by name and the facet incidence of its mesh."""
+
+    tree_names = ("mesh", "red", "n", "cell_class", "energy", "flux", "first")
+    names = ("tree", "spaces", "energy", "cols", "n0", "free", "psi",
+             "weights", "rhs")
+
+    def __init__(self):
+        self.trees, self.calls = [], []
+
+    def __enter__(self):
+        spy = self
+        base, solve = hybrid._PatchTree, hybrid._solve_condensed
+
+        class Tree(base):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.args = SimpleNamespace(**dict(zip(spy.tree_names, args)))
+                spy.trees.append(self)
+
+        def condensed(*args):
+            seen = SimpleNamespace(**dict(zip(self.names, args)))
+            seen.incidence = hybrid._facet_incidence(seen.spaces.mesh)
+            x = solve(*args)
+            # solve_hybrid shifts the pressure averages of x in place
+            seen.x = x.copy()
+            self.calls.append(seen)
+            return x
+
+        self._undo = (base, solve)
+        hybrid._PatchTree, hybrid._solve_condensed = Tree, condensed
+        return self
+
+    def __exit__(self, *exc):
+        hybrid._PatchTree, hybrid._solve_condensed = self._undo
 
 
 @pytest.fixture
-def condensed_calls(monkeypatch):
-    """The arguments and solution of each `_solve_condensed` call, by name,
-    and the facet incidence of its mesh; the skeleton matrix is copied
-    before the solve scales it in place."""
-    calls = []
-    solve = hybrid._solve_condensed
-    names = ("skeleton", "stars", "spaces", "energy", "cols", "n0", "free",
-             "psi", "weights", "rhs")
-
-    def spy(*args):
-        seen = SimpleNamespace(**dict(zip(names, args)))
-        seen.skeleton = seen.skeleton.copy()
-        seen.incidence = hybrid._facet_incidence(seen.spaces.mesh)
-        x = solve(*args)
-        # solve_hybrid shifts the pressure averages of x in place
-        seen.x = x.copy()
-        calls.append(seen)
-        return x
-
-    monkeypatch.setattr(hybrid, "_solve_condensed", spy)
-    return calls
+def condensed_calls():
+    with TreeSpy() as spy:
+        yield spy.calls
 
 
-def assembled_energy(call):
-    """K on the traces, assembled: every cell's energy block scattered by
-    its trace columns, duplicates summed."""
+def assembled_energy(call, cells=None):
+    """K on the traces, assembled: the energy block of every cell, or of
+    the given cells, scattered by its trace columns, duplicates summed."""
     m = len(call.rhs) - call.incidence.shape[0]
+    cells = np.arange(call.spaces.mesh.num_cells) if cells is None else cells
     builder = SparseBuilder(m, m)
-    builder.add(*block_triplets(call.cols,
-                                call.energy[call.spaces.cell_class]))
+    builder.add(*block_triplets(call.cols[cells],
+                                call.energy[call.spaces.cell_class[cells]]))
     return builder.finalize()
 
 
@@ -423,31 +428,62 @@ def stream_function_basis(call, m):
                           shape=(m, len(n0)))
     free = np.ones(m, dtype=bool)
     free[n0] = False
-    curl = vertex_flux_map(call.psi, call.weights, call.stars.n - free.sum())
+    curl = vertex_flux_map(call.psi, call.weights, call.tree.n - free.sum())
     return sp.hstack([sp.identity(m, format="csc")[:, free],
                       first @ curl]).tocsc()
 
 
-def skeleton_schur_complement(reduced, skeleton):
-    """The Schur complement of a sparse SPD matrix onto the columns
-    skeleton, the others eliminated by a sparse LU."""
-    inner = np.setdiff1d(np.arange(reduced.shape[0]), skeleton)
-    rows = reduced.tocsr()[skeleton].tocsc()
-    schur = rows[:, skeleton]
+def reduced_matrix(call, cells=None):
+    """Z^T K Z, assembled, of every cell or of the given cells."""
+    energy = assembled_energy(call, cells)
+    z = stream_function_basis(call, energy.shape[0])
+    return (z.T @ energy @ z).tocsc()
+
+
+def test_every_reduced_column_eliminated_once(condensed_calls):
+    # the interiors of all the patches of all the levels are the reduced
+    # columns, each once; a patch's interior is touched by its cells only;
+    # its boundary columns are eliminated higher up, and the root, last,
+    # leaves nothing
+    for mesh in tree_meshes():
+        solve_hybrid(Spaces(mesh, 2), 1.0, 1.0, zero_vec, zero_scalar)
+        tree = condensed_calls[-1].tree
+        red = tree.args.red
+        inner = np.concatenate([f.inner[f.inner >= 0] for f in tree.fronts])
+        assert np.array_equal(np.sort(inner), np.arange(tree.n))
+        assert len(tree.fronts) == len(tree.levels)
+        assert tree.fronts[-1].outer.shape == (1, 0)
+        done = np.zeros(tree.n + 1, dtype=bool)
+        for front, patch in zip(tree.fronts, tree.levels[::-1]):
+            for p in range(len(front.cls)):
+                cols = front.inner[p][front.inner[p] >= 0]
+                touch = np.isin(red, cols).any(axis=1)
+                assert (patch[touch] == p).all()
+                assert not done[front.outer[p]].any()
+            done[front.inner] = True
+            done[-1] = False
+
+
+def patch_schur(reduced, inner, outer):
+    """The Schur complement of a sparse SPD matrix onto the columns outer,
+    the columns inner eliminated by a sparse LU, dense."""
+    rows = reduced[outer]
+    schur = rows[:, outer].toarray()
     if inner.size:
-        inner_block = reduced.tocsr()[inner].tocsc()[:, inner]
-        schur = schur - rows[:, inner] @ spla.spsolve(
-            inner_block, rows[:, inner].T.tocsc())
-    return sp.csc_matrix(schur)
+        schur -= (rows[:, inner] @ spla.spsolve(
+            reduced[inner][:, inner].tocsc(),
+            rows[:, inner].T.toarray())).reshape(schur.shape)
+    return schur
 
 
 def test_reduced_matrix_matches_triple_product(condensed_calls):
-    # the skeleton matrix, assembled from the stars' dense Schur
-    # complements and the blocks Z_e^T E_e Z_e of the other cells, is the
-    # Schur complement of Z^T K Z onto the skeleton with K assembled, also
-    # with hole loops whose potential is shared by several vertices of a
-    # cell, and with no interior facet; the second holed mesh is symmetric
-    # about x = y only without its holes, so it gets a source of zero mean
+    # the Schur block of each class is the Schur complement of Z^T K Z,
+    # assembled from the cells of one of its patches, onto the patch's
+    # boundary columns, with the interiors of the patch and of all the
+    # patches below it eliminated; also with hole loops whose potential is
+    # shared by several vertices of a cell, and with no interior facet.
+    # The second holed mesh is symmetric about x = y only without its
+    # holes, so it gets a source of zero mean
     case = make_case(1)
     data = (case.body_force, case.mass_source)
     runs = [(build_structured_mesh(16, TRIANGLE), 3, data),
@@ -462,19 +498,30 @@ def test_reduced_matrix_matches_triple_product(condensed_calls):
             case, k, 6))
         solve_hybrid(spaces, case.nu, case.gamma, force, source)
         call = condensed_calls[-1]
-        energy = assembled_energy(call)
-        z = stream_function_basis(call, energy.shape[0])
-        want = skeleton_schur_complement(z.T @ energy @ z,
-                                         call.stars.skeleton)
-        assert call.skeleton.shape == want.shape
-        if want.nnz:
-            gap = abs(call.skeleton - want).max()
-            assert gap <= 1e-13 * abs(want).max(), (mesh.num_cells, k, gap)
-    assert condensed_calls[-1].skeleton.shape == (0, 0)
+        tree = call.tree
+        levels = tree.levels[::-1]
+        for depth, front in enumerate(tree.fronts):
+            for cls in range(len(front.schur)):
+                p = np.argmax(front.cls == cls)
+                cells = np.flatnonzero(levels[depth] == p)
+                # the interiors of the patch and of the patches below it
+                inner = np.concatenate([
+                    below.inner[q][below.inner[q] >= 0]
+                    for below, patch in zip(tree.fronts[:depth + 1], levels)
+                    for q in np.unique(patch[cells])]).astype(int)
+                outer = front.outer[p][front.outer[p] >= 0]
+                want = patch_schur(reduced_matrix(call, cells), inner, outer)
+                got = front.schur[cls][:len(outer), :len(outer)]
+                assert np.abs(front.schur[cls][len(outer):]).max(
+                    initial=0.0) == 0.0
+                gap = np.abs(got - want).max(initial=0.0)
+                assert gap <= 1e-13 * np.abs(want).max(initial=0.0), (
+                    mesh.num_cells, k, depth, cls, gap)
+    assert condensed_calls[-1].tree.n == 0
 
 
 def test_reduced_pattern_independent_of_data(condensed_calls):
-    # exact zeros are stored, so the pattern SuperLU orders is the same for
+    # the tree, its classes and each patch's columns are the same for
     # every test case on one mesh (nu 1, 1 and 1e-4)
     mesh = build_structured_mesh(16, TRIANGLE)
     for test in (1, 2, 3):
@@ -483,10 +530,101 @@ def test_reduced_pattern_independent_of_data(condensed_calls):
             case, 3, 16))
         solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
                      case.mass_source)
-    first = condensed_calls[0].skeleton
+    first = condensed_calls[0].tree
     for call in condensed_calls[1:]:
-        assert np.array_equal(call.skeleton.indptr, first.indptr)
-        assert np.array_equal(call.skeleton.indices, first.indices)
+        tree = call.tree
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(tree.levels, first.levels))
+        for got, want in zip(tree.fronts, first.fronts):
+            for name in ("cls", "inner", "outer"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_patch_classes_stack_congruent_patches(condensed_calls):
+    # congruent patches share one class, hence one interior factor and one
+    # Schur block: at most 9 classes per level on 2^m x 2^m structured
+    # meshes (interior, edge and corner patches), one per patch on perturbed
+    # meshes; a one-cell mesh has a root front with nothing to eliminate
+    case = make_case(1)
+    runs = [(build_structured_mesh(16, QUAD), 1, 9),
+            (build_structured_mesh(8, TRIANGLE), 2, 9),
+            (build_structured_mesh(8, TRIANGLE, "checkerboard"), 3, 9),
+            (perturbed_triangles(6, 0.2, seed=3), 1, None),
+            (build_structured_mesh(1, QUAD), 2, 1)]
+    for mesh, k, most in runs:
+        spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(
+            case, k, 16))
+        a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                         case.mass_source)
+        for front in condensed_calls[-1].tree.fronts:
+            n_cls = len(front.schur)
+            assert len(np.unique(front.cls)) == n_cls
+            assert n_cls <= (len(front.cls) if most is None else most)
+            if most is None:
+                assert n_cls == len(front.cls)
+        b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                         case.mass_source)
+        assert max(compare_fields(spaces, a, b).values()) <= 1e-10
+    front = condensed_calls[-1].tree.fronts[-1]
+    assert front.inner.shape == front.outer.shape == (1, 0)
+    assert front.factor is None
+
+
+@st.composite
+def tree_mesh(draw):
+    """Structured quads and triangles of either layout with n in 1..6,
+    seeded perturbed triangles, the two holed meshes, or a strip of n
+    quads."""
+    kind = draw(st.sampled_from(("quad", "triangle", "checkerboard",
+                                 "perturbed", "holed", "strip")))
+    n = draw(st.integers(1, 6))
+    if kind == "quad":
+        return build_structured_mesh(n, QUAD)
+    if kind in ("triangle", "checkerboard"):
+        return build_structured_mesh(
+            n, TRIANGLE, "diagonal" if kind == "triangle" else kind)
+    if kind == "perturbed":
+        return perturbed_triangles(max(n, 2), 0.2,
+                                   draw(st.integers(0, 2**32 - 1)))
+    if kind == "holed":
+        return holed_quads(*draw(st.sampled_from((
+            (4, ((1, 1), (2, 1), (1, 2), (2, 2))), (6, ((1, 1), (4, 3)))))))
+    return strip_quads(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mesh=tree_mesh(), k=st.sampled_from((1, 2)))
+def test_nested_solve_matches_sparse_solve(mesh, k):
+    # the tree's solve equals a sparse LU solve of the assembled Z^T K Z
+    with TreeSpy() as spy:
+        solve_hybrid(Spaces(mesh, k), 1.0, 1.0, zero_vec, zero_scalar)
+    call = spy.calls[-1]
+    reduced = reduced_matrix(call)
+    b = np.random.default_rng(mesh.num_cells).standard_normal(call.tree.n)
+    got = call.tree.solve(b)
+    if call.tree.n:
+        want = spla.spsolve(reduced, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_hybrid_matches_direct_on_strip_and_odd_n():
+    # a strip has no interior vertex, and odd n gives leaves of unequal
+    # sizes at different depths
+    case = make_case(1)
+    meshes = [strip_quads(n) for n in (1, 2, 5)]
+    meshes += [build_structured_mesh(n, kind) for n in (3, 5)
+               for kind in (QUAD, TRIANGLE)]
+    meshes += [build_structured_mesh(n, TRIANGLE, "checkerboard")
+               for n in (3, 5)]
+    for mesh in meshes:
+        for k in (1, 2):
+            spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(
+                case, k, 5))
+            a = solve_hybrid(spaces, case.nu, case.gamma, case.body_force,
+                             case.mass_source)
+            b = solve_direct(spaces, case.nu, case.gamma, case.body_force,
+                             case.mass_source)
+            assert max(compare_fields(spaces, a, b).values()) <= 1e-9
 
 
 def test_cellwise_energy_product_matches_assembled(condensed_calls):

@@ -155,6 +155,21 @@ def test_dense_factor_overwrites_only_writable_column_major_input():
         factor = DenseFactor(mat, overwrite_a=overwrite)
         assert np.array_equal(mat, before)
         assert np.array_equal(factor._lu[0][0], want[2 if mat is frozen else 0])
+    # right-hand sides: a writable column-major stack is solved in place
+    # with overwrite_b, anything else is copied
+    factor = DenseFactor(a)
+    b = rng.standard_normal((3, 6, 2))
+    x = [sla.lu_solve(sla.lu_factor(a[i]), b[i]) for i in range(3)]
+    stack = np.zeros((3, 2, 6)).swapaxes(1, 2)
+    stack[...] = b
+    assert factor.solve(stack, overwrite_b=True) is stack
+    assert all(np.array_equal(stack[i], x[i]) for i in range(3))
+    for rhs, overwrite in ((b.copy(), True), (np.asfortranarray(b), True),
+                           (np.zeros((3, 2, 6)).swapaxes(1, 2) + b, False)):
+        before = rhs.copy()
+        got = factor.solve(rhs, overwrite_b=overwrite)
+        assert np.array_equal(rhs, before) and got is not rhs
+        assert all(np.array_equal(got[i], x[i]) for i in range(3))
 
 
 def test_dense_stack_solves_with_an_index_per_column():
