@@ -347,8 +347,9 @@ def _reduced_blocks(energy, flux, first):
     return energy
 
 
-# a patch is quartered while it holds more cells than this: the leaves are
-# the 2 x 2 squares of structured quads and of diagonal-split triangles
+# a patch is quartered while it holds more cells than this: on n x n
+# structured meshes with n a power of two the leaves are the 2 x 2
+# squares, of 4 quads or 8 triangles
 _LEAF_CELLS = 8
 
 
@@ -529,22 +530,24 @@ class _PatchTree:
     """Nested static condensation of the reduced matrix over the quadtree
     of cell patches (`_patch_levels`).
 
-    red (nc, n) holds the reduced columns of each cell's slots
-    (`_reduced_columns`), and the blocks R_e of the cells follow from the
-    class energy blocks and the flux maps (`_reduced_blocks`).  The levels
-    are eliminated bottom-up (`_Front`): a leaf's members are its cells,
-    a patch's above are its children, with the Schur blocks of their
-    classes, and each level eliminates the columns that only one of its
-    patches touches (`_elimination_levels`).  The root's interior is
-    everything left, so no sparse factor of the reduced matrix remains.
-    `fronts` runs from the leaves to the root.
+    red (nc, s) holds the reduced columns of each cell's slots
+    (`_reduced_columns`), n is the number of reduced columns, and the
+    blocks R_e of the cells follow from the class energy blocks and the
+    flux maps (`_reduced_blocks`).  The levels are eliminated bottom-up
+    (`_Front`): a leaf's members are its cells, a patch's above are its
+    children, with the Schur blocks of their classes, and each level
+    eliminates the columns that only one of its patches touches
+    (`_elimination_levels`).  The root's interior is everything left, so
+    no sparse factor of the reduced matrix remains.  `fronts` runs from
+    the leaves to the root.
     """
 
     def __init__(self, mesh, red, n, cell_class, energy, flux, first):
         self.n = n
         self.levels = _patch_levels(mesh)
         depth = _elimination_levels(self.levels, red, n)
-        inner = np.append(np.zeros(n, dtype=bool), False)
+        # the last entry stands for column -1
+        inner = np.zeros(n + 1, dtype=bool)
         cols, member_class = red, cell_class
 
         def blocks(cells):
@@ -586,8 +589,8 @@ class _PatchTree:
             z = f.scale * x[f.inner]
             if f.factor is not None:
                 z = f.factor.solve(z.T, f.cls).T
-            x -= np.bincount(f.bins, _class_rows(z, f.load_rows, f.cls).ravel(),
-                             minlength=n + 1)
+            load = _class_rows(z, f.load_rows, f.cls)
+            x -= np.bincount(f.bins, load.ravel(), minlength=n + 1)
             x[n] = 0.0
             kept.append(z)
         for f, z in zip(self.fronts[::-1], kept[::-1]):
@@ -621,20 +624,6 @@ def _cellwise_product(spaces, energy, cols, m):
     return apply
 
 
-def _cell_graph(mesh):
-    """B1 B1^T of the facet incidence B (`_facet_incidence`) without the
-    row of cell 0, assembled from one 2 x 2 block per interior facet."""
-    fi = mesh.interior_facets
-    h = mesh.facet_lengths[fi]
-    # the owner's entry is -h, the neighbour's h
-    b = np.column_stack([-h, h])
-    n = mesh.num_cells - 1
-    builder = SparseBuilder(n, n)
-    builder.add(*block_triplets(mesh.facet_cells[fi] - 1,
-                                b[:, :, None] * b[:, None, :]))
-    return builder.finalize()
-
-
 def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
                      rhs):
     """Solve the pinned condensed saddle point through an SPD reduction.
@@ -657,8 +646,8 @@ def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
     holds each geometry class's block E_e and cols (nc, n) each cell's
     trace columns, from which K is applied cell by cell and never
     assembled (`_cellwise_product`).  SuperLU factors only the cell graph
-    B1 B1^T (`_cell_graph`), without pivoting.  That reduced solve is the
-    approximate inverse of one refinement step against the full matrix.
+    B1 B1^T, without pivoting.  That reduced solve is the approximate
+    inverse of one refinement step against the full matrix.
     """
     b1 = _facet_incidence(spaces.mesh)[1:]
     m = len(rhs) - b1.shape[0] - 1
@@ -674,7 +663,7 @@ def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
     # potentials fixed at zero take their terms into an extra bin
     bins = np.where(psi >= 0, psi, n_psi).ravel()
     signed = np.column_stack([-weights, weights])
-    graph_lu = SparseFactor(_cell_graph(spaces.mesh), symmetric=True)
+    graph_lu = SparseFactor((b1 @ b1.T).tocsc(), symmetric=True)
 
     def approx(b):
         eta = np.zeros(m)

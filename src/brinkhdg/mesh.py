@@ -184,8 +184,8 @@ class Mesh:
 
         pairs = self.facet_cells[self.interior_facets]
         nc = self.num_cells
-        graph = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                              shape=(nc, nc))
+        graph = sp.csr_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(nc, nc))
         parts = connected_components(graph, directed=False)[0]
         if parts > 1:
             raise ValueError(f"the cells form {parts} parts that share no "

@@ -333,8 +333,9 @@ def test_patch_levels_nest_and_partition_cells():
             assert np.array_equal(children, np.where(size > 8, 4, 1))
             assert size.max() > 8
             whole = size[parent] <= 8
-            assert np.array_equal(np.bincount(lower)[whole], size[parent][whole])
-            cut = np.bincount(lower)[~whole]
+            lower_size = np.bincount(lower)
+            assert np.array_equal(lower_size[whole], size[parent][whole])
+            cut = lower_size[~whole]
             assert (cut >= size[parent][~whole] // 4).all()
             assert (cut <= -(-size[parent][~whole] // 4)).all()
         assert np.bincount(levels[-1]).max() <= 8
