@@ -249,10 +249,10 @@ def build_structured_mesh(n, cell_kind=QUAD, layout="diagonal"):
     """Uniform n-by-n partition of the unit square.
 
     For quads this gives n^2 square cells.  For triangles each square is
-    split in two congruent cells: with layout "diagonal" along the
-    diagonal from its lower-left to its upper-right corner, and with
-    layout "checkerboard" so along the other diagonal where the square's
-    column and row index have an odd sum.
+    split in two congruent cells along the diagonal from its lower-left
+    to its upper-right corner; with layout "checkerboard", a square whose
+    column and row index have an odd sum is split along the other
+    diagonal.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"subdivision count must be a positive integer, got {n!r}")

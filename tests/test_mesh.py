@@ -256,6 +256,11 @@ def test_bad_construction_args():
         build_structured_mesh(0, QUAD)
     with pytest.raises(ValueError):
         build_structured_mesh(2, "hex")
+    with pytest.raises(ValueError, match="unknown layout 'checkerboard' for "
+                                         "quad cells"):
+        build_structured_mesh(2, QUAD, "checkerboard")
+    with pytest.raises(ValueError, match="unknown layout 'zigzag'"):
+        build_structured_mesh(2, TRIANGLE, "zigzag")
     with pytest.raises(ValueError):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], QUAD)  # 3 vertices per quad
 
