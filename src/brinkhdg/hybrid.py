@@ -624,6 +624,20 @@ def _cellwise_product(spaces, energy, cols, m):
     return apply
 
 
+def _cell_graph(mesh):
+    """B1 B1^T of the facet incidence B (`_facet_incidence`) without the
+    row of cell 0, assembled from one 2 x 2 block per interior facet."""
+    fi = mesh.interior_facets
+    h = mesh.facet_lengths[fi]
+    # the owner's entry is -h, the neighbour's h
+    b = np.column_stack([-h, h])
+    n = mesh.num_cells - 1
+    builder = SparseBuilder(n, n)
+    builder.add(*block_triplets(mesh.facet_cells[fi] - 1,
+                                b[:, :, None] * b[:, None, :]))
+    return builder.finalize()
+
+
 def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
                      rhs):
     """Solve the pinned condensed saddle point through an SPD reduction.
@@ -646,8 +660,8 @@ def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
     holds each geometry class's block E_e and cols (nc, n) each cell's
     trace columns, from which K is applied cell by cell and never
     assembled (`_cellwise_product`).  SuperLU factors only the cell graph
-    B1 B1^T, without pivoting.  That reduced solve is the approximate
-    inverse of one refinement step against the full matrix.
+    B1 B1^T (`_cell_graph`), without pivoting.  That reduced solve is the
+    approximate inverse of one refinement step against the full matrix.
     """
     b1 = _facet_incidence(spaces.mesh)[1:]
     m = len(rhs) - b1.shape[0] - 1
@@ -663,7 +677,7 @@ def _solve_condensed(tree, spaces, energy, cols, n0, free, psi, weights,
     # potentials fixed at zero take their terms into an extra bin
     bins = np.where(psi >= 0, psi, n_psi).ravel()
     signed = np.column_stack([-weights, weights])
-    graph_lu = SparseFactor((b1 @ b1.T).tocsc(), symmetric=True)
+    graph_lu = SparseFactor(_cell_graph(spaces.mesh), symmetric=True)
 
     def approx(b):
         eta = np.zeros(m)
