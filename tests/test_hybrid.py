@@ -227,7 +227,8 @@ def test_stream_function_spans_kernel_of_mass_balances():
     # exactly on structured quads; on triangles h * (1/h) is 1 only to
     # the last bit, so the bound is roundoff.  Its columns are
     # independent and as many as the kernel of B1 has dimensions, so C
-    # spans that kernel, also with one or two holes
+    # spans that kernel, also with one or two holes.  The cell graph
+    # B1 B1^T, assembled one facet at a time, is the incidence product
     meshes = [(build_structured_mesh(n, QUAD), 0.0) for n in (2, 3, 8)]
     meshes += [(build_structured_mesh(n, TRIANGLE), 5e-16) for n in (2, 3, 8)]
     meshes += [(perturbed_triangles(n, 0.2, seed), 1e-14)
@@ -241,6 +242,9 @@ def test_stream_function_spans_kernel_of_mass_balances():
         n_facets, n_psi = curl.shape
         assert n_psi == n_facets - b1.shape[0]
         assert np.linalg.matrix_rank(curl.toarray()) == n_psi
+        graph = (b1 @ b1.T).toarray()
+        assert (np.abs(hybrid._cell_graph(mesh).toarray() - graph).max()
+                <= 1e-15 * np.abs(graph).max())
     # one potential per hole: none is interior on the 4x4 mesh
     assert mesh_flux_map(meshes[-2][0]).shape[1] == 1
 
