@@ -125,7 +125,6 @@ class ReferenceTab:
 
     g: np.ndarray           # (n_g, 2, q)
     v: np.ndarray           # (n_v, 2, q)
-    v_grad: np.ndarray      # (n_v, 2, 2, q)
     q_vals: np.ndarray      # (n_q, q)
     post: np.ndarray        # (n_post, q)
     int_div: np.ndarray     # (n_int_scalar, q)
@@ -180,7 +179,7 @@ def _tabulate_reference(fam, degree):
     gn = np.einsum("fdacq,fc->fdaq", facet_g, hn) * ws
     vn = np.einsum("fdmcq,fc->fdmq", facet_v, hn) * ws
     ref = ReferenceTab(
-        g=g, v=v, v_grad=v_grad, q_vals=q_vals, post=post, int_div=int_div,
+        g=g, v=v, q_vals=q_vals, post=post, int_div=int_div,
         phi=phi, facet_g=facet_g, facet_v=facet_v,
         gram_g=np.einsum("acq,bdq->cdab", gw, g).reshape(4, -1),
         gram_v=np.einsum("mcq,ndq->cdmn", vw, v).reshape(4, -1),

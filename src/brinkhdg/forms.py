@@ -323,6 +323,6 @@ def postprocess_velocity(post, cls, l_coef, u_coef):
         np.einsum("...ra,...aj->...rj", l_coef, gp_cross[cls]),
         np.einsum("...m,...mr->...r", u_coef, vint[cls])[..., None]],
         axis=-1)
-    index = np.repeat(cls, 2) if cls.ndim else cls
+    index = np.broadcast_to(cls[..., None], rhs.shape[:-1]).ravel()
     sol = factor.solve(rhs.reshape(-1, rhs.shape[-1]).T, index)
     return sol[:-1].T.reshape(rhs.shape[:-1] + (-1,))

@@ -12,12 +12,7 @@ step against a matrix with an exact or approximate inverse and checks
 the residual.
 
 Sparse matrices are assembled from triplets by `SparseBuilder`, which
-converts them to CSC with one in-place sort of distinct int64 keys, the
-column-major position above the insertion index (the triplet-to-
-compressed conversion of Davis, Direct Methods for Sparse Linear
-Systems, ch. 2).  Position and index must fit in 63 bits together: a
-matrix of nrows * ncols entries takes bit_length(nrows * ncols - 1)
-bits and N triplets bit_length(N - 1).
+converts them with SciPy's COO-to-CSC conversion.
 """
 
 from __future__ import annotations
@@ -34,8 +29,8 @@ class SingularMatrixError(RuntimeError):
     """Raised when a factorization meets a numerically singular matrix, or
     one with a non-finite entry.
 
-    For a stack of matrices, `index` is the position of the first such
-    matrix; it is None otherwise.
+    For a `DenseFactor`, `index` is the position of the first such matrix
+    in the stack; it is None otherwise.
     """
 
     def __init__(self, message, index=None):
@@ -58,47 +53,41 @@ def _lapack():
 
 
 class DenseFactor:
-    """LU factorization with partial pivoting of a square dense matrix.
+    """LU factorizations with partial pivoting of a stack (S, n, n) of
+    square dense matrices.
 
-    A stack (S, n, n) factors each matrix on its own; `solve` then takes
-    right-hand sides with the same leading axis, or solves with the
-    matrices of the stack named by an index.  LAPACK getrf and getrs are
-    called directly, so factors and solutions are those of
-    `scipy.linalg.lu_factor` and `lu_solve`.  The factors of a stack are
+    `solve` takes one stack of right-hand sides with the same leading
+    axis, or solves with the matrices named by an index array.  LAPACK
+    getrf and getrs are called directly, so factors and solutions are
+    those of `scipy.linalg.lu_factor` and `lu_solve`.  The factors are
     kept in one array of column-major matrices, so the pivots of all of
-    them are checked at once.  With overwrite_a, a writable matrix
-    stored in column-major order is factored in place, as in
-    `lu_factor`; others are copied.
+    them are checked at once.  With overwrite_a, a writable stack of
+    column-major matrices is factored in place, as in `lu_factor`;
+    others are copied.
     """
 
     def __init__(self, a, overwrite_a=False):
         a = np.asarray(a, dtype=float)
-        if (a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]
-                or 0 in a.shape):
-            raise ValueError("expected a nonempty square matrix or stack of "
-                             f"them, got shape {a.shape}")
-        self.shape = a.shape
-        stack = a.reshape((-1,) + a.shape[-2:])
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
+            raise ValueError("expected a nonempty stack of square matrices, "
+                             f"got shape {a.shape}")
         # each matrix's pivots against its own largest entry; max and min
         # rather than abs, which would copy the stack
-        scale = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+        scale = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))
         # max and min keep a NaN, and an infinity of either sign shows
         # in one of them
         bad = ~np.isfinite(scale)
         if bad.any():
             i = int(np.argmax(bad))
-            which = f" of matrix {i}" if a.ndim == 3 else ""
             raise SingularMatrixError(
-                f"dense factorization{which}: non-finite entry "
-                f"{stack[i][~np.isfinite(stack[i])][0]}",
-                index=i if a.ndim == 3 else None)
+                f"dense factorization of matrix {i}: non-finite entry "
+                f"{a[i][~np.isfinite(a[i])][0]}", index=i)
         # one stack of column-major matrices that getrf overwrites in place;
         # getrf would also write into a read-only array, so that is copied
-        lu = stack
-        if not (overwrite_a and stack.flags.writeable
-                and stack[0].flags.f_contiguous):
-            lu = np.empty(stack.shape).swapaxes(1, 2)
-            lu[...] = stack
+        lu = a
+        if not (overwrite_a and a.flags.writeable and a[0].flags.f_contiguous):
+            lu = np.empty(a.shape).swapaxes(1, 2)
+            lu[...] = a
         getrf = _lapack()[0]
         # getrf reports an exactly zero pivot in info; the pivot check
         # below covers it
@@ -107,11 +96,10 @@ class DenseFactor:
         bad = (scale == 0.0) | (pivots < _PIVOT_RTOL * scale)
         if bad.any():
             i = int(np.argmax(bad))
-            which = f" of matrix {i}" if a.ndim == 3 else ""
             raise SingularMatrixError(
-                f"dense factorization{which}: pivot {pivots[i]:.3e} below "
-                f"{_PIVOT_RTOL:.0e} * max entry {scale[i]:.3e}",
-                index=i if a.ndim == 3 else None)
+                f"dense factorization of matrix {i}: pivot {pivots[i]:.3e} "
+                f"below {_PIVOT_RTOL:.0e} * max entry {scale[i]:.3e}",
+                index=i)
 
     def _getrs(self, i, b):
         lu, piv = self._lu[i]
@@ -128,18 +116,16 @@ class DenseFactor:
     def solve(self, b, index=None, overwrite_b=False):
         """x with a @ x = b.
 
-        For a stack, b[i] goes with matrix i; with an integer index, all
-        of b goes with that matrix; with an index array, b is (n, m) and
-        column j goes with matrix index[j].  Columns that share a matrix
-        are solved together, one getrs per matrix.  The right-hand sides
-        of a stack, or of several matrices, are gathered once into a
-        column-major buffer that getrs overwrites, rather than copied to
-        column-major order on each call.  With overwrite_b, a writable
-        stack of column-major right-hand sides is that buffer itself.
+        Without an index, b[i] goes with matrix i; with an index array,
+        b is (n, m) and column j goes with matrix index[j].  Columns that
+        share a matrix are solved together, one getrs per matrix.  The
+        right-hand sides of the stack, or of several matrices, are
+        gathered once into a column-major buffer that getrs overwrites,
+        rather than copied to column-major order on each call.  With
+        overwrite_b, a writable stack of column-major right-hand sides is
+        that buffer itself.
         """
         b = np.asarray(b, dtype=float)
-        if len(self.shape) == 2:
-            return self._getrs(0, b)
         if index is None:
             if len(b) != len(self._lu):
                 raise ValueError(f"{len(b)} right-hand sides for a stack of "
@@ -153,8 +139,6 @@ class DenseFactor:
                 self._getrs_into(i, rhs)
             return x
         index = np.asarray(index)
-        if index.ndim == 0:
-            return self._getrs(int(index), b)
         if b.ndim != 2 or index.shape != b.shape[1:]:
             raise ValueError(f"index of shape {index.shape} for right-hand "
                              f"sides of shape {b.shape}")
@@ -174,13 +158,10 @@ class DenseFactor:
 class SparseBuilder:
     """Triplet accumulator for a sparse matrix; duplicates sum on finalize.
 
-    finalize sums duplicates as after a sort by (row, col, value), so the
-    result does not depend on insertion order.  It sorts one int64 key per
-    triplet: the column-major position col * nrows + row, shifted left to
-    make room for the triplet's insertion index, so that all keys differ
-    and an unstable sort gives the stable order.  Position and index must
-    fit in 63 bits together; a larger matrix or triplet count raises
-    ValueError.
+    finalize concatenates the triplets in the order they were added and
+    converts them with SciPy's COO-to-CSC conversion (Davis, Direct
+    Methods for Sparse Linear Systems, ch. 2): sorted indices, duplicates
+    summed as SciPy sums them, explicit zeros kept.
     """
 
     def __init__(self, nrows, ncols):
@@ -201,70 +182,13 @@ class SparseBuilder:
 
     def finalize(self):
         nrows, ncols = self.shape
-        n = sum(v.size for v in self._vals)
-        shift = max(n - 1, 0).bit_length()
-        if max(nrows * ncols - 1, 0).bit_length() + shift > 63:
-            raise ValueError(f"a {nrows} x {ncols} matrix with {n} triplets "
-                             "does not fit a 63-bit sort key")
         rows = np.concatenate(self._rows or [np.zeros(0, dtype=np.int64)])
         cols = np.concatenate(self._cols or [np.zeros(0, dtype=np.int64)])
         vals = np.concatenate(self._vals or [np.zeros(0)])
-        if n and (rows.min() < 0 or rows.max() >= nrows
-                  or cols.min() < 0 or cols.max() >= ncols):
+        if vals.size and (rows.min() < 0 or rows.max() >= nrows
+                          or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("triplet index out of range")
-        # sort the column-major positions, each with its insertion index in
-        # the low bits; each array is dropped once the next one holds its
-        # data, which keeps the peak memory low
-        key = cols
-        key *= nrows
-        key += rows
-        del rows, cols
-        key <<= shift
-        key |= np.arange(n)
-        key.sort()
-        order = key & ((1 << shift) - 1)
-        key >>= shift
-        vals = vals[order]
-        del order
-        new = np.empty(n, dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        del new
-        counts = np.diff(first, append=n)
-        _sort_repeated_values(key, vals, first, counts)
-        # sum each run left to right, as scipy's csr_sum_duplicates does
-        data = vals[first]
-        runs = np.flatnonzero(counts > 1)
-        j = 1
-        while runs.size:
-            data[runs] += vals[first[runs] + j]
-            j += 1
-            runs = runs[counts[runs] > j]
-        del vals
-        cols, rows = np.divmod(key[first], nrows)
-        del key, first
-        indptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
-        mat = sp.csc_matrix((data, rows, indptr), shape=self.shape)
-        # sorted, with no duplicates, so SuperLU need not check again
-        mat.has_canonical_format = True
-        return mat
-
-
-def _sort_repeated_values(key, vals, first, counts):
-    """Sort vals in place within each run of equal sorted keys.
-
-    The runs start at first and have the given counts.  Only runs of
-    three or more entries are touched: two summands give the same sum in
-    either order.
-    """
-    big = counts >= 3
-    starts, lens = first[big], counts[big]
-    # the positions of the entries of those runs
-    many = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(
-        lens.sum())
-    vals[many] = vals[many[np.lexsort((vals[many], key[many]))]]
+        return sp.csc_matrix((vals, (rows, cols)), shape=self.shape)
 
 
 def block_triplets(dofs, block, pattern=None):

@@ -245,22 +245,17 @@ def cell_geometry(mesh, cells=None):
     return verts[:, 0], jac, det, inv
 
 
-def build_structured_mesh(n, cell_kind=QUAD, layout="diagonal"):
+def build_structured_mesh(n, cell_kind=QUAD):
     """Uniform n-by-n partition of the unit square.
 
     For quads this gives n^2 square cells.  For triangles each square is
-    split in two congruent cells along the diagonal from its lower-left
-    to its upper-right corner; with layout "checkerboard", a square whose
-    column and row index have an odd sum is split along the other
-    diagonal.
+    split along the diagonal running from its lower-left to its upper-right
+    corner, giving 2 n^2 congruent cells.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
     if cell_kind not in (QUAD, TRIANGLE):
         raise ValueError(f"unknown cell kind: {cell_kind!r}")
-    if layout not in ("diagonal", "checkerboard") or (
-            cell_kind == QUAD and layout != "diagonal"):
-        raise ValueError(f"unknown layout {layout!r} for {cell_kind} cells")
     coords = np.arange(n + 1) / n
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -273,13 +268,8 @@ def build_structured_mesh(n, cell_kind=QUAD, layout="diagonal"):
         cells = np.column_stack([v00, v10, v11, v01])
     else:
         cells = np.stack([np.column_stack([v00, v10, v11]),
-                          np.column_stack([v00, v11, v01])], axis=1)
-        if layout == "checkerboard":
-            other = (i + j) % 2 == 1
-            cells[other] = np.stack([np.column_stack([v00, v10, v01]),
-                                     np.column_stack([v10, v11, v01])],
-                                    axis=1)[other]
-        cells = cells.reshape(-1, 3)
+                          np.column_stack([v00, v11, v01])],
+                         axis=1).reshape(-1, 3)
     return Mesh(vertices, cells, cell_kind)
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from brinkhdg.forms import as_gamma_matrix
-from brinkhdg.mesh import QUAD, Mesh, build_structured_mesh, cell_geometry
+from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
+                           cell_geometry)
 from brinkhdg.refelem import quadrature
 
 
@@ -51,6 +52,24 @@ def holed_quads(n, holes):
         drop[j * n + i] = True
     used, cells = np.unique(mesh.cells[~drop], return_inverse=True)
     return Mesh(mesh.vertices[used], cells.reshape(-1, 4), QUAD)
+
+
+def checkerboard_triangles(n):
+    """n-by-n triangles of the unit square in a checkerboard: a square
+    whose column and row index have an odd sum is split along the
+    diagonal from its lower-right to its upper-left corner, the others
+    as in `build_structured_mesh`."""
+    mesh = build_structured_mesh(n, TRIANGLE)
+    # (v00, v10, v11) and (v00, v11, v01) of each square
+    cells = mesh.cells.reshape(-1, 2, 3).copy()
+    v00, v10, v11 = cells[:, 0].T
+    v01 = cells[:, 1, 2]
+    j, i = np.divmod(np.arange(n * n), n)
+    other = (i + j) % 2 == 1
+    cells[other] = np.stack([np.column_stack([v00, v10, v01]),
+                             np.column_stack([v10, v11, v01])],
+                            axis=1)[other]
+    return Mesh(mesh.vertices, cells.reshape(-1, 3), TRIANGLE)
 
 
 def strip_quads(n):

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from affine_maps import holed_quads, local_facet, pull_back_tab, strip_quads
+from affine_maps import (checkerboard_triangles, holed_quads, local_facet,
+                         pull_back_tab, strip_quads)
 from brinkhdg import fespace, hybrid
 from brinkhdg.fespace import Spaces, normal_trace_jumps
 from brinkhdg.forms import element_blocks
@@ -227,8 +228,7 @@ def test_stream_function_spans_kernel_of_mass_balances():
     # exactly on structured quads; on triangles h * (1/h) is 1 only to
     # the last bit, so the bound is roundoff.  Its columns are
     # independent and as many as the kernel of B1 has dimensions, so C
-    # spans that kernel, also with one or two holes.  The cell graph
-    # B1 B1^T, assembled one facet at a time, is the incidence product
+    # spans that kernel, also with one or two holes
     meshes = [(build_structured_mesh(n, QUAD), 0.0) for n in (2, 3, 8)]
     meshes += [(build_structured_mesh(n, TRIANGLE), 5e-16) for n in (2, 3, 8)]
     meshes += [(perturbed_triangles(n, 0.2, seed), 1e-14)
@@ -242,9 +242,6 @@ def test_stream_function_spans_kernel_of_mass_balances():
         n_facets, n_psi = curl.shape
         assert n_psi == n_facets - b1.shape[0]
         assert np.linalg.matrix_rank(curl.toarray()) == n_psi
-        graph = (b1 @ b1.T).toarray()
-        assert (np.abs(hybrid._cell_graph(mesh).toarray() - graph).max()
-                <= 1e-15 * np.abs(graph).max())
     # one potential per hole: none is interior on the 4x4 mesh
     assert mesh_flux_map(meshes[-2][0]).shape[1] == 1
 
@@ -310,8 +307,7 @@ def tree_meshes():
     """Structured, perturbed, holed and strip meshes for the patch tree."""
     meshes = [build_structured_mesh(n, kind) for n in (1, 2, 3, 4, 7, 8)
               for kind in (QUAD, TRIANGLE)]
-    meshes += [build_structured_mesh(n, TRIANGLE, "checkerboard")
-               for n in (3, 8)]
+    meshes += [checkerboard_triangles(n) for n in (3, 8)]
     return meshes + [perturbed_triangles(6, 0.2, seed=3),
                      holed_quads(4, [(1, 1), (2, 1), (1, 2), (2, 2)]),
                      holed_quads(6, [(1, 1), (4, 3)]), strip_quads(5)]
@@ -349,10 +345,9 @@ def test_patch_leaves_of_structured_meshes():
     # on 2^m x 2^m squares the leaves are the 2 x 2 squares: 4 quads, or
     # the 8 triangles of either layout; 1 x 1 has the root alone
     for n in (2, 4, 8, 16):
-        for kind, layout, per in ((QUAD, "diagonal", 1),
-                                  (TRIANGLE, "diagonal", 2),
-                                  (TRIANGLE, "checkerboard", 2)):
-            mesh = build_structured_mesh(n, kind, layout)
+        for mesh, per in ((build_structured_mesh(n, QUAD), 1),
+                          (build_structured_mesh(n, TRIANGLE), 2),
+                          (checkerboard_triangles(n), 2)):
             levels = hybrid._patch_levels(mesh)
             square = np.arange(mesh.num_cells) // per
             j, i = np.divmod(square, n)
@@ -553,7 +548,7 @@ def test_patch_classes_stack_congruent_patches(condensed_calls):
     case = make_case(1)
     runs = [(build_structured_mesh(16, QUAD), 1, 9),
             (build_structured_mesh(8, TRIANGLE), 2, 9),
-            (build_structured_mesh(8, TRIANGLE, "checkerboard"), 3, 9),
+            (checkerboard_triangles(8), 3, 9),
             (perturbed_triangles(6, 0.2, seed=3), 1, None),
             (build_structured_mesh(1, QUAD), 2, 1)]
     for mesh, k, most in runs:
@@ -585,9 +580,10 @@ def tree_mesh(draw):
     n = draw(st.integers(1, 6))
     if kind == "quad":
         return build_structured_mesh(n, QUAD)
-    if kind in ("triangle", "checkerboard"):
-        return build_structured_mesh(
-            n, TRIANGLE, "diagonal" if kind == "triangle" else kind)
+    if kind == "triangle":
+        return build_structured_mesh(n, TRIANGLE)
+    if kind == "checkerboard":
+        return checkerboard_triangles(n)
     if kind == "perturbed":
         return perturbed_triangles(max(n, 2), 0.2,
                                    draw(st.integers(0, 2**32 - 1)))
@@ -619,8 +615,7 @@ def test_hybrid_matches_direct_on_strip_and_odd_n():
     meshes = [strip_quads(n) for n in (1, 2, 5)]
     meshes += [build_structured_mesh(n, kind) for n in (3, 5)
                for kind in (QUAD, TRIANGLE)]
-    meshes += [build_structured_mesh(n, TRIANGLE, "checkerboard")
-               for n in (3, 5)]
+    meshes += [checkerboard_triangles(n) for n in (3, 5)]
     for mesh in meshes:
         for k in (1, 2):
             spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(

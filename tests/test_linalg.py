@@ -1,7 +1,5 @@
 """Dense/sparse factorization wrappers and triplet assembly."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -24,10 +22,10 @@ def laplacian_1d(n):
 
 
 def test_dense_identity_and_2x2():
-    assert np.allclose(DenseFactor(np.eye(3)).solve(np.array([1.0, 2.0, 3.0])),
-                       [1.0, 2.0, 3.0])
+    assert np.allclose(DenseFactor(np.eye(3)[None]).solve([[1.0, 2.0, 3.0]]),
+                       [[1.0, 2.0, 3.0]])
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x = DenseFactor(a).solve(np.array([5.0, 10.0]))
+    x = DenseFactor(a[None]).solve([[5.0, 10.0]])[0]
     assert np.allclose(a @ x, [5.0, 10.0])
 
 
@@ -36,7 +34,7 @@ def test_dense_random_spd_residual():
     g = rng.standard_normal((50, 50))
     a = g @ g.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = DenseFactor(a).solve(b)
+    x = DenseFactor(a[None]).solve(b[None])[0]
     assert np.linalg.norm(a @ x - b) < 1e-10 * np.linalg.norm(b)
 
 
@@ -44,33 +42,37 @@ def test_dense_matrix_rhs():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((12, 12)) + 12 * np.eye(12)
     b = rng.standard_normal((12, 5))
-    x = DenseFactor(a).solve(b)
-    assert x.shape == (12, 5)
-    assert np.abs(a @ x - b).max() < 1e-10
+    x = DenseFactor(a[None]).solve(b[None])
+    assert x.shape == (1, 12, 5)
+    assert np.abs(a @ x[0] - b).max() < 1e-10
 
 
 def test_dense_factor_once_solve_many():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((20, 20)) + 20 * np.eye(20)
-    factor = DenseFactor(a)
+    factor = DenseFactor(a[None])
     for _ in range(4):
         b = rng.standard_normal(20)
-        assert np.allclose(a @ factor.solve(b), b)
+        assert np.allclose(a @ factor.solve(b[None])[0], b)
 
 
 def test_dense_empty_matrix():
-    with pytest.raises(ValueError, match="nonempty square matrix"):
-        DenseFactor(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="nonempty stack of square matrices"):
+        DenseFactor(np.zeros((1, 0, 0)))
 
 
 def test_dense_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        DenseFactor(np.zeros((3, 3)))
+        DenseFactor(np.zeros((1, 3, 3)))
     a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
     with pytest.raises(SingularMatrixError):
-        DenseFactor(a)
+        DenseFactor(a[None])
     with pytest.raises(ValueError):
-        DenseFactor(np.ones((2, 3)))
+        DenseFactor(np.ones((1, 2, 3)))
+    # a single matrix is not a stack
+    with pytest.raises(ValueError, match="stack of square matrices, got "
+                                         r"shape \(2, 2\)"):
+        DenseFactor(np.eye(2))
 
 
 def test_dense_stack_matches_each_matrix():
@@ -81,12 +83,12 @@ def test_dense_stack_matches_each_matrix():
     x = factor.solve(b)
     assert x.shape == (4, 9, 3)
     for i in range(4):
-        one = DenseFactor(a[i])
-        assert np.array_equal(x[i], one.solve(b[i]))
-        assert np.array_equal(factor.solve(b[i], i), one.solve(b[i]))
+        one = DenseFactor(a[i:i + 1]).solve(b[i:i + 1])[0]
+        assert np.array_equal(x[i], one)
+        assert np.array_equal(factor.solve(b[i], np.full(3, i)), one)
     with pytest.raises(ValueError, match="3 right-hand sides for a stack of 4"):
         factor.solve(b[:3])
-    with pytest.raises(ValueError, match="nonempty square matrix"):
+    with pytest.raises(ValueError, match="nonempty stack of square"):
         DenseFactor(np.zeros((0, 3, 3)))
 
 
@@ -105,8 +107,8 @@ def test_dense_factor_matches_scipy_lu():
         # one column goes through another kernel than several
         one.append(sla.lu_solve((lu, piv), b[i, :, 0]))
     # C-ordered, F-ordered and non-contiguous right-hand sides, in each
-    # index mode: the stack, one matrix, and one matrix per column; the
-    # inputs are left as they were
+    # mode: the stack, and one matrix per column, all of one matrix or of
+    # several; the inputs are left as they were
     wide = np.zeros((3, 53, 12))
     wide[:, :, ::3] = b
     index = np.repeat(np.arange(3), 4)
@@ -117,8 +119,10 @@ def test_dense_factor_matches_scipy_lu():
         cols = factor.solve(np.hstack(rhs[::-1]), index[::-1])
         for i in range(3):
             assert np.array_equal(x[i], want[i])
-            assert np.array_equal(factor.solve(rhs[i], i), want[i])
-            assert np.array_equal(factor.solve(rhs[i, :, 0], i), one[i])
+            assert np.array_equal(factor.solve(rhs[i], np.full(4, i)),
+                                  want[i])
+            assert np.array_equal(factor.solve(rhs[i, :, :1], [i])[:, 0],
+                                  one[i])
             assert np.array_equal(factor.solve(rhs[:, :, 0])[i], one[i])
             assert np.array_equal(cols[:, 8 - 4 * i:12 - 4 * i], want[i])
         for layout in (np.ascontiguousarray, np.asfortranarray,
@@ -138,19 +142,19 @@ def test_dense_factor_overwrites_only_writable_column_major_input():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((3, 6, 6)) + 6 * np.eye(6)
     want = [sla.lu_factor(m)[0] for m in a]
-    # a stack of column-major matrices and one such matrix: factored in place
+    # stacks of column-major matrices, of three and of one: factored in place
     stack = np.zeros(a.shape).swapaxes(1, 2)
     stack[...] = a
     DenseFactor(stack, overwrite_a=True)
-    one = np.asfortranarray(a[1])
+    one = np.asfortranarray(a[1:2])
     DenseFactor(one, overwrite_a=True)
     assert all(np.array_equal(stack[i], want[i]) for i in range(3))
-    assert np.array_equal(one, want[1])
+    assert np.array_equal(one[0], want[1])
     # row-major, read-only, or without overwrite_a: copied, input unchanged
-    frozen = np.asfortranarray(a[2])
+    frozen = np.asfortranarray(a[2:3])
     frozen.flags.writeable = False
-    for mat, overwrite in ((a.copy(), True), (a[0].copy(), True),
-                           (frozen, True), (np.asfortranarray(a[0]), False)):
+    for mat, overwrite in ((a.copy(), True), (a[:1].copy(), True),
+                           (frozen, True), (np.asfortranarray(a[:1]), False)):
         before = mat.copy()
         factor = DenseFactor(mat, overwrite_a=overwrite)
         assert np.array_equal(mat, before)
@@ -183,13 +187,15 @@ def test_dense_stack_solves_with_an_index_per_column():
     x = factor.solve(b, index)
     for i in np.unique(index):
         cols = np.flatnonzero(index == i)
-        assert np.array_equal(x[:, cols], factor.solve(b[:, cols], i))
+        one = DenseFactor(a[i:i + 1]).solve(b[None, :, cols])[0]
+        assert np.array_equal(x[:, cols], one)
         assert np.abs(a[i] @ x[:, cols] - b[:, cols]).max() < 1e-12
-    same = np.full(3, 1)
-    assert np.array_equal(factor.solve(b[:, :3], same),
-                          factor.solve(b[:, :3], 1))
-    with pytest.raises(ValueError, match="index of shape"):
-        factor.solve(b, index[:-1])
+    assert np.array_equal(factor.solve(b[:, :3], np.full(3, 1)),
+                          DenseFactor(a[1:2]).solve(b[None, :, :3])[0])
+    # an index per column, not one integer for all of them
+    for bad in (index[:-1], 1):
+        with pytest.raises(ValueError, match="index of shape"):
+            factor.solve(b, bad)
 
 
 def test_dense_stack_names_first_singular_matrix():
@@ -204,9 +210,9 @@ def test_dense_stack_names_first_singular_matrix():
     # regular matrix next to large ones passes
     DenseFactor(np.stack([1e20 * good, 1e-20 * good, good]))
     with pytest.raises(SingularMatrixError,
-                       match="^dense factorization: ") as err:
-        DenseFactor(singular)
-    assert err.value.index is None
+                       match="^dense factorization of matrix 0: ") as err:
+        DenseFactor(singular[None])
+    assert err.value.index == 0
 
 
 def test_dense_refuses_non_finite_entries():
@@ -222,9 +228,10 @@ def test_dense_refuses_non_finite_entries():
             DenseFactor(stack)
         assert err.value.index == 1
         with pytest.raises(SingularMatrixError,
-                           match="^dense factorization: non-finite") as err:
-            DenseFactor(stack[1])
-        assert err.value.index is None
+                           match="^dense factorization of matrix 0: "
+                                 "non-finite") as err:
+            DenseFactor(stack[1:2])
+        assert err.value.index == 0
         # factor_classes names the cell of the class
         with pytest.raises(SingularMatrixError,
                            match="^local block of cell 17: dense "
@@ -309,50 +316,6 @@ def test_add_block_layout():
         (3, 3, 1.0), (3, 0, 3.0), (0, 0, 9.0)]
 
 
-def test_insertion_order_invariance():
-    # identical entries added in different orders give bit-identical results
-    entries = [(0, 0, 1e-16), (0, 0, 1.0), (0, 0, -1e-16), (1, 1, 2.0),
-               (0, 1, 0.25), (1, 0, 0.25)]
-    mats = []
-    for perm in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 0, 3, 1, 5, 4]):
-        builder = SparseBuilder(2, 2)
-        for idx in perm:
-            i, j, v = entries[idx]
-            builder.add([i], [j], [v])
-        mats.append(builder.finalize().toarray())
-    assert mats[0].tobytes() == mats[1].tobytes() == mats[2].tobytes()
-
-
-def test_finalize_matches_lexsort_reference():
-    # triplets with up to 4 duplicates per entry, in shuffled order, sum
-    # as after a sort by (row, col, value)
-    rng = np.random.default_rng(8)
-    n = 60
-    cells = rng.choice(n * n, size=400, replace=False)
-    rows, cols = np.divmod(np.repeat(cells, rng.integers(1, 5, cells.size)), n)
-    scales = 10.0 ** rng.integers(-16, 2, rows.size)
-    vals = rng.standard_normal(rows.size) * scales
-    shuffle = rng.permutation(rows.size)
-    rows, cols, vals = rows[shuffle], cols[shuffle], vals[shuffle]
-    order = np.lexsort((vals, cols, rows))
-    want = sp.coo_matrix((vals[order], (rows[order], cols[order])),
-                         shape=(n, n)).tocsc()
-    builder = SparseBuilder(n, n)
-    for part in np.array_split(np.arange(rows.size), 7):
-        builder.add(rows[part], cols[part], vals[part])
-    got = builder.finalize()
-    for name in ("indptr", "indices", "data"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-
-def lexsort_reference(shape, rows, cols, vals):
-    """The CSC that a sort by (row, col, value) and scipy's COO-to-CSC
-    conversion give."""
-    order = np.lexsort((vals, cols, rows))
-    return sp.coo_matrix((vals[order], (rows[order], cols[order])),
-                         shape=shape).tocsc()
-
-
 def assert_same_csc(got, want):
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
@@ -360,10 +323,11 @@ def assert_same_csc(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def test_finalize_bytes_with_zeros_and_long_runs():
-    # runs of 1 to 8 duplicates (vertex-potential rows of the reduced
-    # triangle system repeat up to 6 times), explicit zeros that stay
-    # stored, a lone -0.0 and a run of signed zeros, on a non-square shape
+def test_finalize_is_scipys_conversion_of_the_triplets():
+    # bit for bit SciPy's COO-to-CSC conversion of the triplets in the
+    # order they were added, over several add calls: shuffled runs of 1
+    # to 8 duplicates, explicit zeros that stay stored, a lone -0.0 that
+    # keeps its sign and a run of signed zeros, on a non-square shape
     rng = np.random.default_rng(20)
     shape = (37, 23)
     cells = rng.choice(shape[0] * shape[1], size=150, replace=False)
@@ -377,37 +341,32 @@ def test_finalize_bytes_with_zeros_and_long_runs():
     vals = np.append(vals, [-0.0, -0.0, 0.0, -0.0])
     cells = rows * shape[1] + cols
     assert np.unique(cells, return_counts=True)[1].max() == 8
-    assert np.signbit(vals[(rows == 5) & (cols == 22)]).all()
+    assert np.count_nonzero(cells == 5 * shape[1] + 22) == 1
     shuffle = rng.permutation(rows.size)
     rows, cols, vals = rows[shuffle], cols[shuffle], vals[shuffle]
     builder = SparseBuilder(*shape)
     for part in np.array_split(np.arange(rows.size), 5):
         builder.add(rows[part], cols[part], vals[part])
     got = builder.finalize()
-    assert_same_csc(got, lexsort_reference(shape, rows, cols, vals))
+    assert got.format == "csc" and got.has_canonical_format
+    assert_same_csc(got, sp.coo_matrix((vals, (rows, cols)),
+                                       shape=shape).tocsc())
     # explicit zeros stay stored, and the lone -0.0 keeps its sign
-    zeros = got.data[got.data == 0.0]
-    assert zeros.size > 1 and np.signbit(zeros).any()
-    for shape in ((0, 0), (3, 3)):
+    coo = got.tocoo()
+    assert np.count_nonzero(coo.data == 0.0) > 1
+    assert list(np.signbit(coo.data[(coo.row == 5) & (coo.col == 22)])) == [
+        True]
+    for empty_shape in ((0, 0), (3, 0), (3, 3)):
         empty = np.zeros(0, dtype=np.int64)
-        assert_same_csc(SparseBuilder(*shape).finalize(),
-                        lexsort_reference(shape, empty, empty, np.zeros(0)))
-
-
-def test_finalize_rejects_keys_beyond_63_bits():
-    # a 2**31-square matrix needs 62 bits of position and four triplets
-    # two more; the check comes before any array of that size
-    builder = SparseBuilder(2 ** 31, 2 ** 31)
-    builder.add([0, 1, 2, 3], [3, 2, 1, 0], np.ones(4))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=(
-                r"^a 2147483648 x 2147483648 matrix with 4 triplets ")):
+        assert_same_csc(SparseBuilder(*empty_shape).finalize(),
+                        sp.coo_matrix((np.zeros(0), (empty, empty)),
+                                      shape=empty_shape).tocsc())
+    # an index outside the shape is refused
+    for row, col in ((37, 0), (0, 23), (-1, 0), (0, -1)):
+        builder = SparseBuilder(*shape)
+        builder.add([0, row], [0, col], [1.0, 1.0])
+        with pytest.raises(ValueError, match="triplet index out of range"):
             builder.finalize()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
 
 
 def nonzero_triplets(dofs, block, pattern=None):

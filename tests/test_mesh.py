@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affine_maps import affine_map, holed_quads
+from affine_maps import affine_map, checkerboard_triangles, holed_quads
 from brinkhdg.mesh import (QUAD, TRIANGLE, Mesh, build_structured_mesh,
                            locate_cell, perturbed_triangles)
 from brinkhdg.refelem import REFERENCE_CELLS, SIMPLEX, SQUARE
@@ -256,11 +256,6 @@ def test_bad_construction_args():
         build_structured_mesh(0, QUAD)
     with pytest.raises(ValueError):
         build_structured_mesh(2, "hex")
-    with pytest.raises(ValueError, match="unknown layout 'checkerboard' for "
-                                         "quad cells"):
-        build_structured_mesh(2, QUAD, "checkerboard")
-    with pytest.raises(ValueError, match="unknown layout 'zigzag'"):
-        build_structured_mesh(2, TRIANGLE, "zigzag")
     with pytest.raises(ValueError):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], QUAD)  # 3 vertices per quad
 
@@ -363,9 +358,10 @@ def corrupted_mesh(draw):
         mesh = perturbed_triangles(n, 0.2, draw(st.integers(0, 2**32 - 1)))
     elif kind == "quad":
         mesh = build_structured_mesh(n, QUAD)
+    elif kind == "triangle":
+        mesh = build_structured_mesh(n, TRIANGLE)
     else:
-        mesh = build_structured_mesh(
-            n, TRIANGLE, "diagonal" if kind == "triangle" else kind)
+        mesh = checkerboard_triangles(n)
     nv = mesh.num_vertices
     which = draw(st.sampled_from(("array", "cut", "hanging", "three")))
     if which == "array":
