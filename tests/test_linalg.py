@@ -323,11 +323,37 @@ def assert_same_csc(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def test_finalize_is_scipys_conversion_of_the_triplets():
+def test_finalize_matches_lexsort_reference():
+    # triplets with up to 4 duplicates per entry, in shuffled order over
+    # several add calls, sum as after a sort by (row, col, value) when
+    # every sum is exact: small integers times one power of two per entry
+    rng = np.random.default_rng(8)
+    n = 60
+    cells = rng.choice(n * n, size=400, replace=False)
+    counts = rng.integers(1, 5, cells.size)
+    rows, cols = np.divmod(np.repeat(cells, counts), n)
+    scales = np.repeat(2.0 ** rng.integers(-40, 10, cells.size), counts)
+    vals = rng.integers(-64, 65, rows.size) * scales
+    shuffle = rng.permutation(rows.size)
+    rows, cols, vals = rows[shuffle], cols[shuffle], vals[shuffle]
+    order = np.lexsort((vals, cols, rows))
+    want = sp.coo_matrix((vals[order], (rows[order], cols[order])),
+                         shape=(n, n)).tocsc()
+    builder = SparseBuilder(n, n)
+    for part in np.array_split(np.arange(rows.size), 7):
+        builder.add(rows[part], cols[part], vals[part])
+    got = builder.finalize()
+    assert got.format == "csc" and got.has_canonical_format
+    assert_same_csc(got, want)
+
+
+def test_finalize_bytes_with_zeros_and_long_runs():
     # bit for bit SciPy's COO-to-CSC conversion of the triplets in the
     # order they were added, over several add calls: shuffled runs of 1
-    # to 8 duplicates, explicit zeros that stay stored, a lone -0.0 that
-    # keeps its sign and a run of signed zeros, on a non-square shape
+    # to 8 duplicates (vertex-potential rows of the reduced triangle
+    # system repeat up to 6 times), explicit zeros that stay stored, a
+    # lone -0.0 that keeps its sign and a run of signed zeros, on a
+    # non-square shape
     rng = np.random.default_rng(20)
     shape = (37, 23)
     cells = rng.choice(shape[0] * shape[1], size=150, replace=False)
