@@ -48,9 +48,6 @@ def build_parser():
     s.add_argument("--base-n", type=int, default=None,
                    help="cells per direction on level 1 "
                         "(default 8 quads, 4 triangles)")
-    s.add_argument("--quad-degree", type=int, default=None,
-                   help="override the assembly quadrature degree "
-                        "(floored at 2k+2)")
     s.add_argument("--check-oracle", action="store_true",
                    help="also run the uncondensed solve on the coarsest "
                         "level and report the discrepancy")
@@ -107,8 +104,7 @@ def run(args, parser):
     try:
         table = run_convergence(case, kind, args.k, args.levels,
                                 base_n=args.base_n,
-                                check_oracle=args.check_oracle,
-                                quad_degree=args.quad_degree)
+                                check_oracle=args.check_oracle)
     except RuntimeError as exc:
         print(f"brinkhdg: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,11 @@ per cell.  Two kinds of consumer read them:
 
 * At the assembly degree, the element blocks and nodal dof matrices are
   reference integrals (`ReferenceTab`) contracted with a small factor of
-  each cell's jacobian (`forms.element_blocks`).  The solvers form them
-  once per geometry class: cells sharing jacobian, the relative
+  each cell's jacobian (`forms.element_blocks`).  That degree is 2k+2,
+  and it is exact: `cell_geometry` refuses every cell that is not
+  affine, so the jacobian is constant on each cell and every reference
+  integrand is a polynomial of degree at most 2k+2.  The solvers form
+  them once per geometry class: cells sharing jacobian, the relative
   positions of their facets and the facet orientation signs form one
   class; on the structured meshes built here this collapses thousands of
   cells to a handful, and on perturbed meshes every cell is its own
@@ -21,6 +24,9 @@ per cell.  Two kinds of consumer read them:
   norms and trace checks), fields are pushed forward, not bases: a
   field's reference values come from its coefficients and the reference
   tabulation, and the per-cell jacobian maps them (`Spaces.piola`).
+
+Each `ReferenceTab` carries the weights of its rules (`w`, `ws`), so a
+consumer of a degree's values needs no other lookup of that rule.
 
 `Spaces.cell_blocks` hands out the cells in blocks of at most
 `BLOCK_CELLS`, in class order but whatever their classes, so per-cell
@@ -147,6 +153,8 @@ class ReferenceTab:
     that: np.ndarray        # (nfc, 2, k+1, n_g)
     tlam: np.ndarray        # (nfc, 2, n_v, k+1)
     tg: np.ndarray          # (nfc, 2, 2, n_g * n_v)
+    w: np.ndarray           # (q,) volume weights
+    ws: np.ndarray          # (qf,) segment weights
 
 
 def _tabulate_reference(fam, degree):
@@ -198,7 +206,7 @@ def _tabulate_reference(fam, degree):
         that=np.einsum("jq,fdaq->fdja", phi, gn),
         tlam=np.einsum("jq,fdmq->fdmj", phi, vn),
         tg=np.einsum("fdaq,fdmcq->fdcam", gn, facet_v).reshape(
-            gn.shape[:2] + (2, -1)))
+            gn.shape[:2] + (2, -1)), w=w, ws=ws)
     for arr in vars(ref).values():
         arr.flags.writeable = False
     return ref
@@ -274,13 +282,12 @@ class Spaces:
     len(mesh.interior_facets) * (k+1) unknowns.
     """
 
-    def __init__(self, mesh, k, assembly_degree=None, fine_degree=None):
+    def __init__(self, mesh, k, fine_degree=None):
         self.mesh = mesh
         self.k = k
         self.family = element_family(mesh.cell_kind, k)
-        base_asm = 2 * k + 2
-        self.assembly_degree = max(base_asm, assembly_degree or 0)
-        self.fine_degree = max(2 * k + 6, self.assembly_degree, fine_degree or 0)
+        self.assembly_degree = 2 * k + 2
+        self.fine_degree = max(2 * k + 6, fine_degree or 0)
 
         self.offsets, self.jacobians, self.dets, self.inverse_jacobians = (
             cell_geometry(mesh))
@@ -340,7 +347,8 @@ class Spaces:
     def vol_points(self, c, degree=None):
         """Points (q, 2) of the volume rule of one degree (default: the
         fine degree) on cell c, or (C, q, 2) for an index array of cells."""
-        rule = quadrature(self.family.ref_cell.name, degree or self.fine_degree)
+        rule = quadrature(self.family.ref_cell.name,
+                          self.fine_degree if degree is None else degree)
         return (self.offsets[c][..., None, :]
                 + rule.points @ np.swapaxes(self.jacobians[c], -1, -2))
 
@@ -356,7 +364,8 @@ class Spaces:
         """Points (..., qf, 2) of the segment rule of one degree (default:
         the fine degree) on facets (...), each run from its first vertex
         to its second."""
-        s = quadrature("segment", degree or self.fine_degree).points[:, 0]
+        s = quadrature("segment", self.fine_degree if degree is None
+                       else degree).points[:, 0]
         ends = self.mesh.vertices[self.mesh.facet_vertices[facets]]
         p0, p1 = ends[..., :1, :], ends[..., 1:, :]
         return p0 + s[:, None] * (p1 - p0)
@@ -418,17 +427,16 @@ def normal_trace_jumps(spaces, u_modal):
     """
     mesh = spaces.mesh
     ref = spaces.family.reference_tab(spaces.fine_degree)
-    weights = quadrature("segment", spaces.fine_degree).weights
     # u.n against the stored facet normal at the facet's points, seen
     # from the owner (side 0) and from the neighbor (side 1)
-    vn = np.zeros((mesh.num_facets, 2, weights.size))
+    vn = np.zeros((mesh.num_facets, 2, ref.ws.size))
     for cells in spaces.cell_blocks():
         f = mesh.cell_facets[cells]
         side = (mesh.cell_facet_signs[cells] < 0).astype(int)
         uf = spaces.piola(cells, spaces.facet_fields(cells, u_modal[cells],
                                                      ref.facet_v))
         vn[f, side] = np.einsum("efqc,efc->efq", uf, mesh.facet_normals[f])
-    w = weights * mesh.facet_lengths[:, None]
+    w = ref.ws * mesh.facet_lengths[:, None]
     jumps = np.sqrt(np.sum(w * (vn[:, 0] - vn[:, 1]) ** 2, axis=1))
     owner = np.sqrt(np.sum(w * vn[:, 0] ** 2, axis=1))
     return (float(jumps[mesh.interior_facets].max(initial=0.0)),

@@ -176,9 +176,8 @@ def grad_coefficients(spaces, cells, vals):
     inverted once per class of the cells, in one batched LAPACK call, and
     each cell's right-hand sides are multiplied by its class's inverse.
     """
-    fam = spaces.family
-    ref = fam.reference_tab(spaces.fine_degree)
-    gw = ref.g * quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    ref = spaces.family.reference_tab(spaces.fine_degree)
+    gw = ref.g * ref.w
     n_g, n = len(gw), len(cells)
     jac = spaces.jacobians[cells]
     # (J^T v_r)[e, r, q, d] against (w ghat)[a, d, q], one product over (q, d)
@@ -207,12 +206,10 @@ def project_pressure(spaces, c, func):
 
     The det of the cell scales both sides and cancels.
     """
-    fam = spaces.family
-    q_vals = fam.reference_tab(spaces.fine_degree).q_vals
-    w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    ref = spaces.family.reference_tab(spaces.fine_degree)
     vals = values_at(func, spaces.vol_points(c))
-    mq = np.einsum("iq,jq,q->ij", q_vals, q_vals, w)
-    rhs = np.einsum("...q,iq,q->i...", vals, q_vals, w)
+    mq = np.einsum("iq,jq,q->ij", ref.q_vals, ref.q_vals, ref.w)
+    rhs = np.einsum("...q,iq,q->i...", vals, ref.q_vals, ref.w)
     coef = np.linalg.solve(mq, rhs.reshape(len(mq), -1))
     return coef.T.reshape(vals.shape[:-1] + (len(mq),))
 
@@ -231,12 +228,10 @@ def velocity_div_coefficients(spaces, cells, facet_vals, vol_vals):
     f = mesh.cell_facets[cells]
     un = np.einsum("efqr,efr->efq", facet_vals, mesh.facet_normals[f])
     un *= mesh.facet_lengths[f][..., None]
-    seg_w = quadrature("segment", spaces.fine_degree).weights
-    alpha = [(un @ (ref.phi * seg_w).T).reshape(
+    alpha = [(un @ (ref.phi * ref.ws).T).reshape(
         len(cells), fam.n_cell_facets * len(ref.phi))]
     if ref.int_div.shape[0]:
-        w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
-        mom = np.swapaxes(vol_vals, 1, 2) @ (ref.int_div * w).T
+        mom = np.swapaxes(vol_vals, 1, 2) @ (ref.int_div * ref.w).T
         alpha.append((mom * spaces.dets[cells, None, None]).reshape(
             len(cells), 2 * len(ref.int_div)))
     alpha = np.concatenate(alpha, axis=-1)

@@ -36,8 +36,8 @@ centroid x and each half in half by centroid y, down to leaves of at
 most 8 cells, the 2 x 2 squares of structured quads and triangles; the
 root is the whole mesh.  Bottom-up, each patch sums its members' blocks,
 the blocks R_e of its cells at the leaves and the Schur blocks of its
-children above, and eliminates its interior, the reduced columns only
-its cells touch, by a dense Schur step (`_Front`).  Patches whose
+children above, and eliminates its interior, the reduced columns no
+other patch of its level holds, by a dense Schur step (`_Front`).  Patches whose
 members have the same classes and whose columns the same pattern form
 one class, assembled from one patch and factored in one stack per level.
 The root's interior is all that is left.  Per solve the right-hand side
@@ -82,7 +82,6 @@ from .forms import (element_blocks, postprocess_factor, postprocess_velocity,
 from .linalg import (SparseBuilder, SparseFactor, block_triplets,
                      refined_solve, sparse_solve)
 from .mesh import locate_cell
-from .refelem import quadrature
 
 
 class LocalSolver:
@@ -223,7 +222,6 @@ def _data_moments(spaces, cells, f_func, g_func):
     """
     fam = spaces.family
     ref = fam.reference_tab(spaces.fine_degree)
-    w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
     x = spaces.vol_points(cells)
     flat = x.reshape(-1, 2)
     nq = flat.shape[0]
@@ -231,9 +229,9 @@ def _data_moments(spaces, cells, f_func, g_func):
     gv = _checked_values(g_func, flat, (nq,), "mass source").reshape(x.shape[:-1])
     # (J^T f)[e, q, c] against (w vhat)[c, q, m], one product over (q, c)
     jtf = fv @ spaces.jacobians[cells]
-    vw = np.moveaxis(ref.v * w, 0, -1).reshape(-1, fam.n_v)
+    vw = np.moveaxis(ref.v * ref.w, 0, -1).reshape(-1, fam.n_v)
     fmom = jtf.swapaxes(1, 2).reshape(len(cells), -1) @ vw
-    gw = gv * np.outer(spaces.dets[cells], w)
+    gw = gv * np.outer(spaces.dets[cells], ref.w)
     return fmom, gw @ ref.q_vals.T, float(np.abs(gw).sum())
 
 
@@ -389,25 +387,6 @@ def _patch_levels(mesh):
     return levels
 
 
-def _elimination_levels(levels, red, n):
-    """The level that eliminates each of the n reduced columns: the
-    deepest at which every cell with a slot of the column (red, as in
-    `_reduced_columns`) lies in one patch; the root takes the rest."""
-    col = red.ravel()
-    cell = np.repeat(np.arange(len(red)), red.shape[1])[col >= 0]
-    col = col[col >= 0]
-    order = np.argsort(col, kind="stable")
-    cell = cell[order]
-    # every column has a slot: one run of cells per column
-    runs = np.flatnonzero(np.diff(col[order], prepend=-1))
-    depth = np.full(n, -1)
-    for patch in levels if n else ():
-        of = patch[cell]
-        depth += (np.minimum.reduceat(of, runs)
-                  == np.maximum.reduceat(of, runs))
-    return depth
-
-
 def _members(owner):
     """The members of each group, ascending, -1 in padding: (G, w) for
     owner (M,), the group of each member."""
@@ -425,12 +404,14 @@ class _Front:
     groups (P, w) holds the members of each patch, -1 in padding, cols
     (M, s) the reduced columns of each member's slots, -1 for none, and
     member_class (M,) each member's class; blocks(members) gives their
-    blocks.  inner flags the reduced columns the level eliminates, those
-    only one patch's cells touch.  A patch's columns are numbered by their
-    first slot among its members' slots, interior ones first, so patches
-    whose members share classes and whose slots share that pattern have
-    one matrix, the sum of their members' blocks, and form one class
-    (`cls`).  The matrix of each class is assembled from one patch, and
+    blocks; n is the number of reduced columns.  The level eliminates
+    each patch's interior, the columns no other patch of the level holds:
+    as the levels below eliminated theirs, the columns whose cells lie in
+    this patch but in no one patch below.  A patch's columns are numbered
+    by their first slot among its members' slots, interior ones first, so
+    patches whose members share classes and whose slots share that
+    pattern have one matrix, the sum of their members' blocks, and form
+    one class (`cls`).  The matrix of each class is assembled from one patch, and
     its interior block A_ii, scaled symmetrically by powers of two, S A_ii
     S, is factored with those of all the classes as one stack
     (`factor_classes`).  Per class this leaves the Schur complement A_bb -
@@ -441,22 +422,25 @@ class _Front:
     class: a padded interior column has a unit diagonal in the factored
     block, and a padded boundary column is zero.  `inner` and `outer`
     hold each patch's interior and boundary reduced columns, -1 in
-    padding, and `scale` each patch's S.  cells (P,) names a cell of each
-    patch if a block is singular.
+    padding, `bins` the outer ones with n in padding, and `scale` each
+    patch's S.  cells (P,) names a cell of each patch if a block is
+    singular.
     """
 
-    def __init__(self, groups, cols, member_class, blocks, inner, cells):
+    def __init__(self, groups, cols, member_class, blocks, n, cells):
         n_p, width = groups.shape
         n_slot = width * cols.shape[1]
         # each patch's reduced columns, slot by slot, -1 for none
         col = np.where(groups[..., None] >= 0, cols[groups], -1).reshape(
             n_p, n_slot)
         # the first slot of each slot's column in its patch
-        _, at, back = np.unique(np.arange(n_p)[:, None] * (len(inner) + 1)
-                                + col, return_index=True, return_inverse=True)
+        pairs, at, back = np.unique(np.arange(n_p)[:, None] * (n + 1) + col,
+                                    return_index=True, return_inverse=True)
         first_slot = at[back].reshape(col.shape) % n_slot
+        # the patches that hold each column; column -1 counts as n
+        holders = np.bincount(pairs % (n + 1), minlength=n + 1)
         # 0 interior, 1 boundary, 2 no column
-        kind = np.where(col < 0, 2, ~inner[col])
+        kind = np.where(col < 0, 2, holders[col] > 1)
         # one row of bytes per patch: its members' classes and its pattern
         key = np.hstack([np.where(groups >= 0, member_class[groups], -1),
                          3 * first_slot + kind]).astype(np.int32)
@@ -482,6 +466,8 @@ class _Front:
             slot[self.cls], axis=1)
         self.inner = local_col[:, :n_i]
         self.outer = local_col[:, n_i:]
+        # padded boundary columns scatter into an extra bin, dropped
+        self.bins = np.where(self.outer >= 0, self.outer, n).ravel()
 
         # the matrix of each class from the blocks of its first patch
         members = groups[rep]
@@ -537,18 +523,14 @@ class _PatchTree:
     flux maps (`_reduced_blocks`).  The levels are eliminated bottom-up
     (`_Front`): a leaf's members are its cells, a patch's above are its
     children, with the Schur blocks of their classes, and each level
-    eliminates the columns that only one of its patches touches
-    (`_elimination_levels`).  The root's interior is everything left, so
-    no sparse factor of the reduced matrix remains.  `fronts` runs from
-    the leaves to the root.
+    eliminates the columns that only one of its patches holds.  The
+    root's interior is everything left, so no sparse factor of the
+    reduced matrix remains.  `fronts` runs from the leaves to the root.
     """
 
     def __init__(self, mesh, red, n, cell_class, energy, flux, first):
         self.n = n
         self.levels = _patch_levels(mesh)
-        depth = _elimination_levels(self.levels, red, n)
-        # the last entry stands for column -1
-        inner = np.zeros(n + 1, dtype=bool)
         cols, member_class = red, cell_class
 
         def blocks(cells):
@@ -560,11 +542,8 @@ class _PatchTree:
         for d in range(len(self.levels) - 1, -1, -1):
             # the first cell of each patch
             firsts = np.unique(self.levels[d], return_index=True)[1]
-            inner[:-1] = depth == d
-            front = _Front(_members(owner), cols, member_class, blocks, inner,
+            front = _Front(_members(owner), cols, member_class, blocks, n,
                            firsts)
-            # padded boundary columns scatter into an extra bin, dropped
-            front.bins = np.where(front.outer >= 0, front.outer, n).ravel()
             self.fronts.append(front)
             cols, member_class = front.outer, front.cls
 
@@ -1002,10 +981,8 @@ def compare_fields(spaces, fa, fb):
     """
     dl2 = du2 = dp2 = 0.0
     ref = spaces.tab()
-    weights = quadrature(spaces.family.ref_cell.name,
-                         spaces.assembly_degree).weights
     for cells in spaces.cell_blocks():
-        w = np.outer(spaces.dets[cells], weights)
+        w = np.outer(spaces.dets[cells], ref.w)
         dl = spaces.piola(cells, reference_fields(fa.l[cells] - fb.l[cells],
                                                   ref.g))
         dl2 += float(np.einsum("eqrc,eqrc,eq->", dl, dl, w))
@@ -1029,14 +1006,12 @@ def mass_balance_residual(spaces, fields, g_func):
     The divergence moments (q_i, div v_m) take no geometry
     (`ReferenceTab.bdiv`); the source moments are taken on the fine rule.
     """
-    fam = spaces.family
     bdiv = spaces.tab().bdiv
-    q_vals = fam.reference_tab(spaces.fine_degree).q_vals
-    w = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
+    ref = spaces.family.reference_tab(spaces.fine_degree)
     worst = []
     for cells in spaces.cell_blocks():
         gv = values_at(g_func, spaces.vol_points(cells))
-        gmom = (gv * np.outer(spaces.dets[cells], w)) @ q_vals.T
+        gmom = (gv * np.outer(spaces.dets[cells], ref.w)) @ ref.q_vals.T
         res = fields.u[cells] @ bdiv - gmom
         worst.append(np.abs(res).max())
     # np.max keeps a NaN, which Python's max may drop

@@ -120,7 +120,8 @@ class Mesh:
         d = p1 - p0
         lengths = np.hypot(d[:, 0], d[:, 1])
         if np.any(lengths <= 0.0):
-            raise ValueError("zero-length facet")
+            a, b = self.facet_vertices[np.argmax(lengths <= 0.0)]
+            raise ValueError(f"zero-length facet between vertices {a} and {b}")
         tangents = d / lengths[:, None]
         normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
         mids = 0.5 * (p0 + p1)

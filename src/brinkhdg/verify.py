@@ -36,7 +36,6 @@ from .forms import (as_gamma_matrix, facet_tangent_moments, grad_coefficients,
                     velocity_div_coefficients)
 from .hybrid import compare_fields, solve_direct, solve_hybrid
 from .mesh import build_structured_mesh
-from .refelem import quadrature
 
 
 class BrinkmanCase:
@@ -297,8 +296,6 @@ def _error_blocks(spaces, fields, case):
     fam = spaces.family
     kk = fam.n_facet
     ref = fam.reference_tab(spaces.fine_degree)
-    weights = quadrature(fam.ref_cell.name, spaces.fine_degree).weights
-    seg_weights = quadrature("segment", spaces.fine_degree).weights
     every = np.arange(mesh.num_facets)
     u_facet, grad_facet, _ = _exact_at(case, spaces.points_on_facets(every))
     # per facet: moments of u . t minus the discrete trace (0 on the boundary)
@@ -323,13 +320,13 @@ def _error_blocks(spaces, fields, case):
             cells, spaces.facet_fields(cells, du, ref.facet_v)), tangent)
         outward = mesh.cell_facet_signs[cells, :, None] * mesh.facet_normals[f]
         yield _ErrorBlock(
-            cells=cells, wdet=np.outer(spaces.dets[cells], weights),
+            cells=cells, wdet=np.outer(spaces.dets[cells], ref.w),
             u=u, grad=grad, p=p, proj_u=proj_u, du=du,
             dl=proj_l - fields.l[cells],
             facet_dln=np.einsum("efqrc,efc->efqr", grad_facet[f] - facet_l,
                                 outward),
             facet_gap=eut - dhat[f] @ ref.phi, h=h,
-            facet_w=h[..., None] * seg_weights, tangent=tangent)
+            facet_w=h[..., None] * ref.ws, tangent=tangent)
 
 
 def error_norms(spaces, fields, case):
@@ -514,7 +511,7 @@ def data_quadrature_degree(case, k, n):
 
 
 def run_convergence(case, cell_kind, k, levels, base_n=None,
-                    check_oracle=False, quad_degree=None):
+                    check_oracle=False):
     """Solve on a geometric mesh ladder and collect errors.
 
     Level 1 uses base_n (8 for quads, 4 for triangles, matching ladders
@@ -525,14 +522,16 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    base = base_n or (8 if cell_kind == "quad" else 4)
+    if base_n is None:
+        base_n = 8 if cell_kind == "quad" else 4
+    elif base_n < 1:
+        raise ValueError("base_n must be >= 1")
     table = ConvergenceTable(case.label, cell_kind, k)
     for lev in range(1, levels + 1):
-        n = base * 2 ** (lev - 1)
+        n = base_n * 2 ** (lev - 1)
         mesh = build_structured_mesh(n, cell_kind)
         t0 = time.perf_counter()
-        spaces = Spaces(mesh, k, assembly_degree=quad_degree,
-                        fine_degree=data_quadrature_degree(case, k, n))
+        spaces = Spaces(mesh, k, fine_degree=data_quadrature_degree(case, k, n))
         try:
             fields = solve_hybrid(spaces, case.nu, case.gamma,
                                   case.body_force, case.mass_source)

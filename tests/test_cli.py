@@ -44,6 +44,7 @@ def test_help_lists_flags(capsys):
     ["solve", "--test", "1", "--gamma", "5"],               # tests fix gamma
     ["solve", "--nu", "nan", "--m", "2"],
     ["solve", "--nu", "1", "--m", "2", "--gamma", "nan"],
+    ["solve", "--test", "1", "--quad-degree", "9"],         # no such flag
 ])
 def test_rejected_arguments(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -52,6 +53,26 @@ def test_rejected_arguments(argv, capsys):
     # errors in solve's arguments show the usage that lists its flags
     usage = "usage: brinkhdg solve " if argv else "usage: brinkhdg [-h]"
     assert capsys.readouterr().err.startswith(usage)
+
+
+def test_force_k_keeps_k_nonnegative(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--test", "1", "--force-k", "--k", "-1"])
+    assert info.value.code == 2
+    assert "--k must be nonnegative" in capsys.readouterr().err
+
+
+def test_failed_solve_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(verify, "solve_hybrid", broken)
+    rc = main(tiny("--out-dir", str(tmp_path)))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "brinkhdg: solve failed at level 1 (quad, n=2, k=1): "
+        "broken on purpose\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_force_k_bypasses_range(tmp_path, capsys):

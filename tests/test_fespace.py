@@ -259,9 +259,22 @@ def test_quadrature_degree_floors():
     spaces = Spaces(mesh, 1)
     assert spaces.assembly_degree == 4
     assert spaces.fine_degree == 8
-    spaces = Spaces(mesh, 1, assembly_degree=9, fine_degree=3)
-    assert spaces.assembly_degree == 9
-    assert spaces.fine_degree == 9  # never below the assembly rule
+    assert Spaces(mesh, 1, fine_degree=3).fine_degree == 8
+    assert Spaces(mesh, 1, fine_degree=11).fine_degree == 11
+    # 2k+2 is exact on affine cells, so no keyword raises it
+    with pytest.raises(TypeError):
+        Spaces(mesh, 1, assembly_degree=9)
+
+
+def test_point_helpers_take_degree_zero_as_given():
+    # degree 0 is the one-point rule, not the fine rule of 25 volume and
+    # 5 segment points
+    spaces = Spaces(build_structured_mesh(2, QUAD), 1)
+    assert spaces.vol_points(0).shape == (25, 2)
+    assert spaces.vol_points(0, 0).shape == (1, 2)
+    assert spaces.facet_points(0, 0).shape == (4, 1, 2)
+    assert spaces.points_on_facets([0], 0).shape == (1, 1, 2)
+    assert np.allclose(spaces.vol_points(0, 0), [[0.25, 0.25]])
 
 
 def test_vol_points_match_affine_map():

@@ -462,6 +462,20 @@ def test_every_reduced_column_eliminated_once(condensed_calls):
                 assert not done[front.outer[p]].any()
             done[front.inner] = True
             done[-1] = False
+        # each column is eliminated at the deepest level at which one
+        # patch holds every cell with a slot of it
+        cell, slot = np.nonzero(red >= 0)
+        col = red[cell, slot]
+        deepest = np.full(tree.n, -1)
+        for d, patch in enumerate(tree.levels):
+            lo, hi = np.full(tree.n, mesh.num_cells), np.full(tree.n, -1)
+            np.minimum.at(lo, col, patch[cell])
+            np.maximum.at(hi, col, patch[cell])
+            deepest[lo == hi] = d
+        eliminated = np.full(tree.n, -1)
+        for d, front in zip(range(len(tree.levels) - 1, -1, -1), tree.fronts):
+            eliminated[front.inner[front.inner >= 0]] = d
+        assert np.array_equal(eliminated, deepest)
 
 
 def patch_schur(reduced, inner, outer):

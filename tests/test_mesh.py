@@ -258,6 +258,24 @@ def test_bad_construction_args():
         build_structured_mesh(2, "hex")
     with pytest.raises(ValueError):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], QUAD)  # 3 vertices per quad
+    with pytest.raises(ValueError, match="^unknown cell kind: 'hex'$"):
+        Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], "hex")
+
+
+def test_zero_length_facet_named():
+    # two vertices at one point: the cell's facet from vertex 1 to vertex
+    # 2, a copy of vertex 1, and on the 2 x 2 quads vertex 4 moved onto
+    # vertex 1
+    with pytest.raises(ValueError, match="^zero-length facet between "
+                                         "vertices 1 and 2$"):
+        Mesh([(0, 0), (1, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 2, 3)],
+             TRIANGLE)
+    mesh = build_structured_mesh(2, QUAD)
+    vertices = mesh.vertices.copy()
+    vertices[4] = vertices[1]
+    with pytest.raises(ValueError, match="^zero-length facet between "
+                                         "vertices 1 and 4$"):
+        Mesh(vertices, mesh.cells, QUAD)
 
 
 def corrupted_inputs(mesh):

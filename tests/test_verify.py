@@ -476,6 +476,16 @@ def test_run_convergence_reports_failure_context():
         run_convergence(make_case(1), QUAD, 1, 0)
 
 
+def test_run_convergence_refuses_bad_base_n():
+    # base_n = 0 used to run the default ladder of 8 cells per direction
+    for base_n in (0, -2):
+        with pytest.raises(ValueError, match="^base_n must be >= 1$"):
+            run_convergence(make_case(1), QUAD, 1, 1, base_n=base_n)
+    # the assembly rule is fixed at 2k+2
+    with pytest.raises(TypeError):
+        run_convergence(make_case(1), QUAD, 1, 1, base_n=2, quad_degree=9)
+
+
 def test_stability_ratio_guards():
     good = ErrorReport(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0)
     degenerate = ErrorReport(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 3.0, 1.0, 1.0, 1.0)
