@@ -25,9 +25,6 @@ per cell.  Two kinds of consumer read them:
   field's reference values come from its coefficients and the reference
   tabulation, and the per-cell jacobian maps them (`Spaces.piola`).
 
-Each `ReferenceTab` carries the weights of its rules (`w`, `ws`), so a
-consumer of a degree's values needs no other lookup of that rule.
-
 `Spaces.cell_blocks` hands out the cells in blocks of at most
 `BLOCK_CELLS`, in class order but whatever their classes, so per-cell
 quantities are formed a block at a time.

@@ -404,14 +404,13 @@ class _Front:
     groups (P, w) holds the members of each patch, -1 in padding, cols
     (M, s) the reduced columns of each member's slots, -1 for none, and
     member_class (M,) each member's class; blocks(members) gives their
-    blocks; n is the number of reduced columns.  The level eliminates
-    each patch's interior, the columns no other patch of the level holds:
-    as the levels below eliminated theirs, the columns whose cells lie in
-    this patch but in no one patch below.  A patch's columns are numbered
-    by their first slot among its members' slots, interior ones first, so
-    patches whose members share classes and whose slots share that
-    pattern have one matrix, the sum of their members' blocks, and form
-    one class (`cls`).  The matrix of each class is assembled from one patch, and
+    blocks; n is the number of reduced columns.  The level eliminates each
+    patch's interior, the columns no other patch of the level holds, the
+    ones whose cells lie in this patch but in no one patch below.  A
+    patch's columns are numbered by their first slot among its members'
+    slots, interior ones first, so patches whose members share classes
+    and whose slots share that pattern have one matrix, the sum of their
+    members' blocks, and form one class (`cls`).  The matrix of each class is assembled from one patch, and
     its interior block A_ii, scaled symmetrically by powers of two, S A_ii
     S, is factored with those of all the classes as one stack
     (`factor_classes`).  Per class this leaves the Schur complement A_bb -

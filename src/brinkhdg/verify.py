@@ -522,9 +522,8 @@ def run_convergence(case, cell_kind, k, levels, base_n=None,
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if base_n is None:
-        base_n = 8 if cell_kind == "quad" else 4
-    elif base_n < 1:
+    base_n = (8 if cell_kind == "quad" else 4) if base_n is None else base_n
+    if base_n < 1:
         raise ValueError("base_n must be >= 1")
     table = ConvergenceTable(case.label, cell_kind, k)
     for lev in range(1, levels + 1):
