@@ -37,13 +37,13 @@ most 8 cells, the 2 x 2 squares of structured quads and triangles; the
 root is the whole mesh.  Bottom-up, each patch sums its members' blocks,
 the blocks R_e of its cells at the leaves and the Schur blocks of its
 children above, and eliminates its interior, the reduced columns no
-other patch of its level holds, by a dense Schur step (`_Front`).  Patches whose
-members have the same classes and whose columns the same pattern form
-one class, assembled from one patch and factored in one stack per level.
-The root's interior is all that is left.  Per solve the right-hand side
-is condensed up the levels, the root's front solved, and the interiors
-recovered down the levels (`_PatchTree`); SuperLU factors only the cell
-graph B1 B1^T.
+other patch of its level holds, by a dense Schur step (`_Front`).
+Patches whose members have the same classes and whose columns the same
+pattern form one class, assembled from one patch and factored in one
+stack per level.  The root's interior is all that is left.  Per solve
+the right-hand side is condensed up the levels, the root's front
+solved, and the interiors recovered down the levels (`_PatchTree`);
+SuperLU factors only the cell graph B1 B1^T.
 
 The element blocks of one cell of each geometry class are reference
 integrals times that cell's geometry (`forms.element_blocks` on
@@ -410,20 +410,20 @@ class _Front:
     patch's columns are numbered by their first slot among its members'
     slots, interior ones first, so patches whose members share classes
     and whose slots share that pattern have one matrix, the sum of their
-    members' blocks, and form one class (`cls`).  The matrix of each class is assembled from one patch, and
-    its interior block A_ii, scaled symmetrically by powers of two, S A_ii
-    S, is factored with those of all the classes as one stack
-    (`factor_classes`).  Per class this leaves the Schur complement A_bb -
-    A_bi A_ii^-1 A_ib on the patch's boundary columns (`schur`), the rows
-    S A_bi^T that condense a right-hand side (`load_rows`), and W^T with
-    W = A_ii^-1 A_ib, which recovers the interior (`recover_rows`).  The
-    layout is padded to the most interior and boundary columns of any
-    class: a padded interior column has a unit diagonal in the factored
-    block, and a padded boundary column is zero.  `inner` and `outer`
-    hold each patch's interior and boundary reduced columns, -1 in
-    padding, `bins` the outer ones with n in padding, and `scale` each
-    patch's S.  cells (P,) names a cell of each patch if a block is
-    singular.
+    members' blocks, and form one class (`cls`).  The matrix of each
+    class is assembled from one patch, and its interior block A_ii,
+    scaled symmetrically by powers of two, S A_ii S, is factored with
+    those of all the classes as one stack (`factor_classes`).  Per class
+    this leaves the Schur complement A_bb - A_bi A_ii^-1 A_ib on the
+    patch's boundary columns (`schur`), the rows S A_bi^T that condense
+    a right-hand side (`load_rows`), and W^T with W = A_ii^-1 A_ib,
+    which recovers the interior (`recover_rows`).  The layout is padded
+    to the most interior and boundary columns of any class: a padded
+    interior column has a unit diagonal in the factored block, and a
+    padded boundary column is zero.  `inner` and `outer` hold each
+    patch's interior and boundary reduced columns, -1 in padding, `bins`
+    the outer ones with n in padding, and `scale` each patch's S.  cells
+    (P,) names a cell of each patch if a block is singular.
     """
 
     def __init__(self, groups, cols, member_class, blocks, n, cells):
