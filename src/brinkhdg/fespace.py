@@ -209,15 +209,15 @@ def _tabulate_reference(fam, degree):
     return ref
 
 
-def factor_classes(mats, cells, what, **options):
-    """DenseFactor of a stack of per-class matrices, with the options
-    of `DenseFactor`.
+def factor_classes(mats, cells, what, factor=DenseFactor, **options):
+    """The factor (`DenseFactor`, or `CholeskyFactor`) of per-class
+    matrices, with its options.
 
     cells[i] is a cell of the class of matrix i; a singular matrix
     raises SingularMatrixError naming that cell.
     """
     try:
-        return DenseFactor(mats, **options)
+        return factor(mats, **options)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"{what} of cell {cells[exc.index]}: {exc}",
                                   index=exc.index) from exc

@@ -39,8 +39,10 @@ the blocks R_e of its cells at the leaves and the Schur blocks of its
 children above, and eliminates its interior, the reduced columns no
 other patch of its level holds, by a dense Schur step (`_Front`).
 Patches whose members have the same classes and whose columns the same
-pattern form one class, assembled from one patch and factored in one
-stack per level.  The root's interior is all that is left.  Per solve
+pattern form one class, assembled from one patch at its own size; its
+interior block is SPD and factored by Cholesky, the Schur block formed
+from that factor by triangular solves and a symmetric rank-k update.
+The root's interior is all that is left.  Per solve
 the right-hand side is condensed up the levels, the root's front
 solved, and the interiors recovered down the levels (`_PatchTree`);
 SuperLU factors only the cell graph B1 B1^T.
@@ -79,8 +81,8 @@ import scipy.sparse as sp
 from .fespace import factor_classes, reference_fields
 from .forms import (element_blocks, postprocess_factor, postprocess_velocity,
                     values_at)
-from .linalg import (SparseBuilder, SparseFactor, block_triplets,
-                     refined_solve, sparse_solve)
+from .linalg import (CholeskyFactor, SparseBuilder, SparseFactor,
+                     block_triplets, refined_solve, sparse_solve)
 from .mesh import locate_cell
 
 
@@ -411,19 +413,23 @@ class _Front:
     slots, interior ones first, so patches whose members share classes
     and whose slots share that pattern have one matrix, the sum of their
     members' blocks, and form one class (`cls`).  The matrix of each
-    class is assembled from one patch, and its interior block A_ii,
-    scaled symmetrically by powers of two, S A_ii S, is factored with
-    those of all the classes as one stack (`factor_classes`).  Per class
-    this leaves the Schur complement A_bb - A_bi A_ii^-1 A_ib on the
-    patch's boundary columns (`schur`), the rows S A_bi^T that condense
-    a right-hand side (`load_rows`), and W^T with W = A_ii^-1 A_ib,
-    which recovers the interior (`recover_rows`).  The layout is padded
-    to the most interior and boundary columns of any class: a padded
-    interior column has a unit diagonal in the factored block, and a
-    padded boundary column is zero.  `inner` and `outer` hold each
-    patch's interior and boundary reduced columns, -1 in padding, `bins`
-    the outer ones with n in padding, and `scale` each patch's S.  cells
-    (P,) names a cell of each patch if a block is singular.
+    class is assembled from one patch at the class's own size, from the
+    member slots that have a column and only in its lower triangle,
+    which is all the elimination reads.  Its interior block A_ii, scaled
+    symmetrically by powers of two, is factored S A_ii S = L L^T by
+    Cholesky (`CholeskyFactor`, through `factor_classes`), each class at
+    its own size.  Per class this leaves the Schur complement A_bb -
+    A_bi A_ii^-1 A_ib on the patch's boundary columns (`schur`, formed in
+    its lower triangle by syrk and mirrored, so exactly symmetric), the
+    rows S A_ib that condense a right-hand side (`load_rows`), and W^T
+    with W = A_ii^-1 A_ib, which recovers the interior (`recover_rows`).
+    Only these stacks are padded, with zeros, to the most interior and
+    boundary columns of any class, for the solve and the level above;
+    the solve pads each factor with the identity.  `inner` and `outer`
+    hold each patch's interior and boundary reduced columns, -1 in
+    padding, `bins` the outer ones with n in padding, and `scale` each
+    patch's S, 1 in padding.  cells (P,) names a cell of each patch if an
+    interior block is not positive definite.
     """
 
     def __init__(self, groups, cols, member_class, blocks, n, cells):
@@ -451,12 +457,13 @@ class _Front:
         opens = first_slot[rep] == np.arange(n_slot)
         is_i = opens & (kind[rep] == 0)
         is_b = opens & (kind[rep] == 1)
-        n_i = is_i.sum(axis=1).max(initial=0)
-        n_b = is_b.sum(axis=1).max(initial=0)
-        n = n_i + n_b
+        # each class's own interior and boundary sizes, and their largest
+        m_i, m_b = is_i.sum(axis=1), is_b.sum(axis=1)
+        n_i, n_b = m_i.max(initial=0), m_b.max(initial=0)
+        at_b = np.cumsum(is_b, axis=1) - 1
         pos = np.where(is_i, np.cumsum(is_i, axis=1) - 1,
-                       np.where(is_b, n_i + np.cumsum(is_b, axis=1) - 1, -1))
-        slot = np.full((len(rep), n), n_slot)
+                       np.where(is_b, n_i + at_b, -1))
+        slot = np.full((len(rep), n_i + n_b), n_slot)
         rows, slots = np.nonzero(pos >= 0)
         slot[rows, pos[rows, slots]] = slots
         # the reduced column of each patch's local column, -1 for padding
@@ -468,48 +475,68 @@ class _Front:
         # padded boundary columns scatter into an extra bin, dropped
         self.bins = np.where(self.outer >= 0, self.outer, n).ravel()
 
-        # the matrix of each class from the blocks of its first patch
+        # the lower triangle of the matrix of each class, at its own size,
+        # from the blocks of its first patch: only the member slot pairs
+        # with a column there scatter.  Every class's interior block A_ii,
+        # m x m, comes first, then every class's boundary rows [A_bi
+        # A_bb], q x (m + q), each row-major, so that entry (r, c) lies at
+        # an offset of its row r plus c
+        size = m_i + m_b
+        at_ii = np.cumsum(m_i ** 2) - m_i ** 2
+        at_bb = np.cumsum(m_b * size) - m_b * size + (m_i ** 2).sum()
+        own = np.where(is_b, m_i[:, None] + at_b, pos)
+        offset = np.where(is_b, at_bb[:, None] + at_b * size[:, None],
+                          at_ii[:, None] + pos * m_i[:, None])
         members = groups[rep]
-        local = np.take_along_axis(pos, first_slot[rep], axis=1).reshape(
-            members.shape + cols.shape[1:])
-        cls = np.broadcast_to(np.arange(len(rep))[:, None], members.shape)
+        local, offset = (np.take_along_axis(x, first_slot[rep], axis=1).reshape(
+            members.shape + cols.shape[1:]) for x in (own, offset))
         used = members >= 0
-        local, cls, members = local[used], cls[used], members[used]
-        # slots with no column sum into an extra row and column, dropped
-        local = np.where(local >= 0, local, n)
-        row = (cls[:, None] * (n + 1) + local) * (n + 1)
-        a = np.bincount((row[:, :, None] + local[:, None, :]).ravel(),
-                        blocks(members).ravel(),
-                        minlength=len(rep) * (n + 1) ** 2).reshape(
-                            len(rep), n + 1, n + 1)[:, :n, :n]
-        # the interior blocks, scaled symmetrically by powers of two, in
-        # column-major order, so that they are factored in place
-        scale = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
-            np.diagonal(a, axis1=1, axis2=2)[:, :n_i])))[1])
-        a_ii = np.empty((len(rep), n_i, n_i)).swapaxes(1, 2)
-        np.multiply(a[:, :n_i, :n_i], scale[:, :, None] * scale[:, None, :],
-                    out=a_ii)
-        pad_c, pad_i = np.nonzero(np.arange(n_i) >= is_i.sum(axis=1)[:, None])
-        a_ii[pad_c, pad_i, pad_i] = 1.0
-        # the rows that condense a right-hand side, (S A_bi^T), and W =
-        # A_ii^-1 A_ib, which recovers the interior; per solve the scaled
-        # z = (S A_ii S)^-1 S b_i gives A_ii^-1 b_i = S z
-        self.load_rows = scale[:, :, None] * a[:, n_i:, :n_i].swapaxes(1, 2)
-        w = np.zeros((len(rep), n_i, n_b))
-        self.factor = None
-        if n_i:
-            self.factor = factor_classes(a_ii, cells[rep],
-                                         "patch interior matrix",
-                                         overwrite_a=True)
-            # solved in place in column-major order, then made row-major,
-            # which the Schur product below takes faster
-            rhs = np.empty((len(rep), n_b, n_i)).swapaxes(1, 2)
-            np.multiply(scale[:, :, None], a[:, :n_i, n_i:], out=rhs)
-            np.multiply(scale[:, :, None],
-                        self.factor.solve(rhs, overwrite_b=True), out=w)
+        local, offset, members = local[used], offset[used], members[used]
+        # (r, c) with r >= c, a slot with no column as a row before the
+        # first and a column past the last
+        keep = local[:, :, None] >= np.where(local >= 0, local,
+                                             size.max())[:, None, :]
+        # float also when nothing scatters
+        flat = np.bincount((offset[:, :, None] + local[:, None, :])[keep],
+                           blocks(members)[keep],
+                           minlength=at_bb[-1] + m_b[-1] * size[-1]).astype(
+                               float, copy=False)
+
+        # the interior blocks, scaled symmetrically by powers of two in
+        # place: S A_ii S = L L^T.  Y = A_bi S L^-T gives the Schur block
+        # A_bb - Y Y^T and W^T = Y L^-1 S with W = A_ii^-1 A_ib, which
+        # recovers the interior; the rows that condense a right-hand side
+        # are S A_ib, and per solve the scaled z = (S A_ii S)^-1 S b_i
+        # gives A_ii^-1 b_i = S z
+        cl, i = np.nonzero(np.arange(n_i) < m_i[:, None])
+        scale = np.ones((len(rep), n_i))
+        scale[cl, i] = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
+            flat[at_ii[cl] + i * (m_i[cl] + 1)])))[1])
+        a_ii = []
+        for lo, m, s in zip(at_ii, m_i, scale):
+            a = flat[lo:lo + m * m].reshape(m, m)
+            a *= s[:m, None]
+            a *= s[:m]
+            a_ii.append(a)
+        self.factor = factor_classes(a_ii, cells[rep], "patch interior matrix",
+                                     factor=CholeskyFactor, overwrite_a=True)
+        self.load_rows = np.zeros((len(rep), n_i, n_b))
+        self.recover_rows = np.zeros((len(rep), n_b, n_i))
+        self.schur = np.zeros((len(rep), n_b, n_b))
+        for c, (lo, m, q) in enumerate(zip(at_bb, m_i, m_b)):
+            a = flat[lo:lo + q * (m + q)].reshape(q, m + q)
+            a_bi = np.multiply(a[:, :m], scale[c, :m],
+                               out=np.empty((q, m), order="F"))
+            self.load_rows[c, :m, :q] = a_bi.T
+            schur, self.recover_rows[c, :q, :m] = self.factor.eliminate(
+                c, a_bi, a[:, m:])
+            # only the lower triangle was formed, the rest is zero: the
+            # block is mirrored, exactly symmetric, its diagonal doubled
+            np.add(schur, schur.T, out=self.schur[c, :q, :q])
+        self.recover_rows *= scale[:, None, :]
+        diag = np.arange(n_b)
+        self.schur[:, diag, diag] *= 0.5
         self.scale = scale[self.cls]
-        self.schur = a[:, n_i:, n_i:] - a[:, n_i:, :n_i] @ w
-        self.recover_rows = w.swapaxes(1, 2)
 
 
 class _PatchTree:
@@ -565,9 +592,7 @@ class _PatchTree:
         kept = []
         for f in self.fronts:
             # z = (S A_ii S)^-1 S b_i of the scaled interior blocks
-            z = f.scale * x[f.inner]
-            if f.factor is not None:
-                z = f.factor.solve(z.T, f.cls).T
+            z = f.factor.solve((f.scale * x[f.inner]).T, f.cls).T
             load = _class_rows(z, f.load_rows, f.cls)
             x -= np.bincount(f.bins, load.ravel(), minlength=n + 1)
             x[n] = 0.0

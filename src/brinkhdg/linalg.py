@@ -1,7 +1,9 @@
 """Dense and sparse linear algebra used by the assembly pipeline.
 
-Thin wrappers over LAPACK (partial-pivoting LU) and SuperLU that add the
-singularity reporting and triplet-assembly semantics the solvers rely on.
+Thin wrappers over LAPACK (partial-pivoting LU, and Cholesky for the
+symmetric positive definite patch interiors of the hybrid solver) and
+SuperLU that add the singularity reporting and triplet-assembly
+semantics the solvers rely on.
 Factorizations are built once and reused for many right-hand sides.
 Every sparse factorization is a `SparseFactor`: general LU with COLAMD
 ordering and threshold partial pivoting, which keeps a diagonal pivot of
@@ -18,6 +20,7 @@ converts them with SciPy's COO-to-CSC conversion.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,8 +32,8 @@ class SingularMatrixError(RuntimeError):
     """Raised when a factorization meets a numerically singular matrix, or
     one with a non-finite entry.
 
-    For a `DenseFactor`, `index` is the position of the first such matrix
-    in the stack; it is None otherwise.
+    For a `DenseFactor` or a `CholeskyFactor`, `index` is the position of
+    the first such matrix in the stack; it is None otherwise.
     """
 
     def __init__(self, message, index=None):
@@ -101,10 +104,6 @@ class DenseFactor:
                 f"below {_PIVOT_RTOL:.0e} * max entry {scale[i]:.3e}",
                 index=i)
 
-    def _getrs(self, i, b):
-        lu, piv = self._lu[i]
-        return _lapack()[1](lu, piv, b)[0]
-
     def _getrs_into(self, i, b):
         """Solve with matrix i into b, a column-major buffer of this
         factor's own, which getrs overwrites."""
@@ -138,21 +137,135 @@ class DenseFactor:
             for i, rhs in enumerate(x):
                 self._getrs_into(i, rhs)
             return x
-        index = np.asarray(index)
-        if b.ndim != 2 or index.shape != b.shape[1:]:
-            raise ValueError(f"index of shape {index.shape} for right-hand "
-                             f"sides of shape {b.shape}")
-        order = np.argsort(index, kind="stable")
-        mats, starts = np.unique(index[order], return_index=True)
-        if len(mats) == 1:
-            return self._getrs(mats[0], b)
-        # the columns of each matrix side by side, column-major
-        x = b.T[order].T
-        for i, lo, hi in zip(mats, starts, np.append(starts[1:], len(order))):
-            self._getrs_into(i, x[:, lo:hi])
-        out = np.empty_like(x)
-        out[:, order] = x
-        return out
+        return _solve_by_matrix(b, index, self._getrs_into)
+
+
+def _solve_by_matrix(b, index, solve_into):
+    """x with column j of b (n, m) solved with matrix index[j].
+
+    The columns of each matrix are gathered side by side into one
+    column-major buffer, and solve_into(i, x) solves those of matrix i
+    in place, so columns that share a matrix are solved together.
+    """
+    index = np.asarray(index)
+    if b.ndim != 2 or index.shape != b.shape[1:]:
+        raise ValueError(f"index of shape {index.shape} for right-hand "
+                         f"sides of shape {b.shape}")
+    order = np.argsort(index, kind="stable")
+    mats, starts = np.unique(index[order], return_index=True)
+    if len(mats) == 1:
+        x = np.array(b, order="F")
+        solve_into(mats[0], x)
+        return x
+    x = b.T[order].T
+    for i, lo, hi in zip(mats, starts, np.append(starts[1:], len(order))):
+        solve_into(i, x[:, lo:hi])
+    out = np.empty_like(x)
+    out[:, order] = x
+    return out
+
+
+@functools.cache
+def _cholesky_lapack():
+    """LAPACK potrf and potrs for float64, looked up on first use."""
+    return sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+@functools.cache
+def _cholesky_blas():
+    """BLAS trsm and syrk for float64, looked up on first use."""
+    return sla.get_blas_funcs(("trsm", "syrk"), dtype=np.float64)
+
+
+class CholeskyFactor:
+    """Cholesky factors a = L L^T of a sequence of symmetric positive
+    definite matrices, each at its own size.
+
+    LAPACK potrf reads the lower triangle of each matrix; `factors` holds
+    the L^T of each, column-major, its strict lower triangle left as it
+    was.  With overwrite_a, a writable row-major matrix is factored in
+    place, like a column-major one by `DenseFactor`; others are copied.
+    A matrix is refused, as by `DenseFactor`, when it holds a non-finite
+    entry or when its smallest pivot, min diag(L)^2 or the value at which
+    potrf stops, is below `_PIVOT_RTOL` times its own largest entry.  An
+    empty matrix has nothing to factor.
+    """
+
+    def __init__(self, mats, overwrite_a=False):
+        if not len(mats):
+            raise ValueError("expected a nonempty sequence of matrices")
+        potrf = _cholesky_lapack()[0]
+        self.factors = []
+        for i, a in enumerate(mats):
+            a = np.asarray(a, dtype=float)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise ValueError(f"matrix {i} of shape {a.shape} is not "
+                                 "square")
+            if not a.size:
+                self.factors.append(a)
+                continue
+            # max and min rather than abs, which would copy the matrix;
+            # both keep a NaN, and an infinity of either sign shows in one
+            scale = max(a.max(), -a.min())
+            if not math.isfinite(scale):
+                raise SingularMatrixError(
+                    f"Cholesky factorization of matrix {i}: non-finite "
+                    f"entry {a[~np.isfinite(a)][0]}", index=i)
+            # potrf would also write into a read-only array
+            if not (overwrite_a and a.flags.writeable
+                    and a.flags.c_contiguous):
+                a = np.array(a)
+            # the upper triangle of the column-major transpose; on failure
+            # info names the pivot at which potrf stopped, left unrooted
+            u, info = potrf(a.T, clean=0, overwrite_a=True)
+            pivot = (u[info - 1, info - 1] if info else
+                     u.diagonal().min() ** 2)
+            if not pivot >= _PIVOT_RTOL * scale or scale == 0.0:
+                raise SingularMatrixError(
+                    f"Cholesky factorization of matrix {i}: pivot "
+                    f"{pivot:.3e} below {_PIVOT_RTOL:.0e} * max entry "
+                    f"{scale:.3e}", index=i)
+            self.factors.append(u)
+
+    def eliminate(self, i, a_bi, a_bb):
+        """The Schur complement a_bb - a_bi a^-1 a_bi^T of matrix i = L L^T,
+        and a_bi a^-1.
+
+        Y = a_bi L^-T (trsm from the right) gives the Schur complement
+        a_bb - Y Y^T (syrk), of which only the lower triangle is formed
+        from that of a_bb, and a_bi a^-1 = Y L^-1 (trsm from the right).
+        A column-major a_bi is overwritten, others and a_bb are copied.
+        """
+        u = self.factors[i]
+        if not (len(u) and a_bi.size):
+            return np.array(a_bb, order="F"), np.zeros(a_bi.shape)
+        trsm, syrk = _cholesky_blas()
+        y = trsm(1.0, u, a_bi, side=1, overwrite_b=True)
+        schur = syrk(-1.0, y, beta=1.0, c=a_bb, lower=1)
+        return schur, trsm(1.0, u, y, side=1, trans_a=1, overwrite_b=True)
+
+    def _potrs_into(self, i, b):
+        """Solve with matrix i, padded by the identity, into b, a
+        column-major buffer whose leading rows potrs overwrites."""
+        u = self.factors[i]
+        if len(u) > len(b):
+            raise ValueError(f"right-hand sides of {len(b)} rows for "
+                             f"matrix {i} of size {len(u)}")
+        if len(u):
+            rhs = b[:len(u)]
+            x = _cholesky_lapack()[1](u, rhs, overwrite_b=True)[0]
+            if x is not rhs:
+                rhs[...] = x
+
+    def solve(self, b, index):
+        """x with a @ x = b, column j of b (n, m) going with matrix
+        index[j].
+
+        Each matrix is padded by the identity to n: only its leading
+        rows are solved, one potrs per matrix, and the rest are kept.
+        """
+        return _solve_by_matrix(np.asarray(b, dtype=float), index,
+                                self._potrs_into)
 
 
 class SparseBuilder:

@@ -98,7 +98,12 @@ class Mesh:
         _, first, inverse, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True)
         if (counts > 2).any():
-            raise ValueError("facet shared by more than two cells")
+            # the first such facet by its vertex pair, with all its cells
+            edges = np.flatnonzero(inverse.ravel() == np.argmax(counts > 2))
+            raise ValueError(
+                f"facet between vertices {lo[edges[0]]} and {hi[edges[0]]} "
+                "shared by more than two cells: "
+                + ", ".join(str(e // npc) for e in edges))
         order = np.argsort(first)
         first, counts = first[order], counts[order]
         rank = np.empty_like(order)

@@ -581,7 +581,7 @@ def test_patch_classes_stack_congruent_patches(condensed_calls):
         assert max(compare_fields(spaces, a, b).values()) <= 1e-10
     front = condensed_calls[-1].tree.fronts[-1]
     assert front.inner.shape == front.outer.shape == (1, 0)
-    assert front.factor is None
+    assert [u.shape for u in front.factor.factors] == [(0, 0)]
 
 
 @st.composite
@@ -620,6 +620,45 @@ def test_nested_solve_matches_sparse_solve(mesh, k):
     if call.tree.n:
         want = spla.spsolve(reduced, b)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # each class's Schur block is mirrored from one triangle, so exactly
+    # symmetric, and the stacks are zero past the class's own interior
+    # and boundary sizes
+    for front in call.tree.fronts:
+        assert np.array_equal(front.schur, front.schur.swapaxes(1, 2))
+        for cls in range(len(front.schur)):
+            p = np.argmax(front.cls == cls)
+            m = (front.inner[p] >= 0).sum()
+            q = (front.outer[p] >= 0).sum()
+            for stack, rows, cols in ((front.schur, q, q),
+                                      (front.load_rows, m, q),
+                                      (front.recover_rows, q, m)):
+                pad = stack[cls].copy()
+                pad[:rows, :cols] = 0.0
+                assert not pad.any()
+
+
+def test_patch_interior_refusal_names_a_cell(condensed_calls):
+    # a patch interior that is not positive definite, zero, or not finite
+    # is refused by the Cholesky factor under the pivot rule of
+    # DenseFactor, naming the first cell of a leaf patch of the first
+    # class: here the blocks of every cell are negated, zeroed or NaN
+    mesh = build_structured_mesh(4, TRIANGLE)
+    solve_hybrid(Spaces(mesh, 2), 1.0, 1.0, zero_vec, zero_scalar)
+    args = condensed_calls[-1].tree.args
+    firsts = np.unique(hybrid._patch_levels(mesh)[-1], return_index=True)[1]
+    for factor, why in ((-1.0, r"pivot -\S+ below 1e-13 \* max entry "),
+                        (0.0, r"pivot 0\.000e\+00 below 1e-13 \* max "
+                              r"entry 0\.000e\+00$"),
+                        (np.nan, "non-finite entry nan$")):
+        with pytest.raises(SingularMatrixError,
+                           match=r"^patch interior matrix of cell (\d+): "
+                                 "Cholesky factorization of matrix 0: "
+                                 + why) as err:
+            hybrid._PatchTree(args.mesh, args.red, args.n, args.cell_class,
+                              factor * args.energy, args.flux, args.first)
+        assert err.value.index == 0
+        cell = int(str(err.value).split()[5].rstrip(":"))
+        assert cell in firsts
 
 
 def test_hybrid_matches_direct_on_strip_and_odd_n():

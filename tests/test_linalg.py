@@ -6,9 +6,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from brinkhdg.fespace import factor_classes
-from brinkhdg.linalg import (DenseFactor, SingularMatrixError, SparseBuilder,
-                             SparseFactor, block_triplets, refined_solve,
-                             sparse_solve)
+from brinkhdg.linalg import (CholeskyFactor, DenseFactor, SingularMatrixError,
+                             SparseBuilder, SparseFactor, block_triplets,
+                             refined_solve, sparse_solve)
 
 
 def laplacian_1d(n):
@@ -237,6 +237,139 @@ def test_dense_refuses_non_finite_entries():
                            match="^local block of cell 17: dense "
                                  "factorization of matrix 1: non-finite"):
             factor_classes(stack, [4, 17, 9], "local block")
+
+
+def spd(rng, n):
+    g = rng.standard_normal((n, n))
+    return g @ g.T + n * np.eye(n)
+
+
+def test_cholesky_refuses_non_finite_entries():
+    # as DenseFactor: named with the matrix's index, and factor_classes
+    # names the cell of its class
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for value in (np.nan, np.inf, -np.inf):
+        mats = [good, good.copy(), good]
+        mats[1][1, 0] = value
+        with pytest.raises(SingularMatrixError,
+                           match=rf"^Cholesky factorization of matrix 1: "
+                                 rf"non-finite entry {value}$") as err:
+            CholeskyFactor(mats)
+        assert err.value.index == 1
+        with pytest.raises(SingularMatrixError,
+                           match="^patch block of cell 17: Cholesky "
+                                 "factorization of matrix 1: non-finite"):
+            factor_classes(mats, [4, 17, 9], "patch block",
+                           factor=CholeskyFactor)
+
+
+def test_cholesky_refuses_indefinite_and_singular_matrices():
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for bad in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                np.array([[1.0, 2.0], [2.0, 1.0]]), -good,
+                np.diag([1.0, 1.0, 0.0])):
+        with pytest.raises(SingularMatrixError,
+                           match=r"^Cholesky factorization of matrix 2: "
+                                 r"pivot \S+ below 1e-13 \* max entry ") as err:
+            CholeskyFactor([good, np.eye(4), bad, np.zeros((3, 3))])
+        assert err.value.index == 2
+
+
+def test_cholesky_pivot_rule_against_each_matrix_scale():
+    # min diag(L)^2 against the matrix's own largest entry, so a tiny
+    # regular matrix next to large ones passes, and the rule does not
+    # move when a matrix is scaled
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    CholeskyFactor([1e20 * good, 1e-20 * good, good])
+    for scale in (1e-20, 1.0, 1e20):
+        # pivot 1e-12 and 1e-14 of a largest entry about 1
+        CholeskyFactor([scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])])
+        with pytest.raises(SingularMatrixError, match="matrix 0: pivot"):
+            CholeskyFactor([scale * np.array([[1.0, 1.0],
+                                              [1.0, 1.0 + 1e-14]])])
+
+
+def test_cholesky_matches_scipy_and_reads_the_lower_triangle():
+    rng = np.random.default_rng(11)
+    a = spd(rng, 9)
+    junk = np.tril(a) + np.triu(rng.standard_normal((9, 9)), 1)
+    # the factors hold L^T = scipy's upper factor in their upper triangle
+    upper = np.triu(CholeskyFactor([junk]).factors[0])
+    assert np.allclose(upper, sla.cholesky(a), rtol=1e-14, atol=1e-14)
+    assert np.allclose(upper.T @ upper, a, rtol=1e-14, atol=1e-12)
+    # with overwrite_a a writable row-major matrix is factored in place;
+    # column-major, read-only, or without overwrite_a: copied
+    mat = a.copy()
+    factor = CholeskyFactor([mat], overwrite_a=True)
+    assert np.shares_memory(factor.factors[0], mat)
+    frozen = a.copy()
+    frozen.flags.writeable = False
+    for mat, overwrite in ((np.asfortranarray(a), True), (frozen, True),
+                           (a.copy(), False)):
+        before = mat.copy()
+        CholeskyFactor([mat], overwrite_a=overwrite)
+        assert np.array_equal(mat, before)
+
+
+def test_cholesky_solves_with_an_index_per_column():
+    # matrices of their own sizes: column j of b is solved with matrix
+    # index[j] in its leading rows, the others kept, as by each matrix
+    # padded with the identity
+    rng = np.random.default_rng(12)
+    mats = [spd(rng, n) for n in (3, 5, 0, 4)]
+    factor = CholeskyFactor(mats)
+    index = np.array([3, 0, 3, 1, 0, 2, 1])
+    b = rng.standard_normal((6, len(index)))
+    before = b.copy()
+    x = factor.solve(b, index)
+    assert np.array_equal(b, before)
+    for i, a in enumerate(mats):
+        cols = np.flatnonzero(index == i)
+        n = len(a)
+        if n:
+            want = sla.cho_solve((sla.cholesky(a), False), b[:n, cols])
+            assert np.allclose(x[:n, cols], want, rtol=1e-13, atol=1e-15)
+            assert np.array_equal(factor.solve(b[:, cols], np.full(
+                len(cols), i)), x[:, cols])
+        assert np.array_equal(x[n:, cols], b[n:, cols])
+        padded = np.eye(6)
+        padded[:n, :n] = a
+        assert np.allclose(CholeskyFactor([padded]).solve(
+            b[:, cols], np.zeros(len(cols), dtype=int)), x[:, cols],
+                           rtol=1e-13, atol=1e-15)
+
+
+def test_cholesky_eliminates_onto_the_boundary():
+    # the Schur complement a_bb - a_bi a_ii^-1 a_ib, in its lower
+    # triangle, and a_bi a_ii^-1; only the lower triangle of a_bb is read
+    rng = np.random.default_rng(13)
+    a = spd(rng, 12)
+    factor = CholeskyFactor([a[:7, :7], np.zeros((0, 0))])
+    schur, w_t = factor.eliminate(0, np.asfortranarray(a[7:, :7]),
+                                  np.tril(a[7:, 7:]))
+    want = a[7:, 7:] - a[7:, :7] @ np.linalg.solve(a[:7, :7], a[:7, 7:])
+    assert np.allclose(np.tril(schur), np.tril(want), rtol=1e-13)
+    assert np.array_equal(np.triu(schur, 1), np.zeros((5, 5)))
+    assert np.allclose(w_t, np.linalg.solve(a[:7, :7], a[:7, 7:]).T,
+                       rtol=1e-12)
+    # nothing to eliminate: the boundary block itself
+    schur, w_t = factor.eliminate(1, np.zeros((5, 0)), a[7:, 7:])
+    assert np.array_equal(schur, a[7:, 7:]) and w_t.shape == (5, 0)
+
+
+def test_cholesky_refuses_bad_shapes():
+    with pytest.raises(ValueError, match="nonempty sequence"):
+        CholeskyFactor([])
+    for bad in (np.ones((2, 3)), np.eye(2)[None], np.ones(3)):
+        with pytest.raises(ValueError, match="matrix 1 of shape"):
+            CholeskyFactor([np.eye(2), bad])
+    factor = CholeskyFactor([np.eye(2), 2.0 * np.eye(4)])
+    with pytest.raises(ValueError, match="right-hand sides of 3 rows for "
+                                         "matrix 1 of size 4"):
+        factor.solve(np.ones((3, 2)), [0, 1])
+    for index in ([0], 1, [[0, 1]]):
+        with pytest.raises(ValueError, match="index of shape"):
+            factor.solve(np.ones((4, 2)), index)
 
 
 def test_sparse_refuses_non_finite_entries():

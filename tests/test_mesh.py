@@ -29,7 +29,10 @@ def facets_by_loop(vertices, cells):
                 fcells.append([c, -1])
             else:
                 if fcells[fid][1] != -1:
-                    raise ValueError("facet shared by more than two cells")
+                    raise ValueError(
+                        f"facet between vertices {key[0]} and {key[1]} "
+                        "shared by more than two cells: "
+                        f"{fcells[fid][0]}, {fcells[fid][1]}, {c}")
                 fcells[fid][1] = c
             cell_facets[c, le] = fid
     fverts = np.array(fverts, dtype=int)
@@ -95,11 +98,11 @@ def test_facet_of_three_cells_rejected():
     vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                 [0.6, 2.0]]
     cells = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
-    with pytest.raises(ValueError, match="^facet shared by more than two "
-                                         "cells$"):
+    message = ("^facet between vertices 0 and 1 shared by more than two "
+               "cells: 0, 1, 2$")
+    with pytest.raises(ValueError, match=message):
         Mesh(vertices, cells, TRIANGLE)
-    with pytest.raises(ValueError, match="^facet shared by more than two "
-                                         "cells$"):
+    with pytest.raises(ValueError, match=message):
         facets_by_loop(np.array(vertices), np.array(cells))
 
 
@@ -394,10 +397,14 @@ def corrupted_mesh(draw):
         message = (rf"^vertex ({nv}|{nv + 1}) lies inside boundary facet "
                    r"\d+ \(vertices \d+ and \d+\): a hanging node")
     else:
+        # the copy, numbered last, shares each interior facet of its cell
+        # with the cell and its neighbour there
+        cell = draw(st.integers(0, mesh.num_cells - 1))
         vertices = mesh.vertices
-        cells = np.vstack([mesh.cells, mesh.cells[draw(st.integers(
-            0, mesh.num_cells - 1))]])
-        message = "^facet shared by more than two cells$"
+        cells = np.vstack([mesh.cells, mesh.cells[cell]])
+        message = (r"^facet between vertices \d+ and \d+ shared by more than "
+                   rf"two cells: (\d+, {cell}|{cell}, \d+), "
+                   rf"{mesh.num_cells}$")
     return vertices, cells, mesh.cell_kind, message
 
 
