@@ -512,10 +512,12 @@ class _Front:
         scale = np.ones((len(rep), n_i))
         scale[cl, i] = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
             flat[at_ii[cl] + i * (m_i[cl] + 1)])))[1])
-        a_ii = []
+        # scaled into a buffer of their own, in which they are factored,
+        # so that the boundary rows are freed with the scatter's output
+        a_ii, interior = [], np.empty(at_bb[0])
         for lo, m, s in zip(at_ii, m_i, scale):
-            a = flat[lo:lo + m * m].reshape(m, m)
-            a *= s[:m, None]
+            a = np.multiply(flat[lo:lo + m * m].reshape(m, m), s[:m, None],
+                            out=interior[lo:lo + m * m].reshape(m, m))
             a *= s[:m]
             a_ii.append(a)
         self.factor = factor_classes(a_ii, cells[rep], "patch interior matrix",
