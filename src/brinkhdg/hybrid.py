@@ -502,8 +502,8 @@ class _Front:
                            minlength=at_bb[-1] + m_b[-1] * size[-1]).astype(
                                float, copy=False)
 
-        # the interior blocks, scaled symmetrically by powers of two in
-        # place: S A_ii S = L L^T.  Y = A_bi S L^-T gives the Schur block
+        # the interior blocks, scaled symmetrically by powers of two:
+        # S A_ii S = L L^T.  Y = A_bi S L^-T gives the Schur block
         # A_bb - Y Y^T and W^T = Y L^-1 S with W = A_ii^-1 A_ib, which
         # recovers the interior; the rows that condense a right-hand side
         # are S A_ib, and per solve the scaled z = (S A_ii S)^-1 S b_i
