@@ -521,7 +521,7 @@ class _Front:
             a *= s[:m]
             a_ii.append(a)
         self.factor = factor_classes(a_ii, cells[rep], "patch interior matrix",
-                                     factor=CholeskyFactor, overwrite_a=True)
+                                     factor=CholeskyFactor)
         self.load_rows = np.zeros((len(rep), n_i, n_b))
         self.recover_rows = np.zeros((len(rep), n_b, n_i))
         self.schur = np.zeros((len(rep), n_b, n_b))

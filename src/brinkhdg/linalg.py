@@ -183,15 +183,15 @@ class CholeskyFactor:
 
     LAPACK potrf reads the lower triangle of each matrix; `factors` holds
     the L^T of each, column-major, its strict lower triangle left as it
-    was.  With overwrite_a, a writable row-major matrix is factored in
-    place, like a column-major one by `DenseFactor`; others are copied.
+    was.  A writable row-major matrix is factored in place, its lower
+    triangle overwritten by L; others are copied.
     A matrix is refused, as by `DenseFactor`, when it holds a non-finite
     entry or when its smallest pivot, min diag(L)^2 or the value at which
     potrf stops, is below `_PIVOT_RTOL` times its own largest entry.  An
     empty matrix has nothing to factor.
     """
 
-    def __init__(self, mats, overwrite_a=False):
+    def __init__(self, mats):
         if not len(mats):
             raise ValueError("expected a nonempty sequence of matrices")
         potrf = _cholesky_lapack()[0]
@@ -212,8 +212,7 @@ class CholeskyFactor:
                     f"Cholesky factorization of matrix {i}: non-finite "
                     f"entry {a[~np.isfinite(a)][0]}", index=i)
             # potrf would also write into a read-only array
-            if not (overwrite_a and a.flags.writeable
-                    and a.flags.c_contiguous):
+            if not (a.flags.writeable and a.flags.c_contiguous):
                 a = np.array(a)
             # the upper triangle of the column-major transpose; on failure
             # info names the pivot at which potrf stopped, left unrooted

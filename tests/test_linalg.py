@@ -249,18 +249,19 @@ def test_cholesky_refuses_non_finite_entries():
     # names the cell of its class
     good = np.array([[2.0, 1.0], [1.0, 3.0]])
     for value in (np.nan, np.inf, -np.inf):
-        mats = [good, good.copy(), good]
-        mats[1][1, 0] = value
+        bad = good.copy()
+        bad[1, 0] = value
+        # copies of good, which is factored in place
         with pytest.raises(SingularMatrixError,
                            match=rf"^Cholesky factorization of matrix 1: "
                                  rf"non-finite entry {value}$") as err:
-            CholeskyFactor(mats)
+            CholeskyFactor([good.copy(), bad, good.copy()])
         assert err.value.index == 1
         with pytest.raises(SingularMatrixError,
                            match="^patch block of cell 17: Cholesky "
                                  "factorization of matrix 1: non-finite"):
-            factor_classes(mats, [4, 17, 9], "patch block",
-                           factor=CholeskyFactor)
+            factor_classes([good.copy(), bad, good.copy()], [4, 17, 9],
+                           "patch block", factor=CholeskyFactor)
 
 
 def test_cholesky_refuses_indefinite_and_singular_matrices():
@@ -271,7 +272,8 @@ def test_cholesky_refuses_indefinite_and_singular_matrices():
         with pytest.raises(SingularMatrixError,
                            match=r"^Cholesky factorization of matrix 2: "
                                  r"pivot \S+ below 1e-13 \* max entry ") as err:
-            CholeskyFactor([good, np.eye(4), bad, np.zeros((3, 3))])
+            # a copy of good, which is factored in place
+            CholeskyFactor([good.copy(), np.eye(4), bad, np.zeros((3, 3))])
         assert err.value.index == 2
 
 
@@ -297,17 +299,18 @@ def test_cholesky_matches_scipy_and_reads_the_lower_triangle():
     upper = np.triu(CholeskyFactor([junk]).factors[0])
     assert np.allclose(upper, sla.cholesky(a), rtol=1e-14, atol=1e-14)
     assert np.allclose(upper.T @ upper, a, rtol=1e-14, atol=1e-12)
-    # with overwrite_a a writable row-major matrix is factored in place;
-    # column-major, read-only, or without overwrite_a: copied
+    # a writable row-major matrix is factored in place, its lower triangle
+    # overwritten by L; a column-major, read-only or strided one is copied
     mat = a.copy()
-    factor = CholeskyFactor([mat], overwrite_a=True)
+    factor = CholeskyFactor([mat])
     assert np.shares_memory(factor.factors[0], mat)
+    assert np.allclose(np.tril(mat), upper.T, rtol=1e-14, atol=1e-14)
     frozen = a.copy()
     frozen.flags.writeable = False
-    for mat, overwrite in ((np.asfortranarray(a), True), (frozen, True),
-                           (a.copy(), False)):
+    wide = np.hstack([a, a])
+    for mat in (np.asfortranarray(a), frozen, wide[:, :9]):
         before = mat.copy()
-        CholeskyFactor([mat], overwrite_a=overwrite)
+        CholeskyFactor([mat])
         assert np.array_equal(mat, before)
 
 
@@ -317,7 +320,8 @@ def test_cholesky_solves_with_an_index_per_column():
     # padded with the identity
     rng = np.random.default_rng(12)
     mats = [spd(rng, n) for n in (3, 5, 0, 4)]
-    factor = CholeskyFactor(mats)
+    # copies, which are factored in place
+    factor = CholeskyFactor([a.copy() for a in mats])
     index = np.array([3, 0, 3, 1, 0, 2, 1])
     b = rng.standard_normal((6, len(index)))
     before = b.copy()
@@ -344,7 +348,7 @@ def test_cholesky_eliminates_onto_the_boundary():
     # triangle, and a_bi a_ii^-1; only the lower triangle of a_bb is read
     rng = np.random.default_rng(13)
     a = spd(rng, 12)
-    factor = CholeskyFactor([a[:7, :7], np.zeros((0, 0))])
+    factor = CholeskyFactor([a[:7, :7].copy(), np.zeros((0, 0))])
     schur, w_t = factor.eliminate(0, np.asfortranarray(a[7:, :7]),
                                   np.tril(a[7:, 7:]))
     want = a[7:, 7:] - a[7:, :7] @ np.linalg.solve(a[:7, :7], a[:7, 7:])
