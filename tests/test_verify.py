@@ -91,8 +91,9 @@ def test_case_parameter_validation():
     for gamma in (np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma must be finite"):
             BrinkmanCase(1.0, gamma, 2)
-    with pytest.raises(ValueError):
-        BrinkmanCase(1.0, 1.0, 0)
+    for m in (0, 2.7, np.nan, np.inf):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            BrinkmanCase(1.0, 1.0, m)
 
 
 def test_solution_norm_bound_matches_quadrature():
@@ -298,10 +299,11 @@ def test_error_norms_match_brute_force_point_values():
                 brute, rel=1e-12), (mesh.cell_kind, key)
 
 
-def reference_callables(case):
+def reference_callables(case, pi=np.pi):
     """The closed forms of the case's callables, each sine and cosine
-    taken one coordinate at a time."""
-    tp, mp = 2 * np.pi, case.m * np.pi
+    taken one coordinate at a time; with a long double pi and points, they
+    are evaluated in long double."""
+    tp, mp = 2 * pi, case.m * pi
 
     def velocity(x):
         s = np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
@@ -318,7 +320,7 @@ def reference_callables(case):
 
     def body_force(x):
         s = np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
-        visc = 8 * np.pi ** 2 * case.nu * s
+        visc = 8 * pi ** 2 * case.nu * s
         gu = np.stack([s, s], axis=-1) @ case.gamma.T
         return np.stack([
             visc + gu[:, 0] + mp * np.cos(mp * x[:, 0]) * np.sin(mp * x[:, 1]),
@@ -333,17 +335,54 @@ def reference_callables(case):
                 mass_source=mass_source)
 
 
-def test_shared_trig_matches_closed_forms_bit_for_bit():
-    # the public callables, which share sines and cosines (across u and p
-    # when m = 2, and u, grad u and p through exact_fields), give the
-    # closed forms evaluated one coordinate at a time, bit for bit
-    x = np.random.default_rng(11).uniform(-0.2, 1.2, size=(257, 2))
+def test_tangent_trig_as_accurate_as_libm():
+    # the public callables take their sines and cosines from tangents of
+    # the half angles; against a long double evaluation of the closed
+    # forms, each is at most twice as far off as libm's sines and cosines
+    # one coordinate at a time, relative to its largest value, also where
+    # the tangents have their poles: tan(pi x) at odd multiples of 1/2 and
+    # tan(m pi x / 2) at odd multiples of 1/m
+    rand = np.random.default_rng(11).uniform(-0.2, 1.2, size=(257, 2))
     aniso = np.array([[2.0, 0.7], [0.7, 0.5]])
+    pi_ld = 4 * np.arctan(np.longdouble(1))
     for case in (make_case(1), make_case(2), make_case(3),
                  BrinkmanCase(0.3, aniso, 3)):
-        for name, ref in reference_callables(case).items():
-            assert np.array_equal(getattr(case, name)(x), ref(x)), \
-                (case.label, name)
+        poles = np.unique([o / m for m in (2, case.m)
+                           for o in range(-m, 3 * m) if o % 2
+                           and abs(o / m - 0.5) <= 1])
+        y = rand[:16, 1]
+        px, py = np.meshgrid(poles, poles)
+        x = np.concatenate([
+            rand,
+            np.stack(np.broadcast_arrays(poles[:, None], y), -1).reshape(-1, 2),
+            np.stack(np.broadcast_arrays(y[:, None], poles), -1).reshape(-1, 2),
+            np.stack([px.ravel(), py.ravel()], -1)])
+        libm = reference_callables(case)
+        exact = reference_callables(case, pi=pi_ld)
+        for name, ref in exact.items():
+            want = ref(x.astype(np.longdouble))
+            scale = np.abs(want).max()
+            got = getattr(case, name)(x)
+            assert np.isfinite(got).all(), (case.label, name)
+            err = np.abs(got - want).max() / scale
+            err_libm = np.abs(libm[name](x) - want).max() / scale
+            assert err <= 2 * err_libm, (case.label, name, err, err_libm)
+
+
+def test_validation_checks_the_tangent_path_against_libm(monkeypatch):
+    # _validate composes the body force from libm's velocity_laplacian and
+    # pressure_gradient, so a tangent-path sine or cosine off by 1e-9
+    # relative cannot pass construction
+    sin_cos = verify._sin_cos
+    for part in (0, 1):
+        def skewed(a, part=part):
+            pair = list(sin_cos(a))
+            pair[part] = pair[part] * (1 + 1e-9)
+            return tuple(pair)
+
+        monkeypatch.setattr(verify, "_sin_cos", skewed)
+        with pytest.raises(RuntimeError):
+            make_case(1)
 
 
 def test_mass_source_matches_product_form():
