@@ -209,15 +209,15 @@ def _tabulate_reference(fam, degree):
     return ref
 
 
-def factor_classes(mats, cells, what, factor=DenseFactor, **options):
+def factor_classes(mats, cells, what, factor=DenseFactor):
     """The factor (`DenseFactor`, or `CholeskyFactor`) of per-class
-    matrices, with its options.
+    matrices.
 
     cells[i] is a cell of the class of matrix i; a singular matrix
     raises SingularMatrixError naming that cell.
     """
     try:
-        return factor(mats, **options)
+        return factor(mats)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"{what} of cell {cells[exc.index]}: {exc}",
                                   index=exc.index) from exc

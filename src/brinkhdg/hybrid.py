@@ -40,12 +40,13 @@ children above, and eliminates its interior, the reduced columns no
 other patch of its level holds, by a dense Schur step (`_Front`).
 Patches whose members have the same classes and whose columns the same
 pattern form one class, assembled from one patch at its own size; its
-interior block is SPD and factored by Cholesky, the Schur block formed
-from that factor by triangular solves and a symmetric rank-k update.
-The root's interior is all that is left.  Per solve
-the right-hand side is condensed up the levels, the root's front
-solved, and the interiors recovered down the levels (`_PatchTree`);
-SuperLU factors only the cell graph B1 B1^T.
+interior block is SPD and factored by Cholesky, and the Schur block and
+the recovery rows A_bi A_ii^-1 are formed from that factor by triangular
+solves and a symmetric rank-k update.  A front keeps only these three.
+The root's interior is all that is left.  Per solve the right-hand side
+is condensed up the levels by the recovery rows, and down the levels
+each interior is solved once and recovered (`_PatchTree`); SuperLU
+factors only the cell graph B1 B1^T.
 
 The element blocks of one cell of each geometry class are reference
 integrals times that cell's geometry (`forms.element_blocks` on
@@ -130,12 +131,11 @@ class LocalSolver:
         tlam = blocks.tlam.transpose(0, 2, 1, 3).reshape(n_cls, n_v, n_lam)
         mat[:, o_u:o_p, o_lam:] = -tlam
         mat[:, o_lam:, o_u:o_p] = tlam.swapaxes(1, 2)
-        self.factor = factor_classes(mat, blocks.cells, "local solver matrix",
-                                     overwrite_a=True)
+        self.factor = factor_classes(mat, blocks.cells, "local solver matrix")
 
         # gradient rows against the tangential, then the normal, data of
         # each local facet; the multiplier rows against the normal data
-        lift_rhs = np.zeros((n_cls, 2 * n_lam, n)).swapaxes(1, 2)
+        lift_rhs = np.zeros((n_cls, n, 2 * n_lam))
         for col, vec in ((0, blocks.tangent), (n_lam, blocks.normal)):
             lift_rhs[:, :n_l, col:col + n_lam] = np.einsum(
                 "sfr,sfja->srafj", nu * vec, blocks.that).reshape(
@@ -143,8 +143,7 @@ class LocalSolver:
         diag = np.arange(n_lam)
         lift_rhs[:, o_lam + diag, n_lam + diag] = np.repeat(
             blocks.sign * blocks.h, kk, axis=1)
-        # column-major, so solved in place
-        self.lift = self.factor.solve(lift_rhs, overwrite_b=True)
+        self.lift = self.factor.solve(lift_rhs)
         del lift_rhs
 
         # energy-weighted lift: rows of Z @ lift with Z the block Gram
@@ -413,23 +412,22 @@ class _Front:
     slots, interior ones first, so patches whose members share classes
     and whose slots share that pattern have one matrix, the sum of their
     members' blocks, and form one class (`cls`).  The matrix of each
-    class is assembled from one patch at the class's own size, from the
-    member slots that have a column and only in its lower triangle,
-    which is all the elimination reads.  Its interior block A_ii, scaled
-    symmetrically by powers of two, is factored S A_ii S = L L^T by
-    Cholesky (`CholeskyFactor`, through `factor_classes`), each class at
-    its own size.  Per class this leaves the Schur complement A_bb -
-    A_bi A_ii^-1 A_ib on the patch's boundary columns (`schur`, formed in
-    its lower triangle by syrk and mirrored, so exactly symmetric), the
-    rows S A_ib that condense a right-hand side (`load_rows`), and W^T
-    with W = A_ii^-1 A_ib, which recovers the interior (`recover_rows`).
-    Only these stacks are padded, with zeros, to the most interior and
-    boundary columns of any class, for the solve and the level above;
-    the solve pads each factor with the identity.  `inner` and `outer`
-    hold each patch's interior and boundary reduced columns, -1 in
-    padding, `bins` the outer ones with n in padding, and `scale` each
-    patch's S, 1 in padding.  cells (P,) names a cell of each patch if an
-    interior block is not positive definite.
+    class is assembled from one patch at the class's own size, interior
+    columns first, from the member slots that have a column and only in
+    its lower triangle, which is all the elimination reads.  Its interior
+    block A_ii is factored by Cholesky (`CholeskyFactor`, through
+    `factor_classes`), each class at its own size.  Per class this leaves
+    the Schur complement A_bb - A_bi A_ii^-1 A_ib on the patch's boundary
+    columns (`schur`, formed in its lower triangle by syrk and mirrored,
+    so exactly symmetric) and the recovery rows W^T = A_bi A_ii^-1
+    (`recover_rows`), which condense a right-hand side and, with W,
+    recover the interior.  Only these stacks are padded, with zeros, to
+    the most interior and boundary columns of any class, for the solve
+    and the level above; the solve pads each factor with the identity.
+    `inner` and `outer` hold each patch's interior and boundary reduced
+    columns, -1 in padding, and `bins` the outer ones with n in padding.
+    cells (P,) names a cell of each patch if an interior block is not
+    positive definite.
     """
 
     def __init__(self, groups, cols, member_class, blocks, n, cells):
@@ -477,16 +475,13 @@ class _Front:
 
         # the lower triangle of the matrix of each class, at its own size,
         # from the blocks of its first patch: only the member slot pairs
-        # with a column there scatter.  Every class's interior block A_ii,
-        # m x m, comes first, then every class's boundary rows [A_bi
-        # A_bb], q x (m + q), each row-major, so that entry (r, c) lies at
-        # an offset of its row r plus c
+        # with a column there scatter.  Each class's matrix is one
+        # row-major block, so that entry (r, c) lies at an offset of its
+        # row r plus c
         size = m_i + m_b
-        at_ii = np.cumsum(m_i ** 2) - m_i ** 2
-        at_bb = np.cumsum(m_b * size) - m_b * size + (m_i ** 2).sum()
+        at = np.cumsum(size ** 2) - size ** 2
         own = np.where(is_b, m_i[:, None] + at_b, pos)
-        offset = np.where(is_b, at_bb[:, None] + at_b * size[:, None],
-                          at_ii[:, None] + pos * m_i[:, None])
+        offset = at[:, None] + own * size[:, None]
         members = groups[rep]
         local, offset = (np.take_along_axis(x, first_slot[rep], axis=1).reshape(
             members.shape + cols.shape[1:]) for x in (own, offset))
@@ -499,46 +494,23 @@ class _Front:
         # float also when nothing scatters
         flat = np.bincount((offset[:, :, None] + local[:, None, :])[keep],
                            blocks(members)[keep],
-                           minlength=at_bb[-1] + m_b[-1] * size[-1]).astype(
+                           minlength=(size ** 2).sum()).astype(
                                float, copy=False)
+        mats = [flat[lo:lo + s * s].reshape(s, s) for lo, s in zip(at, size)]
 
-        # the interior blocks, scaled symmetrically by powers of two:
-        # S A_ii S = L L^T.  Y = A_bi S L^-T gives the Schur block
-        # A_bb - Y Y^T and W^T = Y L^-1 S with W = A_ii^-1 A_ib, which
-        # recovers the interior; the rows that condense a right-hand side
-        # are S A_ib, and per solve the scaled z = (S A_ii S)^-1 S b_i
-        # gives A_ii^-1 b_i = S z
-        cl, i = np.nonzero(np.arange(n_i) < m_i[:, None])
-        scale = np.ones((len(rep), n_i))
-        scale[cl, i] = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(
-            flat[at_ii[cl] + i * (m_i[cl] + 1)])))[1])
-        # scaled into a buffer of their own, in which they are factored,
-        # so that the boundary rows are freed with the scatter's output
-        a_ii, interior = [], np.empty(at_bb[0])
-        for lo, m, s in zip(at_ii, m_i, scale):
-            a = np.multiply(flat[lo:lo + m * m].reshape(m, m), s[:m, None],
-                            out=interior[lo:lo + m * m].reshape(m, m))
-            a *= s[:m]
-            a_ii.append(a)
-        self.factor = factor_classes(a_ii, cells[rep], "patch interior matrix",
+        self.factor = factor_classes([a[:m, :m] for a, m in zip(mats, m_i)],
+                                     cells[rep], "patch interior matrix",
                                      factor=CholeskyFactor)
-        self.load_rows = np.zeros((len(rep), n_i, n_b))
         self.recover_rows = np.zeros((len(rep), n_b, n_i))
         self.schur = np.zeros((len(rep), n_b, n_b))
-        for c, (lo, m, q) in enumerate(zip(at_bb, m_i, m_b)):
-            a = flat[lo:lo + q * (m + q)].reshape(q, m + q)
-            a_bi = np.multiply(a[:, :m], scale[c, :m],
-                               out=np.empty((q, m), order="F"))
-            self.load_rows[c, :m, :q] = a_bi.T
+        for c, (a, m, q) in enumerate(zip(mats, m_i, m_b)):
             schur, self.recover_rows[c, :q, :m] = self.factor.eliminate(
-                c, a_bi, a[:, m:])
+                c, a[m:, :m], a[m:, m:])
             # only the lower triangle was formed, the rest is zero: the
             # block is mirrored, exactly symmetric, its diagonal doubled
             np.add(schur, schur.T, out=self.schur[c, :q, :q])
-        self.recover_rows *= scale[:, None, :]
         diag = np.arange(n_b)
         self.schur[:, diag, diag] *= 0.5
-        self.scale = scale[self.cls]
 
 
 class _PatchTree:
@@ -585,23 +557,21 @@ class _PatchTree:
         """y with A y = b for the reduced matrix A.
 
         Up the levels each patch condenses its interior rows b_i onto its
-        boundary rows, b_b - A_bi A_ii^-1 b_i; the root solves its front;
-        down the levels each patch recovers y_i = A_ii^-1 (b_i - A_ib y_b).
+        boundary rows with its recovery rows, b_b - W^T b_i; the rows b_i
+        are not touched again, so down the levels each patch recovers
+        y_i = A_ii^-1 b_i - W y_b, the root, with no boundary, first.
         """
         n = self.n
         # the last entry takes the padding's terms and is reset to zero
         x = np.append(b, 0.0)
-        kept = []
         for f in self.fronts:
-            # z = (S A_ii S)^-1 S b_i of the scaled interior blocks
-            z = f.factor.solve((f.scale * x[f.inner]).T, f.cls).T
-            load = _class_rows(z, f.load_rows, f.cls)
+            load = _class_rows(x[f.inner], f.recover_rows.swapaxes(1, 2),
+                               f.cls)
             x -= np.bincount(f.bins, load.ravel(), minlength=n + 1)
             x[n] = 0.0
-            kept.append(z)
-        for f, z in zip(self.fronts[::-1], kept[::-1]):
-            x[f.inner] = f.scale * z - _class_rows(x[f.outer],
-                                                   f.recover_rows, f.cls)
+        for f in self.fronts[::-1]:
+            x[f.inner] = (f.factor.solve(x[f.inner].T, f.cls).T
+                          - _class_rows(x[f.outer], f.recover_rows, f.cls))
             x[n] = 0.0
         return x[:n]
 
@@ -800,15 +770,13 @@ def solve_hybrid(spaces, nu, gamma, f_func, g_func):
 
 
 def _direct_cell_matrix(blocks, trans, family):
-    """Dense cell blocks of the uncondensed system, and their sparsity pattern.
+    """Dense cell blocks of the uncondensed system.
 
     blocks and trans (the nodal transforms) hold a stack of classes; the
-    blocks come back as (S, n, n), one per class, and the (n, n) pattern
-    is shared.  Local layout: the dofs private to the cell, gradient rows
-    (row-major) and interior velocity moments, then facet velocity
-    moments, pressure, tangential traces per local facet.  The pattern
-    marks the couplings that exist, so entries that happen to be zero are
-    kept as entries.
+    blocks come back as (S, n, n), one per class.  Local layout: the dofs
+    private to the cell, gradient rows (row-major) and interior velocity
+    moments, then facet velocity moments, pressure, tangential traces per
+    local facet.
     """
     nu = blocks.nu
     n_cls = len(blocks.cells)
@@ -822,7 +790,6 @@ def _direct_cell_matrix(blocks, trans, family):
     # nodal velocity columns with the interior moments first
     trans = np.roll(trans, family.n_v_interior, axis=2)
     mat = np.zeros((n_cls, n, n))
-    pattern = np.zeros((n, n), dtype=bool)
     trans_t = trans.swapaxes(1, 2)
     tgt_sum = np.einsum("sfr,sfam->sram", blocks.tangent, blocks.tgt)
     for r in range(2):
@@ -831,22 +798,18 @@ def _direct_cell_matrix(blocks, trans, family):
         mat[:, rows, o_u:o_p] = nu * (-blocks.grad[:, r] + tgt_sum[:, r]) @ trans
         mat[:, o_u:o_p, rows] = trans_t @ (
             nu * (blocks.grad[:, r] - tgt_sum[:, r]).swapaxes(1, 2))
-        pattern[rows, rows] = True
     # gradient rows against the traces of every local facet
     trace = np.einsum("sfr,sfja->srafj", nu * blocks.tangent,
                       blocks.that).reshape(n_cls, o_u, n_t)
     mat[:, :o_u, o_t:] = -trace
     mat[:, o_t:, :o_u] = trace.swapaxes(1, 2)
-    pattern[:o_u, o_u:o_p] = pattern[:o_u, o_t:] = True
-    pattern[o_u:o_p, :o_u] = pattern[o_t:, :o_u] = True
     mat[:, o_u:o_p, o_u:o_p] = trans_t @ blocks.mgam @ trans
     mat[:, o_u:o_p, o_p:o_t] = trans_t @ (-blocks.bdiv)
     mat[:, o_p:o_t, o_u:o_p] = (trans_t @ blocks.bdiv).swapaxes(1, 2)
-    pattern[o_u:o_p, o_u:o_t] = pattern[o_p:o_t, o_u:o_p] = True
-    return mat, pattern
+    return mat
 
 
-def _eliminate_private(mat, pattern, n_d, n_load, cells):
+def _eliminate_private(mat, n_d, n_load, cells):
     """Schur complements of stacked direct cell blocks on their kept dofs.
 
     The first n_d dofs of each block are private to its cell, and the
@@ -854,9 +817,8 @@ def _eliminate_private(mat, pattern, n_d, n_load, cells):
     per class; cells[i] names the class of mat[i] if it is singular.
     With E the identity columns of the loaded private rows, returns:
 
-    * the Schur complements A_kk - A_kd A_dd^-1 A_dk on the kept dofs;
-    * their pattern: the old one on the kept dofs, plus the couplings
-      among the dofs the private ones touch;
+    * the Schur complements A_kk - A_kd A_dd^-1 A_dk on the kept dofs,
+      every entry kept;
     * the load maps -A_kd A_dd^-1 E, which take a cell's private load b
       to the kept rows of the right-hand side;
     * the recovery matrices A_dd^-1 [A_dk, E], with x_d = A_dd^-1 (b -
@@ -870,10 +832,7 @@ def _eliminate_private(mat, pattern, n_d, n_load, cells):
     rec = private.solve(rhs)
     schur = -(mat[:, n_d:, :n_d] @ rec)
     schur[:, :, :n_k] += mat[:, n_d:, n_d:]
-    fill = np.outer(pattern[n_d:, :n_d].any(axis=1),
-                    pattern[:n_d, n_d:].any(axis=0))
-    return (schur[:, :, :n_k], pattern[n_d:, n_d:] | fill, schur[:, :, n_k:],
-            rec)
+    return schur[:, :, :n_k], schur[:, :, n_k:], rec
 
 
 def _power_of_two_scales(idx, vals, n):
@@ -924,8 +883,8 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     q0v = _constant_pressure_value(spaces)
     blocks = element_blocks(spaces, spaces.class_rep, nu, gamma)
     trans = spaces.class_nodal_transforms()
-    mats, pattern, load, rec = _eliminate_private(
-        *_direct_cell_matrix(blocks, trans, fam), n_l + n_int, n_int,
+    mats, load, rec = _eliminate_private(
+        _direct_cell_matrix(blocks, trans, fam), n_l + n_int, n_int,
         blocks.cells)
     # per cell: facet velocity, pressure and trace rows of the sparse system
     kept = np.hstack([fd, o_p + np.arange(nc * n_q).reshape(nc, n_q),
@@ -940,7 +899,7 @@ def solve_direct(spaces, nu, gamma, f_func, g_func):
     load_t = load.swapaxes(1, 2)
     for cells in spaces.cell_blocks():
         cls = spaces.cell_class[cells]
-        triplets.append(block_triplets(kept[cells], mats[cls], pattern))
+        triplets.append(block_triplets(kept[cells], mats[cls]))
 
         fmom, gmom[cells], _ = _data_moments(spaces, cells, f_func, g_func)
         f_nodal = _class_rows(fmom, trans, cls)

@@ -5,6 +5,10 @@ symmetric positive definite patch interiors of the hybrid solver) and
 SuperLU that add the singularity reporting and triplet-assembly
 semantics the solvers rely on.
 Factorizations are built once and reused for many right-hand sides.
+A `DenseFactor` factors a writable stack of column-major matrices in
+place and copies any other; a `CholeskyFactor` equilibrates each matrix
+by powers of two in a copy of its own and never writes its input.
+Dense solves leave their right-hand sides as they were.
 Every sparse factorization is a `SparseFactor`: general LU with COLAMD
 ordering and threshold partial pivoting, which keeps a diagonal pivot of
 at least `_DIAG_PIVOT_THRESH` times its column's largest entry, or, for
@@ -64,12 +68,12 @@ class DenseFactor:
     getrf and getrs are called directly, so factors and solutions are
     those of `scipy.linalg.lu_factor` and `lu_solve`.  The factors are
     kept in one array of column-major matrices, so the pivots of all of
-    them are checked at once.  With overwrite_a, a writable stack of
-    column-major matrices is factored in place, as in `lu_factor`;
-    others are copied.
+    them are checked at once.  A writable stack of column-major matrices
+    is factored in place, as by `lu_factor` with overwrite_a; any other
+    stack is copied.
     """
 
-    def __init__(self, a, overwrite_a=False):
+    def __init__(self, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
             raise ValueError("expected a nonempty stack of square matrices, "
@@ -88,7 +92,7 @@ class DenseFactor:
         # one stack of column-major matrices that getrf overwrites in place;
         # getrf would also write into a read-only array, so that is copied
         lu = a
-        if not (overwrite_a and a.flags.writeable and a[0].flags.f_contiguous):
+        if not (a.flags.writeable and a[0].flags.f_contiguous):
             lu = np.empty(a.shape).swapaxes(1, 2)
             lu[...] = a
         getrf = _lapack()[0]
@@ -112,28 +116,24 @@ class DenseFactor:
         if x is not b:
             b[...] = x
 
-    def solve(self, b, index=None, overwrite_b=False):
+    def solve(self, b, index=None):
         """x with a @ x = b.
 
         Without an index, b[i] goes with matrix i; with an index array,
         b is (n, m) and column j goes with matrix index[j].  Columns that
         share a matrix are solved together, one getrs per matrix.  The
         right-hand sides of the stack, or of several matrices, are
-        gathered once into a column-major buffer that getrs overwrites,
-        rather than copied to column-major order on each call.  With
-        overwrite_b, a writable stack of column-major right-hand sides is
-        that buffer itself.
+        gathered once into a fresh column-major buffer that getrs
+        overwrites, rather than copied to column-major order on each
+        call; b is left as it was.
         """
         b = np.asarray(b, dtype=float)
         if index is None:
             if len(b) != len(self._lu):
                 raise ValueError(f"{len(b)} right-hand sides for a stack of "
                                  f"{len(self._lu)} matrices")
-            x = b
-            if not (overwrite_b and b.flags.writeable
-                    and b[0].flags.f_contiguous):
-                x = np.empty(b.shape[:1] + b.shape[:0:-1]).swapaxes(1, -1)
-                x[...] = b
+            x = np.empty(b.shape[:1] + b.shape[:0:-1]).swapaxes(1, -1)
+            x[...] = b
             for i, rhs in enumerate(x):
                 self._getrs_into(i, rhs)
             return x
@@ -178,17 +178,19 @@ def _cholesky_blas():
 
 
 class CholeskyFactor:
-    """Cholesky factors a = L L^T of a sequence of symmetric positive
+    """Cholesky factors a = U^T U of a sequence of symmetric positive
     definite matrices, each at its own size.
 
-    LAPACK potrf reads the lower triangle of each matrix; `factors` holds
-    the L^T of each, column-major, its strict lower triangle left as it
-    was.  A writable row-major matrix is factored in place, its lower
-    triangle overwritten by L; others are copied.
+    Each matrix is equilibrated first: with S the powers of two that
+    bring the square roots of its diagonal into [0.5, 1), LAPACK potrf
+    factors S a S = L L^T from the lower triangle of a copy of its own,
+    and `factors` holds U = L^T S^-1, column-major, in its upper
+    triangle.  Scaling by powers of two is exact, so U is the factor of a
+    itself, and no input is written.
     A matrix is refused, as by `DenseFactor`, when it holds a non-finite
-    entry or when its smallest pivot, min diag(L)^2 or the value at which
-    potrf stops, is below `_PIVOT_RTOL` times its own largest entry.  An
-    empty matrix has nothing to factor.
+    entry or when the smallest pivot of S a S, min diag(L)^2 or the value
+    at which potrf stops, is below `_PIVOT_RTOL` times the largest entry
+    of S a S.  An empty matrix has nothing to factor.
     """
 
     def __init__(self, mats):
@@ -206,17 +208,18 @@ class CholeskyFactor:
                 continue
             # max and min rather than abs, which would copy the matrix;
             # both keep a NaN, and an infinity of either sign shows in one
-            scale = max(a.max(), -a.min())
-            if not math.isfinite(scale):
+            if not math.isfinite(max(a.max(), -a.min())):
                 raise SingularMatrixError(
                     f"Cholesky factorization of matrix {i}: non-finite "
                     f"entry {a[~np.isfinite(a)][0]}", index=i)
-            # potrf would also write into a read-only array
-            if not (a.flags.writeable and a.flags.c_contiguous):
-                a = np.array(a)
+            # S a S in a row-major copy, whose transpose potrf overwrites
+            s = np.ldexp(1.0, -np.frexp(np.sqrt(np.abs(a.diagonal())))[1])
+            u = np.multiply(a, s[:, None], order="C")
+            u *= s
+            scale = max(u.max(), -u.min())
             # the upper triangle of the column-major transpose; on failure
             # info names the pivot at which potrf stopped, left unrooted
-            u, info = potrf(a.T, clean=0, overwrite_a=True)
+            u, info = potrf(u.T, clean=0, overwrite_a=True)
             pivot = (u[info - 1, info - 1] if info else
                      u.diagonal().min() ** 2)
             if not pivot >= _PIVOT_RTOL * scale or scale == 0.0:
@@ -224,15 +227,16 @@ class CholeskyFactor:
                     f"Cholesky factorization of matrix {i}: pivot "
                     f"{pivot:.3e} below {_PIVOT_RTOL:.0e} * max entry "
                     f"{scale:.3e}", index=i)
+            u /= s
             self.factors.append(u)
 
     def eliminate(self, i, a_bi, a_bb):
-        """The Schur complement a_bb - a_bi a^-1 a_bi^T of matrix i = L L^T,
+        """The Schur complement a_bb - a_bi a^-1 a_bi^T of matrix i = U^T U,
         and a_bi a^-1.
 
-        Y = a_bi L^-T (trsm from the right) gives the Schur complement
+        Y = a_bi U^-1 (trsm from the right) gives the Schur complement
         a_bb - Y Y^T (syrk), of which only the lower triangle is formed
-        from that of a_bb, and a_bi a^-1 = Y L^-1 (trsm from the right).
+        from that of a_bb, and a_bi a^-1 = Y U^-T (trsm from the right).
         A column-major a_bi is overwritten, others and a_bb are copied.
         """
         u = self.factors[i]
@@ -303,13 +307,12 @@ class SparseBuilder:
         return sp.csc_matrix((vals, (rows, cols)), shape=self.shape)
 
 
-def block_triplets(dofs, block, pattern=None):
+def block_triplets(dofs, block):
     """COO triplets of one dense block per cell.
 
     dofs is (C, n), and block is (n, n), shared by every cell, or (C, n, n),
     one per cell: the block of cell e puts entry [i, j] at (dofs[e, i],
-    dofs[e, j]).  Entries at a negative dof are dropped, and so are those
-    outside the boolean (n, n) pattern when one is given.  Triplets come
+    dofs[e, j]).  Entries at a negative dof are dropped.  Triplets come
     in cell, row, column order.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
@@ -319,8 +322,6 @@ def block_triplets(dofs, block, pattern=None):
         raise ValueError(f"block shape {block.shape} does not match dofs "
                          f"of shape {dofs.shape}")
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-    if pattern is not None:
-        keep &= pattern
     # masks of broadcast views gather in (cell, row, column) order without
     # forming the index arrays of np.nonzero
     return (np.broadcast_to(dofs[:, :, None], keep.shape)[keep],

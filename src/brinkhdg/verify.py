@@ -164,8 +164,7 @@ class BrinkmanCase:
         rng = np.random.default_rng(81423)
         x = rng.uniform(0.06, 0.94, size=(100, 2))
 
-        def fd_grad(func, comp=None):
-            h = 1e-6
+        def fd_grad(func, h, comp=None):
             out = np.empty((x.shape[0], 2))
             for d in range(2):
                 xp = x.copy()
@@ -180,11 +179,13 @@ class BrinkmanCase:
 
         lex = self.velocity_gradient(x)
         for r in range(2):
-            fd = fd_grad(self.velocity, comp=r)
+            fd = fd_grad(self.velocity, 1e-6, comp=r)
             scale = max(1.0, np.abs(lex[:, r]).max())
             if np.abs(lex[:, r] - fd).max() > 1e-6 * scale:
                 raise RuntimeError("velocity_gradient disagrees with finite differences")
-        fd = fd_grad(self.pressure)
+        # the central difference's truncation error is (w h)^2 / 6 of a
+        # wave of angular frequency w, so the step shrinks with m
+        fd = fd_grad(self.pressure, min(1e-6, 1e-4 / self.max_frequency))
         scale = max(1.0, np.abs(fd).max())
         if np.abs(self.pressure_gradient(x) - fd).max() > 1e-6 * scale:
             raise RuntimeError("pressure_gradient disagrees with finite differences")

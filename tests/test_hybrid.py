@@ -82,7 +82,7 @@ def test_class_stack_slices_match_one_class_stacks():
         solvers = build_local_solvers(spaces, nu, gamma)
         trans = spaces.class_nodal_transforms()
         n_d = 2 * fam.n_g + fam.n_v_interior
-        direct = hybrid._eliminate_private(*hybrid._direct_cell_matrix(
+        direct = hybrid._eliminate_private(hybrid._direct_cell_matrix(
             blocks, trans, fam), n_d, fam.n_v_interior, blocks.cells)
         for cls, rep in enumerate(spaces.class_rep):
             what = (mesh.num_cells, k, cls)
@@ -100,13 +100,12 @@ def test_class_stack_slices_match_one_class_stacks():
                                      getattr(one_solver, name)[0], (what, name))
             one_trans = fespace.nodal_transforms(spaces, [rep])
             assert_slice_matches(trans[cls], one_trans[0], (what, "nodal"))
-            one_direct = hybrid._eliminate_private(*hybrid._direct_cell_matrix(
+            one_direct = hybrid._eliminate_private(hybrid._direct_cell_matrix(
                 one_blocks, one_trans, fam), n_d, fam.n_v_interior,
                 one_blocks.cells)
-            for j, name in ((0, "reduced"), (2, "load"), (3, "recovery")):
+            for j, name in enumerate(("reduced", "load", "recovery")):
                 assert_slice_matches(direct[j][cls], one_direct[j][0],
                                      (what, name))
-            assert np.array_equal(direct[1], one_direct[1])
 
 
 def test_zero_data_gives_zero_solution():
@@ -630,7 +629,6 @@ def test_nested_solve_matches_sparse_solve(mesh, k):
             m = (front.inner[p] >= 0).sum()
             q = (front.outer[p] >= 0).sum()
             for stack, rows, cols in ((front.schur, q, q),
-                                      (front.load_rows, m, q),
                                       (front.recover_rows, q, m)):
                 pad = stack[cls].copy()
                 pad[:rows, :cols] = 0.0
@@ -794,7 +792,7 @@ def test_direct_eliminates_gradient_rows(monkeypatch):
     uhat_pad = np.append(fields.uhat_t, 0.0)
     blocks = element_blocks(spaces, spaces.class_rep, case.nu, case.gamma)
     class_trans = spaces.class_nodal_transforms()
-    mats, _ = hybrid._direct_cell_matrix(blocks, class_trans, fam)
+    mats = hybrid._direct_cell_matrix(blocks, class_trans, fam)
     fmom = hybrid._data_moments(spaces, np.arange(nc), case.body_force,
                                 case.mass_source)[0]
     n_l = 2 * fam.n_g

@@ -142,38 +142,37 @@ def test_dense_factor_overwrites_only_writable_column_major_input():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((3, 6, 6)) + 6 * np.eye(6)
     want = [sla.lu_factor(m)[0] for m in a]
-    # stacks of column-major matrices, of three and of one: factored in place
+    # writable stacks of column-major matrices, of three and of one: factored
+    # in place
     stack = np.zeros(a.shape).swapaxes(1, 2)
     stack[...] = a
-    DenseFactor(stack, overwrite_a=True)
+    DenseFactor(stack)
     one = np.asfortranarray(a[1:2])
-    DenseFactor(one, overwrite_a=True)
+    DenseFactor(one)
     assert all(np.array_equal(stack[i], want[i]) for i in range(3))
     assert np.array_equal(one[0], want[1])
-    # row-major, read-only, or without overwrite_a: copied, input unchanged
+    # row-major or read-only: copied, input unchanged
     frozen = np.asfortranarray(a[2:3])
     frozen.flags.writeable = False
-    for mat, overwrite in ((a.copy(), True), (a[:1].copy(), True),
-                           (frozen, True), (np.asfortranarray(a[:1]), False)):
+    for mat in (a.copy(), a[:1].copy(), frozen):
         before = mat.copy()
-        factor = DenseFactor(mat, overwrite_a=overwrite)
+        factor = DenseFactor(mat)
         assert np.array_equal(mat, before)
         assert np.array_equal(factor._lu[0][0], want[2 if mat is frozen else 0])
-    # right-hand sides: a writable column-major stack is solved in place
-    # with overwrite_b, anything else is copied
+    # right-hand sides of every layout, a writable column-major stack and
+    # a stack of vectors, which are both C- and F-contiguous, among them:
+    # solved into a fresh buffer, input unchanged
     factor = DenseFactor(a)
     b = rng.standard_normal((3, 6, 2))
     x = [sla.lu_solve(sla.lu_factor(a[i]), b[i]) for i in range(3)]
-    stack = np.zeros((3, 2, 6)).swapaxes(1, 2)
-    stack[...] = b
-    assert factor.solve(stack, overwrite_b=True) is stack
-    assert all(np.array_equal(stack[i], x[i]) for i in range(3))
-    for rhs, overwrite in ((b.copy(), True), (np.asfortranarray(b), True),
-                           (np.zeros((3, 2, 6)).swapaxes(1, 2) + b, False)):
+    for rhs in (b.copy(), np.asfortranarray(b),
+                np.zeros((3, 2, 6)).swapaxes(1, 2) + b, b[:, :, 0].copy()):
         before = rhs.copy()
-        got = factor.solve(rhs, overwrite_b=overwrite)
+        got = factor.solve(rhs)
         assert np.array_equal(rhs, before) and got is not rhs
-        assert all(np.array_equal(got[i], x[i]) for i in range(3))
+        assert all(np.array_equal(got[i], x[i] if rhs.ndim == 3 else
+                                  sla.lu_solve(sla.lu_factor(a[i]), rhs[i]))
+                   for i in range(3))
 
 
 def test_dense_stack_solves_with_an_index_per_column():
@@ -299,19 +298,35 @@ def test_cholesky_matches_scipy_and_reads_the_lower_triangle():
     upper = np.triu(CholeskyFactor([junk]).factors[0])
     assert np.allclose(upper, sla.cholesky(a), rtol=1e-14, atol=1e-14)
     assert np.allclose(upper.T @ upper, a, rtol=1e-14, atol=1e-12)
-    # a writable row-major matrix is factored in place, its lower triangle
-    # overwritten by L; a column-major, read-only or strided one is copied
-    mat = a.copy()
-    factor = CholeskyFactor([mat])
-    assert np.shares_memory(factor.factors[0], mat)
-    assert np.allclose(np.tril(mat), upper.T, rtol=1e-14, atol=1e-14)
+    # no input is written: row-major, column-major, read-only or strided
     frozen = a.copy()
     frozen.flags.writeable = False
     wide = np.hstack([a, a])
-    for mat in (np.asfortranarray(a), frozen, wide[:, :9]):
+    for mat in (a, np.asfortranarray(a), frozen, wide[:, :9]):
         before = mat.copy()
-        CholeskyFactor([mat])
+        factor = CholeskyFactor([mat])
         assert np.array_equal(mat, before)
+        assert not np.shares_memory(factor.factors[0], mat)
+
+
+def test_cholesky_equilibrates_by_powers_of_two():
+    rng = np.random.default_rng(14)
+    a = spd(rng, 9)
+    # exactly: the factor of 4^p a is 2^p times that of a, bit for bit
+    upper = np.triu(CholeskyFactor([a]).factors[0])
+    for p in (-60, 0, 60):
+        got = np.triu(CholeskyFactor([4.0 ** p * a]).factors[0])
+        assert np.array_equal(got, 2.0 ** p * upper)
+    # a diagonal scaling D spanning 1e-150 to 1e150, under which the
+    # unequilibrated pivots fall far below the pivot rule, is factored as
+    # accurately as a itself; D x and D^-1 b are compared, since the
+    # norms of x and b overflow
+    d = np.logspace(-150, 150, 9)
+    b = rng.standard_normal(9)
+    x = CholeskyFactor([d[:, None] * a * d]).solve(b[:, None], [0])[:, 0]
+    want = np.linalg.solve(a, b / d)
+    assert (np.linalg.norm(d * x - want)
+            <= 1e-14 * np.linalg.norm(want)), d * x - want
 
 
 def test_cholesky_solves_with_an_index_per_column():
@@ -433,7 +448,7 @@ def test_duplicate_entries_sum():
 
 def test_add_block_layout():
     # block[i, j] of cell e goes to (dofs[e, i], dofs[e, j]); a negative
-    # dof drops its row and column, the pattern drops what it leaves out
+    # dof drops its row and column
     block = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     dofs = np.array([[2, 0, 1], [3, -1, 0]])
     rows, cols, vals = block_triplets(dofs, block)
@@ -445,12 +460,6 @@ def test_add_block_layout():
     want[np.ix_([2, 0, 1], [2, 0, 1])] += block
     want[np.ix_([3, 0], [3, 0])] += block[np.ix_([0, 2], [0, 2])]
     assert np.array_equal(arr, want)
-    pattern = np.eye(3, dtype=bool)
-    pattern[0, 2] = True
-    rows, cols, vals = block_triplets(dofs, block, pattern)
-    assert list(zip(rows, cols, vals)) == [
-        (2, 2, 1.0), (2, 1, 3.0), (0, 0, 5.0), (1, 1, 9.0),
-        (3, 3, 1.0), (3, 0, 3.0), (0, 0, 9.0)]
 
 
 def assert_same_csc(got, want):
@@ -532,11 +541,9 @@ def test_finalize_bytes_with_zeros_and_long_runs():
             builder.finalize()
 
 
-def nonzero_triplets(dofs, block, pattern=None):
+def nonzero_triplets(dofs, block):
     """block_triplets through np.nonzero and fancy-index gathers."""
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-    if pattern is not None:
-        keep &= pattern
     e, i, j = np.nonzero(keep)
     vals = block[i, j] if block.ndim == 2 else block[e, i, j]
     return dofs[e, i], dofs[e, j], vals
@@ -546,14 +553,12 @@ def test_block_triplets_matches_nonzero_reference():
     rng = np.random.default_rng(21)
     dofs = rng.integers(0, 30, size=(6, 5))
     dofs[rng.random(dofs.shape) < 0.3] = -1
-    pattern = rng.random((5, 5)) < 0.6
     for block in (rng.standard_normal((5, 5)),
                   rng.standard_normal((6, 5, 5))):
-        for pat in (None, pattern):
-            got = block_triplets(dofs, block, pat)
-            want = nonzero_triplets(dofs, block, pat)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got = block_triplets(dofs, block)
+        want = nonzero_triplets(dofs, block)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_sparse_factor_once_solve_many():

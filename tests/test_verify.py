@@ -96,6 +96,21 @@ def test_case_parameter_validation():
             BrinkmanCase(1.0, 1.0, m)
 
 
+def test_validation_at_high_pressure_frequency(monkeypatch):
+    # the finite-difference step shrinks with the frequency, so its
+    # truncation error (m pi h)^2 / 6 does not refuse a right gradient,
+    # and a gradient off by 1e-4 relative is still refused
+    for m in (800, 1000, 3000, 1e4, 1e5):
+        BrinkmanCase(1.0, 1.0, m)
+    gradient = BrinkmanCase.pressure_gradient
+    monkeypatch.setattr(BrinkmanCase, "pressure_gradient",
+                        lambda self, x: gradient(self, x) * (1 + 1e-4))
+    for m in (2, 1000, 1e4):
+        with pytest.raises(RuntimeError, match="pressure_gradient disagrees "
+                                               "with finite differences"):
+            BrinkmanCase(1.0, 1.0, m)
+
+
 def test_solution_norm_bound_matches_quadrature():
     # oracle: D^(a,b) of sin(2 pi x) sin(2 pi y) is
     # (2 pi)^(a+b) sin(2 pi x + a pi/2) sin(2 pi y + b pi/2)
