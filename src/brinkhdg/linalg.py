@@ -69,8 +69,7 @@ class DenseFactor:
     those of `scipy.linalg.lu_factor` and `lu_solve`.  The factors are
     kept in one array of column-major matrices, so the pivots of all of
     them are checked at once.  A writable stack of column-major matrices
-    is factored in place, as by `lu_factor` with overwrite_a; any other
-    stack is copied.
+    is factored in place; any other stack is copied.
     """
 
     def __init__(self, a):
